@@ -73,10 +73,6 @@ def log_topics(byte: int) -> int:
     return byte - 0xA0
 
 
-def immediate_size(byte: int) -> int:
-    return push_size(byte)
-
-
 def current_opcode(mu, iota) -> int:
     """Code byte at pc when pc < |code|, STOP otherwise."""
     pc = mu.pc

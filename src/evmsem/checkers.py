@@ -81,19 +81,36 @@ def _holds(name: str, complete: bool, notes: str = "") -> Verdict:
     return Verdict(name, "holds", None, complete, notes)
 
 
+def _divergence_verdict(name: str, left, right, relaxed: bool, knobs: dict) -> Optional[Verdict]:
+    """A violated verdict if the projected traces left and right differ,
+    else None; the witness is `knobs` plus the first divergence and the
+    three actions from there on each side."""
+    div = first_divergence(left, right, relaxed)
+    if div is None:
+        return None
+    return Verdict(name, "violated", {
+        **knobs,
+        "first_divergence": div,
+        "trace_left": [action_to_json(a) for a in left[div:div + 3]],
+        "trace_right": [action_to_json(a) for a in right[div:div + 3]],
+    }, True)
+
+
 # ---------------------------------------------------------------------------
 # monitors over one scenario run
 
 
 def _monitor_run(space: ScenarioSpace, callback):
-    """Drive the scenario, invoking callback(before, action, after) per step;
-    a callback may end the run by returning a witness dict."""
+    """Drive the scenario, invoking callback(index, before, action, after)
+    per step, index counting from 1; a callback may end the run by returning
+    a witness dict."""
     tenv, stack = _initial_config(space)
     complete = True
     witness = None
     try:
-        for before, action, after in iterate_steps(tenv, stack, space.max_steps):
-            witness = callback(before, action, after)
+        steps = iterate_steps(tenv, stack, space.max_steps)
+        for index, (before, action, after) in enumerate(steps, start=1):
+            witness = callback(index, before, action, after)
             if witness is not None:
                 break
     except BudgetExhausted:
@@ -103,11 +120,8 @@ def _monitor_run(space: ScenarioSpace, callback):
 
 def check_single_entrancy(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a reentered frame of c makes the call stack grow again."""
-    step_index = 0
 
-    def watch(before, action, after):
-        nonlocal step_index
-        step_index += 1
+    def watch(step_index, before, action, after):
         if len(after) > len(before) and before[0].contract == c:
             if any(f.contract == c for f in before[1:]):
                 return {
@@ -128,11 +142,8 @@ def check_call_restriction(space: ScenarioSpace, c: Contract, allowed) -> Verdic
     """Violated iff a frame outside `allowed` is entered while a frame of c
     is on the stack (directly or transitively below c)."""
     allowed = frozenset(allowed)
-    step_index = 0
 
-    def watch(before, action, after):
-        nonlocal step_index
-        step_index += 1
+    def watch(step_index, before, action, after):
         if len(after) > len(before) and isinstance(after[0].state, Regular):
             if any(f.contract == c for f in before):
                 ann = after[0].contract
@@ -153,11 +164,8 @@ def check_call_restriction(space: ScenarioSpace, c: Contract, allowed) -> Verdic
 
 def check_fuelled_calls(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a callee below c starts with zero gas."""
-    step_index = 0
 
-    def watch(before, action, after):
-        nonlocal step_index
-        step_index += 1
+    def watch(step_index, before, action, after):
         if len(after) > len(before) and isinstance(after[0].state, Regular):
             if any(f.contract == c for f in before):
                 if after[0].state.mu.gas == 0:
@@ -178,11 +186,8 @@ def check_fuelled_calls(space: ScenarioSpace, c: Contract) -> Verdict:
 def check_stack_limit_compliance(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a call-time exception is pushed with the residual stack
     at the 1024-frame limit while c is on it."""
-    step_index = 0
 
-    def watch(before, action, after):
-        nonlocal step_index
-        step_index += 1
+    def watch(step_index, before, action, after):
         if (len(after) == len(before) + 1 and after[0].state is EXC
                 and len(before) == 1024
                 and any(f.contract == c for f in before)):
@@ -284,15 +289,11 @@ def check_env_independence(space: ScenarioSpace, c: Contract,
         for v1, v2 in combinations(runs, 2):
             if v1 == v2:
                 continue
-            div = first_divergence(runs[v1], runs[v2], space.relaxed_gas)
-            if div is not None:
-                return Verdict("env-independence", "violated", {
-                    "component": comp,
-                    "values": [hex(v1), hex(v2)],
-                    "first_divergence": div,
-                    "trace_left": [action_to_json(a) for a in runs[v1][div:div + 3]],
-                    "trace_right": [action_to_json(a) for a in runs[v2][div:div + 3]],
-                }, True)
+            verdict = _divergence_verdict("env-independence", runs[v1], runs[v2],
+                                          space.relaxed_gas,
+                                          {"component": comp, "values": [hex(v1), hex(v2)]})
+            if verdict is not None:
+                return verdict
     return _holds("env-independence", complete)
 
 
@@ -343,16 +344,11 @@ def check_account_state_independence(space: ScenarioSpace, c: Contract) -> Verdi
             except BudgetExhausted:
                 complete = False
                 continue
-            proj_v = project(trace_v, pred)
-            div = first_divergence(base_proj, proj_v, space.relaxed_gas)
-            if div is not None:
-                return Verdict("account-state-independence", "violated", {
-                    "entry_index": idx,
-                    "perturbation": label,
-                    "first_divergence": div,
-                    "trace_left": [action_to_json(a) for a in base_proj[div:div + 3]],
-                    "trace_right": [action_to_json(a) for a in proj_v[div:div + 3]],
-                }, True)
+            verdict = _divergence_verdict("account-state-independence", base_proj,
+                                          project(trace_v, pred), space.relaxed_gas,
+                                          {"entry_index": idx, "perturbation": label})
+            if verdict is not None:
+                return verdict
     return _holds("account-state-independence", complete)
 
 
@@ -385,15 +381,10 @@ def check_code_independence(space: ScenarioSpace, c: Contract, untrusted) -> Ver
                 continue
             projections.append((a_idx, project(trace, pred)))
         for (i1, p1), (i2, p2) in combinations(projections, 2):
-            div = first_divergence(p1, p2, space.relaxed_gas)
-            if div is not None:
-                return Verdict("code-independence", "violated", {
-                    "entry_index": idx,
-                    "assignments": [i1, i2],
-                    "first_divergence": div,
-                    "trace_left": [action_to_json(a) for a in p1[div:div + 3]],
-                    "trace_right": [action_to_json(a) for a in p2[div:div + 3]],
-                }, True)
+            verdict = _divergence_verdict("code-independence", p1, p2, space.relaxed_gas,
+                                          {"entry_index": idx, "assignments": [i1, i2]})
+            if verdict is not None:
+                return verdict
     return _holds("code-independence", complete)
 
 
@@ -468,15 +459,10 @@ def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> V
                 continue
             continuations.append((label, project(trace, pred)))
         for (l1, p1), (l2, p2) in combinations(continuations, 2):
-            div = first_divergence(p1, p2, space.relaxed_gas)
-            if div is not None:
-                return Verdict("effect-independence", "violated", {
-                    "call_site": site_idx,
-                    "samples": [l1, l2],
-                    "first_divergence": div,
-                    "trace_left": [action_to_json(a) for a in p1[div:div + 3]],
-                    "trace_right": [action_to_json(a) for a in p2[div:div + 3]],
-                }, True)
+            verdict = _divergence_verdict("effect-independence", p1, p2, space.relaxed_gas,
+                                          {"call_site": site_idx, "samples": [l1, l2]})
+            if verdict is not None:
+                return verdict
     return _holds("effect-independence", complete)
 
 
@@ -523,15 +509,10 @@ def check_call_integrity(space: ScenarioSpace, c: Contract, untrusted,
             continue
         projections.append((a_idx, project(trace, pred)))
     for (i1, p1), (i2, p2) in combinations(projections, 2):
-        div = first_divergence(p1, p2, space.relaxed_gas)
-        if div is not None:
-            return Verdict("call-integrity", "violated", {
-                "mode": "direct",
-                "assignments": [i1, i2],
-                "first_divergence": div,
-                "trace_left": [action_to_json(a) for a in p1[div:div + 3]],
-                "trace_right": [action_to_json(a) for a in p2[div:div + 3]],
-            }, True)
+        verdict = _divergence_verdict("call-integrity", p1, p2, space.relaxed_gas,
+                                      {"mode": "direct", "assignments": [i1, i2]})
+        if verdict is not None:
+            return verdict
     return _holds("call-integrity", complete)
 
 

@@ -65,15 +65,27 @@ class Fixture:
         return (addr, acct.code if acct else b"")
 
 
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON array", int: "an integer"}
+
+
+def _typed(value, kind: type, what: str):
+    """value, which must be a JSON object (dict), array (list) or integer
+    (int); parse_fixture reports the TypeError as a FixtureError."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be {_JSON_TYPES[kind]}, not {type(value).__name__}")
+    return value
+
+
 def _decode_code(value) -> bytes:
     if isinstance(value, dict):
-        if "asm" not in value:
-            raise FixtureError(f"code object needs an 'asm' key: {value!r}")
+        if not isinstance(value.get("asm"), str):
+            raise FixtureError(f"code object needs an 'asm' string: {value!r}")
         return assemble(value["asm"])
     return hex_to_bytes(value)
 
 
 def _decode_header(obj: dict) -> BlockHeader:
+    _typed(obj, dict, "header")
     return BlockHeader(
         parent=hex_to_word(obj.get("parent", "0x0")),
         beneficiary=hex_to_address(obj.get("beneficiary", "0x" + "00" * 20)),
@@ -97,9 +109,10 @@ def parse_fixture(obj, name: str = "<fixture>") -> Fixture:
 
     try:
         accounts = {}
-        for addr_hex, acct in obj.get("pre", {}).items():
+        for addr_hex, acct in _typed(obj.get("pre", {}), dict, "pre").items():
+            _typed(acct, dict, f"pre[{addr_hex}]")
             storage = {hex_to_word(k): hex_to_word(v)
-                       for k, v in acct.get("storage", {}).items()
+                       for k, v in _typed(acct.get("storage", {}), dict, "storage").items()
                        if hex_to_word(v) != 0}
             accounts[hex_to_address(addr_hex)] = Account(
                 nonce=hex_to_word(acct.get("nonce", "0x0")),
@@ -109,7 +122,7 @@ def parse_fixture(obj, name: str = "<fixture>") -> Fixture:
             )
         pre = GlobalState(accounts)
 
-        txo = obj["tx"]
+        txo = _typed(obj["tx"], dict, "tx")
         tx_type = txo.get("type", "call")
         tx = Transaction(
             nonce=hex_to_word(txo.get("nonce", "0x0")),
@@ -124,10 +137,14 @@ def parse_fixture(obj, name: str = "<fixture>") -> Fixture:
 
         header = _decode_header(obj.get("header", {}))
         ancestors = {}
-        for anc in obj.get("ancestors", []):
+        for anc in _typed(obj.get("ancestors", []), list, "ancestors"):
+            _typed(anc, dict, "ancestor")
             ancestors[hex_to_word(anc["hash"])] = _decode_header(anc)
 
-        params = dict(obj.get("checker_params", {}))
+        params = dict(_typed(obj.get("checker_params", {}), dict, "checker_params"))
+        for key in ("max_steps", "finpot_samples"):
+            if key in params:
+                _typed(params[key], int, key)
         if "contract" in params:
             params["contract"] = hex_to_address(params["contract"])
         if "untrusted" in params:
@@ -138,21 +155,31 @@ def parse_fixture(obj, name: str = "<fixture>") -> Fixture:
             params["gas_values"] = [hex_to_word(g) for g in params["gas_values"]]
         if "components" in params:
             params["components"] = {k: [hex_to_word(v) for v in vs]
-                                    for k, vs in params["components"].items()}
+                                    for k, vs in _typed(params["components"], dict,
+                                                        "components").items()}
         if "code_variants" in params:
             params["code_variants"] = {
                 hex_to_address(a): [_decode_code(c) for c in variants]
-                for a, variants in params["code_variants"].items()}
+                for a, variants in _typed(params["code_variants"], dict,
+                                          "code_variants").items()}
         if "account_perturbations" in params:
-            ap = dict(params["account_perturbations"])
+            ap = dict(_typed(params["account_perturbations"], dict, "account_perturbations"))
+            for key in ("balance_deltas", "nonce_bumps"):
+                for d in _typed(ap.get(key, []), list, key):
+                    _typed(d, int, key)
             if "storage_set" in ap:
                 ap["storage_set"] = {hex_to_word(k): hex_to_word(v)
-                                     for k, v in ap["storage_set"].items()}
+                                     for k, v in _typed(ap["storage_set"], dict,
+                                                        "storage_set").items()}
             params["account_perturbations"] = ap
 
+        expect = dict(_typed(obj.get("expect", {}), dict, "expect"))
+        _typed(expect.get("verdicts", {}), dict, "expect.verdicts")
+        for addr_hex, want in _typed(expect.get("post", {}), dict, "expect.post").items():
+            _typed(want, dict, f"expect.post[{addr_hex}]")
+            _typed(want.get("storage", {}), dict, f"expect.post[{addr_hex}].storage")
         return Fixture(name=name, pre=pre, tx=tx, header=header,
-                       ancestors=ancestors, expect=dict(obj.get("expect", {})),
-                       checker_params=params)
+                       ancestors=ancestors, expect=expect, checker_params=params)
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, FixtureError):
             raise

@@ -1,28 +1,31 @@
 """The small-step relation over annotated call stacks.
 
-`step` maps one configuration to its successor and emits one trace action;
-`run` is the reflexive-transitive closure under a step budget. Both are pure
-with respect to their inputs: all mutation happens on freshly copied
-snapshots, so checkers can fork execution at any configuration by keeping a
-reference to it.
+`step` maps one configuration to its successor and emits one trace action.
+A regular step is one lookup in `_RULES`, a table indexed by the opcode
+byte whose entries carry the mnemonic, the constant cost from
+`gas.SCHEDULE` and the function that fires the rule. `iterate_steps` is the
+one loop over `step`; `run`, `run_to_depth`, `run_frame` and
+`run_with_local_updates` drain it with different stop conditions. All of
+them are pure with respect to their inputs: all mutation happens on freshly
+copied snapshots, so checkers can fork execution at any configuration by
+keeping a reference to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import bytecode as bc
-from .gas import (c_base, c_gascap, c_mem, copy_cost, exp_cost, l_all_but_one_64th,
+from .gas import (SCHEDULE, c_base, c_gascap, c_mem, copy_cost, exp_cost, l_all_but_one_64th,
                   log_cost, mem_ext, sha3_cost, sstore_cost, sstore_refund)
 from .keccak import keccak256
 from .rlp import fresh_address
-from .state import (CALL_DEPTH_LIMIT, EXC, Account, CallStack, Frame, GlobalState,
-                    Halt, LogEvent, MachineState, Regular, STACK_LIMIT,
-                    TransactionEnvironment, is_final, memory_read, memory_write,
-                    validate_stack)
+from .state import (CALL_DEPTH_LIMIT, EXC, Account, CallStack, Frame, Halt, LogEvent,
+                    MachineState, Regular, STACK_LIMIT, TransactionEnvironment, is_final,
+                    memory_read, memory_write, validate_stack)
 from .traces import Action
-from .words import ADDR_MASK, binop, to_address, word_from_bytes
+from .words import ADDR_MASK, U256_MAX, binop, to_address, word_from_bytes
 
 
 class MalformedConfiguration(Exception):
@@ -51,9 +54,6 @@ class CodeOverride:
     def get(self, addr: int) -> Optional[bytes]:
         return self.mapping.get(addr)
 
-    def domain(self) -> frozenset:
-        return frozenset(self.mapping)
-
 
 def extend_override_after_create(f: CodeOverride, created) -> CodeOverride:
     """Union with newly created (address, code) pairs; existing entries win."""
@@ -71,127 +71,88 @@ class StepOutcome:
     final: bool
 
 
-_BINOPS_CHEAP = frozenset(
-    ["ADD", "SUB", "LT", "GT", "SLT", "SGT", "EQ", "AND", "OR", "XOR", "BYTE"])
-_BINOPS_EXPENSIVE = frozenset(["MUL", "DIV", "SDIV", "MOD", "SMOD", "SIGNEXTEND"])
-_ENV_READS = {
-    "ADDRESS": lambda mu, iota, tenv: iota.actor,
-    "CALLER": lambda mu, iota, tenv: iota.sender,
-    "CALLVALUE": lambda mu, iota, tenv: iota.value,
-    "CODESIZE": lambda mu, iota, tenv: len(iota.code),
-    "CALLDATASIZE": lambda mu, iota, tenv: len(iota.input),
-    "ORIGIN": lambda mu, iota, tenv: tenv.origin,
-    "GASPRICE": lambda mu, iota, tenv: tenv.gas_price,
-    "COINBASE": lambda mu, iota, tenv: tenv.header.beneficiary,
-    "TIMESTAMP": lambda mu, iota, tenv: tenv.header.timestamp,
-    "NUMBER": lambda mu, iota, tenv: tenv.header.number,
-    "DIFFICULTY": lambda mu, iota, tenv: tenv.header.difficulty,
-    "GASLIMIT": lambda mu, iota, tenv: tenv.header.gaslimit,
-    "PC": lambda mu, iota, tenv: mu.pc,
-    "MSIZE": lambda mu, iota, tenv: 32 * mu.active_words,
-    "GAS": lambda mu, iota, tenv: mu.gas,
-}
-
-
-def _valid(gas: int, cost: int, new_stack_size: int) -> bool:
-    return gas >= cost and new_stack_size < STACK_LIMIT
-
-
-def _account_code(sigma: GlobalState, addr: int, override: Optional[CodeOverride]) -> bytes:
-    if override is not None:
-        code = override.get(addr)
-        if code is not None:
-            return code
-    acct = sigma.get(addr)
-    return acct.code if acct is not None else b""
-
-
-def _blockhash_lookup(tenv: TransactionEnvironment, n: int) -> int:
-    """Walk parent headers for the hash of block n; 0 past 256 hops, past an
-    unknown ancestor, or when n lies beyond the visited header."""
-    h = tenv.header.parent
-    for _ in range(256):
-        if h == 0:
-            return 0
-        header = tenv.ancestors.get(h)
-        if header is None or n > header.number:
-            return 0
-        if n == header.number:
-            return h
-        h = header.parent
-    return 0
-
-
 def step(tenv: TransactionEnvironment, stack: CallStack,
          override: Optional[CodeOverride] = None) -> StepOutcome:
     """Apply exactly one small-step rule to a non-final configuration."""
     if not stack:
         raise MalformedConfiguration("empty call stack")
-    top = stack[0]
-    if isinstance(top.state, Regular):
-        new_stack, action = _step_regular(tenv, stack, override)
+    st = stack[0].state
+    if isinstance(st, Regular):
+        rule = _RULES[bc.current_opcode(st.mu, st.iota)]
+        if len(st.mu.stack) < rule.n:
+            new_stack, action = _exc(rule, stack)            # stack underflow
+        else:
+            new_stack, action = rule.fire(rule, st, tenv, stack, override)
     else:
         if len(stack) < 2:
             raise MalformedConfiguration("final configuration cannot be stepped")
-        new_stack, action = _process_return(tenv, stack)
+        new_stack, action = _process_return(stack)
     return StepOutcome(new_stack, action, is_final(new_stack))
 
 
-def run(tenv: TransactionEnvironment, stack: CallStack, limits: StepBudget,
-        override: Optional[CodeOverride] = None):
-    """Iterate step until a final configuration; returns (final stack, trace)."""
-    validate_stack(stack)
-    trace = []
-    for _ in range(limits.max_steps):
-        if is_final(stack):
-            return stack, tuple(trace)
-        out = step(tenv, stack, override)
-        trace.append(out.action)
-        stack = out.stack
-    if is_final(stack):
-        return stack, tuple(trace)
-    raise BudgetExhausted(f"no final configuration within {limits.max_steps} steps")
+# ---------------------------------------------------------------------------
+# the driver
 
 
 def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int,
-                  override: Optional[CodeOverride] = None) -> Iterator[tuple]:
-    """Yield (stack_before, action, stack_after) until final or budget end.
+                  override=None, stop: Callable = is_final) -> Iterator[tuple]:
+    """Yield (stack_before, action, stack_after) until stop(stack) holds.
 
-    Raises BudgetExhausted when the budget ends before a final configuration.
+    This is the only loop over `step`. It raises BudgetExhausted when
+    max_steps steps end before stop holds.
     """
     for _ in range(max_steps):
-        if is_final(stack):
+        if stop(stack):
             return
         out = step(tenv, stack, override)
         yield stack, out.action, out.stack
         stack = out.stack
-    if not is_final(stack):
+    if not stop(stack):
         raise BudgetExhausted(f"no final configuration within {max_steps} steps")
 
 
+def _drain(steps, stack):
+    """(last stack, trace) of a driver started at `stack`."""
+    trace = []
+    for _before, action, stack in steps:
+        trace.append(action)
+    return stack, tuple(trace)
+
+
+def _frame_done(depth: int) -> Callable:
+    """Stop when the frame at `depth` is Halt/Exc, or at a final configuration."""
+    return lambda s: is_final(s) or (len(s) == depth and not isinstance(s[0].state, Regular))
+
+
+def run(tenv: TransactionEnvironment, stack: CallStack, limits: StepBudget):
+    """Iterate step until a final configuration; returns (final stack, trace)."""
+    validate_stack(stack)
+    return _drain(iterate_steps(tenv, stack, limits.max_steps), stack)
+
+
 def run_to_depth(tenv: TransactionEnvironment, stack: CallStack, target_len: int,
-                 max_steps: int, override: Optional[CodeOverride] = None):
+                 max_steps: int):
     """Run until the stack has target_len frames with Halt/Exc on top (the
     frame at that depth finalized, its return not yet processed)."""
-    trace = []
-    for _ in range(max_steps):
-        if len(stack) == target_len and not isinstance(stack[0].state, Regular):
-            return stack, tuple(trace)
-        if is_final(stack):
-            return stack, tuple(trace)
-        out = step(tenv, stack, override)
-        trace.append(out.action)
-        stack = out.stack
-    if len(stack) == target_len and not isinstance(stack[0].state, Regular):
-        return stack, tuple(trace)
-    raise BudgetExhausted(f"frame did not finalize within {max_steps} steps")
+    return _drain(iterate_steps(tenv, stack, max_steps, stop=_frame_done(target_len)), stack)
 
 
-def run_frame(tenv: TransactionEnvironment, stack: CallStack, max_steps: int,
-              override: Optional[CodeOverride] = None):
+def run_frame(tenv: TransactionEnvironment, stack: CallStack, max_steps: int):
     """Run until the frame currently on top has become Halt/Exc at the same
     depth (without processing its return); returns (stack, trace)."""
-    return run_to_depth(tenv, stack, len(stack), max_steps, override)
+    return run_to_depth(tenv, stack, len(stack), max_steps)
+
+
+class _FrameOverride:
+    """A local code update that only the analyzed frame sees: its driver
+    switches it off while a sub-execution runs."""
+
+    def __init__(self, f: CodeOverride):
+        self.f = f
+        self.active = True
+
+    def get(self, addr: int) -> Optional[bytes]:
+        return self.f.get(addr) if self.active else None
 
 
 def run_with_local_updates(tenv: TransactionEnvironment, stack: CallStack,
@@ -204,584 +165,504 @@ def run_with_local_updates(tenv: TransactionEnvironment, stack: CallStack,
 
     Returns (stack, trace, extended override).
     """
-    base_depth = len(stack)
+    base = len(stack)
+    view = _FrameOverride(f)
     trace = []
     sigma_at_call = None
-    for _ in range(max_steps):
-        depth = len(stack)
-        if depth == base_depth and not isinstance(stack[0].state, Regular):
-            return stack, tuple(trace), f
-        ov = f if depth == base_depth else None
-        if depth == base_depth and isinstance(stack[0].state, Regular):
-            sigma_at_call = stack[0].state.sigma
-        out = step(tenv, stack, ov)
-        trace.append(out.action)
-        prev_depth = depth
-        stack = out.stack
-        if (len(stack) == base_depth and prev_depth > base_depth
-                and isinstance(stack[0].state, Regular) and sigma_at_call is not None):
-            sigma_now = stack[0].state.sigma
-            created = [(a, acct.code) for a, acct in sigma_now.items()
+    for before, action, stack in iterate_steps(tenv, stack, max_steps, view, _frame_done(base)):
+        trace.append(action)
+        if len(before) == base:
+            sigma_at_call = before[0].state.sigma
+        elif len(stack) == base and isinstance(stack[0].state, Regular):
+            created = [(a, acct.code) for a, acct in stack[0].state.sigma.items()
                        if sigma_at_call.get(a) is None]
             if created:
-                f = extend_override_after_create(f, created)
-    if len(stack) == base_depth and not isinstance(stack[0].state, Regular):
-        return stack, tuple(trace), f
-    raise BudgetExhausted(f"frame did not finalize within {max_steps} steps")
+                view.f = extend_override_after_create(view.f, created)
+        view.active = len(stack) == base
+    return stack, tuple(trace), view.f
 
 
 # ---------------------------------------------------------------------------
-# regular steps
+# rule results
 
 
-def _step_regular(tenv, stack, override):
+class _Rule(NamedTuple):
+    name: str                 # mnemonic, from the bytecode opcode table
+    fire: Callable            # fire(rule, state, tenv, stack, override) -> (stack, action)
+    cost: int = 0             # constant cost, from SCHEDULE
+    n: int = 0                # stack words read (and popped, except by DUP and SWAP)
+    k: int = 0                # PUSH immediate size, DUP/SWAP index, LOG topics, MSTORE width
+    value: Optional[Callable] = None   # value(state, tenv, override, *words): word or source
+
+
+def _valid(gas: int, cost: int, new_stack_size: int) -> bool:
+    return gas >= cost and new_stack_size < STACK_LIMIT
+
+
+def _account(sigma, addr: int) -> Account:
+    """The account at addr; an absent one reads as empty."""
+    acct = sigma.get(addr)
+    return acct if acct is not None else Account()
+
+
+def _exc(r: _Rule, stack, args=()):
+    """The top frame ends in an exception."""
+    c = stack[0].contract
+    return (Frame(EXC, c),) + stack[1:], Action(r.name, c, args, "exc")
+
+
+def _next(r: _Rule, stack, mu: MachineState, args=(), sigma=None, eta=None):
+    """The top frame goes on with machine state mu (and sigma/eta if given)."""
     frame = stack[0]
-    rest = stack[1:]
     st = frame.state
-    mu, iota, sigma, eta = st.mu, st.iota, st.sigma, st.eta
-    op = bc.current_opcode(mu, iota)
-    name = bc.mnemonic(op)
-    c = frame.contract
-    s = mu.stack
+    state = Regular(mu, st.iota, st.sigma if sigma is None else sigma,
+                    st.eta if eta is None else eta)
+    return (Frame(state, frame.contract),) + stack[1:], Action(r.name, frame.contract, args, "op")
 
-    def exc(args=()):
-        return ((Frame(EXC, c),) + rest,
-                Action(name, c, args, "exc"))
 
-    def ok(mu_new, sigma_new=None, eta_new=None, args=()):
-        new_frame = Frame(Regular(mu_new, iota,
-                                  sigma if sigma_new is None else sigma_new,
-                                  eta if eta_new is None else eta_new), c)
-        return ((new_frame,) + rest, Action(name, c, args, "op"))
+def _halt(r: _Rule, stack, sigma, gas: int, data: bytes, eta, args=()):
+    c = stack[0].contract
+    return (Frame(Halt(sigma, gas, data, eta), c),) + stack[1:], Action(r.name, c, args, "halt")
 
-    def halt(sigma_new, gas, data, eta_new, args=()):
-        return ((Frame(Halt(sigma_new, gas, data, eta_new), c),) + rest,
-                Action(name, c, args, "halt"))
 
-    # --- halting, cheap families first -------------------------------------
-    if op == 0x00:  # STOP
-        return halt(sigma, mu.gas, b"", eta)
+def _enter(r: _Rule, stack, callee: Frame, args, tag="enter"):
+    """A frame is pushed: the callee, or EXC for a failure on the callee level."""
+    return (callee,) + stack, Action(r.name, stack[0].contract, args, tag)
 
-    if name in _ENV_READS:
-        cost = 2
-        if not _valid(mu.gas, cost, len(s) + 1):
-            return exc()
-        value = _ENV_READS[name](mu, iota, tenv)
-        mu2 = MachineState(mu.gas - cost, mu.pc + 1, mu.memory, mu.active_words,
-                           (value,) + s)
-        return ok(mu2)
 
-    if name in _BINOPS_CHEAP or name in _BINOPS_EXPENSIVE:
-        cost = 3 if name in _BINOPS_CHEAP else 5
-        if len(s) < 2 or not _valid(mu.gas, cost, len(s) - 1):
-            return exc()
-        a, b = s[0], s[1]
-        mu2 = MachineState(mu.gas - cost, mu.pc + 1, mu.memory, mu.active_words,
-                           (binop(name, a, b),) + s[2:])
-        return ok(mu2, args=(a, b))
-
-    if op == 0x0A:  # EXP
-        if len(s) < 2:
-            return exc()
-        a, b = s[0], s[1]
-        cost = exp_cost(b)
-        if not _valid(mu.gas, cost, len(s) - 1):
-            return exc()
-        mu2 = MachineState(mu.gas - cost, mu.pc + 1, mu.memory, mu.active_words,
-                           (pow(a, b, 2**256),) + s[2:])
-        return ok(mu2, args=(a, b))
-
-    if op == 0x20:  # SHA3
-        if len(s) < 2:
-            return exc()
-        pos, size = s[0], s[1]
-        aw = mem_ext(mu.active_words, pos, size)
-        cost = c_mem(mu.active_words, aw) + sha3_cost(size)
-        if not _valid(mu.gas, cost, len(s) - 1):
-            return exc()
-        digest = keccak256(memory_read(mu.memory, pos, size))
-        mu2 = MachineState(mu.gas - cost, mu.pc + 1, mu.memory, aw,
-                           (digest,) + s[2:])
-        return ok(mu2, args=(pos, size))
-
-    if op in (0x15, 0x19):  # ISZERO, NOT
-        if len(s) < 1 or not _valid(mu.gas, 3, len(s)):
-            return exc()
-        a = s[0]
-        value = (1 if a == 0 else 0) if op == 0x15 else a ^ (2**256 - 1)
-        mu2 = MachineState(mu.gas - 3, mu.pc + 1, mu.memory, mu.active_words,
-                           (value,) + s[1:])
-        return ok(mu2, args=(a,))
-
-    if op in (0x08, 0x09):  # ADDMOD, MULMOD
-        if len(s) < 3 or not _valid(mu.gas, 8, len(s) - 2):
-            return exc()
-        a, b, m = s[0], s[1], s[2]
-        if m == 0:
-            value = 0
-        else:
-            value = (a + b) % m if op == 0x08 else (a * b) % m
-        mu2 = MachineState(mu.gas - 8, mu.pc + 1, mu.memory, mu.active_words,
-                           (value,) + s[3:])
-        return ok(mu2, args=(a, b, m))
-
-    if op == 0x35:  # CALLDATALOAD
-        if len(s) < 1 or not _valid(mu.gas, 3, len(s)):
-            return exc()
-        a = s[0]
-        data = iota.input
-        k = 0 if len(data) - a < 0 else min(len(data) - a, 32)
-        value = word_from_bytes(bytes(data[a:a + k]).ljust(32, b"\x00"))
-        mu2 = MachineState(mu.gas - 3, mu.pc + 1, mu.memory, mu.active_words,
-                           (value,) + s[1:])
-        return ok(mu2, args=(a,))
-
-    if op in (0x37, 0x39):  # CALLDATACOPY, CODECOPY
-        if len(s) < 3:
-            return exc()
-        pos_m, pos_src, size = s[0], s[1], s[2]
-        aw = mem_ext(mu.active_words, pos_m, size)
-        cost = c_mem(mu.active_words, aw) + copy_cost(3, size)
-        if not _valid(mu.gas, cost, len(s) - 3):
-            return exc()
-        src = iota.input if op == 0x37 else iota.code
-        k = 0 if len(src) - pos_src < 0 else min(len(src) - pos_src, size)
-        data = bytes(src[pos_src:pos_src + k]).ljust(size, b"\x00")
-        mu2 = MachineState(mu.gas - cost, mu.pc + 1,
-                           memory_write(mu.memory, pos_m, data), aw, s[3:])
-        return ok(mu2, args=(pos_m, pos_src, size))
-
-    if op == 0x31:  # BALANCE
-        if len(s) < 1 or not _valid(mu.gas, 400, len(s)):
-            return exc()
-        a = s[0]
-        acct = sigma.get(to_address(a))
-        mu2 = MachineState(mu.gas - 400, mu.pc + 1, mu.memory, mu.active_words,
-                           (acct.balance if acct is not None else 0,) + s[1:])
-        return ok(mu2, args=(a,))
-
-    if op == 0x3B:  # EXTCODESIZE
-        if len(s) < 1 or not _valid(mu.gas, 700, len(s)):
-            return exc()
-        a = s[0]
-        code = _account_code(sigma, to_address(a), override)
-        mu2 = MachineState(mu.gas - 700, mu.pc + 1, mu.memory, mu.active_words,
-                           (len(code),) + s[1:])
-        return ok(mu2, args=(a,))
-
-    if op == 0x3C:  # EXTCODECOPY
-        if len(s) < 4:
-            return exc()
-        a, pos_m, pos_code, size = s[0], s[1], s[2], s[3]
-        aw = mem_ext(mu.active_words, pos_m, size)
-        cost = c_mem(mu.active_words, aw) + copy_cost(700, size)
-        if not _valid(mu.gas, cost, len(s) - 4):
-            return exc()
-        code = _account_code(sigma, to_address(a), override)
-        k = 0 if len(code) - pos_code < 0 else min(len(code) - pos_code, size)
-        data = bytes(code[pos_code:pos_code + k]).ljust(size, b"\x00")
-        mu2 = MachineState(mu.gas - cost, mu.pc + 1,
-                           memory_write(mu.memory, pos_m, data), aw, s[4:])
-        return ok(mu2, args=(a, pos_m, pos_code, size))
-
-    if op == 0x40:  # BLOCKHASH
-        if len(s) < 1 or not _valid(mu.gas, 20, len(s)):
-            return exc()
-        n = s[0]
-        h = _blockhash_lookup(tenv, n)
-        mu2 = MachineState(mu.gas - 20, mu.pc + 1, mu.memory, mu.active_words,
-                           (h,) + s[1:])
-        return ok(mu2, args=(n,))
-
-    if op == 0x50:  # POP
-        if len(s) < 1 or not _valid(mu.gas, 2, len(s) - 1):
-            return exc()
-        mu2 = MachineState(mu.gas - 2, mu.pc + 1, mu.memory, mu.active_words, s[1:])
-        return ok(mu2, args=(s[0],))
-
-    if bc.is_push(op):
-        if not _valid(mu.gas, 3, len(s) + 1):
-            return exc()
-        n = bc.push_size(op)
-        imm = bytes(iota.code[mu.pc + 1:mu.pc + 1 + n]).ljust(n, b"\x00")
-        mu2 = MachineState(mu.gas - 3, mu.pc + n + 1, mu.memory, mu.active_words,
-                           (word_from_bytes(imm),) + s)
-        return ok(mu2)
-
-    if 0x80 <= op <= 0x8F:  # DUP1..16
-        n = bc.dup_index(op)
-        if len(s) < n or not _valid(mu.gas, 3, len(s) + 1):
-            return exc()
-        mu2 = MachineState(mu.gas - 3, mu.pc + 1, mu.memory, mu.active_words,
-                           (s[n - 1],) + s)
-        return ok(mu2)
-
-    if 0x90 <= op <= 0x9F:  # SWAP1..16
-        n = bc.swap_index(op)
-        if len(s) < n + 1 or not _valid(mu.gas, 3, len(s)):
-            return exc()
-        swapped = (s[n],) + s[1:n] + (s[0],) + s[n + 1:]
-        mu2 = MachineState(mu.gas - 3, mu.pc + 1, mu.memory, mu.active_words, swapped)
-        return ok(mu2)
-
-    if op == 0x56:  # JUMP
-        if len(s) < 1:
-            return exc()
-        i = s[0]
-        if i not in bc.valid_jump_dests(iota.code) or not _valid(mu.gas, 8, len(s) - 1):
-            return exc(args=(i,))
-        mu2 = MachineState(mu.gas - 8, i, mu.memory, mu.active_words, s[1:])
-        return ok(mu2, args=(i,))
-
-    if op == 0x57:  # JUMPI
-        if len(s) < 2:
-            return exc()
-        i, b = s[0], s[1]
-        if i not in bc.valid_jump_dests(iota.code) or not _valid(mu.gas, 10, len(s) - 2):
-            return exc(args=(i, b))
-        j = mu.pc + 1 if b == 0 else i
-        mu2 = MachineState(mu.gas - 10, j, mu.memory, mu.active_words, s[2:])
-        return ok(mu2, args=(i, b))
-
-    if op == 0x5B:  # JUMPDEST
-        if not _valid(mu.gas, 1, len(s)):
-            return exc()
-        mu2 = MachineState(mu.gas - 1, mu.pc + 1, mu.memory, mu.active_words, s)
-        return ok(mu2)
-
-    if op == 0x51:  # MLOAD
-        if len(s) < 1:
-            return exc()
-        a = s[0]
-        aw = mem_ext(mu.active_words, a, 32)
-        cost = c_mem(mu.active_words, aw) + 3
-        if not _valid(mu.gas, cost, len(s)):
-            return exc()
-        value = word_from_bytes(memory_read(mu.memory, a, 32))
-        mu2 = MachineState(mu.gas - cost, mu.pc + 1, mu.memory, aw,
-                           (value,) + s[1:])
-        return ok(mu2, args=(a,))
-
-    if op in (0x52, 0x53):  # MSTORE, MSTORE8
-        if len(s) < 2:
-            return exc()
-        a, b = s[0], s[1]
-        width = 32 if op == 0x52 else 1
-        aw = mem_ext(mu.active_words, a, width)
-        cost = c_mem(mu.active_words, aw) + 3
-        if not _valid(mu.gas, cost, len(s) - 2):
-            return exc()
-        data = b.to_bytes(32, "big") if op == 0x52 else bytes([b % 256])
-        mu2 = MachineState(mu.gas - cost, mu.pc + 1,
-                           memory_write(mu.memory, a, data), aw, s[2:])
-        return ok(mu2, args=(a, b))
-
-    if op == 0x54:  # SLOAD
-        if len(s) < 1 or not _valid(mu.gas, 200, len(s)):
-            return exc()
-        a = s[0]
-        acct = sigma.get(iota.actor)
-        value = acct.storage_get(a) if acct is not None else 0
-        mu2 = MachineState(mu.gas - 200, mu.pc + 1, mu.memory, mu.active_words,
-                           (value,) + s[1:])
-        return ok(mu2, args=(a,))
-
-    if op == 0x55:  # SSTORE
-        if len(s) < 2:
-            return exc()
-        a, b = s[0], s[1]
-        acct = sigma.get(iota.actor)
-        current = acct.storage_get(a) if acct is not None else 0
-        cost = sstore_cost(current, b)
-        if not _valid(mu.gas, cost, len(s) - 2):
-            return exc()
-        if acct is None:
-            acct = Account()
-        sigma2 = sigma.put(iota.actor, acct.storage_set(a, b))
-        eta2 = eta.add_refund(sstore_refund(current, b))
-        mu2 = MachineState(mu.gas - cost, mu.pc + 1, mu.memory, mu.active_words, s[2:])
-        return ok(mu2, sigma2, eta2, args=(a, b))
-
-    if 0xA0 <= op <= 0xA4:  # LOG0..4
-        n = bc.log_topics(op)
-        if len(s) < n + 2:
-            return exc()
-        pos, size = s[0], s[1]
-        topics = s[2:2 + n]
-        aw = mem_ext(mu.active_words, pos, size)
-        cost = c_mem(mu.active_words, aw) + log_cost(size, n)
-        if not _valid(mu.gas, cost, len(s) - n - 2):
-            return exc()
-        data = memory_read(mu.memory, pos, size)
-        eta2 = eta.append_log(LogEvent(iota.actor, tuple(topics), data))
-        mu2 = MachineState(mu.gas - cost, mu.pc + 1, mu.memory, aw, s[2 + n:])
-        return ok(mu2, eta_new=eta2, args=(pos, size) + tuple(topics))
-
-    if op == 0xF3:  # RETURN
-        if len(s) < 2:
-            return exc()
-        io, isz = s[0], s[1]
-        aw = mem_ext(mu.active_words, io, isz)
-        cost = c_mem(mu.active_words, aw)
-        if not _valid(mu.gas, cost, len(s) - 2):
-            return exc()
-        data = memory_read(mu.memory, io, isz)
-        return halt(sigma, mu.gas - cost, data, eta, args=(io, isz))
-
-    if op == 0xFF:  # SELFDESTRUCT
-        if len(s) < 1:
-            return exc()
-        a_ben = s[0]
-        a = a_ben & ADDR_MASK
-        target = sigma.get(a)
-        cost = 5000 if target is not None else 37000
-        if not _valid(mu.gas, cost, len(s) - 1):
-            return exc()
-        actor_acct = sigma.get(iota.actor)
-        actor_balance = actor_acct.balance if actor_acct is not None else 0
-        sigma2 = sigma
-        if actor_acct is not None:
-            sigma2 = sigma2.put(iota.actor, actor_acct.with_balance(0))
-        if target is not None:
-            sigma2 = sigma2.put(a, target.with_balance(target.balance + actor_balance))
-        else:
-            sigma2 = sigma2.put(a, Account(0, actor_balance, {}, b""))
-        refund = 0 if iota.actor in eta.suicides else 24000
-        eta2 = eta.register_suicide(iota.actor).add_refund(refund)
-        return ((Frame(Halt(sigma2, mu.gas - cost, b"", eta2), c),) + rest,
-                Action(name, c, (a_ben,), "halt"))
-
-    if op == 0xF1 or op == 0xF2:  # CALL, CALLCODE
-        return _do_call(tenv, stack, name, op)
-
-    if op == 0xF4:  # DELEGATECALL
-        return _do_delegatecall(tenv, stack)
-
-    if op == 0xF0:  # CREATE
-        return _do_create(tenv, stack)
-
-    # INVALID and every byte outside the table
-    return ((Frame(EXC, c),) + rest, Action("INVALID", c, (), "exc"))
+def _resume(r: _Rule, stack, state, tag):
+    """The caller below the finished top frame goes on in `state`."""
+    c = stack[1].contract
+    return (Frame(state, c),) + stack[2:], Action(r.name + "RET", c, (), tag)
 
 
 # ---------------------------------------------------------------------------
-# calling
+# regular rules: fire(rule, state, tenv, stack, override) -> (stack, action),
+# where state is the top frame's Regular state and its machine stack holds
+# at least the rule's n words
 
 
-def _call_costs(mu, va: int, flag: int, g: int, io: int, isz: int, oo: int, os_: int):
+def _invalid(r, st, tenv, stack, override):
+    return _exc(r, stack)
+
+
+def _stop(r, st, tenv, stack, override):
+    return _halt(r, stack, st.sigma, st.mu.gas, b"", st.eta)
+
+
+def _generic(r, st, tenv, stack, override):
+    """Constant cost; pops r.n words, which are the trace args, and pushes
+    r.value of them unless it is None (POP, JUMPDEST)."""
+    mu = st.mu
+    s = mu.stack
+    pushes = r.value is not None
+    if not _valid(mu.gas, r.cost, len(s) - r.n + pushes):
+        return _exc(r, stack)
+    args = s[:r.n]
+    rest = s[r.n:]
+    if pushes:
+        rest = (r.value(st, tenv, override, *args),) + rest
+    return _next(r, stack, MachineState(mu.gas - r.cost, mu.pc + 1, mu.memory,
+                                        mu.active_words, rest), args)
+
+
+def _push(r, st, tenv, stack, override):
+    mu = st.mu
+    if not _valid(mu.gas, r.cost, len(mu.stack) + 1):
+        return _exc(r, stack)
+    imm = bytes(st.iota.code[mu.pc + 1:mu.pc + 1 + r.k]).ljust(r.k, b"\x00")
+    return _next(r, stack, MachineState(mu.gas - r.cost, mu.pc + r.k + 1, mu.memory,
+                                        mu.active_words, (word_from_bytes(imm),) + mu.stack))
+
+
+def _dup(r, st, tenv, stack, override):
+    mu = st.mu
+    s = mu.stack
+    if not _valid(mu.gas, r.cost, len(s) + 1):
+        return _exc(r, stack)
+    return _next(r, stack, MachineState(mu.gas - r.cost, mu.pc + 1, mu.memory,
+                                        mu.active_words, (s[r.k - 1],) + s))
+
+
+def _swap(r, st, tenv, stack, override):
+    mu = st.mu
+    s = mu.stack
+    n = r.k
+    if not _valid(mu.gas, r.cost, len(s)):
+        return _exc(r, stack)
+    swapped = (s[n],) + s[1:n] + (s[0],) + s[n + 1:]
+    return _next(r, stack, MachineState(mu.gas - r.cost, mu.pc + 1, mu.memory,
+                                        mu.active_words, swapped))
+
+
+def _exp(r, st, tenv, stack, override):
+    mu = st.mu
+    s = mu.stack
+    a, b = s[0], s[1]
+    cost = exp_cost(b)
+    if not _valid(mu.gas, cost, len(s) - 1):
+        return _exc(r, stack)
+    return _next(r, stack, MachineState(mu.gas - cost, mu.pc + 1, mu.memory, mu.active_words,
+                                        (pow(a, b, 2**256),) + s[2:]), (a, b))
+
+
+def _sha3(r, st, tenv, stack, override):
+    mu = st.mu
+    s = mu.stack
+    pos, size = s[0], s[1]
+    aw = mem_ext(mu.active_words, pos, size)
+    cost = c_mem(mu.active_words, aw) + sha3_cost(size)
+    if not _valid(mu.gas, cost, len(s) - 1):
+        return _exc(r, stack)
+    digest = keccak256(memory_read(mu.memory, pos, size))
+    return _next(r, stack, MachineState(mu.gas - cost, mu.pc + 1, mu.memory, aw,
+                                        (digest,) + s[2:]), (pos, size))
+
+
+def _copy(r, st, tenv, stack, override):
+    """CALLDATACOPY, CODECOPY, EXTCODECOPY: the last three of the r.n popped
+    words are (memory offset, source offset, size); r.value gives the source
+    from the words before them (EXTCODECOPY's address)."""
+    mu = st.mu
+    s = mu.stack
+    n = r.n
+    args = s[:n]
+    pos_m, pos_src, size = args[n - 3:]
+    aw = mem_ext(mu.active_words, pos_m, size)
+    cost = c_mem(mu.active_words, aw) + copy_cost(r.cost, size)
+    if not _valid(mu.gas, cost, len(s) - n):
+        return _exc(r, stack)
+    src = r.value(st, tenv, override, *args[:n - 3])
+    data = bytes(src[pos_src:pos_src + size]).ljust(size, b"\x00")
+    return _next(r, stack, MachineState(mu.gas - cost, mu.pc + 1,
+                                        memory_write(mu.memory, pos_m, data), aw, s[n:]), args)
+
+
+def _mload(r, st, tenv, stack, override):
+    mu = st.mu
+    s = mu.stack
+    a = s[0]
+    aw = mem_ext(mu.active_words, a, 32)
+    cost = c_mem(mu.active_words, aw) + r.cost
+    if not _valid(mu.gas, cost, len(s)):
+        return _exc(r, stack)
+    value = word_from_bytes(memory_read(mu.memory, a, 32))
+    return _next(r, stack, MachineState(mu.gas - cost, mu.pc + 1, mu.memory, aw,
+                                        (value,) + s[1:]), (a,))
+
+
+def _mstore(r, st, tenv, stack, override):
+    """MSTORE and MSTORE8: write the low r.k bytes of the value."""
+    mu = st.mu
+    s = mu.stack
+    a, b = s[0], s[1]
+    aw = mem_ext(mu.active_words, a, r.k)
+    cost = c_mem(mu.active_words, aw) + r.cost
+    if not _valid(mu.gas, cost, len(s) - 2):
+        return _exc(r, stack)
+    data = b.to_bytes(32, "big")[32 - r.k:]
+    return _next(r, stack, MachineState(mu.gas - cost, mu.pc + 1,
+                                        memory_write(mu.memory, a, data), aw, s[2:]), (a, b))
+
+
+def _sstore(r, st, tenv, stack, override):
+    mu = st.mu
+    s = mu.stack
+    a, b = s[0], s[1]
+    acct = _account(st.sigma, st.iota.actor)
+    current = acct.storage_get(a)
+    cost = sstore_cost(current, b)
+    if not _valid(mu.gas, cost, len(s) - 2):
+        return _exc(r, stack)
+    sigma = st.sigma.put(st.iota.actor, acct.storage_set(a, b))
+    eta = st.eta.add_refund(sstore_refund(current, b))
+    return _next(r, stack, MachineState(mu.gas - cost, mu.pc + 1, mu.memory, mu.active_words,
+                                        s[2:]), (a, b), sigma, eta)
+
+
+def _jump(r, st, tenv, stack, override):
+    """JUMP (r.n=1) and JUMPI (r.n=2, taken unless its condition is 0); a
+    destination that is not a JUMPDEST faults even when JUMPI is not taken."""
+    mu = st.mu
+    s = mu.stack
+    n = r.n
+    args = s[:n]
+    i = s[0]
+    if i not in bc.valid_jump_dests(st.iota.code) or not _valid(mu.gas, r.cost, len(s) - n):
+        return _exc(r, stack, args)
+    pc = mu.pc + 1 if n == 2 and s[1] == 0 else i
+    return _next(r, stack, MachineState(mu.gas - r.cost, pc, mu.memory, mu.active_words,
+                                        s[n:]), args)
+
+
+def _log(r, st, tenv, stack, override):
+    mu = st.mu
+    s = mu.stack
+    n = r.k
+    pos, size = s[0], s[1]
+    aw = mem_ext(mu.active_words, pos, size)
+    cost = c_mem(mu.active_words, aw) + log_cost(size, n)
+    if not _valid(mu.gas, cost, len(s) - n - 2):
+        return _exc(r, stack)
+    event = LogEvent(st.iota.actor, s[2:2 + n], memory_read(mu.memory, pos, size))
+    return _next(r, stack, MachineState(mu.gas - cost, mu.pc + 1, mu.memory, aw, s[2 + n:]),
+                 s[:2 + n], eta=st.eta.append_log(event))
+
+
+def _return(r, st, tenv, stack, override):
+    mu = st.mu
+    s = mu.stack
+    io, isz = s[0], s[1]
+    aw = mem_ext(mu.active_words, io, isz)
+    cost = c_mem(mu.active_words, aw)
+    if not _valid(mu.gas, cost, len(s) - 2):
+        return _exc(r, stack)
+    return _halt(r, stack, st.sigma, mu.gas - cost, memory_read(mu.memory, io, isz), st.eta,
+                 (io, isz))
+
+
+def _selfdestruct(r, st, tenv, stack, override):
+    mu, sigma, actor = st.mu, st.sigma, st.iota.actor
+    a = mu.stack[0] & ADDR_MASK
+    cost = r.cost if a in sigma else SCHEDULE["selfdestruct_new_account"]
+    if not _valid(mu.gas, cost, len(mu.stack) - 1):
+        return _exc(r, stack)
+    # Yellow Paper order: credit the beneficiary, then zero the actor, so
+    # a contract that names itself as beneficiary burns its balance
+    target = _account(sigma, a)
+    sigma = sigma.put(a, target.with_balance(target.balance + _account(sigma, actor).balance))
+    if actor in sigma:
+        sigma = sigma.put(actor, sigma.get(actor).with_balance(0))
+    refund = 0 if actor in st.eta.suicides else SCHEDULE["selfdestruct_refund"]
+    eta = st.eta.register_suicide(actor).add_refund(refund)
+    return _halt(r, stack, sigma, mu.gas - cost, b"", eta, mu.stack[:1])
+
+
+# ---------------------------------------------------------------------------
+# calling and return processing
+
+
+def _call_words(s: tuple, n: int) -> tuple:
+    """(g, to, va, io, is, oo, os) of a call; DELEGATECALL pops no value and
+    is costed as a zero-value call."""
+    return s[:7] if n == 7 else s[:2] + (0,) + s[2:6]
+
+
+def _call_costs(r, mu, sigma, g, to, va, io, isz, oo, os_):
+    """(active words, callee budget, total cost) of a call; a CALL to an
+    absent account also pays for creating it."""
+    flag = 0 if r.name == "CALL" and sigma.get(to & ADDR_MASK) is None else 1
     aw = mem_ext(mem_ext(mu.active_words, io, isz), oo, os_)
     cc = c_gascap(va, flag, g, mu.gas)
-    total = c_base(va, flag) + c_mem(mu.active_words, aw) + cc
-    return aw, cc, total
+    return aw, cc, c_base(va, flag) + c_mem(mu.active_words, aw) + cc
 
 
-def _do_call(tenv, stack, name, op):
-    frame, rest = stack[0], stack[1:]
-    st = frame.state
-    mu, iota, sigma, eta = st.mu, st.iota, st.sigma, st.eta
-    c = frame.contract
-    s = mu.stack
-    if len(s) < 7:
-        return ((Frame(EXC, c),) + rest, Action(name, c, (), "exc"))
-    g, to, va, io, isz, oo, os_ = s[:7]
-    s_rest = s[7:]
+def _call(r, st, tenv, stack, override):
+    """CALL, CALLCODE and DELEGATECALL, which pop r.n = 7, 7 and 6 words."""
+    mu, iota, sigma = st.mu, st.iota, st.sigma
+    args = mu.stack[:r.n]
+    words = _call_words(mu.stack, r.n)
+    aw, cc, total = _call_costs(r, mu, sigma, *words)
+    if not _valid(mu.gas, total, len(mu.stack) - r.n + 1):
+        return _exc(r, stack, args)
+    actor_acct = _account(sigma, iota.actor)
+    _g, to, va, io, isz, _oo, _os = words
+    if va > actor_acct.balance or len(stack) + 1 > CALL_DEPTH_LIMIT:
+        return _enter(r, stack, Frame(EXC, None), args, "fail")
     to_a = to & ADDR_MASK
-    callee = sigma.get(to_a)
-    flag = 0 if (op == 0xF1 and callee is None) else 1
-    aw, cc, total = _call_costs(mu, va, flag, g, io, isz, oo, os_)
-    args = (g, to, va, io, isz, oo, os_)
-    if not _valid(mu.gas, total, len(s) - 6):
-        return ((Frame(EXC, c),) + rest, Action(name, c, args, "exc"))
-    actor_acct = sigma.get(iota.actor)
-    if actor_acct is None:
-        actor_acct = Account()
-    actor_balance = actor_acct.balance
-    if va > actor_balance or len(stack) + 1 > CALL_DEPTH_LIMIT:
-        # failure on the callee level: EXC pushed on top of the caller
-        return ((Frame(EXC, None),) + stack, Action(name, c, args, "fail"))
-
+    callee = _account(sigma, to_a)
     data = memory_read(mu.memory, io, isz)
-    mu_new = MachineState(cc, 0, {}, 0, ())
-    if op == 0xF1:  # CALL: move value, hand control to the callee account
-        if callee is not None:
-            code = callee.code
-            sigma2 = (sigma.put(to_a, callee.with_balance(callee.balance + va))
-                           .put(iota.actor, actor_acct.with_balance(actor_balance - va)))
-        else:
-            code = b""
-            sigma2 = (sigma.put(to_a, Account(0, va, {}, b""))
-                           .put(iota.actor, actor_acct.with_balance(actor_balance - va)))
-        iota_new = replace(iota, sender=iota.actor, actor=to_a,
-                           value=va, input=data, code=code)
-    else:  # CALLCODE: run the code in the caller's context, no transfer
-        code = callee.code if callee is not None else b""
-        sigma2 = sigma
-        iota_new = replace(iota, sender=iota.actor, value=va, input=data, code=code)
-    callee_frame = Frame(Regular(mu_new, iota_new, sigma2, eta), (to_a, code))
-    return ((callee_frame,) + stack, Action(name, c, args, "enter"))
+    if r.name == "CALL":  # move value, hand control to the callee account
+        sigma = (sigma.put(to_a, callee.with_balance(callee.balance + va))
+                      .put(iota.actor, actor_acct.with_balance(actor_acct.balance - va)))
+        iota = replace(iota, sender=iota.actor, actor=to_a, value=va, input=data,
+                       code=callee.code)
+    elif r.name == "CALLCODE":  # run the code in the caller's context, no transfer
+        iota = replace(iota, sender=iota.actor, value=va, input=data, code=callee.code)
+    else:  # DELEGATECALL: the caller's context, its sender and value too
+        iota = replace(iota, input=data, code=callee.code)
+    callee_frame = Frame(Regular(MachineState(cc, 0, {}, 0, ()), iota, sigma, st.eta),
+                         (to_a, callee.code))
+    return _enter(r, stack, callee_frame, args)
 
 
-def _do_delegatecall(tenv, stack):
-    frame, rest = stack[0], stack[1:]
-    st = frame.state
-    mu, iota, sigma, eta = st.mu, st.iota, st.sigma, st.eta
-    c = frame.contract
-    s = mu.stack
-    if len(s) < 6:
-        return ((Frame(EXC, c),) + rest, Action("DELEGATECALL", c, (), "exc"))
-    g, to, io, isz, oo, os_ = s[:6]
-    to_a = to & ADDR_MASK
-    aw, cc, total = _call_costs(mu, 0, 1, g, io, isz, oo, os_)
-    args = (g, to, io, isz, oo, os_)
-    if not _valid(mu.gas, total, len(s) - 5):
-        return ((Frame(EXC, c),) + rest, Action("DELEGATECALL", c, args, "exc"))
-    if len(stack) + 1 > CALL_DEPTH_LIMIT:
-        return ((Frame(EXC, None),) + stack, Action("DELEGATECALL", c, args, "fail"))
-    callee = sigma.get(to_a)
-    code = callee.code if callee is not None else b""
-    data = memory_read(mu.memory, io, isz)
-    mu_new = MachineState(cc, 0, {}, 0, ())
-    iota_new = replace(iota, input=data, code=code)
-    callee_frame = Frame(Regular(mu_new, iota_new, sigma, eta), (to_a, code))
-    return ((callee_frame,) + stack, Action("DELEGATECALL", c, args, "enter"))
-
-
-def _do_create(tenv, stack):
-    frame, rest = stack[0], stack[1:]
-    st = frame.state
-    mu, iota, sigma, eta = st.mu, st.iota, st.sigma, st.eta
-    c = frame.contract
-    s = mu.stack
-    if len(s) < 3:
-        return ((Frame(EXC, c),) + rest, Action("CREATE", c, (), "exc"))
-    va, io, isz = s[:3]
+def _create_costs(r, mu, io: int, isz: int):
+    """(active words, local cost, budget handed to the init code)."""
     aw = mem_ext(mu.active_words, io, isz)
-    cost = c_mem(mu.active_words, aw) + 32000
-    args = (va, io, isz)
-    if not _valid(mu.gas, cost, len(s) - 2):
-        return ((Frame(EXC, c),) + rest, Action("CREATE", c, (), "exc"))
-    actor_acct = sigma.get(iota.actor)
-    if actor_acct is None:
-        actor_acct = Account()
-    actor_balance = actor_acct.balance
-    if va > actor_balance or len(stack) + 1 > CALL_DEPTH_LIMIT:
-        return ((Frame(EXC, None),) + stack, Action("CREATE", c, args, "fail"))
+    cost = c_mem(mu.active_words, aw) + r.cost
+    return aw, cost, l_all_but_one_64th(mu.gas - cost)
+
+
+def _create(r, st, tenv, stack, override):
+    mu, iota, sigma = st.mu, st.iota, st.sigma
+    args = mu.stack[:3]
+    va, io, isz = args
+    aw, cost, budget = _create_costs(r, mu, io, isz)
+    if not _valid(mu.gas, cost, len(mu.stack) - 2):
+        return _exc(r, stack)
+    actor_acct = _account(sigma, iota.actor)
+    if va > actor_acct.balance or len(stack) + 1 > CALL_DEPTH_LIMIT:
+        return _enter(r, stack, Frame(EXC, None), args, "fail")
     rho = fresh_address(iota.actor, actor_acct.nonce)
-    existing = sigma.get(rho)
-    initial_balance = va if existing is None else existing.balance + va
-    sigma2 = (sigma.put(rho, Account(0, initial_balance, {}, b""))
-                   .put(iota.actor,
-                        Account(actor_acct.nonce + 1, actor_balance - va,
-                                actor_acct.storage, actor_acct.code)))
-    init_code = memory_read(mu.memory, io, isz)
-    iota_new = replace(iota, sender=iota.actor, actor=rho,
-                       value=va, code=init_code, input=b"")
-    mu_new = MachineState(l_all_but_one_64th(mu.gas - cost), 0, {}, 0, ())
-    callee_frame = Frame(Regular(mu_new, iota_new, sigma2, eta), None)
-    return ((callee_frame,) + stack, Action("CREATE", c, args, "enter"))
+    sigma = (sigma.put(rho, Account(0, _account(sigma, rho).balance + va, {}, b""))
+                  .put(iota.actor, Account(actor_acct.nonce + 1, actor_acct.balance - va,
+                                           actor_acct.storage, actor_acct.code)))
+    iota = replace(iota, sender=iota.actor, actor=rho, value=va,
+                   code=memory_read(mu.memory, io, isz), input=b"")
+    callee = Frame(Regular(MachineState(budget, 0, {}, 0, ()), iota, sigma, st.eta), None)
+    return _enter(r, stack, callee, args)
 
 
-# ---------------------------------------------------------------------------
-# return processing
-
-
-def _process_return(tenv, stack):
-    top, caller = stack[0], stack[1]
-    if not isinstance(caller.state, Regular):
+def _process_return(stack):
+    caller = stack[1].state
+    if not isinstance(caller, Regular):
         raise MalformedConfiguration("halting state above a non-regular frame")
-    op = bc.current_opcode(caller.state.mu, caller.state.iota)
-    depth = len(caller.state.mu.stack)
-    if op in (0xF1, 0xF2) and depth >= 7:
-        return _return_call(stack, bc.mnemonic(op))
-    if op == 0xF4 and depth >= 6:
-        return _return_delegatecall(stack)
-    if op == 0xF0 and depth >= 3:
-        return _return_create(stack)
+    op = bc.current_opcode(caller.mu, caller.iota)
+    r = _RULES[op]
+    if r.fire in _RETURNS and len(caller.mu.stack) >= r.n:
+        return _RETURNS[r.fire](r, stack)
     raise MalformedConfiguration(
         f"halting state above a frame not executing a call (op {op:#x})")
 
 
-def _return_call(stack, name):
-    top, caller = stack[0], stack[1]
-    rest = stack[2:]
-    st = caller.state
-    mu, iota, sigma, eta = st.mu, st.iota, st.sigma, st.eta
-    s = mu.stack
-    g, to, va, io, isz, oo, os_ = s[:7]
-    s_rest = s[7:]
-    to_a = to & ADDR_MASK
-    flag = 0 if (name == "CALL" and sigma.get(to_a) is None) else 1
-    aw, cc, total = _call_costs(mu, va, flag, g, io, isz, oo, os_)
-    if isinstance(top.state, Halt):
-        h = top.state
-        written = h.data[:os_]
-        mu2 = MachineState(mu.gas + h.gas - total, mu.pc + 1,
-                           memory_write(mu.memory, oo, written), aw,
-                           (1,) + s_rest)
-        new_frame = Frame(Regular(mu2, iota, h.sigma, h.eta), caller.contract)
-        return ((new_frame,) + rest,
-                Action(name + "RET", caller.contract, (), "ret"))
-    # exceptional return: caller state untouched, gas for the call consumed
-    mu2 = MachineState(mu.gas - total, mu.pc + 1, mu.memory, aw, (0,) + s_rest)
-    new_frame = Frame(Regular(mu2, iota, sigma, eta), caller.contract)
-    return ((new_frame,) + rest,
-            Action(name + "RET", caller.contract, (), "exc_ret"))
+def _exc_return(r, stack, total: int, aw: int):
+    """The callee failed: the caller's state is untouched, the gas for the
+    call is consumed, and 0 is pushed."""
+    st = stack[1].state
+    mu = st.mu
+    mu2 = MachineState(mu.gas - total, mu.pc + 1, mu.memory, aw, (0,) + mu.stack[r.n:])
+    return _resume(r, stack, Regular(mu2, st.iota, st.sigma, st.eta), "exc_ret")
 
 
-def _return_delegatecall(stack):
-    top, caller = stack[0], stack[1]
-    rest = stack[2:]
-    st = caller.state
-    mu, iota, sigma, eta = st.mu, st.iota, st.sigma, st.eta
-    s = mu.stack
-    g, to, io, isz, oo, os_ = s[:6]
-    s_rest = s[6:]
-    aw, cc, total = _call_costs(mu, 0, 1, g, io, isz, oo, os_)
-    if isinstance(top.state, Halt):
-        h = top.state
-        written = h.data[:os_]
-        mu2 = MachineState(mu.gas + h.gas - total, mu.pc + 1,
-                           memory_write(mu.memory, oo, written), aw,
-                           (1,) + s_rest)
-        new_frame = Frame(Regular(mu2, iota, h.sigma, h.eta), caller.contract)
-        return ((new_frame,) + rest,
-                Action("DELEGATECALLRET", caller.contract, (), "ret"))
-    mu2 = MachineState(mu.gas - total, mu.pc + 1, mu.memory, aw, (0,) + s_rest)
-    new_frame = Frame(Regular(mu2, iota, sigma, eta), caller.contract)
-    return ((new_frame,) + rest,
-            Action("DELEGATECALLRET", caller.contract, (), "exc_ret"))
+def _return_call(r, stack):
+    top, st = stack[0].state, stack[1].state
+    mu = st.mu
+    words = _call_words(mu.stack, r.n)
+    aw, _cc, total = _call_costs(r, mu, st.sigma, *words)
+    if not isinstance(top, Halt):
+        return _exc_return(r, stack, total, aw)
+    oo, os_ = words[5], words[6]
+    mu2 = MachineState(mu.gas + top.gas - total, mu.pc + 1,
+                       memory_write(mu.memory, oo, top.data[:os_]), aw, (1,) + mu.stack[r.n:])
+    return _resume(r, stack, Regular(mu2, st.iota, top.sigma, top.eta), "ret")
 
 
-def _return_create(stack):
-    top, caller = stack[0], stack[1]
-    rest = stack[2:]
-    st = caller.state
-    mu, iota, sigma, eta = st.mu, st.iota, st.sigma, st.eta
-    s = mu.stack
-    va, io, isz = s[:3]
-    s_rest = s[3:]
-    aw = mem_ext(mu.active_words, io, isz)
-    c_local = c_mem(mu.active_words, aw) + 32000
-    # full allocation: local cost plus the all-but-one-64th budget handed over
-    total = c_local + l_all_but_one_64th(mu.gas - c_local)
-    if isinstance(top.state, Halt):
-        h = top.state
-        c_final = 200 * len(h.data)
-        if h.gas < c_final:
-            return ((Frame(EXC, caller.contract),) + rest,
-                    Action("CREATERET", caller.contract, (), "exc"))
-        actor_acct = sigma.get(iota.actor)
-        rho = fresh_address(iota.actor, actor_acct.nonce if actor_acct else 0)
-        created = h.sigma.get(rho)
-        if created is None:
-            created = Account(0, 0, {}, b"")
-        sigma2 = h.sigma.put(rho, created.with_code(bytes(h.data)))
-        mu2 = MachineState(mu.gas + h.gas - total - c_final, mu.pc + 1,
-                           mu.memory, aw, (rho,) + s_rest)
-        new_frame = Frame(Regular(mu2, iota, sigma2, h.eta), caller.contract)
-        return ((new_frame,) + rest,
-                Action("CREATERET", caller.contract, (), "ret"))
-    mu2 = MachineState(mu.gas - total, mu.pc + 1, mu.memory, aw, (0,) + s_rest)
-    new_frame = Frame(Regular(mu2, iota, sigma, eta), caller.contract)
-    return ((new_frame,) + rest,
-            Action("CREATERET", caller.contract, (), "exc_ret"))
+def _return_create(r, stack):
+    top, st = stack[0].state, stack[1].state
+    mu, iota = st.mu, st.iota
+    aw, cost, budget = _create_costs(r, mu, mu.stack[1], mu.stack[2])
+    total = cost + budget        # full allocation: local cost plus the budget handed over
+    if not isinstance(top, Halt):
+        return _exc_return(r, stack, total, aw)
+    c_final = SCHEDULE["create_per_code_byte"] * len(top.data)
+    if top.gas < c_final:
+        return _resume(r, stack, EXC, "exc")
+    rho = fresh_address(iota.actor, _account(st.sigma, iota.actor).nonce)
+    sigma = top.sigma.put(rho, _account(top.sigma, rho).with_code(bytes(top.data)))
+    mu2 = MachineState(mu.gas + top.gas - total - c_final, mu.pc + 1, mu.memory, aw,
+                       (rho,) + mu.stack[r.n:])
+    return _resume(r, stack, Regular(mu2, iota, sigma, top.eta), "ret")
+
+
+_RETURNS = {_call: _return_call, _create: _return_create}
+
+
+# ---------------------------------------------------------------------------
+# the rule table
+
+
+def _account_code(st: Regular, word: int, override) -> bytes:
+    """Code at the address in `word`; a local code update takes precedence."""
+    addr = to_address(word)
+    code = override.get(addr) if override is not None else None
+    return code if code is not None else _account(st.sigma, addr).code
+
+
+def _calldataload(st, tenv, override, a):
+    return word_from_bytes(bytes(st.iota.input[a:a + 32]).ljust(32, b"\x00"))
+
+
+def _blockhash(st, tenv, override, n):
+    """Walk parent headers for the hash of block n; 0 past 256 hops, past an
+    unknown ancestor, or when n lies beyond the visited header."""
+    h = tenv.header.parent
+    for _ in range(256):
+        header = tenv.ancestors.get(h) if h != 0 else None
+        if header is None or n > header.number:
+            return 0
+        if n == header.number:
+            return h
+        h = header.parent
+    return 0
+
+
+def _rule_table() -> tuple:
+    """The 256 rules, indexed by opcode byte."""
+    spec = {  # mnemonic -> (rule, SCHEDULE key or None, n, value, k)
+        "STOP": (_stop, None, 0, None),
+        "ADDRESS": (_generic, "base_access", 0, lambda st, tenv, ov: st.iota.actor),
+        "CALLER": (_generic, "base_access", 0, lambda st, tenv, ov: st.iota.sender),
+        "CALLVALUE": (_generic, "base_access", 0, lambda st, tenv, ov: st.iota.value),
+        "CODESIZE": (_generic, "base_access", 0, lambda st, tenv, ov: len(st.iota.code)),
+        "CALLDATASIZE": (_generic, "base_access", 0, lambda st, tenv, ov: len(st.iota.input)),
+        "ORIGIN": (_generic, "base_access", 0, lambda st, tenv, ov: tenv.origin),
+        "GASPRICE": (_generic, "base_access", 0, lambda st, tenv, ov: tenv.gas_price),
+        "COINBASE": (_generic, "base_access", 0, lambda st, tenv, ov: tenv.header.beneficiary),
+        "TIMESTAMP": (_generic, "base_access", 0, lambda st, tenv, ov: tenv.header.timestamp),
+        "NUMBER": (_generic, "base_access", 0, lambda st, tenv, ov: tenv.header.number),
+        "DIFFICULTY": (_generic, "base_access", 0, lambda st, tenv, ov: tenv.header.difficulty),
+        "GASLIMIT": (_generic, "base_access", 0, lambda st, tenv, ov: tenv.header.gaslimit),
+        "PC": (_generic, "base_access", 0, lambda st, tenv, ov: st.mu.pc),
+        "MSIZE": (_generic, "base_access", 0, lambda st, tenv, ov: 32 * st.mu.active_words),
+        "GAS": (_generic, "base_access", 0, lambda st, tenv, ov: st.mu.gas),
+        "ISZERO": (_generic, "unop", 1, lambda st, tenv, ov, a: 1 if a == 0 else 0),
+        "NOT": (_generic, "unop", 1, lambda st, tenv, ov, a: a ^ U256_MAX),
+        "ADDMOD": (_generic, "ternary", 3, lambda st, tenv, ov, a, b, m: (a + b) % m if m else 0),
+        "MULMOD": (_generic, "ternary", 3, lambda st, tenv, ov, a, b, m: (a * b) % m if m else 0),
+        "CALLDATALOAD": (_generic, "verylow", 1, _calldataload),
+        "BALANCE": (_generic, "balance", 1,
+                    lambda st, tenv, ov, a: _account(st.sigma, to_address(a)).balance),
+        "EXTCODESIZE": (_generic, "extcode", 1,
+                        lambda st, tenv, ov, a: len(_account_code(st, a, ov))),
+        "BLOCKHASH": (_generic, "blockhash", 1, _blockhash),
+        "SLOAD": (_generic, "sload", 1,
+                  lambda st, tenv, ov, a: _account(st.sigma, st.iota.actor).storage_get(a)),
+        "POP": (_generic, "base_access", 1, None),
+        "JUMPDEST": (_generic, "jumpdest", 0, None),
+        "EXP": (_exp, None, 2, None),
+        "SHA3": (_sha3, None, 2, None),
+        "CALLDATACOPY": (_copy, "copy_base", 3, lambda st, tenv, ov: st.iota.input),
+        "CODECOPY": (_copy, "copy_base", 3, lambda st, tenv, ov: st.iota.code),
+        "EXTCODECOPY": (_copy, "extcode", 4, lambda st, tenv, ov, a: _account_code(st, a, ov)),
+        "MLOAD": (_mload, "verylow", 1, None),
+        "MSTORE": (_mstore, "verylow", 2, None, 32),
+        "MSTORE8": (_mstore, "verylow", 2, None, 1),
+        "SSTORE": (_sstore, None, 2, None),
+        "JUMP": (_jump, "jump", 1, None),
+        "JUMPI": (_jump, "jumpi", 2, None),
+        "RETURN": (_return, None, 2, None),
+        "SELFDESTRUCT": (_selfdestruct, "selfdestruct", 1, None),
+        "CREATE": (_create, "create", 3, None),
+        "CALL": (_call, None, 7, None),
+        "CALLCODE": (_call, None, 7, None),
+        "DELEGATECALL": (_call, None, 6, None),
+    }
+    for key, names in (("binop_cheap", "ADD SUB LT GT SLT SGT EQ AND OR XOR BYTE"),
+                       ("binop_expensive", "MUL DIV SDIV MOD SMOD SIGNEXTEND")):
+        for name in names.split():
+            spec[name] = (_generic, key, 2, lambda st, tenv, ov, a, b, name=name: binop(name, a, b))
+    for k in range(1, 33):
+        spec[f"PUSH{k}"] = (_push, "verylow", 0, None, k)
+    for k in range(1, 17):
+        spec[f"DUP{k}"] = (_dup, "verylow", k, None, k)
+        spec[f"SWAP{k}"] = (_swap, "verylow", k + 1, None, k)
+    for k in range(5):
+        spec[f"LOG{k}"] = (_log, None, k + 2, None, k)
+    rules = [_Rule("INVALID", _invalid)] * 256     # INVALID and every byte outside the table
+    for name, (fire, key, n, value, *k) in spec.items():
+        cost = SCHEDULE[key] if key else 0
+        rules[bc.MNEMONIC_TO_BYTE[name]] = _Rule(name, fire, cost, n, *k, value=value)
+    return tuple(rules)
+
+
+_RULES = _rule_table()

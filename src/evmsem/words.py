@@ -15,10 +15,6 @@ U256_MAX = TWO_256 - 1
 ADDR_MASK = 2**160 - 1
 
 
-def u256(x: int) -> Word256:
-    return x % TWO_256
-
-
 def signed(x: Word256) -> int:
     """Two's-complement view of a word."""
     return x - TWO_256 if x >= TWO_255 else x
@@ -122,8 +118,8 @@ def word_to_hex(x: int) -> str:
 
 
 def hex_to_word(s: str) -> Word256:
-    if not s.startswith("0x"):
-        raise ValueError(f"hex value must be 0x-prefixed: {s!r}")
+    if not isinstance(s, str) or not s.startswith("0x"):
+        raise ValueError(f"hex value must be a 0x-prefixed string: {s!r}")
     return int(s, 16) % TWO_256
 
 
@@ -132,8 +128,8 @@ def bytes_to_hex(data: bytes) -> str:
 
 
 def hex_to_bytes(s: str) -> bytes:
-    if not s.startswith("0x"):
-        raise ValueError(f"hex bytes must be 0x-prefixed: {s!r}")
+    if not isinstance(s, str) or not s.startswith("0x"):
+        raise ValueError(f"hex bytes must be a 0x-prefixed string: {s!r}")
     body = s[2:]
     if len(body) % 2:
         raise ValueError(f"odd-length hex bytes: {s!r}")

@@ -1,7 +1,8 @@
 """Randomized-program machinery shared by the property suite and the
 acceptance run: a weighted program generator plus monitored executions
 checking determinism, per-frame gas decrease, rollback bit-equality,
-machine-stack bounds and call-stack indifference."""
+machine-stack bounds, that no step creates wei, and call-stack
+indifference."""
 
 import random
 
@@ -66,6 +67,8 @@ def random_program(rng: random.Random) -> bytes:
             depth = max(depth + pushes - pops, 0)
         else:
             out.append(rng.randrange(256))  # raw byte, possibly undefined
+    if rng.random() < 0.3:
+        out += assemble("ADDRESS\nSELFDESTRUCT")   # the actor as its own beneficiary
     return bytes(out)
 
 
@@ -112,6 +115,9 @@ def monitored_run(tenv, stack, budget=STEP_BUDGET):
         top = after[0].state
         if isinstance(top, Regular) and len(top.mu.stack) > 1024:
             raise PropertyViolation(f"machine stack grew to {len(top.mu.stack)}")
+        if (top is not EXC and before[0].state is not EXC
+                and top.sigma.total_balance() > before[0].state.sigma.total_balance()):
+            raise PropertyViolation(f"{out.action.op} created wei")
 
         if len(after) == len(before):
             prev, cur = before[0].state, after[0].state
@@ -172,10 +178,8 @@ def _call_prefix(rng: random.Random) -> bytes:
     return assemble("\n".join(lines))
 
 
-def check_program(seed: int) -> dict:
-    """All criterion-5 properties for one random program; returns counters."""
-    from evmsem.state import stack_diff
-
+def program_frame(seed: int):
+    """The criterion-5 program of one seed, as a frame ready to run."""
     rng = random.Random(seed)
     code = random_program(rng)
     if rng.random() < 0.35:
@@ -183,10 +187,17 @@ def check_program(seed: int) -> dict:
         gas = rng.randrange(1_000, 30_000)
     else:
         gas = rng.randrange(30, 3_000)
+    return make_program_frame(code, gas)
+
+
+def check_program(seed: int) -> dict:
+    """All criterion-5 properties for one random program; returns counters."""
+    from evmsem.state import stack_diff
+
     tenv = make_env()
     stats = {"steps": 0, "exhausted": 0}
 
-    frame = make_program_frame(code, gas)
+    frame = program_frame(seed)
     try:
         final1, trace1 = monitored_run(tenv, (frame,))
     except BudgetExhausted:

@@ -1,6 +1,8 @@
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from evmsem.cli import main
 from evmsem.corpus import build_all, corpus_dir, load_corpus
@@ -167,6 +169,76 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
 
 def test_cli_usage_error_exit_2():
     assert main(["frobnicate"]) == 2
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+
+
+def _paths(value, prefix=()):
+    """Every path into a JSON value, the empty path included."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield from _paths(inner, prefix + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    value = copy.deepcopy(value)
+    inner = value
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = new
+    return value
+
+
+# a corpus fixture plus every optional section, so that each can be mutated
+WELL_FORMED = json.loads((corpus_dir() / "bob_mallory.json").read_text())
+WELL_FORMED["ancestors"] = [{"hash": "0x77", "parent": "0x66", "number": "0x8"}]
+WELL_FORMED["checker_params"].update({
+    "gas_values": ["0x5000", "0x9000"], "max_steps": 5000, "finpot_samples": 3,
+    "components": {"timestamp": ["0x1", "0x2"]},
+    "account_perturbations": {"balance_deltas": [1], "nonce_bumps": [2],
+                              "storage_set": {"0x0": "0x1"}}})
+
+
+@pytest.mark.parametrize("path,value", [
+    (("pre", "0x0000000000000000000000000000000000001001", "balance"), 5),
+    (("pre",), []),
+    (("tx",), None),
+    (("pre", "0x0000000000000000000000000000000000001001", "storage"), []),
+])
+def test_cli_wrongly_typed_field_exit_2(tmp_path, capsys, path, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_replaced(WELL_FORMED, path, value)))
+    assert main(["run", str(bad)]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_arbitrary_json_gives_fixture_error_or_exit_2(tmp_path_factory, data):
+    """Any JSON in any field of a well-formed fixture either parses or raises
+    FixtureError, and the CLI exits 2 on it rather than raising."""
+    path = data.draw(st.sampled_from(list(_paths(WELL_FORMED))), label="path")
+    obj = _replaced(WELL_FORMED, path, data.draw(JSON, label="value"))
+    try:
+        parse_fixture(obj, "mutated")
+        parsed = True
+    except FixtureError:
+        parsed = False
+    fixture = tmp_path_factory.mktemp("fuzz") / "mutated.json"
+    fixture.write_text(json.dumps(obj))
+    for argv in (["run", str(fixture), "--expect"],
+                 ["check", "call-integrity", str(fixture), "--expect"]):
+        code = main(argv)
+        assert code in ((0, 1, 2) if parsed else (2,)), argv
 
 
 # ---------------------------------------------------------------------------

@@ -430,3 +430,21 @@ def test_gas_refund_visible_within_budget_and_not_after():
     frame = make_frame("JUMPDEST\nPUSH1 0x00\nJUMP", gas=10**6)
     with pytest.raises(BudgetExhausted):
         run(make_env(), (frame,), StepBudget(100))
+
+
+def test_selfdestruct_to_itself_burns_the_balance():
+    # the beneficiary is credited before the actor is zeroed (Yellow Paper
+    # order), so naming oneself as beneficiary destroys the balance
+    state, delta = run_op("ADDRESS\nSELFDESTRUCT", (SELF,), gas=6000, pc=1, balance=100)
+    assert isinstance(state, Halt)
+    assert delta == 5000
+    assert state.sigma.get(SELF).balance == 0
+    assert state.eta.suicides == frozenset({SELF})
+
+
+def test_rule_table_is_indexed_by_opcode_byte():
+    # every byte's rule carries the mnemonic of the opcode table; bytes
+    # outside it fire the INVALID rule
+    from evmsem import bytecode, semantics
+    assert len(semantics._RULES) == 256
+    assert [r.name for r in semantics._RULES] == [bytecode.mnemonic(b) for b in range(256)]
