@@ -1,12 +1,19 @@
 """Executable security analyses.
 
-Monitors (single-entrancy, call restriction, fuelled calls, stack-limit
-compliance) watch one scenario run. The hyperproperty checkers (atomicity,
-the independence family, call integrity) are falsifiers: they fork execution
-at entry configurations of the analyzed contract and compare projected call
-traces across finitely many variant runs. A "holds" verdict therefore always
-means "holds within the explored space"; `explored_complete` records whether
-any branch ran out of step budget.
+`_scan` is the only loop that drives the scenario, and each check drives
+it at most once (call integrity's theorem1 mode, a conjunction of three
+checks, drives it three times). Monitors (single-entrancy, call restriction, fuelled calls,
+stack-limit compliance) watch that drive for a violating step. The
+hyperproperty checkers (atomicity, the independence family, call integrity)
+are falsifiers: they fork a few variant runs, from configurations the drive
+reaches (entries into the analyzed contract, its calls into untrusted code)
+or from the scenario's start, and compare what the variants show, mostly
+projected call traces. `_explore` is the only place that runs variants:
+each is compared with the first completed run of its fork, the first
+difference is a violation and stops further runs, and a fork with fewer
+than two variants runs nothing, as there is nothing to compare. A "holds"
+verdict therefore always means "holds within the explored space";
+`explored_complete` records whether any run ran out of step budget.
 
 Every "violated" verdict carries a witness with the concrete knobs (gas
 values, component values, variant indices, sample ids) that reproduce it.
@@ -15,7 +22,8 @@ values, component values, variant indices, sample ids) that reproduce it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations, product
+from functools import partial
+from itertools import product
 from typing import Optional, Sequence
 
 from .semantics import (BudgetExhausted, CodeOverride, StepBudget, iterate_steps,
@@ -65,10 +73,13 @@ class ScenarioSpace:
     finpot_samples: int = 8
     relaxed_gas: bool = False
 
+    def __post_init__(self):
+        if self.max_steps <= 0:
+            raise ValueError("max_steps must be positive")
 
-def _initial_config(space: ScenarioSpace, sigma: Optional[GlobalState] = None):
-    init = t_init(space.tx, space.header, sigma if sigma is not None else space.pre,
-                  space.ancestors)
+
+def _initial_config(space: ScenarioSpace):
+    init = t_init(space.tx, space.header, space.pre, space.ancestors)
     if init is None:
         raise ValueError("scenario transaction is invalid under the given state")
     tenv, frame, _created = init
@@ -81,61 +92,112 @@ def _holds(name: str, complete: bool, notes: str = "") -> Verdict:
     return Verdict(name, "holds", None, complete, notes)
 
 
-def _divergence_verdict(name: str, left, right, relaxed: bool, knobs: dict) -> Optional[Verdict]:
-    """A violated verdict if the projected traces left and right differ,
-    else None; the witness is `knobs` plus the first divergence and the
-    three actions from there on each side."""
+# ---------------------------------------------------------------------------
+# the engine: one scan of the scenario, one comparison loop over variants
+
+
+def _scan(space: ScenarioSpace, pick, first: bool = False):
+    """Drive the scenario once and collect pick(index, before, action, after)
+    for every step where it is not None, index counting from 1; with
+    `first`, stop at the first. Returns (tenv, initial stack, picks,
+    complete)."""
+    tenv, stack = _initial_config(space)
+    picks = []
+    complete = True
+    try:
+        steps = iterate_steps(tenv, stack, space.max_steps)
+        for index, (before, action, after) in enumerate(steps, start=1):
+            found = pick(index, before, action, after)
+            if found is not None:
+                picks.append(found)
+                if first:
+                    break
+    except BudgetExhausted:
+        complete = False
+    return tenv, stack, picks, complete
+
+
+def _explore(name: str, forks, differ, complete: bool) -> Verdict:
+    """Run the variants of each fork and compare their observations.
+
+    `forks` yields (witness, observe, variants), `variants` being (label,
+    input) pairs; observe(input) runs one variant and returns what it shows,
+    None if there is nothing to compare. differ(first, other) is None when
+    two observations agree, else the witness entries of their difference,
+    to which witness(first_label, label) adds the knobs that reproduce it."""
+    for witness, observe, variants in forks:
+        if len(variants) < 2:
+            continue
+        first = None
+        for label, variant in variants:
+            try:
+                seen = observe(variant)
+            except BudgetExhausted:
+                complete = False
+                continue
+            if seen is None:
+                continue
+            if first is None:
+                first = label, seen
+            elif (found := differ(first[1], seen)) is not None:
+                return Verdict(name, "violated", {**witness(first[0], label), **found}, True)
+    return _holds(name, complete)
+
+
+def _divergence(relaxed: bool, left, right) -> Optional[dict]:
+    """None if the projected traces agree, else their first divergence and
+    the three actions from there on each side."""
     div = first_divergence(left, right, relaxed)
     if div is None:
         return None
-    return Verdict(name, "violated", {
-        **knobs,
+    return {
         "first_divergence": div,
         "trace_left": [action_to_json(a) for a in left[div:div + 3]],
         "trace_right": [action_to_json(a) for a in right[div:div + 3]],
-    }, True)
+    }
+
+
+def _fork(config, state):
+    """The configuration with the state of its top frame replaced."""
+    return (Frame(state, config[0].contract),) + config[1:]
 
 
 # ---------------------------------------------------------------------------
 # monitors over one scenario run
 
 
-def _monitor_run(space: ScenarioSpace, callback):
-    """Drive the scenario, invoking callback(index, before, action, after)
-    per step, index counting from 1; a callback may end the run by returning
-    a witness dict."""
-    tenv, stack = _initial_config(space)
-    complete = True
-    witness = None
-    try:
-        steps = iterate_steps(tenv, stack, space.max_steps)
-        for index, (before, action, after) in enumerate(steps, start=1):
-            witness = callback(index, before, action, after)
-            if witness is not None:
-                break
-    except BudgetExhausted:
-        complete = False
-    return witness, complete
+def _monitor(name: str, space: ScenarioSpace, watch) -> Verdict:
+    """Violated at the first step where watch(index, before, action, after)
+    returns a witness."""
+    _tenv, _stack, witnesses, complete = _scan(space, watch, first=True)
+    if witnesses:
+        return Verdict(name, "violated", witnesses[0], True)
+    return _holds(name, complete)
+
+
+def _entered(before, after) -> bool:
+    """The step pushed a running frame: a call or create was entered."""
+    return len(after) > len(before) and isinstance(after[0].state, Regular)
+
+
+def _on_stack(c: Contract, frames) -> bool:
+    return any(f.contract == c for f in frames)
 
 
 def check_single_entrancy(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a reentered frame of c makes the call stack grow again."""
 
     def watch(step_index, before, action, after):
-        if len(after) > len(before) and before[0].contract == c:
-            if any(f.contract == c for f in before[1:]):
-                return {
-                    "step": step_index,
-                    "action": action_to_json(action),
-                    "reentry_depth": len(before),
-                    "contract": address_to_hex(c[0]),
-                }
+        if len(after) > len(before) and before[0].contract == c and _on_stack(c, before[1:]):
+            return {
+                "step": step_index,
+                "action": action_to_json(action),
+                "reentry_depth": len(before),
+                "contract": address_to_hex(c[0]),
+            }
         return None
 
-    witness, complete = _monitor_run(space, watch)
-    if witness is not None:
-        return Verdict("single-entrancy", "violated", witness, True)
-    return _holds("single-entrancy", complete)
+    return _monitor("single-entrancy", space, watch)
 
 
 def check_call_restriction(space: ScenarioSpace, c: Contract, allowed) -> Verdict:
@@ -144,43 +206,34 @@ def check_call_restriction(space: ScenarioSpace, c: Contract, allowed) -> Verdic
     allowed = frozenset(allowed)
 
     def watch(step_index, before, action, after):
-        if len(after) > len(before) and isinstance(after[0].state, Regular):
-            if any(f.contract == c for f in before):
-                ann = after[0].contract
-                if ann is None or ann[0] not in allowed:
-                    return {
-                        "step": step_index,
-                        "action": action_to_json(action),
-                        "entered": address_to_hex(ann[0]) if ann else None,
-                        "allowed": sorted(address_to_hex(a) for a in allowed),
-                    }
+        ann = after[0].contract
+        if (_entered(before, after) and _on_stack(c, before)
+                and (ann is None or ann[0] not in allowed)):
+            return {
+                "step": step_index,
+                "action": action_to_json(action),
+                "entered": address_to_hex(ann[0]) if ann else None,
+                "allowed": sorted(address_to_hex(a) for a in allowed),
+            }
         return None
 
-    witness, complete = _monitor_run(space, watch)
-    if witness is not None:
-        return Verdict("call-restriction", "violated", witness, True)
-    return _holds("call-restriction", complete)
+    return _monitor("call-restriction", space, watch)
 
 
 def check_fuelled_calls(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a callee below c starts with zero gas."""
 
     def watch(step_index, before, action, after):
-        if len(after) > len(before) and isinstance(after[0].state, Regular):
-            if any(f.contract == c for f in before):
-                if after[0].state.mu.gas == 0:
-                    return {
-                        "step": step_index,
-                        "action": action_to_json(action),
-                        "callee": address_to_hex(after[0].contract[0])
-                        if after[0].contract else None,
-                    }
+        if _entered(before, after) and _on_stack(c, before) and after[0].state.mu.gas == 0:
+            ann = after[0].contract
+            return {
+                "step": step_index,
+                "action": action_to_json(action),
+                "callee": address_to_hex(ann[0]) if ann else None,
+            }
         return None
 
-    witness, complete = _monitor_run(space, watch)
-    if witness is not None:
-        return Verdict("fuelled-calls", "violated", witness, True)
-    return _holds("fuelled-calls", complete)
+    return _monitor("fuelled-calls", space, watch)
 
 
 def check_stack_limit_compliance(space: ScenarioSpace, c: Contract) -> Verdict:
@@ -189,50 +242,29 @@ def check_stack_limit_compliance(space: ScenarioSpace, c: Contract) -> Verdict:
 
     def watch(step_index, before, action, after):
         if (len(after) == len(before) + 1 and after[0].state is EXC
-                and len(before) == 1024
-                and any(f.contract == c for f in before)):
+                and len(before) == 1024 and _on_stack(c, before)):
             return {"step": step_index, "action": action_to_json(action),
                     "residual_depth": len(before)}
         return None
 
-    witness, complete = _monitor_run(space, watch)
-    if witness is not None:
-        return Verdict("stack-limit", "violated", witness, True)
-    return _holds("stack-limit", complete)
+    return _monitor("stack-limit", space, watch)
 
 
 # ---------------------------------------------------------------------------
-# entry configurations
+# falsifiers over variant runs
 
 
 def _entry_configs(space: ScenarioSpace, c: Contract):
     """Configurations whose top frame is a freshly entered frame of c,
     reached by driving the scenario once."""
-    tenv, stack = _initial_config(space)
-    configs = []
-    complete = True
+
+    def entry(_index, before, _action, after):
+        return after if _entered(before, after) and after[0].contract == c else None
+
+    tenv, stack, configs, complete = _scan(space, entry)
     if stack[0].contract == c:
-        configs.append(stack)
-    try:
-        for before, _action, after in iterate_steps(tenv, stack, space.max_steps):
-            if (len(after) > len(before) and after[0].contract == c
-                    and isinstance(after[0].state, Regular)):
-                configs.append(after)
-    except BudgetExhausted:
-        complete = False
+        configs.insert(0, stack)
     return tenv, configs, complete
-
-
-def _final_sigma(stack, entry_sigma):
-    """Global state of a finalized frame; an exception reverts to entry."""
-    st = stack[0].state
-    if isinstance(st, Halt):
-        return st.sigma
-    return entry_sigma
-
-
-# ---------------------------------------------------------------------------
-# paired-execution falsifiers
 
 
 def check_atomicity(space: ScenarioSpace, c: Contract) -> Verdict:
@@ -241,29 +273,26 @@ def check_atomicity(space: ScenarioSpace, c: Contract) -> Verdict:
     if len(space.gas_values) < 2:
         raise ValueError("atomicity needs at least two gas values")
     tenv, configs, complete = _entry_configs(space, c)
-    for idx, config in enumerate(configs):
-        entry = config[0].state
-        entry_sigma = entry.sigma
-        finals = {}
-        for g in space.gas_values:
-            mu = replace(entry.mu, gas=g)
-            forked = (Frame(Regular(mu, entry.iota, entry.sigma, entry.eta),
-                            config[0].contract),) + config[1:]
-            try:
-                final, _trace = run_frame(tenv, forked, space.max_steps)
-            except BudgetExhausted:
-                complete = False
-                continue
-            finals[g] = _final_sigma(final, entry_sigma)
-        for g1, g2 in combinations(finals, 2):
-            s1, s2 = finals[g1], finals[g2]
-            if not (s1 == s2 or entry_sigma == s1 or entry_sigma == s2):
-                return Verdict("atomicity", "violated", {
-                    "entry_index": idx,
-                    "gas_pair": [g1, g2],
-                    "contract": address_to_hex(c[0]),
-                }, True)
-    return _holds("atomicity", complete)
+
+    def final_sigma(forked):
+        """The final global state, None for a full revert to the entry state,
+        which agrees with every other outcome."""
+        final, _trace = run_frame(tenv, forked, space.max_steps)
+        st = final[0].state
+        if isinstance(st, Halt) and st.sigma != forked[0].state.sigma:
+            return st.sigma
+        return None
+
+    def forks():
+        for idx, config in enumerate(configs):
+            entry = config[0].state
+            yield ((lambda g1, g2, idx=idx: {"entry_index": idx, "gas_pair": [g1, g2],
+                                             "contract": address_to_hex(c[0])}),
+                   final_sigma,
+                   [(g, _fork(config, replace(entry, mu=replace(entry.mu, gas=g))))
+                    for g in space.gas_values])
+
+    return _explore("atomicity", forks(), lambda s1, s2: None if s1 == s2 else {}, complete)
 
 
 def check_env_independence(space: ScenarioSpace, c: Contract,
@@ -271,30 +300,22 @@ def check_env_independence(space: ScenarioSpace, c: Contract,
     """Projected call traces of c must agree across paired whole-scenario
     runs whose transaction environments differ in one component."""
     pred = calls_of(c)
-    complete = True
+    tenv, stack = _initial_config(space)
+
+    def observe(tenv_v):
+        _final, trace = run(tenv_v, stack, StepBudget(space.max_steps))
+        return project(trace, pred)
+
+    forks = []    # built before any run, so that every component is checked first
     for comp in components:
-        values = space.component_values.get(comp, ())
+        values = space.component_values.get(comp)
         if not values:
             raise ValueError(f"no value set for component {comp!r}")
-        runs = {}
-        for v in values:
-            tenv, stack = _initial_config(space)
-            tenv_v = env_with_component(tenv, comp, v)
-            try:
-                _final, trace = run(tenv_v, stack, StepBudget(space.max_steps))
-            except BudgetExhausted:
-                complete = False
-                continue
-            runs[v] = project(trace, pred)
-        for v1, v2 in combinations(runs, 2):
-            if v1 == v2:
-                continue
-            verdict = _divergence_verdict("env-independence", runs[v1], runs[v2],
-                                          space.relaxed_gas,
-                                          {"component": comp, "values": [hex(v1), hex(v2)]})
-            if verdict is not None:
-                return verdict
-    return _holds("env-independence", complete)
+        forks.append(((lambda v1, v2, comp=comp: {"component": comp,
+                                                   "values": [hex(v1), hex(v2)]}),
+                      observe,
+                      [(v, env_with_component(tenv, comp, v)) for v in dict.fromkeys(values)]))
+    return _explore("env-independence", forks, partial(_divergence, space.relaxed_gas), True)
 
 
 def _account_variants(acct: Account, perturbations: dict):
@@ -321,35 +342,35 @@ def _account_variants(acct: Account, perturbations: dict):
 
 def check_account_state_independence(space: ScenarioSpace, c: Contract) -> Verdict:
     """Paired runs from entry states differing only in the nonce, balance or
-    storage of c's account must produce the same projected call traces."""
+    storage of c's account must produce the same projected call traces.
+    Each perturbed run is compared with the unperturbed one; should that
+    exhaust its budget, with the first perturbed run that completes, which
+    the witness then names as its reference."""
     pred = calls_of(c)
     tenv, configs, complete = _entry_configs(space, c)
-    for idx, config in enumerate(configs):
-        entry = config[0].state
-        acct = entry.sigma.get(c[0])
-        if acct is None:
-            continue
-        try:
-            _f, base_trace = run_frame(tenv, config, space.max_steps)
-        except BudgetExhausted:
-            complete = False
-            continue
-        base_proj = project(base_trace, pred)
-        for label, variant in _account_variants(acct, space.account_perturbations):
-            sigma_v = entry.sigma.put(c[0], variant)
-            forked = (Frame(Regular(entry.mu, entry.iota, sigma_v, entry.eta),
-                            config[0].contract),) + config[1:]
-            try:
-                _f, trace_v = run_frame(tenv, forked, space.max_steps)
-            except BudgetExhausted:
-                complete = False
+
+    def observe(config):
+        _f, trace = run_frame(tenv, config, space.max_steps)
+        return project(trace, pred)
+
+    def witness(idx, reference, label):
+        knobs = {"entry_index": idx, "perturbation": label}
+        if reference is not None:
+            knobs["reference"] = reference
+        return knobs
+
+    def forks():
+        for idx, config in enumerate(configs):
+            entry = config[0].state
+            acct = entry.sigma.get(c[0])
+            if acct is None:
                 continue
-            verdict = _divergence_verdict("account-state-independence", base_proj,
-                                          project(trace_v, pred), space.relaxed_gas,
-                                          {"entry_index": idx, "perturbation": label})
-            if verdict is not None:
-                return verdict
-    return _holds("account-state-independence", complete)
+            yield partial(witness, idx), observe, [(None, config)] + [
+                (label, _fork(config, replace(entry, sigma=entry.sigma.put(c[0], variant))))
+                for label, variant in _account_variants(acct, space.account_perturbations)]
+
+    return _explore("account-state-independence", forks(),
+                    partial(_divergence, space.relaxed_gas), complete)
 
 
 def _override_assignments(space: ScenarioSpace, untrusted):
@@ -368,24 +389,19 @@ def check_code_independence(space: ScenarioSpace, c: Contract, untrusted) -> Ver
     """Runs under two local code updates with domain `untrusted` must produce
     the same projected call traces of c."""
     pred = calls_of(c)
-    assignments = _override_assignments(space, untrusted)
+    assignments = list(enumerate(_override_assignments(space, untrusted)))
     tenv, configs, complete = _entry_configs(space, c)
-    for idx, config in enumerate(configs):
-        projections = []
-        for a_idx, mapping in enumerate(assignments):
-            try:
-                _f, trace, _ext = run_with_local_updates(
-                    tenv, config, CodeOverride(dict(mapping)), space.max_steps)
-            except BudgetExhausted:
-                complete = False
-                continue
-            projections.append((a_idx, project(trace, pred)))
-        for (i1, p1), (i2, p2) in combinations(projections, 2):
-            verdict = _divergence_verdict("code-independence", p1, p2, space.relaxed_gas,
-                                          {"entry_index": idx, "assignments": [i1, i2]})
-            if verdict is not None:
-                return verdict
-    return _holds("code-independence", complete)
+
+    def observe(config, mapping):
+        _f, trace, _ext = run_with_local_updates(
+            tenv, config, CodeOverride(dict(mapping)), space.max_steps)
+        return project(trace, pred)
+
+    forks = (((lambda i1, i2, idx=idx: {"entry_index": idx, "assignments": [i1, i2]}),
+              partial(observe, config), assignments)
+             for idx, config in enumerate(configs))
+    return _explore("code-independence", forks, partial(_divergence, space.relaxed_gas),
+                    complete)
 
 
 def _finpot_samples(c: Contract, callee_frame: Frame, space: ScenarioSpace):
@@ -434,36 +450,26 @@ def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> V
     unchanged."""
     pred = calls_of(c)
     untrusted = frozenset(untrusted)
-    tenv, stack = _initial_config(space)
-    complete = True
-    call_sites = []
-    try:
-        for before, action, after in iterate_steps(tenv, stack, space.max_steps):
-            if (action.tag == "enter" and before[0].contract == c
-                    and after[0].contract is not None
-                    and after[0].contract[0] in untrusted):
-                call_sites.append(after)
-    except BudgetExhausted:
-        complete = False
 
-    for site_idx, after in enumerate(call_sites):
-        callee = after[0]
-        caller_len = len(after) - 1
-        continuations = []
-        for label, final_state in _finpot_samples(c, callee, space):
-            forked = (Frame(final_state, callee.contract),) + after[1:]
-            try:
-                _f, trace = run_to_depth(tenv, forked, caller_len, space.max_steps)
-            except BudgetExhausted:
-                complete = False
-                continue
-            continuations.append((label, project(trace, pred)))
-        for (l1, p1), (l2, p2) in combinations(continuations, 2):
-            verdict = _divergence_verdict("effect-independence", p1, p2, space.relaxed_gas,
-                                          {"call_site": site_idx, "samples": [l1, l2]})
-            if verdict is not None:
-                return verdict
-    return _holds("effect-independence", complete)
+    def call_site(_index, before, action, after):
+        ann = after[0].contract
+        if action.tag == "enter" and before[0].contract == c and ann and ann[0] in untrusted:
+            return after
+        return None
+
+    tenv, _stack, call_sites, complete = _scan(space, call_site)
+
+    def continuation(forked):
+        """c's calls until the callee's return has been processed."""
+        _f, trace = run_to_depth(tenv, forked, len(forked) - 1, space.max_steps)
+        return project(trace, pred)
+
+    forks = (((lambda l1, l2, idx=idx: {"call_site": idx, "samples": [l1, l2]}),
+              continuation,
+              [(label, _fork(after, final)) for label, final in _finpot_samples(c, after[0], space)])
+             for idx, after in enumerate(call_sites))
+    return _explore("effect-independence", forks, partial(_divergence, space.relaxed_gas),
+                    complete)
 
 
 def check_call_integrity(space: ScenarioSpace, c: Contract, untrusted,
@@ -491,29 +497,21 @@ def check_call_integrity(space: ScenarioSpace, c: Contract, untrusted,
         raise ValueError(f"unknown call-integrity mode {mode!r}")
 
     pred = calls_of(c)
-    assignments = _override_assignments(space, untrusted)
-    complete = True
-    projections = []
-    for a_idx, mapping in enumerate(assignments):
+
+    def observe(mapping):
         sigma = space.pre
         for addr, code in mapping.items():
             acct = sigma.get(addr)
             if acct is None:
                 acct = Account()
             sigma = sigma.put(addr, acct.with_code(code))
-        tenv, stack = _initial_config(space, sigma)
-        try:
-            _final, trace = run(tenv, stack, StepBudget(space.max_steps))
-        except BudgetExhausted:
-            complete = False
-            continue
-        projections.append((a_idx, project(trace, pred)))
-    for (i1, p1), (i2, p2) in combinations(projections, 2):
-        verdict = _divergence_verdict("call-integrity", p1, p2, space.relaxed_gas,
-                                      {"mode": "direct", "assignments": [i1, i2]})
-        if verdict is not None:
-            return verdict
-    return _holds("call-integrity", complete)
+        tenv, stack = _initial_config(replace(space, pre=sigma))
+        _final, trace = run(tenv, stack, StepBudget(space.max_steps))
+        return project(trace, pred)
+
+    forks = [(lambda i1, i2: {"mode": "direct", "assignments": [i1, i2]}, observe,
+              list(enumerate(_override_assignments(space, untrusted))))]
+    return _explore("call-integrity", forks, partial(_divergence, space.relaxed_gas), True)
 
 
 CHECKERS = {

@@ -42,7 +42,7 @@ class Fixture:
             tx=self.tx,
             header=self.header,
             ancestors=self.ancestors,
-            max_steps=max_steps or p.get("max_steps", 200_000),
+            max_steps=p.get("max_steps", 200_000) if max_steps is None else max_steps,
             gas_values=tuple(p.get("gas_values", ())),
             component_values=dict(p.get("components", {})),
             code_variants=dict(p.get("code_variants", {})),
@@ -145,6 +145,8 @@ def parse_fixture(obj, name: str = "<fixture>") -> Fixture:
         for key in ("max_steps", "finpot_samples"):
             if key in params:
                 _typed(params[key], int, key)
+        if params.get("max_steps", 1) <= 0:
+            raise FixtureError(f"{name}: checker_params.max_steps must be positive")
         if "contract" in params:
             params["contract"] = hex_to_address(params["contract"])
         if "untrusted" in params:

@@ -473,8 +473,11 @@ def _call(r, st, tenv, stack, override):
     callee = _account(sigma, to_a)
     data = memory_read(mu.memory, io, isz)
     if r.name == "CALL":  # move value, hand control to the callee account
-        sigma = (sigma.put(to_a, callee.with_balance(callee.balance + va))
-                      .put(iota.actor, actor_acct.with_balance(actor_acct.balance - va)))
+        # debit first, then credit the callee as it reads after the debit,
+        # so that a call to the caller's own address keeps the value
+        sigma = sigma.put(iota.actor, actor_acct.with_balance(actor_acct.balance - va))
+        payee = _account(sigma, to_a)
+        sigma = sigma.put(to_a, payee.with_balance(payee.balance + va))
         iota = replace(iota, sender=iota.actor, actor=to_a, value=va, input=data,
                        code=callee.code)
     elif r.name == "CALLCODE":  # run the code in the caller's context, no transfer

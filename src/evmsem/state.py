@@ -9,7 +9,7 @@ configuration (and exception rollback) cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .words import Address, Word256
@@ -152,19 +152,15 @@ ENV_COMPONENTS = {
 
 
 def env_with_component(tenv: TransactionEnvironment, name: str, value: int) -> TransactionEnvironment:
+    """tenv with one of the ENV_COMPONENTS set to value."""
     if name == "origin":
-        return TransactionEnvironment(value, tenv.gas_price, tenv.header, tenv.ancestors)
+        return replace(tenv, origin=value)
     if name == "gasprice":
-        return TransactionEnvironment(tenv.origin, value, tenv.header, tenv.ancestors)
-    h = tenv.header
-    fields = {
-        "parent": h.parent, "beneficiary": h.beneficiary, "difficulty": h.difficulty,
-        "number": h.number, "gaslimit": h.gaslimit, "timestamp": h.timestamp,
-    }
-    if name not in fields:
-        raise KeyError(f"unknown environment component {name!r}")
-    fields[name] = value
-    return TransactionEnvironment(tenv.origin, tenv.gas_price, BlockHeader(**fields), tenv.ancestors)
+        return replace(tenv, gas_price=value)
+    if name not in ENV_COMPONENTS:
+        raise ValueError(f"unknown environment component {name!r}; choose from "
+                         f"{', '.join(sorted(ENV_COMPONENTS))}")
+    return replace(tenv, header=replace(tenv.header, **{name: value}))
 
 
 def env_equal_up_to(a: TransactionEnvironment, b: TransactionEnvironment, component: str) -> bool:

@@ -609,14 +609,15 @@ def _do_call(tenv, stack, name, op):
     data = memory_read(mu.memory, io, isz)
     mu_new = MachineState(cc, 0, {}, 0, ())
     if op == 0xF1:  # CALL: move value, hand control to the callee account
+        # debit first, then credit the callee as it reads after the debit
+        debited = sigma.put(iota.actor, actor_acct.with_balance(actor_balance - va))
         if callee is not None:
             code = callee.code
-            sigma2 = (sigma.put(to_a, callee.with_balance(callee.balance + va))
-                           .put(iota.actor, actor_acct.with_balance(actor_balance - va)))
+            payee = debited.get(to_a)
+            sigma2 = debited.put(to_a, payee.with_balance(payee.balance + va))
         else:
             code = b""
-            sigma2 = (sigma.put(to_a, Account(0, va, {}, b""))
-                           .put(iota.actor, actor_acct.with_balance(actor_balance - va)))
+            sigma2 = debited.put(to_a, Account(0, va, {}, b""))
         iota_new = replace(iota, sender=iota.actor, actor=to_a,
                            value=va, input=data, code=code)
     else:  # CALLCODE: run the code in the caller's context, no transfer

@@ -1,7 +1,8 @@
 """Randomized-program machinery shared by the property suite and the
 acceptance run: a weighted program generator plus monitored executions
 checking determinism, per-frame gas decrease, rollback bit-equality,
-machine-stack bounds, that no step creates wei, and call-stack
+machine-stack bounds, that no step changes the total wei (except a
+SELFDESTRUCT to the actor itself, which burns it), and call-stack
 indifference."""
 
 import random
@@ -10,6 +11,7 @@ from evmsem.bytecode import MNEMONIC_TO_BYTE, assemble
 from evmsem.semantics import BudgetExhausted, is_final, step
 from evmsem.state import (EXC, Account, ExecutionEnvironment, Frame, GlobalState,
                           Halt, MachineState, Regular, EMPTY_EFFECTS)
+from evmsem.words import ADDR_MASK
 from helpers import ORIGIN, SELF, OTHER, make_env
 
 STEP_BUDGET = 10_000
@@ -38,14 +40,23 @@ _OP_ARITY = [
 ]
 
 
-def random_program(rng: random.Random) -> bytes:
+def random_program(rng: random.Random, origin: int = 0) -> bytes:
     """A weighted instruction mix that tracks an estimated stack depth so
-    most instructions find their operands, with a small arity-violating and
-    raw-byte tail for exception coverage."""
+    most instructions find their operands, with forward branches that are
+    taken or not, and a small arity-violating and raw-byte tail for
+    exception coverage. `origin` is the offset the program will be loaded
+    at, which the branch destinations count from."""
     out = bytearray()
     depth = 0
     length = rng.randrange(8, 48)
     for _ in range(length):
+        if rng.random() < 0.08:
+            # PUSH1 cond, PUSH2 dest, JUMPI, PUSH1 x, POP, JUMPDEST: the jump
+            # to the JUMPDEST skips the PUSH1/POP pair unless cond is 0
+            dest = origin + len(out) + 9
+            out += assemble(f"PUSH1 {hex(rng.randrange(4))}\nPUSH2 {hex(dest)}\nJUMPI\n"
+                            f"PUSH1 {hex(rng.randrange(256))}\nPOP\nJUMPDEST")
+            continue
         roll = rng.random()
         if roll < 0.33 or (depth == 0 and roll < 0.85):
             width = rng.choice((1, 1, 1, 1, 2, 2, 32))
@@ -97,6 +108,13 @@ class PropertyViolation(AssertionError):
     pass
 
 
+def _burns(state, action) -> bool:
+    """A SELFDESTRUCT naming the actor as beneficiary, which destroys its
+    balance: the one step allowed to change the total wei."""
+    return (action.op == "SELFDESTRUCT" and isinstance(state, Regular)
+            and action.args[0] & ADDR_MASK == state.iota.actor)
+
+
 def monitored_run(tenv, stack, budget=STEP_BUDGET):
     """Run to a final configuration while checking the safety properties;
     returns (final stack, trace) or raises PropertyViolation/BudgetExhausted."""
@@ -116,8 +134,9 @@ def monitored_run(tenv, stack, budget=STEP_BUDGET):
         if isinstance(top, Regular) and len(top.mu.stack) > 1024:
             raise PropertyViolation(f"machine stack grew to {len(top.mu.stack)}")
         if (top is not EXC and before[0].state is not EXC
-                and top.sigma.total_balance() > before[0].state.sigma.total_balance()):
-            raise PropertyViolation(f"{out.action.op} created wei")
+                and top.sigma.total_balance() != before[0].state.sigma.total_balance()
+                and not _burns(before[0].state, out.action)):
+            raise PropertyViolation(f"{out.action.op} changed the total wei")
 
         if len(after) == len(before):
             prev, cur = before[0].state, after[0].state
@@ -181,12 +200,9 @@ def _call_prefix(rng: random.Random) -> bytes:
 def program_frame(seed: int):
     """The criterion-5 program of one seed, as a frame ready to run."""
     rng = random.Random(seed)
-    code = random_program(rng)
-    if rng.random() < 0.35:
-        code = _call_prefix(rng) + code
-        gas = rng.randrange(1_000, 30_000)
-    else:
-        gas = rng.randrange(30, 3_000)
+    prefix = _call_prefix(rng) if rng.random() < 0.35 else b""
+    code = prefix + random_program(rng, origin=len(prefix))
+    gas = rng.randrange(1_000, 30_000) if prefix else rng.randrange(30, 3_000)
     return make_program_frame(code, gas)
 
 

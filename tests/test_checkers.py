@@ -3,6 +3,7 @@ monitors-don't-alter-execution invariant."""
 
 import pytest
 
+from evmsem import checkers
 from evmsem.bytecode import assemble
 from evmsem.checkers import (ScenarioSpace, check_account_state_independence,
                              check_atomicity, check_call_integrity,
@@ -188,6 +189,40 @@ def test_env_independence_log_only_read_holds():
     assert v.result == "holds"
 
 
+def counting(monkeypatch, name):
+    """Wrap checkers.<name> so that its calls are counted."""
+    calls = []
+    original = getattr(checkers, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(checkers, name, wrapper)
+    return calls
+
+
+def test_env_independence_stops_at_the_first_difference(monkeypatch):
+    # c calls the address given by TIMESTAMP: values 1 and 2 already give
+    # different calls, so the run with value 3 is never made
+    code = assemble("PUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\n"
+                    "PUSH1 0x00\nTIMESTAMP\nPUSH2 0x0fff\nCALL\nSTOP")
+    space = space_for({C: Account(0, 0, {}, code)}, C,
+                      component_values={"timestamp": [1, 2, 3]})
+    runs = counting(monkeypatch, "run")
+    v = check_env_independence(space, (C, code), ["timestamp"])
+    assert v.violated and v.witness["values"] == ["0x1", "0x2"]
+    assert len(runs) == 2
+
+
+def test_env_independence_unknown_component_rejected():
+    stop = assemble("STOP")
+    for values in ([1], [1, 2]):
+        space = space_for({C: Account(0, 0, {}, stop)}, C, component_values={"foo": values})
+        with pytest.raises(ValueError, match="unknown environment component"):
+            check_env_independence(space, (C, stop), ["foo"])
+
+
 def test_env_independence_missing_values_rejected():
     stop = assemble("STOP")
     space = space_for({C: Account(0, 0, {}, stop)}, C)
@@ -226,6 +261,28 @@ def test_account_state_stateless_forwarder_holds():
     assert v.result == "holds"
 
 
+def test_account_state_exhausted_base_compares_perturbations():
+    # c spins until the step budget runs out unless storage[0] or
+    # storage[1] is set, and then calls address storage[0] + 2*storage[1]:
+    # the unperturbed run never completes, so the two perturbed runs are
+    # compared with each other, and the witness names the reference
+    code = asm([
+        "PUSH1 0x00", "SLOAD", "PUSH1 0x01", "SLOAD", "OR", "PUSH1 @go", "JUMPI",
+        "LABEL spin", "JUMPDEST", "PUSH1 @spin", "JUMP",
+        "LABEL go", "JUMPDEST",
+        "PUSH1 0x00", "PUSH1 0x00", "PUSH1 0x00", "PUSH1 0x00", "PUSH1 0x00",
+        "PUSH1 0x00", "SLOAD", "PUSH1 0x01", "SLOAD", "PUSH1 0x02", "MUL", "ADD",
+        "PUSH2 0x0fff", "CALL", "STOP",
+    ])
+    space = space_for({C: Account(0, 0, {}, code)}, C, max_steps=500,
+                      account_perturbations={"balance_deltas": [], "nonce_bumps": [],
+                                             "storage_set": {0: 1, 1: 1}})
+    v = check_account_state_independence(space, (C, code))
+    assert v.violated
+    assert (v.witness["reference"], v.witness["perturbation"]) == ("storage[0]=1",
+                                                                   "storage[1]=1")
+
+
 # ---------------------------------------------------------------------------
 # code independence
 
@@ -257,6 +314,18 @@ def test_code_independence_extcodesize_branch():
     # equal variants: trivially equal traces
     space_eq = space_for(accounts, C, code_variants={U: [b"\x00", b"\x00"]})
     assert check_code_independence(space_eq, (C, code), [U]).result == "holds"
+
+
+def test_code_independence_one_assignment_runs_nothing(monkeypatch):
+    # one code assignment gives nothing to compare, so no variant is run
+    code = _extcodesize_brancher()
+    accounts = {C: Account(0, 0, {}, code), U: Account(0, 0, {}, b""),
+                W: Account(0, 0, {}, b""), PAYEE: Account(0, 0, {}, b"")}
+    runs = counting(monkeypatch, "run_with_local_updates")
+    v = check_code_independence(space_for(accounts, C, code_variants={U: [b""]}),
+                                (C, code), [U])
+    assert v.result == "holds" and v.explored_complete
+    assert runs == []
 
 
 def test_code_independence_without_extcode_reads_holds():

@@ -147,6 +147,19 @@ def test_cli_check_unknown_property(capsys):
     assert main(["check", "no-such-prop", _fixture_path("bob_mallory")]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["single-entrancy", "reentrant_fp", "--max-steps", "-5", "--expect"],
+    ["single-entrancy", "reentrant_fp", "--max-steps", "0", "--expect"],
+    ["env-independence", "time_fn", "--component", "foo", "--values", "1,2"],
+    ["env-independence", "time_fn", "--component", "foo", "--values", "1"],
+])
+def test_cli_check_bad_budget_or_component_exit_2(capsys, args):
+    prop, name, *flags = args
+    assert main(["check", prop, _fixture_path(name), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "max_steps must be positive" in err or "unknown environment component" in err
+
+
 def test_cli_asm_disasm(tmp_path, capsys):
     src = tmp_path / "p.easm"
     src.write_text("PUSH1 0x01\nPUSH1 0x02\nADD\n")
@@ -213,12 +226,23 @@ WELL_FORMED["checker_params"].update({
     (("pre",), []),
     (("tx",), None),
     (("pre", "0x0000000000000000000000000000000000001001", "storage"), []),
+    (("checker_params", "max_steps"), -1),
+    (("checker_params", "max_steps"), 0),
 ])
 def test_cli_wrongly_typed_field_exit_2(tmp_path, capsys, path, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_replaced(WELL_FORMED, path, value)))
     assert main(["run", str(bad)]) == 2
     assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", [["0x1", "0x2"], ["0x1"]])
+def test_cli_check_unknown_fixture_component_exit_2(tmp_path, capsys, values):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_replaced(WELL_FORMED, ("checker_params", "components"),
+                                        {"foo": values})))
+    assert main(["check", "env-independence", str(bad)]) == 2
+    assert "unknown environment component" in capsys.readouterr().err
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

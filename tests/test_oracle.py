@@ -5,10 +5,12 @@ rule-table rewrite. Every step evmsem takes below is also taken by the
 frozen copy from the same configuration, and the two must agree on the
 successor stack and the trace action: over the criterion-5 programs, every
 corpus transaction, and every corpus checker run. The checkers must also
-return byte-identical verdicts when driven by the frozen core.
+return byte-identical verdicts when driven by the frozen core, and match
+the verdicts frozen in `tests/data/corpus_verdicts.json`.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,9 @@ from oracle import semantics as frozen
 from proputil import STEP_BUDGET, program_frame
 
 N_PROGRAMS = 10_000
+# the verdict JSON of every corpus checker run, key order included, as it
+# stood before the checkers were rebuilt around one engine
+FROZEN_VERDICTS = Path(__file__).parent / "data" / "corpus_verdicts.json"
 # verdicts too slow for the suite: every property except the declared ones
 SLOW_FIXTURES = {"deep_recursion"}
 # what the checkers take from the core, swapped for the frozen copy's
@@ -93,6 +98,7 @@ def test_corpus_checkers_step_alike_and_agree(lockstep, monkeypatch):
     corpus = load_corpus()
     new = {f.name: _verdicts(f) for f in corpus}
     assert lockstep.deepest == 1025
+    assert new == json.loads(FROZEN_VERDICTS.read_text())
     for f in corpus:
         for prop, want in f.expect.get("verdicts", {}).items():
             assert json.loads(new[f.name][prop])["result"] == want, (f.name, prop)

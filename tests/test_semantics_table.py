@@ -442,6 +442,18 @@ def test_selfdestruct_to_itself_burns_the_balance():
     assert state.eta.suicides == frozenset({SELF})
 
 
+def test_call_to_itself_keeps_the_value():
+    # the caller is debited before the callee is credited, so a CALL with
+    # value to the caller's own address leaves its balance where it was
+    frame = make_frame("CALL", stack=(10_000, SELF, 5, 0, 0, 0, 0), balance=1000)
+    out = step_one(frame)
+    assert len(out.stack) == 2 and out.action.tag == "enter"
+    callee = out.stack[0].state
+    assert isinstance(callee, Regular) and callee.iota.value == 5
+    assert callee.sigma.get(SELF).balance == 1000
+    assert callee.sigma.total_balance() == frame.state.sigma.total_balance()
+
+
 def test_rule_table_is_indexed_by_opcode_byte():
     # every byte's rule carries the mnemonic of the opcode table; bytes
     # outside it fire the INVALID rule
