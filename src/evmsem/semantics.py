@@ -484,7 +484,7 @@ def _call(r, st, tenv, stack, override):
         iota = replace(iota, sender=iota.actor, value=va, input=data, code=callee.code)
     else:  # DELEGATECALL: the caller's context, its sender and value too
         iota = replace(iota, input=data, code=callee.code)
-    callee_frame = Frame(Regular(MachineState(cc, 0, {}, 0, ()), iota, sigma, st.eta),
+    callee_frame = Frame(Regular(MachineState(cc, 0, b"", 0, ()), iota, sigma, st.eta),
                          (to_a, callee.code))
     return _enter(r, stack, callee_frame, args)
 
@@ -512,7 +512,7 @@ def _create(r, st, tenv, stack, override):
                                            actor_acct.storage, actor_acct.code)))
     iota = replace(iota, sender=iota.actor, actor=rho, value=va,
                    code=memory_read(mu.memory, io, isz), input=b"")
-    callee = Frame(Regular(MachineState(budget, 0, {}, 0, ()), iota, sigma, st.eta), None)
+    callee = Frame(Regular(MachineState(budget, 0, b"", 0, ()), iota, sigma, st.eta), None)
     return _enter(r, stack, callee, args)
 
 

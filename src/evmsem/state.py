@@ -48,48 +48,81 @@ class Account:
 
 class GlobalState:
     """Partial map address -> account; absent addresses are nonexistent,
-    which is distinct from an all-zero account."""
+    which is distinct from an all-zero account.
 
-    __slots__ = ("_accounts",)
+    A snapshot is a base dict, shared with the snapshots it was forked
+    from, plus a small dict of the addresses changed since that base, in
+    which None marks a deleted address. Neither dict changes once a
+    snapshot holds it, so `put` and `delete` copy only the small one.
+    Fold rule: when a write leaves more changed addresses than the square
+    root of the base size (len(delta)**2 > len(base)), the new snapshot's
+    base is the merged map and its delta is empty. So a write copies at
+    most about sqrt(n) entries, and about one write in sqrt(n) copies the
+    whole map of n accounts once."""
+
+    __slots__ = ("_base", "_delta")
 
     def __init__(self, accounts: Optional[dict] = None):
-        self._accounts = accounts if accounts is not None else {}
+        self._base = accounts if accounts is not None else {}
+        self._delta = {}
+
+    def _with(self, addr: Address, acct: Optional[Account]) -> "GlobalState":
+        """A snapshot with addr set to acct (None: deleted), folded by the
+        rule above."""
+        new = GlobalState.__new__(GlobalState)
+        new._base, new._delta = self._base, {**self._delta, addr: acct}
+        if len(new._delta) ** 2 > len(new._base):
+            new._base, new._delta = new._accounts(), {}
+        return new
+
+    def _accounts(self) -> dict:
+        """The whole map; the base itself when nothing changed since it."""
+        if not self._delta:
+            return self._base
+        accounts = dict(self._base)
+        for a, v in self._delta.items():
+            if v is None:
+                accounts.pop(a, None)
+            else:
+                accounts[a] = v
+        return accounts
 
     def get(self, addr: Address) -> Optional[Account]:
-        return self._accounts.get(addr)
+        delta = self._delta
+        if addr in delta:
+            return delta[addr]
+        return self._base.get(addr)
 
     def put(self, addr: Address, acct: Account) -> "GlobalState":
-        accounts = dict(self._accounts)
-        accounts[addr] = acct
-        return GlobalState(accounts)
+        return self._with(addr, acct)
 
     def delete(self, addr: Address) -> "GlobalState":
-        accounts = dict(self._accounts)
-        accounts.pop(addr, None)
-        return GlobalState(accounts)
+        if self.get(addr) is None:
+            return self
+        return self._with(addr, None)
 
     def addresses(self) -> Iterator[Address]:
-        return iter(self._accounts)
+        return iter(self._accounts())
 
     def items(self):
-        return self._accounts.items()
+        return self._accounts().items()
 
     def __contains__(self, addr: Address) -> bool:
-        return addr in self._accounts
+        return self.get(addr) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GlobalState):
             return NotImplemented
-        return self._accounts == other._accounts
+        return self._accounts() == other._accounts()
 
     def __hash__(self):
         raise TypeError("GlobalState is not hashable")
 
     def __repr__(self) -> str:
-        return f"GlobalState({len(self._accounts)} accounts)"
+        return f"GlobalState({len(self._accounts())} accounts)"
 
     def total_balance(self) -> int:
-        return sum(a.balance for a in self._accounts.values())
+        return sum(a.balance for a in self._accounts().values())
 
 
 class LogEvent(NamedTuple):
@@ -163,10 +196,6 @@ def env_with_component(tenv: TransactionEnvironment, name: str, value: int) -> T
     return replace(tenv, header=replace(tenv.header, **{name: value}))
 
 
-def env_equal_up_to(a: TransactionEnvironment, b: TransactionEnvironment, component: str) -> bool:
-    return all(fn(a) == fn(b) for name, fn in ENV_COMPONENTS.items() if name != component)
-
-
 @dataclass(frozen=True)
 class ExecutionEnvironment:
     actor: Address
@@ -180,28 +209,26 @@ class ExecutionEnvironment:
 class MachineState:
     gas: int
     pc: int
-    memory: dict          # Word256 -> byte, no zero entries
+    memory: bytes         # never longer than 32 * active_words; zero past its end
     active_words: int
     stack: tuple          # Word256s, top first
 
 
-def memory_read(memory: dict, offset: int, size: int) -> bytes:
-    if size == 0:
-        return b""
-    return bytes(memory.get(offset + i, 0) for i in range(size))
+def memory_read(memory: bytes, offset: int, size: int) -> bytes:
+    """The size bytes at offset; bytes past the end of memory read as zero."""
+    return memory[offset:offset + size].ljust(size, b"\x00")
 
 
-def memory_write(memory: dict, offset: int, data: bytes) -> dict:
-    """Copy-on-write interval update; zero bytes are not stored."""
+def memory_write(memory: bytes, offset: int, data: bytes) -> bytes:
+    """Copy-on-write interval update: memory with data spliced in at offset,
+    zero-filling any gap past its end. The caller has already charged for
+    the active words covering [offset, offset + len(data))."""
     if not data:
         return memory
-    new = dict(memory)
-    for i, byte in enumerate(data):
-        if byte:
-            new[offset + i] = byte
-        else:
-            new.pop(offset + i, None)
-    return new
+    gap = offset - len(memory)
+    if gap > 0:
+        return memory + bytes(gap) + data
+    return memory[:offset] + data + memory[offset + len(data):]
 
 
 # --------------------------------------------------------------------------

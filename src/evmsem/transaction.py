@@ -112,7 +112,7 @@ def t_init(tx: Transaction, header: BlockHeader, sigma: GlobalState,
         annotation = None
         created = rho
 
-    mu = MachineState(gas=gas, pc=0, memory={}, active_words=0, stack=())
+    mu = MachineState(gas=gas, pc=0, memory=b"", active_words=0, stack=())
     frame = Frame(Regular(mu, iota, sigma0, EMPTY_EFFECTS), annotation)
     return tenv, frame, created
 

@@ -38,7 +38,9 @@ def make_frame(code, stack=(), gas=1_000_000, memory=None, active_words=0,
                                                        balance=balance)
     iota = ExecutionEnvironment(actor=actor, input=input, sender=sender,
                                 value=value, code=code)
-    mu = MachineState(gas=gas, pc=pc, memory=dict(memory or {}),
+    memory = memory or {}   # offset -> byte
+    mu = MachineState(gas=gas, pc=pc,
+                      memory=bytes(memory.get(i, 0) for i in range(max(memory, default=-1) + 1)),
                       active_words=active_words, stack=tuple(stack))
     if contract == "auto":
         contract = (actor, code)

@@ -607,7 +607,7 @@ def _do_call(tenv, stack, name, op):
         return ((Frame(EXC, None),) + stack, Action(name, c, args, "fail"))
 
     data = memory_read(mu.memory, io, isz)
-    mu_new = MachineState(cc, 0, {}, 0, ())
+    mu_new = MachineState(cc, 0, b"", 0, ())
     if op == 0xF1:  # CALL: move value, hand control to the callee account
         # debit first, then credit the callee as it reads after the debit
         debited = sigma.put(iota.actor, actor_acct.with_balance(actor_balance - va))
@@ -647,7 +647,7 @@ def _do_delegatecall(tenv, stack):
     callee = sigma.get(to_a)
     code = callee.code if callee is not None else b""
     data = memory_read(mu.memory, io, isz)
-    mu_new = MachineState(cc, 0, {}, 0, ())
+    mu_new = MachineState(cc, 0, b"", 0, ())
     iota_new = replace(iota, input=data, code=code)
     callee_frame = Frame(Regular(mu_new, iota_new, sigma, eta), (to_a, code))
     return ((callee_frame,) + stack, Action("DELEGATECALL", c, args, "enter"))
@@ -683,7 +683,7 @@ def _do_create(tenv, stack):
     init_code = memory_read(mu.memory, io, isz)
     iota_new = replace(iota, sender=iota.actor, actor=rho,
                        value=va, code=init_code, input=b"")
-    mu_new = MachineState(l_all_but_one_64th(mu.gas - cost), 0, {}, 0, ())
+    mu_new = MachineState(l_all_but_one_64th(mu.gas - cost), 0, b"", 0, ())
     callee_frame = Frame(Regular(mu_new, iota_new, sigma2, eta), None)
     return ((callee_frame,) + stack, Action("CREATE", c, args, "enter"))
 

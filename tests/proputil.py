@@ -1,9 +1,9 @@
 """Randomized-program machinery shared by the property suite and the
 acceptance run: a weighted program generator plus monitored executions
 checking determinism, per-frame gas decrease, rollback bit-equality,
-machine-stack bounds, that no step changes the total wei (except a
-SELFDESTRUCT to the actor itself, which burns it), and call-stack
-indifference."""
+machine-stack bounds, memory held within the active words, that no step
+changes the total wei (except a SELFDESTRUCT to the actor itself, which
+burns it), and call-stack indifference."""
 
 import random
 
@@ -90,7 +90,7 @@ def make_program_frame(code: bytes, gas: int, tag=b""):
     })
     iota = ExecutionEnvironment(actor=SELF, input=b"\x01\x02" + tag,
                                 sender=ORIGIN, value=3, code=code)
-    mu = MachineState(gas=gas, pc=0, memory={}, active_words=0, stack=())
+    mu = MachineState(gas=gas, pc=0, memory=b"", active_words=0, stack=())
     return Frame(Regular(mu, iota, sigma, EMPTY_EFFECTS), (SELF, code))
 
 
@@ -131,8 +131,13 @@ def monitored_run(tenv, stack, budget=STEP_BUDGET):
         after = out.stack
 
         top = after[0].state
-        if isinstance(top, Regular) and len(top.mu.stack) > 1024:
-            raise PropertyViolation(f"machine stack grew to {len(top.mu.stack)}")
+        if isinstance(top, Regular):
+            if len(top.mu.stack) > 1024:
+                raise PropertyViolation(f"machine stack grew to {len(top.mu.stack)}")
+            if len(top.mu.memory) > 32 * top.mu.active_words:
+                raise PropertyViolation(
+                    f"{out.action.op} left {len(top.mu.memory)} bytes of memory in"
+                    f" {top.mu.active_words} active words")
         if (top is not EXC and before[0].state is not EXC
                 and top.sigma.total_balance() != before[0].state.sigma.total_balance()
                 and not _burns(before[0].state, out.action)):

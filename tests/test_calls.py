@@ -9,7 +9,7 @@ from evmsem.rlp import fresh_address
 from evmsem.semantics import (CodeOverride, MalformedConfiguration,
                               extend_override_after_create, run_frame,
                               run_with_local_updates, step)
-from evmsem.state import EXC, Account, Frame, GlobalState, Halt, Regular
+from evmsem.state import EXC, Account, Frame, GlobalState, Halt, Regular, memory_read
 from helpers import OTHER, SELF, make_env, make_frame, make_state, step_one
 
 CALLEE = 0xC0DE
@@ -39,7 +39,7 @@ def test_call_pushes_fresh_frame_and_moves_value():
     assert isinstance(st, Regular)
     # fresh machine state: budget, pc 0, zero memory, empty stack
     assert st.mu.gas == c_gascap(7, 1, 50_000, 100_000)
-    assert st.mu.pc == 0 and st.mu.memory == {} and st.mu.stack == ()
+    assert st.mu.pc == 0 and st.mu.memory == b"" and st.mu.stack == ()
     assert st.mu.active_words == 0
     # environment rewired to the callee
     assert st.iota.actor == CALLEE and st.iota.sender == SELF
@@ -134,7 +134,7 @@ def test_call_return_data_written_to_caller_memory():
     out = step(tenv, stack)
     mu = out.stack[0].state.mu
     # only min(os, |d|) = 2 bytes land at oo=10; word value 42 sits in byte 31
-    assert mu.memory.get(10, 0) == 0 and mu.memory.get(11, 0) == 0
+    assert memory_read(mu.memory, 10, 2) == bytes(2)
     assert mu.stack == (1,)
     # i was extended to cover [oo, oo+os) at call time: M(M(0,0,0),10,2) = 1
     assert mu.active_words == 1
@@ -367,7 +367,7 @@ def test_extcodecopy_consults_override():
     override = CodeOverride({OTHER: b"\xaa\xbb"})
     out = step_one(frame, override=override)
     mem = out.stack[0].state.mu.memory
-    assert mem.get(0) == 0xAA and mem.get(1) == 0xBB
+    assert list(memory_read(mem, 0, 2)) == [0xAA, 0xBB]
 
 
 def test_override_does_not_change_called_code():

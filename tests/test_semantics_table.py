@@ -7,7 +7,7 @@ from the cost schedule and frozen here."""
 import pytest
 
 from evmsem.keccak import keccak256
-from evmsem.state import EXC, Halt, LogEvent, Regular
+from evmsem.state import EXC, Halt, LogEvent, Regular, memory_read
 from evmsem.words import TWO_255, TWO_256, U256_MAX
 from helpers import DEFAULT_HEADER, MINER, ORIGIN, SELF, make_env, make_frame, step_one
 
@@ -201,7 +201,7 @@ def test_calldatacopy():
     # cost: Cmem(0, ceil(9/32)=1)=3 + 3 + 3*ceil(4/32)
     assert delta == 9
     assert state.mu.active_words == 1
-    assert [state.mu.memory.get(5 + i, 0) for i in range(4)] == [0x22, 0x33, 0, 0]
+    assert list(memory_read(state.mu.memory, 5, 4)) == [0x22, 0x33, 0, 0]
     assert state.mu.stack == ()
 
 
@@ -211,7 +211,7 @@ def test_codecopy_stop_padding():
     # wait: run_op executes code[pc]=PUSH1... use explicit CODECOPY program
     state, delta = run_op("CODECOPY", (0, 0, 5))
     # code is the single CODECOPY byte 0x39; rest padded with STOP (0x00)
-    assert [state.mu.memory.get(i, 0) for i in range(5)] == [0x39, 0, 0, 0, 0]
+    assert list(memory_read(state.mu.memory, 0, 5)) == [0x39, 0, 0, 0, 0]
     assert delta == 3 + 3 + 3
 
 
@@ -242,7 +242,7 @@ def test_balance_and_extcode():
     assert state.mu.stack == (0,) and delta == 700
 
     state, delta = run_op("EXTCODECOPY", (0xBBBB, 0, 0, 3))
-    assert [state.mu.memory.get(i, 0) for i in range(3)] == [0, 0, 0]  # STOP pad
+    assert list(memory_read(state.mu.memory, 0, 3)) == [0, 0, 0]  # STOP pad
     assert delta == 700 + 3 + 3
     assert state.mu.stack == ()
 
@@ -304,11 +304,11 @@ def test_machine_stack_overflow():
 
 def test_memory_ops():
     state, delta = run_op("MSTORE", (0, 0x1122))
-    assert state.mu.memory.get(30) == 0x11 and state.mu.memory.get(31) == 0x22
+    assert list(memory_read(state.mu.memory, 30, 2)) == [0x11, 0x22]
     assert state.mu.active_words == 1 and delta == 3 + 3
 
     state, delta = run_op("MSTORE8", (1, 0x1FF))
-    assert state.mu.memory.get(1) == 0xFF
+    assert memory_read(state.mu.memory, 1, 1)[0] == 0xFF
     assert state.mu.active_words == 1 and delta == 3 + 3
 
     mem = {31: 0x2A}

@@ -158,13 +158,81 @@ def test_storage_zero_write_removes_key():
     assert acct.storage_set(1, 5).storage == {1: 5}
 
 
-def test_memory_zero_bytes_not_stored():
-    m = memory_write({}, 0, b"\x00\x01\x00")
-    assert m == {1: 1}
-    assert memory_read(m, 0, 3) == b"\x00\x01\x00"
-    m2 = memory_write(m, 1, b"\x00")
-    assert m2 == {}
-    assert m == {1: 1}  # original untouched
+def _dict_memory_read(memory: dict, offset: int, size: int) -> bytes:
+    """The byte-dict memory_read that bytes memory replaced: the reference."""
+    if size == 0:
+        return b""
+    return bytes(memory.get(offset + i, 0) for i in range(size))
+
+
+def _dict_memory_write(memory: dict, offset: int, data: bytes) -> dict:
+    """The byte-dict memory_write that bytes memory replaced: the reference."""
+    if not data:
+        return memory
+    new = dict(memory)
+    for i, byte in enumerate(data):
+        if byte:
+            new[offset + i] = byte
+        else:
+            new.pop(offset + i, None)
+    return new
+
+
+_DATA = st.lists(st.integers(0, 255) | st.just(0), max_size=40).map(bytes)
+_MEMORY_OPS = st.lists(st.tuples(st.sampled_from(("write", "read")), st.integers(0, 200), _DATA,
+                                 st.integers(0, 64)), max_size=30)
+
+
+@given(_MEMORY_OPS)
+def test_memory_matches_the_byte_dict_reference(ops):
+    # writes past the end (gaps), zero bytes, overwrites and reads past the
+    # end; every snapshot taken must still read as its reference did
+    mem, ref = b"", {}
+    snapshots = [(mem, ref)]
+    for kind, offset, data, size in ops:
+        if kind == "write":
+            mem, ref = memory_write(mem, offset, data), _dict_memory_write(ref, offset, data)
+            assert len(mem) <= max(len(snapshots[-1][0]), offset + len(data))
+            snapshots.append((mem, ref))
+        else:
+            assert memory_read(mem, offset, size) == _dict_memory_read(ref, offset, size)
+    for mem, ref in snapshots:
+        assert memory_read(mem, 0, 300) == _dict_memory_read(ref, 0, 300)
+
+
+_STATE_OPS = st.lists(st.tuples(st.sampled_from(("put", "delete", "delete-put")),
+                                st.integers(0, 30), st.integers(0, 5)), max_size=60)
+
+
+@given(st.dictionaries(st.integers(0, 30), st.integers(0, 5), max_size=20), _STATE_OPS)
+def test_global_state_matches_a_dict_model(pre, ops):
+    start = GlobalState({a: _acct(balance=b) for a, b in pre.items()})
+    history = [(start, {a: _acct(balance=b) for a, b in pre.items()})]
+    # seven distinct puts make the delta outgrow any base of up to 31
+    # accounts, so every sequence crosses the fold rule at least once
+    for kind, addr, balance in ops + [("put", addr, 1) for addr in range(7)]:
+        state, model = history[-1]
+        model = dict(model)
+        if kind in ("delete", "delete-put"):
+            state = state.delete(addr)
+            model.pop(addr, None)
+        if kind in ("put", "delete-put"):
+            state = state.put(addr, _acct(balance=balance))
+            model[addr] = _acct(balance=balance)
+        history.append((state, model))
+    assert any(state._base is not start._base for state, _ in history)
+    # every snapshot, older ones included, still reads as its model
+    for state, model in history:
+        for addr in range(31):
+            assert state.get(addr) == model.get(addr)
+            assert (addr in state) == (addr in model)
+        items = list(state.items())
+        assert len(items) == len(model) and dict(items) == model
+        assert set(state.addresses()) == set(model)
+        assert state.total_balance() == sum(a.balance for a in model.values())
+        assert state == GlobalState(dict(model))
+    for (a, model_a), (b, model_b) in itertools.combinations(history, 2):
+        assert (a == b) == (model_a == model_b)
 
 
 def test_global_state_copy_on_write():
