@@ -14,7 +14,7 @@ from .semantics import (BudgetExhausted, CodeOverride, MalformedConfiguration,
                         run, run_with_local_updates, step)
 from .state import (Account, BlockHeader, ExecutionEnvironment, Frame, GlobalState,
                     Halt, MachineState, Regular, TransactionEffects,
-                    TransactionEnvironment, EXC, stack_diff, state_eq_up_to, substack)
+                    TransactionEnvironment, EXC)
 from .traces import Action, calls_of, project
 from .transaction import Receipt, Transaction, execute_transaction, t_final, t_init
 from .words import Address, Word256, binop, signed, unsigned

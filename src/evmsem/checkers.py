@@ -289,7 +289,7 @@ def check_atomicity(space: ScenarioSpace, c: Contract) -> Verdict:
             yield ((lambda g1, g2, idx=idx: {"entry_index": idx, "gas_pair": [g1, g2],
                                              "contract": address_to_hex(c[0])}),
                    final_sigma,
-                   [(g, _fork(config, replace(entry, mu=replace(entry.mu, gas=g))))
+                   [(g, _fork(config, entry._replace(mu=entry.mu._replace(gas=g))))
                     for g in space.gas_values])
 
     return _explore("atomicity", forks(), lambda s1, s2: None if s1 == s2 else {}, complete)
@@ -366,7 +366,7 @@ def check_account_state_independence(space: ScenarioSpace, c: Contract) -> Verdi
             if acct is None:
                 continue
             yield partial(witness, idx), observe, [(None, config)] + [
-                (label, _fork(config, replace(entry, sigma=entry.sigma.put(c[0], variant))))
+                (label, _fork(config, entry._replace(sigma=entry.sigma.put(c[0], variant))))
                 for label, variant in _account_variants(acct, space.account_perturbations)]
 
     return _explore("account-state-independence", forks(),

@@ -192,10 +192,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (FixtureError, AsmError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (FixtureError, AsmError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -64,8 +64,7 @@ def extend_override_after_create(f: CodeOverride, created) -> CodeOverride:
     return CodeOverride(mapping)
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     stack: CallStack
     action: Action
     final: bool

@@ -4,7 +4,10 @@ annotated call stacks.
 
 Everything here is treated as an immutable snapshot: mutators return new
 objects and share unchanged substructure, which is what makes forking a
-configuration (and exception rollback) cheap.
+configuration (and exception rollback) cheap. The records built on every
+step (`MachineState`, `Regular`, `Halt`, `Frame`) are NamedTuples, which
+are cheaper to build than frozen dataclasses; change a field with
+`._replace`.
 """
 
 from __future__ import annotations
@@ -205,8 +208,7 @@ class ExecutionEnvironment:
     code: bytes
 
 
-@dataclass(frozen=True)
-class MachineState:
+class MachineState(NamedTuple):
     gas: int
     pc: int
     memory: bytes         # never longer than 32 * active_words; zero past its end
@@ -235,16 +237,14 @@ def memory_write(memory: bytes, offset: int, data: bytes) -> bytes:
 # execution states and annotated call stacks
 
 
-@dataclass(frozen=True)
-class Regular:
+class Regular(NamedTuple):
     mu: MachineState
     iota: ExecutionEnvironment
     sigma: GlobalState
     eta: TransactionEffects
 
 
-@dataclass(frozen=True)
-class Halt:
+class Halt(NamedTuple):
     sigma: GlobalState
     gas: int
     data: bytes
@@ -271,8 +271,7 @@ ExecutionState = Union[Regular, Halt, ExcState]
 Contract = tuple
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     state: ExecutionState
     contract: Optional[Contract]
 
@@ -294,44 +293,3 @@ def validate_stack(stack: CallStack) -> None:
     for frame in stack[1:]:
         if not isinstance(frame.state, Regular):
             raise ValueError("Halt/Exc below the top of a call stack")
-
-
-def substack(inner: CallStack, outer: CallStack) -> bool:
-    """True iff outer = s :: (S' ++ inner) for some state s and list S'."""
-    if len(inner) >= len(outer):
-        return False
-    return outer[len(outer) - len(inner):] == tuple(inner)
-
-
-def stack_diff(a: CallStack, b: CallStack) -> CallStack:
-    """The unique prefix S' with S' ++ b = a when b is a suffix of a, else empty."""
-    la, lb = len(a), len(b)
-    if lb <= la and tuple(a[la - lb:]) == tuple(b):
-        return tuple(a[:la - lb])
-    return ()
-
-
-_COMPONENTS = ("nonce", "balance", "storage", "code")
-
-
-def state_eq_up_to(a: GlobalState, b: GlobalState, ignore: frozenset | set = frozenset(),
-                   at: frozenset | set = frozenset()) -> bool:
-    """Equality of global states except possibly the `ignore` components at
-    the `at` addresses. Account existence must always agree."""
-    unknown = set(ignore) - set(_COMPONENTS)
-    if unknown:
-        raise ValueError(f"unknown state components: {sorted(unknown)}")
-    addrs = set(a.addresses()) | set(b.addresses())
-    for addr in addrs:
-        aa, ab = a.get(addr), b.get(addr)
-        if (aa is None) != (ab is None):
-            return False
-        if aa is None:
-            continue
-        skip = ignore if addr in at else frozenset()
-        for comp in _COMPONENTS:
-            if comp in skip:
-                continue
-            if getattr(aa, comp) != getattr(ab, comp):
-                return False
-    return True

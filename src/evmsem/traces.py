@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .state import Contract
 from .words import address_to_hex, bytes_to_hex
@@ -12,8 +11,7 @@ from .words import address_to_hex, bytes_to_hex
 CALL_ACTION_ARITY = {"CALL": 7, "CALLCODE": 7, "DELEGATECALL": 6, "CREATE": 3}
 
 
-@dataclass(frozen=True)
-class Action:
+class _ActionFields(NamedTuple):
     op: str
     contract: Optional[Contract]
     args: tuple = ()
@@ -22,10 +20,17 @@ class Action:
     # "ret"/"exc_ret" for return processing
     tag: str = "op"
 
-    def __post_init__(self):
-        if self.tag == "enter" and self.op in CALL_ACTION_ARITY:
-            if len(self.args) != CALL_ACTION_ARITY[self.op]:
-                raise ValueError(f"{self.op} action needs {CALL_ACTION_ARITY[self.op]} args")
+
+class Action(_ActionFields):
+    """A trace action, built on every step; an enter action of a call or
+    create carries exactly its CALL_ACTION_ARITY args."""
+
+    __slots__ = ()
+
+    def __new__(cls, op: str, contract: Optional[Contract], args: tuple = (), tag: str = "op"):
+        if tag == "enter" and op in CALL_ACTION_ARITY and len(args) != CALL_ACTION_ARITY[op]:
+            raise ValueError(f"{op} action needs {CALL_ACTION_ARITY[op]} args")
+        return tuple.__new__(cls, (op, contract, args, tag))
 
 
 Trace = tuple
@@ -59,10 +64,6 @@ def actions_equal(a: Action, b: Action, ignore_gas: bool = False) -> bool:
     if a.op in ("CALL", "CALLCODE", "DELEGATECALL") and a.tag == "enter":
         aa, ba = aa[1:], ba[1:]
     return aa == ba
-
-
-def traces_equal(a, b, ignore_gas: bool = False) -> bool:
-    return first_divergence(a, b, ignore_gas) is None
 
 
 def first_divergence(a, b, ignore_gas: bool = False) -> Optional[int]:

@@ -1,10 +1,11 @@
-"""Shared builders for semantics tests."""
+"""Shared builders and comparisons for semantics tests."""
 
 from evmsem.bytecode import assemble
 from evmsem.semantics import StepBudget, run, step
-from evmsem.state import (EMPTY_EFFECTS, Account, BlockHeader, ExecutionEnvironment,
-                          Frame, GlobalState, MachineState, Regular,
-                          TransactionEnvironment)
+from evmsem.state import (EMPTY_EFFECTS, Account, BlockHeader, CallStack,
+                          ExecutionEnvironment, Frame, GlobalState, MachineState,
+                          Regular, TransactionEnvironment)
+from evmsem.traces import first_divergence
 
 SELF = 0x1001
 OTHER = 0xBBBB
@@ -54,3 +55,52 @@ def step_one(frame, tenv=None, rest=(), override=None):
 def run_code(code, gas=1_000_000, budget=100_000, **kw):
     frame = make_frame(code, gas=gas, **kw)
     return run(make_env(), (frame,), StepBudget(budget))
+
+
+# ---------------------------------------------------------------------------
+# comparisons of call stacks, global states and traces
+
+
+def substack(inner: CallStack, outer: CallStack) -> bool:
+    """True iff outer = s :: (S' ++ inner) for some state s and list S'."""
+    if len(inner) >= len(outer):
+        return False
+    return outer[len(outer) - len(inner):] == tuple(inner)
+
+
+def stack_diff(a: CallStack, b: CallStack) -> CallStack:
+    """The unique prefix S' with S' ++ b = a when b is a suffix of a, else empty."""
+    la, lb = len(a), len(b)
+    if lb <= la and tuple(a[la - lb:]) == tuple(b):
+        return tuple(a[:la - lb])
+    return ()
+
+
+_COMPONENTS = ("nonce", "balance", "storage", "code")
+
+
+def state_eq_up_to(a: GlobalState, b: GlobalState, ignore: frozenset | set = frozenset(),
+                   at: frozenset | set = frozenset()) -> bool:
+    """Equality of global states except possibly the `ignore` components at
+    the `at` addresses. Account existence must always agree."""
+    unknown = set(ignore) - set(_COMPONENTS)
+    if unknown:
+        raise ValueError(f"unknown state components: {sorted(unknown)}")
+    addrs = set(a.addresses()) | set(b.addresses())
+    for addr in addrs:
+        aa, ab = a.get(addr), b.get(addr)
+        if (aa is None) != (ab is None):
+            return False
+        if aa is None:
+            continue
+        skip = ignore if addr in at else frozenset()
+        for comp in _COMPONENTS:
+            if comp in skip:
+                continue
+            if getattr(aa, comp) != getattr(ab, comp):
+                return False
+    return True
+
+
+def traces_equal(a, b, ignore_gas: bool = False) -> bool:
+    return first_divergence(a, b, ignore_gas) is None

@@ -12,7 +12,7 @@ from evmsem.semantics import BudgetExhausted, is_final, step
 from evmsem.state import (EXC, Account, ExecutionEnvironment, Frame, GlobalState,
                           Halt, MachineState, Regular, EMPTY_EFFECTS)
 from evmsem.words import ADDR_MASK
-from helpers import ORIGIN, SELF, OTHER, make_env
+from helpers import ORIGIN, SELF, OTHER, make_env, stack_diff
 
 STEP_BUDGET = 10_000
 
@@ -213,8 +213,6 @@ def program_frame(seed: int):
 
 def check_program(seed: int) -> dict:
     """All criterion-5 properties for one random program; returns counters."""
-    from evmsem.state import stack_diff
-
     tenv = make_env()
     stats = {"steps": 0, "exhausted": 0}
 

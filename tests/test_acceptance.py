@@ -93,9 +93,8 @@ def test_criterion_3_bank_atomicity():
     assert record > 0
 
     def run_with_gas(g):
-        from dataclasses import replace
         st = frame.state
-        forked = Frame(Regular(replace(st.mu, gas=g), st.iota, st.sigma, st.eta),
+        forked = Frame(Regular(st.mu._replace(gas=g), st.iota, st.sigma, st.eta),
                        frame.contract)
         final, trace = run_frame(tenv, (forked,), 200_000)
         return final[0].state, trace

@@ -184,6 +184,19 @@ def test_cli_usage_error_exit_2():
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("command", [["run"], ["check", "single-entrancy"]])
+def test_cli_directory_as_fixture_exit_2(tmp_path, capsys, command):
+    assert main([*command, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_run_trace_to_directory_exit_2(tmp_path, capsys):
+    assert main(["run", _fixture_path("gasless_send"), "--trace", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,

@@ -3,10 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from evmsem.state import (EXC, Account, Frame, GlobalState, Halt, memory_read,
-                          memory_write, stack_diff, state_eq_up_to, substack,
-                          validate_stack)
-from helpers import make_frame
+from evmsem.semantics import StepOutcome
+from evmsem.state import (EXC, Account, Frame, GlobalState, Halt, MachineState, Regular,
+                          memory_read, memory_write, validate_stack)
+from evmsem.traces import Action
+from helpers import make_frame, stack_diff, state_eq_up_to, step_one, substack
 
 
 def _frames(n, tag=""):
@@ -242,3 +243,50 @@ def test_global_state_copy_on_write():
     assert g2.get(1).balance == 9
     g3 = g2.delete(1)
     assert g2.get(1) is not None and g3.get(1) is None
+
+
+# ---------------------------------------------------------------------------
+# the records built on every step
+
+
+def _records():
+    frame = make_frame("PUSH1 0x01\nSTOP", stack=(7,))
+    st = frame.state
+    halt = Halt(st.sigma, 5, b"\x01", st.eta)
+    action = Action("ADD", frame.contract, (1, 2))
+    return [(st.mu, "gas", 9), (st, "mu", MachineState(9, 1, b"", 0, ())), (halt, "gas", 6),
+            (frame, "state", halt), (action, "tag", "exc"),
+            (step_one(frame), "final", True)]
+
+
+@pytest.mark.parametrize("record, name, value", _records(),
+                         ids=lambda x: type(x).__name__ if hasattr(x, "_fields") else None)
+def test_record_fields_are_read_only_and_replace_one(record, name, value):
+    with pytest.raises(AttributeError):
+        setattr(record, name, value)
+    changed = record._replace(**{name: value})
+    assert type(changed) is type(record)
+    assert getattr(changed, name) == value
+    assert changed._replace(**{name: getattr(record, name)}) == record
+    for other in record._fields:
+        if other != name:
+            assert getattr(changed, other) is getattr(record, other)
+
+
+def test_step_returns_state_records():
+    out = step_one(make_frame("PUSH1 0x01\nSTOP"))
+    assert type(out) is StepOutcome
+    assert type(out.stack[0]) is Frame
+    assert type(out.stack[0].state) is Regular
+    assert type(out.stack[0].state.mu) is MachineState
+    assert type(out.action) is Action
+    halted = step_one(out.stack[0])
+    assert type(halted.stack[0]) is Frame and type(halted.stack[0].state) is Halt
+
+
+def test_records_keep_keyword_construction_and_repr():
+    mu = MachineState(gas=1, pc=2, memory=b"", active_words=0, stack=(3,))
+    assert mu == MachineState(1, 2, b"", 0, (3,))
+    assert repr(mu) == "MachineState(gas=1, pc=2, memory=b'', active_words=0, stack=(3,))"
+    assert repr(Frame(EXC, None)) == "Frame(state=EXC, contract=None)"
+    assert repr(Action("STOP", None)) == "Action(op='STOP', contract=None, args=(), tag='op')"

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from evmsem.traces import (Action, action_to_json, actions_equal, calls_of,
-                           first_divergence, project, traces_equal)
+                           first_divergence, project)
+from helpers import traces_equal
 
 C1 = (0x11, b"\x01")
 C2 = (0x22, b"\x02")
