@@ -13,7 +13,7 @@ are cheaper to build than frozen dataclasses; change a field with
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .words import Address, Word256
 
@@ -21,23 +21,92 @@ STACK_LIMIT = 1024
 CALL_DEPTH_LIMIT = 1024
 
 
+class _PMap:
+    """A persistent map (after Okasaki, Purely Functional Data Structures,
+    1998): a base dict, shared with the snapshots it was forked from, plus
+    a small dict of the keys changed since that base, in which None marks
+    a deleted key. Neither dict changes once a snapshot holds it, so a
+    write copies only the small one. Fold rule: when a write leaves more
+    changed keys than the square root of the base size
+    (len(delta)**2 > len(base)), the new snapshot's base is the merged map
+    and its delta is empty. So a write copies at most about sqrt(n)
+    entries, and about one write in sqrt(n) copies the whole map of n
+    entries once. It reads like a dict and compares equal to one with the
+    same entries."""
+
+    __slots__ = ("_base", "_delta")
+
+    def __init__(self, base: Optional[dict] = None):
+        self._base = base if base is not None else {}
+        self._delta = {}
+
+    def _set(self, key, value):
+        """A snapshot with key set to value (None: deleted), folded by the
+        rule above."""
+        if value is None and self.get(key) is None:
+            return self
+        new = object.__new__(type(self))
+        new._base, new._delta = self._base, {**self._delta, key: value}
+        if len(new._delta) ** 2 > len(new._base):
+            new._base, new._delta = new._whole(), {}
+        return new
+
+    def _whole(self) -> dict:
+        """The whole map; the base itself when nothing changed since it."""
+        if not self._delta:
+            return self._base
+        whole = dict(self._base)
+        for k, v in self._delta.items():
+            if v is None:
+                whole.pop(k, None)
+            else:
+                whole[k] = v
+        return whole
+
+    def get(self, key, default=None):
+        delta = self._delta
+        if key in delta:
+            value = delta[key]
+            return default if value is None else value
+        return self._base.get(key, default)
+
+    def items(self):
+        return self._whole().items()
+
+    def __iter__(self):
+        return iter(self._whole())
+
+    def __contains__(self, key) -> bool:
+        return self.get(key) is not None
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _PMap):
+            return self._whole() == other._whole()
+        if isinstance(other, dict):
+            return self._whole() == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self._whole())
+
+
 @dataclass(frozen=True)
 class Account:
     nonce: int = 0
     balance: int = 0
-    storage: dict = field(default_factory=dict)  # Word256 -> Word256, no zero entries
+    # Word256 -> Word256 with no zero entries: a dict, or the _PMap that the
+    # first storage_set wraps around it without copying
+    storage: dict = field(default_factory=dict)
     code: bytes = b""
 
     def storage_get(self, key: Word256) -> Word256:
         return self.storage.get(key, 0)
 
     def storage_set(self, key: Word256, value: Word256) -> "Account":
-        stor = dict(self.storage)
-        if value == 0:
-            stor.pop(key, None)
-        else:
-            stor[key] = value
-        return Account(self.nonce, self.balance, stor, self.code)
+        stor = self.storage if isinstance(self.storage, _PMap) else _PMap(self.storage)
+        return Account(self.nonce, self.balance, stor._set(key, value or None), self.code)
 
     def with_balance(self, balance: int) -> "Account":
         return Account(self.nonce, balance, self.storage, self.code)
@@ -49,83 +118,23 @@ class Account:
         return Account(self.nonce, self.balance, self.storage, code)
 
 
-class GlobalState:
-    """Partial map address -> account; absent addresses are nonexistent,
-    which is distinct from an all-zero account.
+class GlobalState(_PMap):
+    """Partial map address -> account, as a _PMap; absent addresses are
+    nonexistent, which is distinct from an all-zero account."""
 
-    A snapshot is a base dict, shared with the snapshots it was forked
-    from, plus a small dict of the addresses changed since that base, in
-    which None marks a deleted address. Neither dict changes once a
-    snapshot holds it, so `put` and `delete` copy only the small one.
-    Fold rule: when a write leaves more changed addresses than the square
-    root of the base size (len(delta)**2 > len(base)), the new snapshot's
-    base is the merged map and its delta is empty. So a write copies at
-    most about sqrt(n) entries, and about one write in sqrt(n) copies the
-    whole map of n accounts once."""
-
-    __slots__ = ("_base", "_delta")
-
-    def __init__(self, accounts: Optional[dict] = None):
-        self._base = accounts if accounts is not None else {}
-        self._delta = {}
-
-    def _with(self, addr: Address, acct: Optional[Account]) -> "GlobalState":
-        """A snapshot with addr set to acct (None: deleted), folded by the
-        rule above."""
-        new = GlobalState.__new__(GlobalState)
-        new._base, new._delta = self._base, {**self._delta, addr: acct}
-        if len(new._delta) ** 2 > len(new._base):
-            new._base, new._delta = new._accounts(), {}
-        return new
-
-    def _accounts(self) -> dict:
-        """The whole map; the base itself when nothing changed since it."""
-        if not self._delta:
-            return self._base
-        accounts = dict(self._base)
-        for a, v in self._delta.items():
-            if v is None:
-                accounts.pop(a, None)
-            else:
-                accounts[a] = v
-        return accounts
-
-    def get(self, addr: Address) -> Optional[Account]:
-        delta = self._delta
-        if addr in delta:
-            return delta[addr]
-        return self._base.get(addr)
+    __slots__ = ()
 
     def put(self, addr: Address, acct: Account) -> "GlobalState":
-        return self._with(addr, acct)
+        return self._set(addr, acct)
 
     def delete(self, addr: Address) -> "GlobalState":
-        if self.get(addr) is None:
-            return self
-        return self._with(addr, None)
-
-    def addresses(self) -> Iterator[Address]:
-        return iter(self._accounts())
-
-    def items(self):
-        return self._accounts().items()
-
-    def __contains__(self, addr: Address) -> bool:
-        return self.get(addr) is not None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GlobalState):
-            return NotImplemented
-        return self._accounts() == other._accounts()
-
-    def __hash__(self):
-        raise TypeError("GlobalState is not hashable")
+        return self._set(addr, None)
 
     def __repr__(self) -> str:
-        return f"GlobalState({len(self._accounts())} accounts)"
+        return f"GlobalState({len(self._whole())} accounts)"
 
     def total_balance(self) -> int:
-        return sum(a.balance for a in self._accounts().values())
+        return sum(a.balance for a in self._whole().values())
 
 
 class LogEvent(NamedTuple):

@@ -86,7 +86,7 @@ def state_eq_up_to(a: GlobalState, b: GlobalState, ignore: frozenset | set = fro
     unknown = set(ignore) - set(_COMPONENTS)
     if unknown:
         raise ValueError(f"unknown state components: {sorted(unknown)}")
-    addrs = set(a.addresses()) | set(b.addresses())
+    addrs = set(a) | set(b)
     for addr in addrs:
         aa, ab = a.get(addr), b.get(addr)
         if (aa is None) != (ab is None):

@@ -229,11 +229,44 @@ def test_global_state_matches_a_dict_model(pre, ops):
             assert (addr in state) == (addr in model)
         items = list(state.items())
         assert len(items) == len(model) and dict(items) == model
-        assert set(state.addresses()) == set(model)
+        assert set(state) == set(model)
         assert state.total_balance() == sum(a.balance for a in model.values())
         assert state == GlobalState(dict(model))
     for (a, model_a), (b, model_b) in itertools.combinations(history, 2):
         assert (a == b) == (model_a == model_b)
+
+
+_STORAGE_WRITES = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 5)), max_size=60)
+
+
+@given(st.dictionaries(st.integers(0, 30), st.integers(1, 5), max_size=20), _STORAGE_WRITES)
+def test_account_storage_matches_a_dict_model(pre, writes):
+    # storage shares GlobalState's map: a plain dict until its first write,
+    # and every snapshot reads like the dict it models, 0 meaning absent
+    start, pre_entries = Account(storage=pre), dict(pre)
+    history = [(start, pre_entries)]
+    for key, value in writes + [(key, 1) for key in range(7)]:
+        acct, model = history[-1]
+        model = {k: v for k, v in model.items() if k != key}
+        if value:
+            model[key] = value
+        history.append((acct.storage_set(key, value), model))
+    assert pre == pre_entries
+    for acct, model in history:
+        stor = acct.storage
+        assert stor == model and model == stor and acct == Account(storage=dict(model))
+        assert set(stor) == set(model) and dict(stor.items()) == model
+        for key in range(31):
+            assert stor.get(key) == model.get(key) and (key in stor) == (key in model)
+            assert acct.storage_get(key) == model.get(key, 0)
+    for (a, model_a), (b, model_b) in itertools.combinations(history, 2):
+        assert (a == b) == (model_a == model_b)
+
+
+def test_first_storage_write_shares_the_dict():
+    slots = {k: 1 for k in range(16)}
+    acct = Account(storage=slots).storage_set(99, 2)
+    assert acct.storage._base is slots and slots == {k: 1 for k in range(16)}
 
 
 def test_global_state_copy_on_write():
