@@ -13,7 +13,8 @@ each is compared with the first completed run of its fork, the first
 difference is a violation and stops further runs, and a fork with fewer
 than two variants runs nothing, as there is nothing to compare. A "holds"
 verdict therefore always means "holds within the explored space";
-`explored_complete` records whether any run ran out of step budget.
+`explored_complete` records whether any run ran out of step budget, and
+the notes say when no fork had two variants, so nothing was compared.
 
 Every "violated" verdict carries a witness with the concrete knobs (gas
 values, component values, variant indices, sample ids) that reproduce it.
@@ -86,9 +87,12 @@ def _initial_config(space: ScenarioSpace):
     return tenv, (frame,)
 
 
+_INCOMPLETE = "step budget exhausted; explored space is incomplete"
+
+
 def _holds(name: str, complete: bool, notes: str = "") -> Verdict:
     if not complete and not notes:
-        notes = "step budget exhausted; explored space is incomplete"
+        notes = _INCOMPLETE
     return Verdict(name, "holds", None, complete, notes)
 
 
@@ -124,10 +128,13 @@ def _explore(name: str, forks, differ, complete: bool) -> Verdict:
     input) pairs; observe(input) runs one variant and returns what it shows,
     None if there is nothing to compare. differ(first, other) is None when
     two observations agree, else the witness entries of their difference,
-    to which witness(first_label, label) adds the knobs that reproduce it."""
+    to which witness(first_label, label) adds the knobs that reproduce it.
+    A "holds" says so in its notes when no fork had two variants."""
+    compared = False
     for witness, observe, variants in forks:
         if len(variants) < 2:
             continue
+        compared = True
         first = None
         for label, variant in variants:
             try:
@@ -141,7 +148,10 @@ def _explore(name: str, forks, differ, complete: bool) -> Verdict:
                 first = label, seen
             elif (found := differ(first[1], seen)) is not None:
                 return Verdict(name, "violated", {**witness(first[0], label), **found}, True)
-    return _holds(name, complete)
+    if compared:
+        return _holds(name, complete)
+    nothing = "nothing compared: fewer than two variants"
+    return _holds(name, complete, nothing if complete else f"{_INCOMPLETE}; {nothing}")
 
 
 def _divergence(relaxed: bool, left, right) -> Optional[dict]:

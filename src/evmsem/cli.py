@@ -27,21 +27,21 @@ def _addr_list(text):
 def cmd_run(args) -> int:
     fixture = parse_fixture(args.fixture)
     limits = StepBudget(args.max_steps)
+    # open the trace file first, so an unwritable path fails before any output
+    out = open(args.trace, "w") if args.trace not in (None, "", "-") else sys.stdout
     try:
         sigma, trace, receipt = execute_transaction(
             fixture.tx, fixture.header, fixture.pre, limits, fixture.ancestors)
+        print(json.dumps(receipt.to_json(), indent=1))
+        if args.trace:
+            for action in trace:
+                out.write(json.dumps(action_to_json(action)) + "\n")
     except BudgetExhausted as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    print(json.dumps(receipt.to_json(), indent=1))
-    if args.trace:
-        out = sys.stdout if args.trace == "-" else open(args.trace, "w")
-        try:
-            for action in trace:
-                out.write(json.dumps(action_to_json(action)) + "\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
+    finally:
+        if out is not sys.stdout:
+            out.close()
     if args.expect:
         problems = check_expectations(fixture, sigma, receipt)
         for p in problems:

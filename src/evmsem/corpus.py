@@ -44,7 +44,6 @@ BANK_EXC_FN = 0x100B
 BANK_EXC_FP = 0x100C
 LOTTERY_DIRECT = 0x100D
 BALANCE_GATE = 0x100E
-FP_WRAPPER = 0x100F
 
 
 def asm(lines) -> bytes:

@@ -96,9 +96,7 @@ def rlp_encode_pair(address: Address, nonce: int) -> bytes:
 
 
 def fresh_address(creator: Address, nonce: int) -> Address:
-    """Address of an account created by `creator` whose nonce is `nonce`.
-
-    The low 160 bits of keccak256(rlp((creator, nonce - 1))); nonce 0 is
-    clamped so the function stays total.
+    """Address of the account `creator` creates at nonce `nonce`, its nonce
+    before the increment: the low 160 bits of keccak256(rlp((creator, nonce))).
     """
-    return keccak256(rlp_encode_pair(creator, max(nonce - 1, 0))) & ADDR_MASK
+    return keccak256(rlp_encode_pair(creator, nonce)) & ADDR_MASK

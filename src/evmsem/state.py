@@ -12,7 +12,7 @@ are cheaper to build than frozen dataclasses; change a field with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional, Union
 
 from .words import Address, Word256
@@ -23,26 +23,20 @@ CALL_DEPTH_LIMIT = 1024
 
 class _PMap:
     """A persistent map (after Okasaki, Purely Functional Data Structures,
-    1998): a base dict, shared with the snapshots it was forked from, plus
-    a small dict of the keys changed since that base, in which None marks
-    a deleted key. Neither dict changes once a snapshot holds it, so a
-    write copies only the small one. Fold rule: when a write leaves more
-    changed keys than the square root of the base size
-    (len(delta)**2 > len(base)), the new snapshot's base is the merged map
-    and its delta is empty. So a write copies at most about sqrt(n)
-    entries, and about one write in sqrt(n) copies the whole map of n
-    entries once. It reads like a dict and compares equal to one with the
-    same entries."""
+    1998) that reads like a dict: a base dict shared between snapshots plus
+    a small dict of the keys changed since it, None marking a deleted key.
+    Neither dict changes once a snapshot holds it, so a write copies only
+    the small one. Fold rule: when a write leaves len(delta)**2 > len(base),
+    the new snapshot's base is the merged map and its delta is empty, so a
+    write copies about sqrt(n) entries and one write in sqrt(n) copies n."""
 
     __slots__ = ("_base", "_delta")
 
     def __init__(self, base: Optional[dict] = None):
-        self._base = base if base is not None else {}
-        self._delta = {}
+        self._base, self._delta = {} if base is None else base, {}
 
     def _set(self, key, value):
-        """A snapshot with key set to value (None: deleted), folded by the
-        rule above."""
+        """A snapshot with key set to value (None: deleted)."""
         if value is None and self.get(key) is None:
             return self
         new = object.__new__(type(self))
@@ -81,10 +75,8 @@ class _PMap:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _PMap):
-            return self._whole() == other._whole()
-        if isinstance(other, dict):
-            return self._whole() == other
-        return NotImplemented
+            other = other._whole()
+        return self._whole() == other if isinstance(other, dict) else NotImplemented
 
     __hash__ = None
 
@@ -183,17 +175,8 @@ class TransactionEnvironment:
     ancestors: dict = field(default_factory=dict, compare=False)
 
 
-# accessors a miner or sender controls; used by the env-independence checker
-ENV_COMPONENTS = {
-    "origin": lambda t: t.origin,
-    "gasprice": lambda t: t.gas_price,
-    "parent": lambda t: t.header.parent,
-    "beneficiary": lambda t: t.header.beneficiary,
-    "difficulty": lambda t: t.header.difficulty,
-    "number": lambda t: t.header.number,
-    "gaslimit": lambda t: t.header.gaslimit,
-    "timestamp": lambda t: t.header.timestamp,
-}
+# the components a miner or sender controls, which env-independence varies
+ENV_COMPONENTS = ("origin", "gasprice") + tuple(f.name for f in fields(BlockHeader))
 
 
 def env_with_component(tenv: TransactionEnvironment, name: str, value: int) -> TransactionEnvironment:

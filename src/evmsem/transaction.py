@@ -103,7 +103,7 @@ def t_init(tx: Transaction, header: BlockHeader, sigma: GlobalState,
         annotation = (to, code)
         created = None
     else:
-        rho = fresh_address(tx.sender, sender.nonce + 1)
+        rho = fresh_address(tx.sender, sender.nonce)
         existing = sigma0.get(rho)
         balance = tx.value if existing is None else existing.balance + tx.value
         sigma0 = sigma0.put(rho, Account(0, balance, {}, b""))

@@ -6,8 +6,8 @@ import pytest
 from evmsem.bytecode import assemble
 from evmsem.gas import c_gascap, l_all_but_one_64th
 from evmsem.rlp import fresh_address
-from evmsem.semantics import (CodeOverride, MalformedConfiguration,
-                              extend_override_after_create, run_frame,
+from evmsem.semantics import (CodeOverride, MalformedConfiguration, StepBudget,
+                              extend_override_after_create, run, run_frame,
                               run_with_local_updates, step)
 from evmsem.state import EXC, Account, Frame, GlobalState, Halt, Regular, memory_read
 from helpers import OTHER, SELF, make_env, make_frame, make_state, step_one
@@ -260,6 +260,19 @@ def test_create_collision_merges_balance():
     out = step_one(frame)
     st = out.stack[0].state
     assert st.sigma.get(rho) == Account(0, 59, {}, b"")
+
+
+def test_two_creates_at_nonce_0_make_two_accounts():
+    # each CREATE sends 1 wei to an account whose empty init code halts
+    code = assemble("PUSH1 0x00\nPUSH1 0x00\nPUSH1 0x01\nCREATE\n" * 2 + "STOP")
+    sigma = GlobalState({SELF: Account(0, 10, {}, code)})
+    stack, _ = run(make_env(), (make_frame(code, gas=200_000, sigma=sigma),), StepBudget(100))
+    st = stack[0].state
+    assert isinstance(st, Halt)
+    first, second = fresh_address(SELF, 0), fresh_address(SELF, 1)
+    assert first != second
+    assert st.sigma.get(first) == st.sigma.get(second) == Account(0, 1, {}, b"")
+    assert st.sigma.get(SELF).nonce == 2 and st.sigma.get(SELF).balance == 8
 
 
 def test_create_balance_and_depth_failures():

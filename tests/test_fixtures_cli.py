@@ -90,7 +90,7 @@ def test_create_type_fixture_runs(tmp_path, capsys):
     from evmsem.rlp import fresh_address
     from evmsem.words import address_to_hex
     sender = "0x" + "aa".rjust(40, "0")
-    created = address_to_hex(fresh_address(0xAA, 1))
+    created = address_to_hex(fresh_address(0xAA, 0))
     obj = {
         "pre": {sender: {"balance": "0x10000000", "code": "0x"}},
         "tx": {"type": "create", "gaslimit": "0x186a0", "sender": sender,
@@ -126,6 +126,17 @@ def test_cli_check_expect(capsys):
 def test_cli_check_env_component_flags(capsys):
     assert main(["check", "env-independence", _fixture_path("timestamp_lottery"),
                  "--component", "timestamp", "--values", "0x5e000000,0x60000000"]) == 1
+
+
+@pytest.mark.parametrize("values", [[], ["--component", "timestamp", "--values", "5"]])
+def test_cli_check_with_one_variant_says_nothing_was_compared(capsys, values):
+    assert main(["check", "env-independence", _fixture_path("bob_mallory"), *values]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["result"], report["explored_complete"]) == ("holds", True)
+    assert report["notes"] == "nothing compared: fewer than two variants"
+    main(["check", "env-independence", _fixture_path("bob_mallory"),
+          "--component", "timestamp", "--values", "5,6"])
+    assert json.loads(capsys.readouterr().out)["notes"] == ""
 
 
 def test_cli_check_call_integrity_modes(capsys):
@@ -193,7 +204,8 @@ def test_cli_directory_as_fixture_exit_2(tmp_path, capsys, command):
 
 def test_cli_run_trace_to_directory_exit_2(tmp_path, capsys):
     assert main(["run", _fixture_path("gasless_send"), "--trace", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
 
 

@@ -154,7 +154,6 @@ def test_negative_int_rejected():
 
 def test_fresh_address_matches_formula():
     a, n = 0x1234, 7
-    expected = keccak256(rlp_encode_pair(a, n - 1)) % 2**160
-    assert fresh_address(a, n) == expected
-    # total at nonce 0 (clamped)
-    assert fresh_address(a, 0) == keccak256(rlp_encode_pair(a, 0)) % 2**160
+    assert fresh_address(a, n) == keccak256(rlp_encode_pair(a, n)) % 2**160
+    # every nonce, 0 included, names its own address
+    assert len({fresh_address(a, n) for n in range(4)}) == 4

@@ -114,7 +114,7 @@ def test_create_transaction_deploys_empty_code():
     sigma = make_sigma()
     sigma2, _t, receipt = execute_transaction(tx, HEADER, sigma)
     assert receipt.status == "success"
-    rho = fresh_address(SENDER, 1)
+    rho = fresh_address(SENDER, 0)
     assert receipt.created == rho
     acct = sigma2.get(rho)
     assert acct.code == b"" and acct.balance == 4
@@ -126,7 +126,7 @@ def test_create_transaction_deploys_real_code():
     tx = Transaction(nonce=0, gas_price=1, gas_limit=100_000, to=None, value=0,
                      sender=SENDER, input=init, type="create")
     sigma2, _t, receipt = execute_transaction(tx, HEADER, make_sigma())
-    rho = fresh_address(SENDER, 1)
+    rho = fresh_address(SENDER, 0)
     assert sigma2.get(rho).code == b"\xfe"
     # the 200-per-byte deployment fee is charged
     assert receipt.gas_used >= 53_000 + 200
