@@ -41,27 +41,14 @@ _OP_ARITY = [
 ]
 
 
-def _create_pair(rng: random.Random) -> bytes:
-    """Two CREATEs from one frame, leaving both results on the stack. The
-    init code either halts at once or makes two CREATEs of its own from the
-    new account, whose nonce is 0, with init code that halts at once."""
-    init = rng.choice((b"", assemble("STOP"),
-                       assemble("PUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nCREATE\n" * 2 + "STOP")))
-    create = f"PUSH1 {hex(len(init))}\nPUSH1 0x00\nPUSH1 {hex(rng.randrange(2))}\nCREATE\n"
-    return assemble(f"PUSH32 0x{init.ljust(32, bytes(1)).hex()}\nPUSH1 0x00\nMSTORE\n"
-                    + create * 2)
-
-
-def random_program(rng: random.Random, origin: int = 0, creates: bool = False) -> bytes:
+def random_program(rng: random.Random, origin: int = 0) -> bytes:
     """A weighted instruction mix that tracks an estimated stack depth so
     most instructions find their operands, with forward branches that are
     taken or not, and a small arity-violating and raw-byte tail for
     exception coverage. `origin` is the offset the program will be loaded
-    at, which the branch destinations count from. With `creates`, it opens
-    with two CREATEs, which cost 32,000 gas each, plus as much again for
-    each CREATE their init code makes."""
-    out = bytearray(_create_pair(rng) if creates else b"")
-    depth = 2 if creates else 0
+    at, which the branch destinations count from."""
+    out = bytearray()
+    depth = 0
     length = rng.randrange(8, 48)
     for _ in range(length):
         if rng.random() < 0.08:
@@ -220,18 +207,29 @@ def _call_prefix(rng: random.Random) -> bytes:
     return assemble("\n".join(lines))
 
 
+def _create_pair(rng: random.Random) -> bytes:
+    """Two CREATEs from one frame, 32,000 gas each. The init code either
+    halts at once or makes two CREATEs of its own from the new account,
+    whose nonce is 0, with init code that halts at once."""
+    init = rng.choice((b"", assemble("STOP"),
+                       assemble("PUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nCREATE\n" * 2 + "STOP")))
+    create = f"PUSH1 {hex(len(init))}\nPUSH1 0x00\nPUSH1 {hex(rng.randrange(2))}\nCREATE\n"
+    return assemble(f"PUSH32 0x{init.ljust(32, bytes(1)).hex()}\nPUSH1 0x00\nMSTORE\n"
+                    + create * 2)
+
+
 def program_frame(seed: int):
     """The criterion-5 program of one seed, as a frame ready to run."""
     rng = random.Random(seed)
     roll = rng.random()
-    prefix = _call_prefix(rng) if roll < 0.35 else b""
-    creates = 0.35 <= roll < 0.38
-    code = prefix + random_program(rng, origin=len(prefix), creates=creates)
-    if creates:
-        gas = rng.randrange(60_000, 250_000)
+    if roll < 0.35:
+        prefix, gas = _call_prefix(rng), (1_000, 30_000)
+    elif roll < 0.38:
+        prefix, gas = _create_pair(rng), (60_000, 250_000)
     else:
-        gas = rng.randrange(1_000, 30_000) if prefix else rng.randrange(30, 3_000)
-    return make_program_frame(code, gas)
+        prefix, gas = b"", (30, 3_000)
+    code = prefix + random_program(rng, origin=len(prefix))
+    return make_program_frame(code, rng.randrange(*gas))
 
 
 def check_program(seed: int) -> dict:
