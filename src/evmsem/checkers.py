@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 
 from .semantics import (BudgetExhausted, CodeOverride, StepBudget, iterate_steps,
                         run, run_frame, run_to_depth, run_with_local_updates)
-from .state import (EXC, Account, BlockHeader, Contract, Frame, GlobalState, Halt,
-                    Regular, env_with_component)
+from .state import (EXC, Account, BlockHeader, CallStack, Contract, Frame, GlobalState, Halt,
+                    Regular, env_with_component, frames, with_top_state)
 from .traces import action_to_json, calls_of, first_divergence, project
 from .transaction import Transaction, t_init
 from .words import address_to_hex
@@ -84,7 +84,7 @@ def _initial_config(space: ScenarioSpace):
     if init is None:
         raise ValueError("scenario transaction is invalid under the given state")
     tenv, frame, _created = init
-    return tenv, (frame,)
+    return tenv, CallStack(frame, None, 1)
 
 
 _INCOMPLETE = "step budget exhausted; explored space is incomplete"
@@ -167,11 +167,6 @@ def _divergence(relaxed: bool, left, right) -> Optional[dict]:
     }
 
 
-def _fork(config, state):
-    """The configuration with the state of its top frame replaced."""
-    return (Frame(state, config[0].contract),) + config[1:]
-
-
 # ---------------------------------------------------------------------------
 # monitors over one scenario run
 
@@ -187,22 +182,22 @@ def _monitor(name: str, space: ScenarioSpace, watch) -> Verdict:
 
 def _entered(before, after) -> bool:
     """The step pushed a running frame: a call or create was entered."""
-    return len(after) > len(before) and isinstance(after[0].state, Regular)
+    return after.depth > before.depth and isinstance(after.top.state, Regular)
 
 
-def _on_stack(c: Contract, frames) -> bool:
-    return any(f.contract == c for f in frames)
+def _on_stack(c: Contract, stack) -> bool:
+    return any(f.contract == c for f in frames(stack))
 
 
 def check_single_entrancy(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a reentered frame of c makes the call stack grow again."""
 
     def watch(step_index, before, action, after):
-        if len(after) > len(before) and before[0].contract == c and _on_stack(c, before[1:]):
+        if after.depth > before.depth and before.top.contract == c and _on_stack(c, before.below):
             return {
                 "step": step_index,
                 "action": action_to_json(action),
-                "reentry_depth": len(before),
+                "reentry_depth": before.depth,
                 "contract": address_to_hex(c[0]),
             }
         return None
@@ -216,7 +211,7 @@ def check_call_restriction(space: ScenarioSpace, c: Contract, allowed) -> Verdic
     allowed = frozenset(allowed)
 
     def watch(step_index, before, action, after):
-        ann = after[0].contract
+        ann = after.top.contract
         if (_entered(before, after) and _on_stack(c, before)
                 and (ann is None or ann[0] not in allowed)):
             return {
@@ -234,8 +229,8 @@ def check_fuelled_calls(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a callee below c starts with zero gas."""
 
     def watch(step_index, before, action, after):
-        if _entered(before, after) and _on_stack(c, before) and after[0].state.mu.gas == 0:
-            ann = after[0].contract
+        if _entered(before, after) and _on_stack(c, before) and after.top.state.mu.gas == 0:
+            ann = after.top.contract
             return {
                 "step": step_index,
                 "action": action_to_json(action),
@@ -251,10 +246,10 @@ def check_stack_limit_compliance(space: ScenarioSpace, c: Contract) -> Verdict:
     at the 1024-frame limit while c is on it."""
 
     def watch(step_index, before, action, after):
-        if (len(after) == len(before) + 1 and after[0].state is EXC
-                and len(before) == 1024 and _on_stack(c, before)):
+        if (after.depth == before.depth + 1 and after.top.state is EXC
+                and before.depth == 1024 and _on_stack(c, before)):
             return {"step": step_index, "action": action_to_json(action),
-                    "residual_depth": len(before)}
+                    "residual_depth": before.depth}
         return None
 
     return _monitor("stack-limit", space, watch)
@@ -269,10 +264,10 @@ def _entry_configs(space: ScenarioSpace, c: Contract):
     reached by driving the scenario once."""
 
     def entry(_index, before, _action, after):
-        return after if _entered(before, after) and after[0].contract == c else None
+        return after if _entered(before, after) and after.top.contract == c else None
 
     tenv, stack, configs, complete = _scan(space, entry)
-    if stack[0].contract == c:
+    if stack.top.contract == c:
         configs.insert(0, stack)
     return tenv, configs, complete
 
@@ -288,18 +283,18 @@ def check_atomicity(space: ScenarioSpace, c: Contract) -> Verdict:
         """The final global state, None for a full revert to the entry state,
         which agrees with every other outcome."""
         final, _trace = run_frame(tenv, forked, space.max_steps)
-        st = final[0].state
-        if isinstance(st, Halt) and st.sigma != forked[0].state.sigma:
+        st = final.top.state
+        if isinstance(st, Halt) and st.sigma != forked.top.state.sigma:
             return st.sigma
         return None
 
     def forks():
         for idx, config in enumerate(configs):
-            entry = config[0].state
+            entry = config.top.state
             yield ((lambda g1, g2, idx=idx: {"entry_index": idx, "gas_pair": [g1, g2],
                                              "contract": address_to_hex(c[0])}),
                    final_sigma,
-                   [(g, _fork(config, entry._replace(mu=entry.mu._replace(gas=g))))
+                   [(g, with_top_state(config, entry._replace(mu=entry.mu._replace(gas=g))))
                     for g in space.gas_values])
 
     return _explore("atomicity", forks(), lambda s1, s2: None if s1 == s2 else {}, complete)
@@ -371,12 +366,13 @@ def check_account_state_independence(space: ScenarioSpace, c: Contract) -> Verdi
 
     def forks():
         for idx, config in enumerate(configs):
-            entry = config[0].state
+            entry = config.top.state
             acct = entry.sigma.get(c[0])
             if acct is None:
                 continue
             yield partial(witness, idx), observe, [(None, config)] + [
-                (label, _fork(config, entry._replace(sigma=entry.sigma.put(c[0], variant))))
+                (label, with_top_state(config,
+                                       entry._replace(sigma=entry.sigma.put(c[0], variant))))
                 for label, variant in _account_variants(acct, space.account_perturbations)]
 
     return _explore("account-state-independence", forks(),
@@ -462,8 +458,8 @@ def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> V
     untrusted = frozenset(untrusted)
 
     def call_site(_index, before, action, after):
-        ann = after[0].contract
-        if action.tag == "enter" and before[0].contract == c and ann and ann[0] in untrusted:
+        ann = after.top.contract
+        if action.tag == "enter" and before.top.contract == c and ann and ann[0] in untrusted:
             return after
         return None
 
@@ -471,12 +467,13 @@ def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> V
 
     def continuation(forked):
         """c's calls until the callee's return has been processed."""
-        _f, trace = run_to_depth(tenv, forked, len(forked) - 1, space.max_steps)
+        _f, trace = run_to_depth(tenv, forked, forked.depth - 1, space.max_steps)
         return project(trace, pred)
 
     forks = (((lambda l1, l2, idx=idx: {"call_site": idx, "samples": [l1, l2]}),
               continuation,
-              [(label, _fork(after, final)) for label, final in _finpot_samples(c, after[0], space)])
+              [(label, with_top_state(after, st))
+               for label, st in _finpot_samples(c, after.top, space)])
              for idx, after in enumerate(call_sites))
     return _explore("effect-independence", forks, partial(_divergence, space.relaxed_gas),
                     complete)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .keccak import keccak256
 from .words import ADDR_MASK, Address, address_to_bytes
 
@@ -95,6 +97,7 @@ def rlp_encode_pair(address: Address, nonce: int) -> bytes:
     return encode([address_to_bytes(address), nonce])
 
 
+@lru_cache(maxsize=1024)    # a CREATE and its return hash once, at any call depth
 def fresh_address(creator: Address, nonce: int) -> Address:
     """Address of the account `creator` creates at nonce `nonce`, its nonce
     before the increment: the low 160 bits of keccak256(rlp((creator, nonce))).

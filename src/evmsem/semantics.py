@@ -23,7 +23,7 @@ from .keccak import keccak256
 from .rlp import fresh_address
 from .state import (CALL_DEPTH_LIMIT, EXC, Account, CallStack, Frame, Halt, LogEvent,
                     MachineState, Regular, STACK_LIMIT, TransactionEnvironment, is_final,
-                    memory_read, memory_write, validate_stack)
+                    memory_read, memory_write, validate_stack, with_top_state)
 from .traces import Action
 from .words import ADDR_MASK, U256_MAX, binop, to_address, word_from_bytes
 
@@ -73,9 +73,9 @@ class StepOutcome(NamedTuple):
 def step(tenv: TransactionEnvironment, stack: CallStack,
          override: Optional[CodeOverride] = None) -> StepOutcome:
     """Apply exactly one small-step rule to a non-final configuration."""
-    if not stack:
+    if stack is None:
         raise MalformedConfiguration("empty call stack")
-    st = stack[0].state
+    st = stack.top.state
     if isinstance(st, Regular):
         rule = _RULES[bc.current_opcode(st.mu, st.iota)]
         if len(st.mu.stack) < rule.n:
@@ -83,7 +83,7 @@ def step(tenv: TransactionEnvironment, stack: CallStack,
         else:
             new_stack, action = rule.fire(rule, st, tenv, stack, override)
     else:
-        if len(stack) < 2:
+        if stack.below is None:
             raise MalformedConfiguration("final configuration cannot be stepped")
         new_stack, action = _process_return(stack)
     return StepOutcome(new_stack, action, is_final(new_stack))
@@ -120,7 +120,7 @@ def _drain(steps, stack):
 
 def _frame_done(depth: int) -> Callable:
     """Stop when the frame at `depth` is Halt/Exc, or at a final configuration."""
-    return lambda s: is_final(s) or (len(s) == depth and not isinstance(s[0].state, Regular))
+    return lambda s: is_final(s) or (s.depth == depth and not isinstance(s.top.state, Regular))
 
 
 def run(tenv: TransactionEnvironment, stack: CallStack, limits: StepBudget):
@@ -129,17 +129,17 @@ def run(tenv: TransactionEnvironment, stack: CallStack, limits: StepBudget):
     return _drain(iterate_steps(tenv, stack, limits.max_steps), stack)
 
 
-def run_to_depth(tenv: TransactionEnvironment, stack: CallStack, target_len: int,
+def run_to_depth(tenv: TransactionEnvironment, stack: CallStack, depth: int,
                  max_steps: int):
-    """Run until the stack has target_len frames with Halt/Exc on top (the
+    """Run until the stack has depth frames with Halt/Exc on top (the
     frame at that depth finalized, its return not yet processed)."""
-    return _drain(iterate_steps(tenv, stack, max_steps, stop=_frame_done(target_len)), stack)
+    return _drain(iterate_steps(tenv, stack, max_steps, stop=_frame_done(depth)), stack)
 
 
 def run_frame(tenv: TransactionEnvironment, stack: CallStack, max_steps: int):
     """Run until the frame currently on top has become Halt/Exc at the same
     depth (without processing its return); returns (stack, trace)."""
-    return run_to_depth(tenv, stack, len(stack), max_steps)
+    return run_to_depth(tenv, stack, stack.depth, max_steps)
 
 
 class _FrameOverride:
@@ -164,20 +164,20 @@ def run_with_local_updates(tenv: TransactionEnvironment, stack: CallStack,
 
     Returns (stack, trace, extended override).
     """
-    base = len(stack)
+    base = stack.depth
     view = _FrameOverride(f)
     trace = []
     sigma_at_call = None
     for before, action, stack in iterate_steps(tenv, stack, max_steps, view, _frame_done(base)):
         trace.append(action)
-        if len(before) == base:
-            sigma_at_call = before[0].state.sigma
-        elif len(stack) == base and isinstance(stack[0].state, Regular):
-            created = [(a, acct.code) for a, acct in stack[0].state.sigma.items()
+        if before.depth == base:
+            sigma_at_call = before.top.state.sigma
+        elif stack.depth == base and isinstance(stack.top.state, Regular):
+            created = [(a, acct.code) for a, acct in stack.top.state.sigma.items()
                        if sigma_at_call.get(a) is None]
             if created:
                 view.f = extend_override_after_create(view.f, created)
-        view.active = len(stack) == base
+        view.active = stack.depth == base
     return stack, tuple(trace), view.f
 
 
@@ -206,33 +206,33 @@ def _account(sigma, addr: int) -> Account:
 
 def _exc(r: _Rule, stack, args=()):
     """The top frame ends in an exception."""
-    c = stack[0].contract
-    return (Frame(EXC, c),) + stack[1:], Action(r.name, c, args, "exc")
+    return with_top_state(stack, EXC), Action(r.name, stack.top.contract, args, "exc")
 
 
 def _next(r: _Rule, stack, mu: MachineState, args=(), sigma=None, eta=None):
     """The top frame goes on with machine state mu (and sigma/eta if given)."""
-    frame = stack[0]
-    st = frame.state
-    state = Regular(mu, st.iota, st.sigma if sigma is None else sigma,
-                    st.eta if eta is None else eta)
-    return (Frame(state, frame.contract),) + stack[1:], Action(r.name, frame.contract, args, "op")
+    st, c = stack.top
+    # most steps come here: tuple.__new__ saves the NamedTuple constructor's call
+    state = tuple.__new__(Regular, (mu, st.iota, st.sigma if sigma is None else sigma,
+                                    st.eta if eta is None else eta))
+    return with_top_state(stack, state), Action(r.name, c, args, "op")
 
 
 def _halt(r: _Rule, stack, sigma, gas: int, data: bytes, eta, args=()):
-    c = stack[0].contract
-    return (Frame(Halt(sigma, gas, data, eta), c),) + stack[1:], Action(r.name, c, args, "halt")
+    return (with_top_state(stack, Halt(sigma, gas, data, eta)),
+            Action(r.name, stack.top.contract, args, "halt"))
 
 
 def _enter(r: _Rule, stack, callee: Frame, args, tag="enter"):
     """A frame is pushed: the callee, or EXC for a failure on the callee level."""
-    return (callee,) + stack, Action(r.name, stack[0].contract, args, tag)
+    pushed = tuple.__new__(CallStack, (callee, stack, stack.depth + 1))
+    return pushed, Action(r.name, stack.top.contract, args, tag)
 
 
 def _resume(r: _Rule, stack, state, tag):
     """The caller below the finished top frame goes on in `state`."""
-    c = stack[1].contract
-    return (Frame(state, c),) + stack[2:], Action(r.name + "RET", c, (), tag)
+    caller = stack.below
+    return with_top_state(caller, state), Action(r.name + "RET", caller.top.contract, (), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +466,7 @@ def _call(r, st, tenv, stack, override):
         return _exc(r, stack, args)
     actor_acct = _account(sigma, iota.actor)
     _g, to, va, io, isz, _oo, _os = words
-    if va > actor_acct.balance or len(stack) + 1 > CALL_DEPTH_LIMIT:
+    if va > actor_acct.balance or stack.depth + 1 > CALL_DEPTH_LIMIT:
         return _enter(r, stack, Frame(EXC, None), args, "fail")
     to_a = to & ADDR_MASK
     callee = _account(sigma, to_a)
@@ -503,7 +503,7 @@ def _create(r, st, tenv, stack, override):
     if not _valid(mu.gas, cost, len(mu.stack) - 2):
         return _exc(r, stack)
     actor_acct = _account(sigma, iota.actor)
-    if va > actor_acct.balance or len(stack) + 1 > CALL_DEPTH_LIMIT:
+    if va > actor_acct.balance or stack.depth + 1 > CALL_DEPTH_LIMIT:
         return _enter(r, stack, Frame(EXC, None), args, "fail")
     rho = fresh_address(iota.actor, actor_acct.nonce)
     sigma = (sigma.put(rho, Account(0, _account(sigma, rho).balance + va, {}, b""))
@@ -516,7 +516,7 @@ def _create(r, st, tenv, stack, override):
 
 
 def _process_return(stack):
-    caller = stack[1].state
+    caller = stack.below.top.state
     if not isinstance(caller, Regular):
         raise MalformedConfiguration("halting state above a non-regular frame")
     op = bc.current_opcode(caller.mu, caller.iota)
@@ -530,14 +530,14 @@ def _process_return(stack):
 def _exc_return(r, stack, total: int, aw: int):
     """The callee failed: the caller's state is untouched, the gas for the
     call is consumed, and 0 is pushed."""
-    st = stack[1].state
+    st = stack.below.top.state
     mu = st.mu
     mu2 = MachineState(mu.gas - total, mu.pc + 1, mu.memory, aw, (0,) + mu.stack[r.n:])
     return _resume(r, stack, Regular(mu2, st.iota, st.sigma, st.eta), "exc_ret")
 
 
 def _return_call(r, stack):
-    top, st = stack[0].state, stack[1].state
+    top, st = stack.top.state, stack.below.top.state
     mu = st.mu
     words = _call_words(mu.stack, r.n)
     aw, _cc, total = _call_costs(r, mu, st.sigma, *words)
@@ -550,7 +550,7 @@ def _return_call(r, stack):
 
 
 def _return_create(r, stack):
-    top, st = stack[0].state, stack[1].state
+    top, st = stack.top.state, stack.below.top.state
     mu, iota = st.mu, st.iota
     aw, cost, budget = _create_costs(r, mu, mu.stack[1], mu.stack[2])
     total = cost + budget        # full allocation: local cost plus the budget handed over

@@ -13,7 +13,7 @@ are cheaper to build than frozen dataclasses; change a field with
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .words import Address, Word256
 
@@ -268,20 +268,47 @@ class Frame(NamedTuple):
     contract: Optional[Contract]
 
 
-CallStack = tuple  # of Frame, top first
+class CallStack(NamedTuple):
+    """A persistent cons list of frames (Okasaki, 1998), below None under the
+    bottom frame: a push, a pop or a new top builds one cell, at any depth.
+    Steps build cells and frames with tuple.__new__, which costs half the
+    NamedTuple constructor.
+    stack[0] is the top frame and len(stack) the depth, as for a tuple of
+    frames; never use _make or _replace, which read len()."""
+    top: Frame
+    below: Optional["CallStack"]
+    depth: int
+
+    def __len__(self) -> int:
+        return self.depth
+
+    def __repr__(self) -> str:
+        return f"CallStack(top={self.top!r}, depth={self.depth})"
+
+
+def with_top_state(stack: CallStack, state: ExecutionState) -> CallStack:
+    """stack with its top frame in state, under the same contract."""
+    top = tuple.__new__(Frame, (state, stack.top.contract))
+    return tuple.__new__(CallStack, (top, stack.below, stack.depth))
+
+
+def frames(stack: Optional[CallStack]) -> Iterator[Frame]:
+    """The frames of a call stack, top first."""
+    while stack is not None:
+        yield stack.top
+        stack = stack.below
 
 
 def is_final(stack: CallStack) -> bool:
-    return len(stack) == 1 and not isinstance(stack[0].state, Regular)
+    return stack.below is None and not isinstance(stack.top.state, Regular)
 
 
-def validate_stack(stack: CallStack) -> None:
-    """Reject stacks violating the grammar: Halt/Exc only on top, length
+def validate_stack(stack: Optional[CallStack]) -> None:
+    """Reject stacks violating the grammar: Halt/Exc only on top, depth
     bounded by 1024 frames plus one transient halting top."""
-    if not stack:
+    if stack is None:
         raise ValueError("empty call stack")
-    if len(stack) > CALL_DEPTH_LIMIT + 1:
+    if stack.depth > CALL_DEPTH_LIMIT + 1:
         raise ValueError(f"call stack longer than {CALL_DEPTH_LIMIT + 1}")
-    for frame in stack[1:]:
-        if not isinstance(frame.state, Regular):
-            raise ValueError("Halt/Exc below the top of a call stack")
+    if any(not isinstance(frame.state, Regular) for frame in frames(stack.below)):
+        raise ValueError("Halt/Exc below the top of a call stack")

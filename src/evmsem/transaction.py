@@ -8,7 +8,7 @@ from typing import Optional
 from .gas import SCHEDULE
 from .rlp import fresh_address
 from .semantics import StepBudget, run
-from .state import (EMPTY_EFFECTS, Account, BlockHeader, ExcState, Frame,
+from .state import (EMPTY_EFFECTS, Account, BlockHeader, CallStack, ExcState, Frame,
                     GlobalState, Halt, MachineState, Regular,
                     TransactionEnvironment, ExecutionEnvironment)
 
@@ -185,7 +185,7 @@ def execute_transaction(tx: Transaction, header: BlockHeader, sigma: GlobalState
     if init is None:
         return sigma, (), Receipt("invalid", 0, ())
     tenv, frame, created = init
-    final_stack, trace = run(tenv, (frame,), limits)
-    sigma2, receipt = t_final(final_stack[0].state, tx, sigma,
+    final_stack, trace = run(tenv, CallStack(frame, None, 1), limits)
+    sigma2, receipt = t_final(final_stack.top.state, tx, sigma,
                               header.beneficiary, created)
     return sigma2, trace, receipt

@@ -4,7 +4,7 @@ from evmsem.bytecode import assemble
 from evmsem.semantics import StepBudget, run, step
 from evmsem.state import (EMPTY_EFFECTS, Account, BlockHeader, CallStack,
                           ExecutionEnvironment, Frame, GlobalState, MachineState,
-                          Regular, TransactionEnvironment)
+                          Regular, TransactionEnvironment, frames)
 from evmsem.traces import first_divergence
 
 SELF = 0x1001
@@ -48,13 +48,22 @@ def make_frame(code, stack=(), gas=1_000_000, memory=None, active_words=0,
     return Frame(Regular(mu, iota, sigma, eta), contract)
 
 
+def stack_of(*fs) -> CallStack:
+    """The call stack of the frames fs, top first; None, the empty stack,
+    when there are none."""
+    stack = None
+    for depth, frame in enumerate(reversed(fs), start=1):
+        stack = CallStack(frame, stack, depth)
+    return stack
+
+
 def step_one(frame, tenv=None, rest=(), override=None):
-    return step(tenv or make_env(), (frame,) + tuple(rest), override)
+    return step(tenv or make_env(), stack_of(frame, *rest), override)
 
 
 def run_code(code, gas=1_000_000, budget=100_000, **kw):
     frame = make_frame(code, gas=gas, **kw)
-    return run(make_env(), (frame,), StepBudget(budget))
+    return run(make_env(), stack_of(frame), StepBudget(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -63,16 +72,19 @@ def run_code(code, gas=1_000_000, budget=100_000, **kw):
 
 def substack(inner: CallStack, outer: CallStack) -> bool:
     """True iff outer = s :: (S' ++ inner) for some state s and list S'."""
+    inner, outer = tuple(frames(inner)), tuple(frames(outer))
     if len(inner) >= len(outer):
         return False
-    return outer[len(outer) - len(inner):] == tuple(inner)
+    return outer[len(outer) - len(inner):] == inner
 
 
-def stack_diff(a: CallStack, b: CallStack) -> CallStack:
-    """The unique prefix S' with S' ++ b = a when b is a suffix of a, else empty."""
+def stack_diff(a: CallStack, b: CallStack) -> tuple:
+    """The frames of the unique prefix S' with S' ++ b = a when b is a suffix
+    of a, else (); top first."""
+    a, b = tuple(frames(a)), tuple(frames(b))
     la, lb = len(a), len(b)
-    if lb <= la and tuple(a[la - lb:]) == tuple(b):
-        return tuple(a[:la - lb])
+    if lb <= la and a[la - lb:] == b:
+        return a[:la - lb]
     return ()
 
 

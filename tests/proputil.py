@@ -13,7 +13,7 @@ from evmsem.semantics import BudgetExhausted, is_final, step
 from evmsem.state import (EXC, Account, ExecutionEnvironment, Frame, GlobalState,
                           Halt, MachineState, Regular, EMPTY_EFFECTS)
 from evmsem.words import ADDR_MASK
-from helpers import ORIGIN, SELF, OTHER, make_env, stack_diff
+from helpers import ORIGIN, SELF, OTHER, make_env, stack_diff, stack_of
 
 STEP_BUDGET = 10_000
 
@@ -121,7 +121,7 @@ def monitored_run(tenv, stack, budget=STEP_BUDGET):
     returns (final stack, trace) or raises PropertyViolation/BudgetExhausted."""
     trace = []
     call_snapshots = []   # per open frame: (sigma, eta) canonical at call time
-    last_gas = [stack[0].state.mu.gas if isinstance(stack[0].state, Regular) else None]
+    last_gas = [stack.top.state.mu.gas if isinstance(stack.top.state, Regular) else None]
 
     for _ in range(budget):
         if is_final(stack):
@@ -131,7 +131,7 @@ def monitored_run(tenv, stack, budget=STEP_BUDGET):
         trace.append(out.action)
         after = out.stack
 
-        top = after[0].state
+        top = after.top.state
         if isinstance(top, Regular):
             if len(top.mu.stack) > 1024:
                 raise PropertyViolation(f"machine stack grew to {len(top.mu.stack)}")
@@ -139,13 +139,13 @@ def monitored_run(tenv, stack, budget=STEP_BUDGET):
                 raise PropertyViolation(
                     f"{out.action.op} left {len(top.mu.memory)} bytes of memory in"
                     f" {top.mu.active_words} active words")
-        if (top is not EXC and before[0].state is not EXC
-                and top.sigma.total_balance() != before[0].state.sigma.total_balance()
-                and not _burns(before[0].state, out.action)):
+        if (top is not EXC and before.top.state is not EXC
+                and top.sigma.total_balance() != before.top.state.sigma.total_balance()
+                and not _burns(before.top.state, out.action)):
             raise PropertyViolation(f"{out.action.op} changed the total wei")
 
-        if len(after) == len(before):
-            prev, cur = before[0].state, after[0].state
+        if after.depth == before.depth:
+            prev, cur = before.top.state, after.top.state
             if isinstance(prev, Regular) and isinstance(cur, Regular):
                 if cur.mu.gas >= prev.mu.gas:
                     raise PropertyViolation(
@@ -155,23 +155,23 @@ def monitored_run(tenv, stack, budget=STEP_BUDGET):
             elif isinstance(prev, Regular) and isinstance(cur, Halt):
                 if cur.gas > prev.mu.gas:
                     raise PropertyViolation("halting increased gas")
-        elif len(after) > len(before):
-            caller = before[0].state
-            if (out.action.op == "CREATE" and isinstance(after[0].state, Regular)
-                    and after[0].state.iota.actor in caller.sigma):
+        elif after.depth > before.depth:
+            caller = before.top.state
+            if (out.action.op == "CREATE" and isinstance(top, Regular)
+                    and top.iota.actor in caller.sigma):
                 raise PropertyViolation(f"CREATE entered the existing account"
-                                        f" {hex(after[0].state.iota.actor)}")
+                                        f" {hex(top.iota.actor)}")
             call_snapshots.append((canonical_sigma(caller.sigma),
                                    canonical_eta(caller.eta)))
-            if isinstance(after[0].state, Regular):
-                last_gas.append(after[0].state.mu.gas)
+            if isinstance(top, Regular):
+                last_gas.append(top.mu.gas)
             else:
                 last_gas.append(None)   # transient EXC pushed at call time
         else:
-            finished = before[0].state
+            finished = before.top.state
             sig_snap, eta_snap = call_snapshots.pop()
             last_gas.pop()
-            resumed = after[0].state
+            resumed = top
             if finished is EXC:
                 if canonical_sigma(resumed.sigma) != sig_snap:
                     raise PropertyViolation("exception rollback changed sigma")
@@ -239,35 +239,35 @@ def check_program(seed: int) -> dict:
 
     frame = program_frame(seed)
     try:
-        final1, trace1 = monitored_run(tenv, (frame,))
+        final1, trace1 = monitored_run(tenv, stack_of(frame))
     except BudgetExhausted:
         stats["exhausted"] = 1
         return stats
     stats["steps"] = len(trace1)
 
     # determinism: bit-identical replay
-    final2, trace2 = monitored_run(tenv, (frame,))
+    final2, trace2 = monitored_run(tenv, stack_of(frame))
     if final1 != final2 or trace1 != trace2:
         raise PropertyViolation(f"nondeterministic replay for seed {seed}")
 
     # call-stack indifference up to size: same frame on two different
     # equal-length base stacks yields identical traces and stack diffs
-    base_a = (make_program_frame(assemble("STOP"), 50, tag=b"A"),)
-    base_b = (make_program_frame(assemble("JUMPDEST\nSTOP"), 999, tag=b"B"),)
-    fa, ta = run_frame_monitorless(tenv, (frame,) + base_a)
-    fb, tb = run_frame_monitorless(tenv, (frame,) + base_b)
+    base_a = make_program_frame(assemble("STOP"), 50, tag=b"A")
+    base_b = make_program_frame(assemble("JUMPDEST\nSTOP"), 999, tag=b"B")
+    fa, ta = run_frame_monitorless(tenv, stack_of(frame, base_a))
+    fb, tb = run_frame_monitorless(tenv, stack_of(frame, base_b))
     if ta != tb:
         raise PropertyViolation(f"base stack changed the trace for seed {seed}")
-    if stack_diff(fa, base_a) != stack_diff(fb, base_b):
+    if stack_diff(fa, stack_of(base_a)) != stack_diff(fb, stack_of(base_b)):
         raise PropertyViolation(f"base stack changed the stack diff for seed {seed}")
     return stats
 
 
 def run_frame_monitorless(tenv, stack, budget=STEP_BUDGET):
-    depth = len(stack)
+    depth = stack.depth
     trace = []
     for _ in range(budget):
-        if len(stack) == depth and not isinstance(stack[0].state, Regular):
+        if stack.depth == depth and not isinstance(stack.top.state, Regular):
             return stack, tuple(trace)
         out = step(tenv, stack)
         trace.append(out.action)

@@ -15,6 +15,7 @@ from evmsem.fixtures import check_expectations, ingest_official_tests
 from evmsem.semantics import StepBudget, run_frame
 from evmsem.state import Frame, Halt, Regular
 from evmsem.transaction import execute_transaction, t_init
+from helpers import stack_of
 from proputil import check_program
 
 _T0 = time.time()
@@ -96,7 +97,7 @@ def test_criterion_3_bank_atomicity():
         st = frame.state
         forked = Frame(Regular(st.mu._replace(gas=g), st.iota, st.sigma, st.eta),
                        frame.contract)
-        final, trace = run_frame(tenv, (forked,), 200_000)
+        final, trace = run_frame(tenv, stack_of(forked), 200_000)
         return final[0].state, trace
 
     tight, tight_trace = run_with_gas(g_lo)

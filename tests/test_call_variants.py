@@ -5,7 +5,7 @@ from evmsem.bytecode import assemble
 from evmsem.gas import c_gascap
 from evmsem.semantics import StepBudget, run
 from evmsem.state import Account, GlobalState, Halt
-from helpers import OTHER, SELF, make_env, make_frame, make_state
+from helpers import OTHER, SELF, make_env, make_frame, make_state, stack_of
 
 TARGET = 0xC0DE
 
@@ -22,7 +22,7 @@ def run_calling(op, callee_code, caller_gas=200_000, g_arg=50_000, va=0,
     sigma = make_state(code=code, balance=self_balance,
                        accounts={TARGET: Account(0, 5, {7: 8}, callee)})
     frame = make_frame(code, gas=caller_gas, sigma=sigma, value=11)
-    final, trace = run(make_env(), (frame,), StepBudget(1000))
+    final, trace = run(make_env(), stack_of(frame), StepBudget(1000))
     assert isinstance(final[0].state, Halt)
     return final[0].state, trace
 
@@ -102,7 +102,7 @@ def test_extcodecopy_reads_real_external_bytes():
     code = assemble(f"PUSH1 0x04\nPUSH1 0x00\nPUSH1 0x00\nPUSH2 {hex(TARGET)}\n"
                     "EXTCODECOPY\nSTOP")
     sigma = make_state(code=code, accounts={TARGET: Account(0, 0, {}, external)})
-    stack = (make_frame(code, sigma=sigma),)
+    stack = stack_of(make_frame(code, sigma=sigma))
     for _ in range(5):   # four pushes plus the copy
         stack = step(make_env(), stack).stack
     got = memory_read(stack[0].state.mu.memory, 0, 4)

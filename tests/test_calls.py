@@ -3,14 +3,16 @@ both return rules, rollback, and the printed differences between the flavors."""
 
 import pytest
 
+from evmsem import rlp
 from evmsem.bytecode import assemble
 from evmsem.gas import c_gascap, l_all_but_one_64th
+from evmsem.keccak import keccak256
 from evmsem.rlp import fresh_address
 from evmsem.semantics import (CodeOverride, MalformedConfiguration, StepBudget,
                               extend_override_after_create, run, run_frame,
                               run_with_local_updates, step)
 from evmsem.state import EXC, Account, Frame, GlobalState, Halt, Regular, memory_read
-from helpers import OTHER, SELF, make_env, make_frame, make_state, step_one
+from helpers import OTHER, SELF, make_env, make_frame, make_state, stack_of, step_one
 
 CALLEE = 0xC0DE
 ABSENT = 0xD00D
@@ -48,7 +50,7 @@ def test_call_pushes_fresh_frame_and_moves_value():
     # value moved in the callee's sigma; caller frame untouched
     assert st.sigma.get(CALLEE).balance == 5 + 7
     assert st.sigma.get(SELF).balance == 1000 - 7
-    assert out.stack[1] == frame
+    assert out.stack.below.top == frame
     assert callee.contract == (CALLEE, assemble("STOP"))
     assert out.action.tag == "enter" and out.action.op == "CALL"
     assert out.action.args == call_stack_args(va=7, io=0, isz=4)
@@ -71,18 +73,18 @@ def test_call_balance_failure_pushes_exc():
     assert len(out.stack) == 2
     assert out.stack[0].state is EXC
     assert out.stack[0].contract is None
-    assert out.stack[1] == frame
+    assert out.stack.below.top == frame
     assert out.action.tag == "fail"
 
 
 def test_call_depth_failure_pushes_exc():
     frame = make_call_frame()
     below = tuple(make_frame("CALL", stack=call_stack_args()) for _ in range(1023))
-    out = step(make_env(), (frame,) + below)
+    out = step(make_env(), stack_of(frame, *below))
     assert len(out.stack) == 1025
     assert out.stack[0].state is EXC
     # at 1023 frames below (1024 total) the call is still allowed
-    out = step(make_env(), (frame,) + below[:1022])
+    out = step(make_env(), stack_of(frame, *below[:1022]))
     assert isinstance(out.stack[0].state, Regular)
     assert len(out.stack) == 1024
 
@@ -201,7 +203,7 @@ def test_delegatecall_pops_six_and_inherits_context():
     assert st.iota.value == 99             # preserved
     assert st.iota.code == assemble("STOP")
     # six arguments popped: 0xDEAD is still on the caller's stack
-    assert out.stack[1].state.mu.stack[-1] == 0xDEAD
+    assert out.stack.below.top.state.mu.stack[-1] == 0xDEAD
     assert out.action.args == (40_000, CALLEE, 0, 0, 0, 0)
     assert st.mu.gas == c_gascap(0, 1, 40_000, 1_000_000)
     # absent code account: runs empty code, nothing created
@@ -215,7 +217,7 @@ def test_delegatecall_depth_guard_only():
     frame = make_frame(code, stack=(40_000, CALLEE, 0, 0, 0, 0),
                        sigma=make_state(code=code, balance=0))
     below = tuple(make_frame("STOP") for _ in range(1023))
-    out = step(make_env(), (frame,) + below)
+    out = step(make_env(), stack_of(frame, *below))
     assert out.stack[0].state is EXC and len(out.stack) == 1025
 
 
@@ -266,7 +268,8 @@ def test_two_creates_at_nonce_0_make_two_accounts():
     # each CREATE sends 1 wei to an account whose empty init code halts
     code = assemble("PUSH1 0x00\nPUSH1 0x00\nPUSH1 0x01\nCREATE\n" * 2 + "STOP")
     sigma = GlobalState({SELF: Account(0, 10, {}, code)})
-    stack, _ = run(make_env(), (make_frame(code, gas=200_000, sigma=sigma),), StepBudget(100))
+    frame = make_frame(code, gas=200_000, sigma=sigma)
+    stack, _ = run(make_env(), stack_of(frame), StepBudget(100))
     st = stack[0].state
     assert isinstance(st, Halt)
     first, second = fresh_address(SELF, 0), fresh_address(SELF, 1)
@@ -282,7 +285,7 @@ def test_create_balance_and_depth_failures():
 
     frame = create_frame()
     below = tuple(make_frame("STOP") for _ in range(1023))
-    out = step(make_env(), (frame,) + below)
+    out = step(make_env(), stack_of(frame, *below))
     assert out.stack[0].state is EXC and len(out.stack) == 1025
 
 
@@ -314,6 +317,17 @@ def test_create_success_return_deploys_code():
     assert st.mu.gas == 200_000 - allocation - c_final + callee_gas
     # per-frame gas strictly decreased across the whole create
     assert st.mu.gas < 200_000
+
+
+def test_a_successful_create_hashes_its_address_once(monkeypatch):
+    hashed = []
+    monkeypatch.setattr(rlp, "keccak256", lambda data: hashed.append(data) or keccak256(data))
+    rlp.fresh_address.cache_clear()
+    tenv = make_env()
+    stack, _ = run_frame(tenv, step_one(create_frame(init="STOP")).stack, 100)
+    out = step(tenv, stack)
+    assert hashed == [rlp.rlp_encode_pair(SELF, 3)]
+    assert out.action.tag == "ret" and out.stack[0].state.mu.stack == (fresh_address(SELF, 3),)
 
 
 def test_create_final_fee_unpayable_replaces_caller():
@@ -350,13 +364,13 @@ def test_halt_above_non_call_is_malformed():
     reg = make_frame("ADD", stack=(1, 2))
     halted = Frame(Halt(GlobalState(), 5, b"", reg.state.eta), None)
     with pytest.raises(MalformedConfiguration):
-        step(make_env(), (halted, reg))
+        step(make_env(), stack_of(halted, reg))
 
 
 def test_final_configuration_cannot_step():
     halted = Frame(Halt(GlobalState(), 5, b"", make_frame("STOP").state.eta), None)
     with pytest.raises(MalformedConfiguration):
-        step(make_env(), (halted,))
+        step(make_env(), stack_of(halted))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +404,7 @@ def test_override_does_not_change_called_code():
     frame = make_frame(code, sigma=make_state(code=code))
     override = CodeOverride({OTHER: assemble("INVALID")})
     tenv = make_env()
-    stack = (frame,)
+    stack = stack_of(frame)
     for _ in range(8):
         stack = step(tenv, stack, override).stack
     callee = stack[0]
@@ -416,7 +430,7 @@ def test_run_with_local_updates_extends_after_create():
     code = assemble(f"PUSH1 {hex(len(init_code))}\nPUSH1 0x00\nPUSH1 0x00\nCREATE\nSTOP")
     sigma = GlobalState({SELF: Account(3, 100, {}, code)})
     frame = make_frame(code, gas=200_000, sigma=sigma, memory=mem, active_words=1)
-    stack, trace, f = run_with_local_updates(make_env(), (frame,), CodeOverride({}), 1000)
+    stack, trace, f = run_with_local_updates(make_env(), stack_of(frame), CodeOverride({}), 1000)
     assert isinstance(stack[0].state, Halt)
     rho = fresh_address(SELF, 3)
     assert f.mapping == {rho: b""}

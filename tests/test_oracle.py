@@ -3,10 +3,15 @@
 `tests/oracle` holds a frozen copy of the core as it stood before the
 rule-table rewrite. Every step evmsem takes below is also taken by the
 frozen copy from the same configuration, and the two must agree on the
-successor stack and the trace action: over the criterion-5 programs, every
-corpus transaction, and every corpus checker run. The checkers must also
-return byte-identical verdicts when driven by the frozen core, and match
-the verdicts frozen in `tests/data/corpus_verdicts.json`.
+successor stack, frame by frame, and the trace action: over the criterion-5
+programs, every corpus transaction, and every corpus checker run. The
+checkers must also return byte-identical verdicts when driven by the frozen
+core, and match the verdicts frozen in `tests/data/corpus_verdicts.json`.
+
+The frozen core steps tuples of frames, top first, where evmsem steps a
+CallStack cons list; the helpers below convert between the two and give
+the frozen core the tuple-form `is_final` and `validate_stack` it was
+written against.
 """
 
 import json
@@ -16,8 +21,9 @@ import pytest
 
 from evmsem import checkers, semantics
 from evmsem.corpus import load_corpus
+from evmsem.state import CallStack, Regular, frames, validate_stack
 from evmsem.transaction import t_init
-from helpers import make_env
+from helpers import make_env, stack_of
 from oracle import semantics as frozen
 from proputil import STEP_BUDGET, program_frame
 
@@ -28,16 +34,71 @@ FROZEN_VERDICTS = Path(__file__).parent / "data" / "corpus_verdicts.json"
 # verdicts too slow for the suite: every property except the declared ones
 SLOW_FIXTURES = {"deep_recursion"}
 # what the checkers take from the core, swapped for the frozen copy's
-CORE_NAMES = ("BudgetExhausted", "CodeOverride", "StepBudget", "iterate_steps", "run",
-              "run_frame", "run_to_depth", "run_with_local_updates")
+CORE_CLASSES = ("BudgetExhausted", "CodeOverride", "StepBudget")
+CORE_DRIVERS = ("run", "run_frame", "run_to_depth", "run_with_local_updates")
+
+
+def _tuple_is_final(stack) -> bool:
+    return len(stack) == 1 and not isinstance(stack[0].state, Regular)
+
+
+def _tuple_validate_stack(stack) -> None:
+    validate_stack(stack_of(*stack))
+
+
+@pytest.fixture(autouse=True)
+def tuple_grammar(monkeypatch):
+    """The frozen core imports these from evmsem.state, which now reads
+    CallStacks; give it their tuple forms."""
+    monkeypatch.setattr(frozen, "is_final", _tuple_is_final)
+    monkeypatch.setattr(frozen, "validate_stack", _tuple_validate_stack)
+
+
+def _cut(old_depth: int, new_depth: int):
+    """How many cells of the old stack a step replaced: 0 for a push, 1 for
+    a replaced top, 2 for a processed return; None for anything else."""
+    cut = old_depth - new_depth + 1
+    return cut if 0 <= cut <= 2 else None
+
+
+def _frames_like(new: CallStack, old: CallStack, old_frames: tuple) -> tuple:
+    """The frames of new, the successor of old whose frames are old_frames.
+    When new's cells below its top are old's (shown by `is`), their frames
+    are a suffix of old_frames; otherwise every cell is walked."""
+    cut = _cut(old.depth, new.depth)
+    if cut is not None:
+        rest = old
+        for _ in range(cut):
+            rest = rest.below
+        if new.below is rest:
+            return (new.top,) + old_frames[cut:]
+    return tuple(frames(new))
+
+
+def _stack_like(new_frames: tuple, old: CallStack, old_frames: tuple) -> CallStack:
+    """The inverse of _frames_like: the CallStack of new_frames, sharing old's
+    cells where new_frames ends with old_frames' suffix."""
+    cut = _cut(len(old_frames), len(new_frames))
+    if cut is not None and new_frames[1:] == old_frames[cut:]:
+        rest = old
+        for _ in range(cut):
+            rest = rest.below
+        return CallStack(new_frames[0], rest, len(new_frames))
+    return stack_of(*new_frames)
 
 
 class Lockstep:
-    """Counts the steps compared and the deepest call stack reached."""
+    """Counts the steps compared and the deepest call stack reached, and
+    keeps the frames of the last successor, from which a run goes on."""
 
     def __init__(self):
         self.steps = 0
         self.deepest = 0
+        self.last = None, ()
+
+    def frames_of(self, stack: CallStack) -> tuple:
+        last, last_frames = self.last
+        return last_frames if stack is last else tuple(frames(stack))
 
 
 @pytest.fixture
@@ -48,16 +109,20 @@ def lockstep(monkeypatch):
 
     def both(tenv, stack, override=None):
         out = new_step(tenv, stack, override)
-        ref = frozen.step(tenv, stack, override)
+        before = seen.frames_of(stack)
+        ref = frozen.step(tenv, before, override)
+        after = _frames_like(out.stack, stack, before)
         # the records are tuples, and tuple equality ignores the class: a
         # Halt with the same field values would equal a Regular
-        if ((out.stack, out.action, out.final) != (ref.stack, ref.action, ref.final)
-                or [type(f.state) for f in out.stack[:2]]
+        if ((after, out.action, out.final) != (ref.stack, ref.action, ref.final)
+                or out.stack.depth != len(ref.stack)
+                or [type(f.state) for f in after[:2]]
                 != [type(f.state) for f in ref.stack[:2]]):
-            raise AssertionError(f"step {seen.steps} at depth {len(stack)} diverges:"
+            raise AssertionError(f"step {seen.steps} at depth {stack.depth} diverges:"
                                  f" {out.action} != {ref.action}")
         seen.steps += 1
-        seen.deepest = max(seen.deepest, len(out.stack))
+        seen.deepest = max(seen.deepest, out.stack.depth)
+        seen.last = out.stack, after
         return out
 
     monkeypatch.setattr(semantics, "step", both)
@@ -68,7 +133,8 @@ def test_criterion_5_programs_step_alike(lockstep):
     tenv = make_env()
     for seed in range(N_PROGRAMS):
         try:
-            semantics.run(tenv, (program_frame(seed),), semantics.StepBudget(STEP_BUDGET))
+            semantics.run(tenv, stack_of(program_frame(seed)),
+                          semantics.StepBudget(STEP_BUDGET))
         except semantics.BudgetExhausted:
             pass
     assert lockstep.steps > 100_000
@@ -77,7 +143,7 @@ def test_criterion_5_programs_step_alike(lockstep):
 def test_corpus_transactions_step_alike(lockstep):
     for f in load_corpus():
         tenv, frame, _created = t_init(f.tx, f.header, f.pre, f.ancestors)
-        stack, _trace = semantics.run(tenv, (frame,), semantics.StepBudget(1_000_000))
+        stack, _trace = semantics.run(tenv, stack_of(frame), semantics.StepBudget(1_000_000))
         assert semantics.is_final(stack)
     assert lockstep.deepest == 1025          # deep_recursion's EXC at the depth limit
 
@@ -98,6 +164,25 @@ def _verdicts(fixture):
     return out
 
 
+def _frozen_driver(name: str):
+    """The frozen driver `name` as the checkers call it: with a CallStack,
+    returning one."""
+    def driver(tenv, stack, *args):
+        final, *rest = getattr(frozen, name)(tenv, tuple(frames(stack)), *args)
+        return (stack_of(*final), *rest)
+    return driver
+
+
+def _frozen_iterate_steps(tenv, stack, max_steps):
+    """frozen.iterate_steps as the checkers call it, yielding CallStacks
+    that share their cells as evmsem's do."""
+    for before_frames, action, after_frames in frozen.iterate_steps(
+            tenv, tuple(frames(stack)), max_steps):
+        after = _stack_like(after_frames, stack, before_frames)
+        yield stack, action, after
+        stack = after
+
+
 def test_corpus_checkers_step_alike_and_agree(lockstep, monkeypatch):
     corpus = load_corpus()
     new = {f.name: _verdicts(f) for f in corpus}
@@ -106,6 +191,9 @@ def test_corpus_checkers_step_alike_and_agree(lockstep, monkeypatch):
     for f in corpus:
         for prop, want in f.expect.get("verdicts", {}).items():
             assert json.loads(new[f.name][prop])["result"] == want, (f.name, prop)
-    for name in CORE_NAMES:
+    for name in CORE_CLASSES:
         monkeypatch.setattr(checkers, name, getattr(frozen, name))
+    for name in CORE_DRIVERS:
+        monkeypatch.setattr(checkers, name, _frozen_driver(name))
+    monkeypatch.setattr(checkers, "iterate_steps", _frozen_iterate_steps)
     assert {f.name: _verdicts(f) for f in corpus} == new

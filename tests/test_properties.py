@@ -6,7 +6,7 @@ import random
 from evmsem.bytecode import valid_jump_dests
 from evmsem.semantics import BudgetExhausted, StepBudget, run
 from evmsem.state import is_final
-from helpers import make_env
+from helpers import make_env, stack_of
 from proputil import (check_program, make_program_frame, monitored_run,
                       random_program)
 
@@ -32,10 +32,10 @@ def test_monitored_run_agrees_with_plain_run():
         code = random_program(rng)
         frame = make_program_frame(code, rng.randrange(100, 1200))
         try:
-            f1, t1 = monitored_run(tenv, (frame,))
+            f1, t1 = monitored_run(tenv, stack_of(frame))
         except BudgetExhausted:
             continue
-        f2, t2 = run(tenv, (frame,), StepBudget(10_000))
+        f2, t2 = run(tenv, stack_of(frame), StepBudget(10_000))
         assert f1 == f2 and t1 == t2
         assert is_final(f1)
 
@@ -44,8 +44,8 @@ def test_deterministic_across_fresh_state_construction():
     # two structurally equal but distinct input objects give equal results
     code = random_program(random.Random(7))
     tenv = make_env()
-    r1 = monitored_run(tenv, (make_program_frame(code, 800),))
-    r2 = monitored_run(tenv, (make_program_frame(code, 800),))
+    r1 = monitored_run(tenv, stack_of(make_program_frame(code, 800)))
+    r2 = monitored_run(tenv, stack_of(make_program_frame(code, 800)))
     assert r1 == r2
 
 

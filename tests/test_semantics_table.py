@@ -9,7 +9,8 @@ import pytest
 from evmsem.keccak import keccak256
 from evmsem.state import EXC, Halt, LogEvent, Regular, memory_read
 from evmsem.words import TWO_255, TWO_256, U256_MAX
-from helpers import DEFAULT_HEADER, MINER, ORIGIN, SELF, make_env, make_frame, step_one
+from helpers import (DEFAULT_HEADER, MINER, ORIGIN, SELF, make_env, make_frame, stack_of,
+                     step_one)
 
 W = TWO_256
 
@@ -429,7 +430,7 @@ def test_gas_refund_visible_within_budget_and_not_after():
     from helpers import make_env, make_frame
     frame = make_frame("JUMPDEST\nPUSH1 0x00\nJUMP", gas=10**6)
     with pytest.raises(BudgetExhausted):
-        run(make_env(), (frame,), StepBudget(100))
+        run(make_env(), stack_of(frame), StepBudget(100))
 
 
 def test_selfdestruct_to_itself_burns_the_balance():

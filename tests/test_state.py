@@ -3,11 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from evmsem.semantics import StepOutcome
+from evmsem.semantics import StepOutcome, step
 from evmsem.state import (EXC, Account, Frame, GlobalState, Halt, MachineState, Regular,
-                          memory_read, memory_write, validate_stack)
+                          frames, memory_read, memory_write, validate_stack, with_top_state)
 from evmsem.traces import Action
-from helpers import make_frame, stack_diff, state_eq_up_to, step_one, substack
+from helpers import (make_env, make_frame, stack_diff, stack_of, state_eq_up_to, step_one,
+                     substack)
 
 
 def _frames(n, tag=""):
@@ -20,13 +21,13 @@ def _frames(n, tag=""):
 
 def test_empty_is_strict_substack_of_nonempty():
     (x,) = _frames(1)
-    assert substack((), (x,))
+    assert substack(stack_of(), stack_of(x))
 
 
 def test_strictness():
     a, b = _frames(2)
-    assert not substack((a, b), (a, b))
-    assert not substack((), ())
+    assert not substack(stack_of(a, b), stack_of(a, b))
+    assert not substack(stack_of(), stack_of())
 
 
 def test_three_element_enumeration():
@@ -47,19 +48,20 @@ def test_three_element_enumeration():
         for outer in stacks:
             if len(outer) > 3:
                 continue
-            assert substack(inner, outer) == oracle(inner, outer), (inner, outer)
+            assert (substack(stack_of(*inner), stack_of(*outer))
+                    == oracle(inner, outer)), (inner, outer)
 
 
 def test_substack_example_from_middle():
     x, a, b = _frames(3)
-    assert substack((b,), (x, a, b))
+    assert substack(stack_of(b), stack_of(x, a, b))
 
 
 def test_stack_diff_suffix():
     x, y, z = _frames(3)
-    assert stack_diff((x, y, z), (z,)) == (x, y)
-    assert stack_diff((x,), (y,)) == ()
-    s = (x, y)
+    assert stack_diff(stack_of(x, y, z), stack_of(z)) == (x, y)
+    assert stack_diff(stack_of(x), stack_of(y)) == ()
+    s = stack_of(x, y)
     assert stack_diff(s, s) == ()
 
 
@@ -68,7 +70,56 @@ def test_stack_diff_concat_inverse():
     a = (x, y, z)
     for cut in range(len(a) + 1):
         b = a[cut:]
-        assert stack_diff(a, b) + b == a
+        assert stack_diff(stack_of(*a), stack_of(*b)) + b == a
+
+
+# ---------------------------------------------------------------------------
+# the call stack: a persistent cons list
+
+
+def test_frames_and_stack_of_round_trip():
+    fs = _frames(4)
+    stack = stack_of(*fs)
+    assert tuple(frames(stack)) == fs
+    assert stack_of(*frames(stack)) == stack
+    assert stack_of() is None and tuple(frames(None)) == ()
+
+
+def test_len_is_the_depth_and_index_0_the_top_frame():
+    fs = _frames(3)
+    stack = stack_of(*fs)
+    assert len(stack) == stack.depth == 3
+    assert stack[0] is stack.top is fs[0]
+    assert len(stack.below) == 2 and stack.below[0] is fs[1]
+    top = with_top_state(stack, EXC)
+    assert top.top == Frame(EXC, fs[0].contract) and top.below is stack.below
+
+
+def _deep(top, depth=1024):
+    """top over depth - 1 running frames."""
+    return stack_of(top, *_frames(depth - 1))
+
+
+def test_a_step_at_depth_1024_shares_the_frames_below():
+    stack = _deep(make_frame("PUSH1 0x01\nSTOP"))
+    out = step(make_env(), stack)
+    assert out.action.tag == "op"
+    assert out.stack.depth == 1024 and out.stack.below is stack.below
+
+
+def test_a_call_and_its_return_at_depth_1024_share_the_frames_below():
+    call = make_frame("CALL", stack=(0x1000, 0xBBBB, 0, 0, 0, 0, 0))
+    below_limit = _deep(call, 1023)
+    entered = step(make_env(), below_limit)
+    assert entered.action.tag == "enter" and isinstance(entered.stack.top.state, Regular)
+    assert entered.stack.depth == 1024 and entered.stack.below is below_limit
+    stack = _deep(call)
+    entered = step(make_env(), stack)
+    assert entered.action.tag == "fail" and entered.stack.top.state is EXC
+    assert entered.stack.depth == 1025 and entered.stack.below is stack
+    returned = step(make_env(), entered.stack)
+    assert returned.action.tag == "exc_ret"
+    assert returned.stack.depth == 1024 and returned.stack.below is stack.below
 
 
 # ---------------------------------------------------------------------------
@@ -78,20 +129,20 @@ def test_stack_diff_concat_inverse():
 def test_halt_below_top_rejected():
     reg = make_frame("STOP")
     halted = Frame(Halt(GlobalState(), 5, b"", reg.state.eta), None)
-    validate_stack((halted, reg))
+    validate_stack(stack_of(halted, reg))
     with pytest.raises(ValueError):
-        validate_stack((reg, halted))
+        validate_stack(stack_of(reg, halted))
     with pytest.raises(ValueError):
-        validate_stack((reg, Frame(EXC, None)))
+        validate_stack(stack_of(reg, Frame(EXC, None)))
     with pytest.raises(ValueError):
-        validate_stack(())
+        validate_stack(stack_of())
 
 
 def test_stack_length_bound():
     frames = tuple(make_frame("STOP") for _ in range(1026))
     with pytest.raises(ValueError):
-        validate_stack(frames)
-    validate_stack(frames[:1025])
+        validate_stack(stack_of(*frames))
+    validate_stack(stack_of(*frames[:1025]))
 
 
 # ---------------------------------------------------------------------------
