@@ -529,7 +529,7 @@ CHECKERS = {
     "stack-limit": lambda space, c, params: check_stack_limit_compliance(space, c),
     "atomicity": lambda space, c, params: check_atomicity(space, c),
     "env-independence": lambda space, c, params: check_env_independence(
-        space, c, params.get("components") or sorted(space.component_values)),
+        space, c, list(space.component_values)),
     "account-state-independence": lambda space, c, params:
         check_account_state_independence(space, c),
     "code-independence": lambda space, c, params: check_code_independence(

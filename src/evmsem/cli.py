@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bytecode import AsmError, assemble, disassemble_text
@@ -59,17 +60,17 @@ def _parse_values(text):
 
 def cmd_check(args) -> int:
     fixture = parse_fixture(args.fixture)
-    params = fixture.checker_params   # flags override the fixture's sets
+    params = dict(fixture.checker_params)   # flags override the fixture's keys
     if args.untrusted:
         params["untrusted"] = _addr_list(args.untrusted)
     if args.allowed:
         params["allowed"] = _addr_list(args.allowed)
     if args.gas_values:
         params["gas_values"] = _parse_values(args.gas_values)
-    if args.component and args.values:
-        cv = dict(params.get("components", {}))
-        cv[args.component] = _parse_values(args.values)
-        params["components"] = cv
+    if args.component:
+        values = (_parse_values(args.values) if args.values
+                  else params.get("components", {}).get(args.component, []))
+        params["components"] = {args.component: values}
     if args.variants:
         variants = []
         for path in sorted(Path(args.variants).iterdir()):
@@ -83,17 +84,16 @@ def cmd_check(args) -> int:
         params["code_variants"] = {a: variants for a in params.get("untrusted", ())}
     if args.mode:
         params["mode"] = args.mode
+    if args.max_steps is not None:
+        params["max_steps"] = args.max_steps
 
     checker = CHECKERS.get(args.property)
     if checker is None:
         print(f"error: unknown property {args.property!r}; choose from "
               f"{', '.join(sorted(CHECKERS))}", file=sys.stderr)
         return 2
-    space = fixture.space(max_steps=args.max_steps, relaxed_gas=args.relaxed_gas)
-    call_params = dict(params)
-    if args.component:
-        call_params["components"] = [args.component]
-    verdict = checker(space, fixture.contract(), call_params)
+    fixture = replace(fixture, checker_params=params)
+    verdict = checker(fixture.space(args.relaxed_gas), fixture.contract(), params)
     print(json.dumps(verdict.to_json(), indent=1))
     if args.expect:
         want = fixture.expect.get("verdicts", {}).get(args.property)

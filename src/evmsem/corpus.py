@@ -16,7 +16,7 @@ from .fixtures import Fixture, fixture_to_json, parse_fixture
 from .rlp import fresh_address
 from .state import Account, BlockHeader, GlobalState
 from .transaction import Transaction, execute_transaction
-from .words import address_to_hex, bytes_to_hex
+from .words import address_to_hex
 
 EOA = 0xAAAA
 MINER = 0x5001
@@ -486,7 +486,7 @@ def _creation_gated_fixture(name, runtime, verdict) -> Fixture:
         "verdicts": {"env-independence": verdict},
     }, checker_params={
         "contract": rho,
-        "contract_code": bytes_to_hex(runtime),
+        "contract_code": runtime,
         "components": {"timestamp": [0x5E000000, 0x60000000]},
     })
 

@@ -34,22 +34,13 @@ class Fixture:
     expect: dict = field(default_factory=dict)
     checker_params: dict = field(default_factory=dict)
 
-    def space(self, max_steps: Optional[int] = None,
-              relaxed_gas: bool = False) -> ScenarioSpace:
+    def space(self, relaxed_gas: bool = False) -> ScenarioSpace:
+        """The scenario with the generator sets checker_params names;
+        ScenarioSpace's defaults fill the rest."""
         p = self.checker_params
-        return ScenarioSpace(
-            pre=self.pre,
-            tx=self.tx,
-            header=self.header,
-            ancestors=self.ancestors,
-            max_steps=p.get("max_steps", 200_000) if max_steps is None else max_steps,
-            gas_values=tuple(p.get("gas_values", ())),
-            component_values=dict(p.get("components", {})),
-            code_variants=dict(p.get("code_variants", {})),
-            account_perturbations=dict(p.get("account_perturbations", {})),
-            finpot_samples=p.get("finpot_samples", 8),
-            relaxed_gas=relaxed_gas,
-        )
+        sets = {name: p[key] for key, name in _SPACE_FIELDS.items() if key in p}
+        return ScenarioSpace(pre=self.pre, tx=self.tx, header=self.header,
+                             ancestors=self.ancestors, relaxed_gas=relaxed_gas, **sets)
 
     def contract(self):
         """The contract under analysis: (address, code). The code defaults to
@@ -58,12 +49,16 @@ class Fixture:
         addr = self.checker_params.get("contract")
         if addr is None:
             raise FixtureError(f"{self.name}: checker_params.contract missing")
-        override = self.checker_params.get("contract_code")
-        if override is not None:
-            return (addr, _decode_code(override))
-        acct = self.pre.get(addr)
-        return (addr, acct.code if acct else b"")
+        code = self.checker_params.get("contract_code")
+        if code is None:
+            acct = self.pre.get(addr)
+            code = acct.code if acct else b""
+        return (addr, code)
 
+
+# checker_params key -> the ScenarioSpace field it sets
+_SPACE_FIELDS = {"components": "component_values", **{k: k for k in (
+    "max_steps", "gas_values", "code_variants", "account_perturbations", "finpot_samples")}}
 
 _JSON_TYPES = {dict: "a JSON object", list: "a JSON array", int: "an integer"}
 
@@ -79,21 +74,78 @@ def _typed(value, kind: type, what: str):
 def _decode_code(value) -> bytes:
     if isinstance(value, dict):
         if not isinstance(value.get("asm"), str):
-            raise FixtureError(f"code object needs an 'asm' string: {value!r}")
+            raise ValueError(f"a code object's 'asm' must be a string: {value!r}")
         return assemble(value["asm"])
     return hex_to_bytes(value)
 
 
-def _decode_header(obj: dict) -> BlockHeader:
+# A codec is (decode(json_value, what), encode(value)); decoding raises
+# TypeError or ValueError, which parse_fixture reports as a FixtureError.
+
+def _leaf(decode, encode):
+    return (lambda v, what: decode(v)), encode
+
+
+def _list(item):
+    decode, encode = item
+    return ((lambda v, what: [decode(x, what) for x in _typed(v, list, what)]),
+            lambda v: [encode(x) for x in v])
+
+
+def _map(key, item):
+    (kdecode, kencode), (decode, encode) = key, item
+    return ((lambda v, what: {kdecode(k, what): decode(x, what)
+                              for k, x in _typed(v, dict, what).items()}),
+            lambda v: {kencode(k): encode(x) for k, x in v.items()})
+
+
+def _fields(table):
+    """A JSON object whose keys in table are decoded by their codec; other
+    keys pass through unchanged."""
+    return ((lambda v, what: {k: table[k][0](x, k) if k in table else x
+                              for k, x in _typed(v, dict, what).items()}),
+            lambda v: {k: table[k][1](x) if k in table else x for k, x in v.items()})
+
+
+def _positive(v, what):
+    if _typed(v, int, what) <= 0:
+        raise ValueError(f"{what} must be positive")
+    return v
+
+
+_NAME = _leaf(str, str)
+_INT = (lambda v, what: _typed(v, int, what)), int
+_WORD = _leaf(hex_to_word, word_to_hex)
+_ADDRESS = _leaf(hex_to_address, address_to_hex)
+_CODE = _leaf(_decode_code, bytes_to_hex)
+
+_HEADER = {"parent": _WORD, "beneficiary": _ADDRESS, "difficulty": _WORD,
+           "number": _WORD, "gaslimit": _WORD, "timestamp": _WORD}
+
+_CHECKER_PARAMS = _fields({
+    "contract": _ADDRESS,
+    "contract_code": _CODE,
+    "untrusted": _list(_ADDRESS),
+    "allowed": _list(_ADDRESS),
+    "gas_values": _list(_WORD),
+    "components": _map(_NAME, _list(_WORD)),
+    "code_variants": _map(_ADDRESS, _list(_CODE)),
+    "account_perturbations": _fields({"balance_deltas": _list(_INT),
+                                      "nonce_bumps": _list(_INT),
+                                      "storage_set": _map(_WORD, _WORD)}),
+    "max_steps": (_positive, int),
+    "finpot_samples": _INT,
+})
+
+
+def _decode_header(obj) -> BlockHeader:
     _typed(obj, dict, "header")
-    return BlockHeader(
-        parent=hex_to_word(obj.get("parent", "0x0")),
-        beneficiary=hex_to_address(obj.get("beneficiary", "0x" + "00" * 20)),
-        difficulty=hex_to_word(obj.get("difficulty", "0x0")),
-        number=hex_to_word(obj.get("number", "0x0")),
-        gaslimit=hex_to_word(obj.get("gaslimit", "0x0")),
-        timestamp=hex_to_word(obj.get("timestamp", "0x0")),
-    )
+    return BlockHeader(**{k: decode(obj.get(k, "0x0"), k)
+                          for k, (decode, _) in _HEADER.items()})
+
+
+def _encode_header(h: BlockHeader) -> dict:
+    return {k: encode(getattr(h, k)) for k, (_, encode) in _HEADER.items()}
 
 
 def parse_fixture(obj, name: str = "<fixture>") -> Fixture:
@@ -136,44 +188,9 @@ def parse_fixture(obj, name: str = "<fixture>") -> Fixture:
         )
 
         header = _decode_header(obj.get("header", {}))
-        ancestors = {}
-        for anc in _typed(obj.get("ancestors", []), list, "ancestors"):
-            _typed(anc, dict, "ancestor")
-            ancestors[hex_to_word(anc["hash"])] = _decode_header(anc)
-
-        params = dict(_typed(obj.get("checker_params", {}), dict, "checker_params"))
-        for key in ("max_steps", "finpot_samples"):
-            if key in params:
-                _typed(params[key], int, key)
-        if params.get("max_steps", 1) <= 0:
-            raise FixtureError(f"{name}: checker_params.max_steps must be positive")
-        if "contract" in params:
-            params["contract"] = hex_to_address(params["contract"])
-        if "untrusted" in params:
-            params["untrusted"] = [hex_to_address(a) for a in params["untrusted"]]
-        if "allowed" in params:
-            params["allowed"] = [hex_to_address(a) for a in params["allowed"]]
-        if "gas_values" in params:
-            params["gas_values"] = [hex_to_word(g) for g in params["gas_values"]]
-        if "components" in params:
-            params["components"] = {k: [hex_to_word(v) for v in vs]
-                                    for k, vs in _typed(params["components"], dict,
-                                                        "components").items()}
-        if "code_variants" in params:
-            params["code_variants"] = {
-                hex_to_address(a): [_decode_code(c) for c in variants]
-                for a, variants in _typed(params["code_variants"], dict,
-                                          "code_variants").items()}
-        if "account_perturbations" in params:
-            ap = dict(_typed(params["account_perturbations"], dict, "account_perturbations"))
-            for key in ("balance_deltas", "nonce_bumps"):
-                for d in _typed(ap.get(key, []), list, key):
-                    _typed(d, int, key)
-            if "storage_set" in ap:
-                ap["storage_set"] = {hex_to_word(k): hex_to_word(v)
-                                     for k, v in _typed(ap["storage_set"], dict,
-                                                        "storage_set").items()}
-            params["account_perturbations"] = ap
+        ancestors = {hex_to_word(_typed(anc, dict, "ancestor")["hash"]): _decode_header(anc)
+                     for anc in _typed(obj.get("ancestors", []), list, "ancestors")}
+        params = _CHECKER_PARAMS[0](obj.get("checker_params", {}), "checker_params")
 
         expect = dict(_typed(obj.get("expect", {}), dict, "expect"))
         _typed(expect.get("verdicts", {}), dict, "expect.verdicts")
@@ -189,19 +206,6 @@ def parse_fixture(obj, name: str = "<fixture>") -> Fixture:
 
 
 def fixture_to_json(f: Fixture) -> dict:
-    def header_json(h: BlockHeader, hash_=None) -> dict:
-        d = {
-            "parent": word_to_hex(h.parent),
-            "beneficiary": address_to_hex(h.beneficiary),
-            "difficulty": word_to_hex(h.difficulty),
-            "number": word_to_hex(h.number),
-            "gaslimit": word_to_hex(h.gaslimit),
-            "timestamp": word_to_hex(h.timestamp),
-        }
-        if hash_ is not None:
-            d = {"hash": word_to_hex(hash_), **d}
-        return d
-
     pre = {}
     for addr, acct in sorted(f.pre.items()):
         pre[address_to_hex(addr)] = {
@@ -223,35 +227,14 @@ def fixture_to_json(f: Fixture) -> dict:
     if f.tx.to is not None:
         txo["to"] = address_to_hex(f.tx.to)
 
-    params = dict(f.checker_params)
-    if "contract" in params:
-        params["contract"] = address_to_hex(params["contract"])
-    if "untrusted" in params:
-        params["untrusted"] = [address_to_hex(a) for a in params["untrusted"]]
-    if "allowed" in params:
-        params["allowed"] = [address_to_hex(a) for a in params["allowed"]]
-    if "gas_values" in params:
-        params["gas_values"] = [word_to_hex(g) for g in params["gas_values"]]
-    if "components" in params:
-        params["components"] = {k: [word_to_hex(v) for v in vs]
-                                for k, vs in params["components"].items()}
-    if "code_variants" in params:
-        params["code_variants"] = {address_to_hex(a): [bytes_to_hex(c) for c in vs]
-                                   for a, vs in params["code_variants"].items()}
-    if "account_perturbations" in params and "storage_set" in params["account_perturbations"]:
-        ap = dict(params["account_perturbations"])
-        ap["storage_set"] = {word_to_hex(k): word_to_hex(v)
-                             for k, v in ap["storage_set"].items()}
-        params["account_perturbations"] = ap
-
-    out = {"name": f.name, "pre": pre, "tx": txo,
-           "header": header_json(f.header)}
+    out = {"name": f.name, "pre": pre, "tx": txo, "header": _encode_header(f.header)}
     if f.ancestors:
-        out["ancestors"] = [header_json(h, hash_) for hash_, h in sorted(f.ancestors.items())]
+        out["ancestors"] = [{"hash": word_to_hex(hash_), **_encode_header(h)}
+                            for hash_, h in sorted(f.ancestors.items())]
     if f.expect:
         out["expect"] = f.expect
-    if params:
-        out["checker_params"] = params
+    if f.checker_params:
+        out["checker_params"] = _CHECKER_PARAMS[1](f.checker_params)
     return out
 
 
@@ -323,6 +306,9 @@ def ingest_official_tests(directory) -> tuple:
         except (OSError, json.JSONDecodeError) as e:
             skipped.append((str(path), f"unreadable: {e}"))
             continue
+        if not isinstance(doc, dict):
+            skipped.append((str(path), "untranslatable: top level must be a JSON object"))
+            continue
         for test_name, body in doc.items():
             src = f"{path.name}::{test_name}"
             try:
@@ -334,15 +320,22 @@ def ingest_official_tests(directory) -> tuple:
     return fixtures, skipped
 
 
+# the GeneralStateTest env name of each header field
+_ENV_HEADER = {"parent": "previousHash", "beneficiary": "currentCoinbase",
+               "difficulty": "currentDifficulty", "number": "currentNumber",
+               "gaslimit": "currentGasLimit", "timestamp": "currentTimestamp"}
+
+
 def _ingest_one(name: str, body: dict) -> Fixture:
-    env = body["env"]
-    txo = body["transaction"]
+    env = _typed(body["env"], dict, "env")
+    txo = _typed(body["transaction"], dict, "transaction")
     sender = txo.get("sender")
     if not sender:
         raise FixtureError("no sender field (secretKey recovery unsupported)")
 
     pre_obj = {}
-    for addr, acct in body["pre"].items():
+    for addr, acct in _typed(body["pre"], dict, "pre").items():
+        _typed(acct, dict, f"pre[{addr}]")
         code = acct.get("code", "0x") or "0x"
         reason = _uses_unsupported_opcodes(hex_to_bytes(code))
         if reason:
@@ -370,18 +363,8 @@ def _ingest_one(name: str, body: dict) -> Fixture:
     if to:
         fixture_tx["to"] = to
 
-    obj = {
-        "pre": pre_obj,
-        "tx": fixture_tx,
-        "header": {
-            "parent": env.get("previousHash", "0x0"),
-            "beneficiary": env.get("currentCoinbase", "0x" + "00" * 20),
-            "difficulty": env.get("currentDifficulty", "0x0"),
-            "number": env.get("currentNumber", "0x0"),
-            "gaslimit": env.get("currentGasLimit", "0x0"),
-            "timestamp": env.get("currentTimestamp", "0x0"),
-        },
-    }
+    header = {k: env[src] for k, src in _ENV_HEADER.items() if src in env}
+    obj = {"pre": pre_obj, "tx": fixture_tx, "header": header}
     if "expect" in body and isinstance(body["expect"], dict):
         obj["expect"] = body["expect"]
     return parse_fixture(obj, name=name)

@@ -285,6 +285,21 @@ class CallStack(NamedTuple):
     def __repr__(self) -> str:
         return f"CallStack(top={self.top!r}, depth={self.depth})"
 
+    def __eq__(self, other) -> bool:
+        """Frame by frame down to the first cell both stacks share; tuple
+        equality would recurse once per frame and overflow near 1,000."""
+        if not isinstance(other, CallStack):
+            return NotImplemented
+        a, b = self, other
+        while a is not b:
+            if a.depth != b.depth or a.top != b.top:
+                return False
+            a, b = a.below, b.below
+        return True
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
 
 def with_top_state(stack: CallStack, state: ExecutionState) -> CallStack:
     """stack with its top frame in state, under the same contract."""

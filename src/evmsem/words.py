@@ -132,7 +132,7 @@ def hex_to_bytes(s: str) -> bytes:
         raise ValueError(f"hex bytes must be a 0x-prefixed string: {s!r}")
     body = s[2:]
     if len(body) % 2:
-        raise ValueError(f"odd-length hex bytes: {s!r}")
+        raise ValueError(f"hex bytes must be of even length: {s!r}")
     return bytes.fromhex(body)
 
 

@@ -5,16 +5,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from evmsem.cli import main
-from evmsem.corpus import build_all, corpus_dir, load_corpus
+from evmsem.corpus import build_all, corpus_dir, load_corpus, write_corpus
 from evmsem.fixtures import (FixtureError, check_expectations, fixture_to_json,
                              ingest_official_tests, parse_fixture)
 from evmsem.transaction import execute_transaction
 
 
-def test_corpus_files_match_builders():
+def test_corpus_files_match_builders(tmp_path):
     on_disk = {f.name: fixture_to_json(f) for f in load_corpus()}
     built = {f.name: fixture_to_json(f) for f in build_all()}
     assert on_disk == built
+    written = write_corpus(tmp_path)
+    assert sorted(p.name for p in written) == sorted(p.name for p in corpus_dir().glob("*.json"))
+    for path in written:
+        assert path.read_bytes() == (corpus_dir() / path.name).read_bytes(), path.name
 
 
 def test_fixture_roundtrip_on_corpus():
@@ -23,6 +27,43 @@ def test_fixture_roundtrip_on_corpus():
         j1 = fixture_to_json(f1)
         f2 = parse_fixture(j1, name=f1.name)
         assert fixture_to_json(f2) == j1, path.name
+
+
+EVERY_PARAM = {
+    "contract": "0x" + "c0".rjust(40, "0"),
+    "contract_code": {"asm": "PUSH1 0x01\nSTOP"},
+    "untrusted": ["0xbb"], "allowed": ["0xaa", "0xcc"],
+    "gas_values": ["0x5000", "0x9000"],
+    "components": {"timestamp": ["0x2", "0x1"], "number": ["0x7"]},
+    "code_variants": {"0xbb": ["0x00", {"asm": "STOP"}]},
+    "account_perturbations": {"balance_deltas": [1, -2], "nonce_bumps": [3],
+                              "storage_set": {"0x0": "0x1", "0x5": "0x0"}},
+    "max_steps": 5000, "finpot_samples": 3, "mode": "theorem1",
+}
+
+
+def test_every_checker_param_round_trips():
+    obj = {"pre": {}, "tx": {"gaslimit": "0x186a0", "sender": "0xaa", "to": "0xc0"},
+           "checker_params": EVERY_PARAM}
+    f = parse_fixture(copy.deepcopy(obj), "params")
+    p = f.checker_params
+    assert f.contract() == (0xC0, bytes.fromhex("600100"))
+    assert (p["untrusted"], p["allowed"], p["gas_values"]) == ([0xBB], [0xAA, 0xCC],
+                                                               [0x5000, 0x9000])
+    assert p["components"] == {"timestamp": [2, 1], "number": [7]}
+    assert list(p["components"]) == ["timestamp", "number"]
+    assert p["code_variants"] == {0xBB: [b"\x00", b"\x00"]}
+    assert p["account_perturbations"] == {"balance_deltas": [1, -2], "nonce_bumps": [3],
+                                          "storage_set": {0: 1, 5: 0}}
+    assert (p["max_steps"], p["finpot_samples"], p["mode"]) == (5000, 3, "theorem1")
+    space = f.space()
+    assert (space.max_steps, space.finpot_samples) == (5000, 3)
+    assert space.component_values == p["components"]
+    j1 = fixture_to_json(f)
+    j2 = fixture_to_json(parse_fixture(copy.deepcopy(j1), "params"))
+    assert j2 == j1
+    assert j1["checker_params"]["account_perturbations"]["storage_set"] == {"0x0": "0x1",
+                                                                          "0x5": "0x0"}
 
 
 def test_fixture_asm_code_form(tmp_path):
@@ -253,6 +294,8 @@ WELL_FORMED["checker_params"].update({
     (("pre", "0x0000000000000000000000000000000000001001", "storage"), []),
     (("checker_params", "max_steps"), -1),
     (("checker_params", "max_steps"), 0),
+    (("checker_params", "contract_code"), "0x1"),
+    (("checker_params", "contract_code"), {"asm": 5}),
 ])
 def test_cli_wrongly_typed_field_exit_2(tmp_path, capsys, path, value):
     bad = tmp_path / "bad.json"
@@ -323,6 +366,26 @@ def test_ingest_skips_unsupported_and_unreadable(tmp_path, capsys):
     assert any("unsupported opcode" in r for r in reasons.values())
     assert any("sender" in r for r in reasons.values())
     assert any("unreadable" in r for r in reasons.values())
+
+
+def test_ingest_skips_tests_whose_sections_are_not_objects(tmp_path):
+    doc = json.loads((corpus_dir() / "state_tests" / "simple_sstore.json").read_text())
+    body = doc["simpleStorageFill"]
+    account = copy.deepcopy(body)
+    account["pre"]["0x0000000000000000000000000000000000001010"] = ["0x0"]
+    env = copy.deepcopy(body)
+    env["env"] = "0x0"
+    (tmp_path / "array.json").write_text(json.dumps([body]))
+    (tmp_path / "sections.json").write_text(json.dumps(
+        {"good": body, "account": account, "env": env}))
+    fixtures, skipped = ingest_official_tests(tmp_path)
+    assert [f.name for f in fixtures] == ["good"]
+    reasons = {src.split("/")[-1]: reason for src, reason in skipped}
+    assert reasons == {
+        "array.json": "untranslatable: top level must be a JSON object",
+        "sections.json::account": "untranslatable: pre[0x0000000000000000000000000000000000001010]"
+                                  " must be a JSON object, not list",
+        "sections.json::env": "untranslatable: env must be a JSON object, not str"}
 
 
 def test_ingest_empty_dir(tmp_path):

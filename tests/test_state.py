@@ -122,6 +122,15 @@ def test_a_call_and_its_return_at_depth_1024_share_the_frames_below():
     assert returned.stack.depth == 1024 and returned.stack.below is stack.below
 
 
+def test_deep_stacks_compare_frame_by_frame():
+    fs = _frames(1025)
+    a, b = stack_of(*fs), stack_of(*fs)
+    assert a is not b and a == b and not a != b
+    other_bottom = stack_of(*fs[:-1], make_frame("STOP", gas=9999))
+    assert a != other_bottom and not a == other_bottom
+    assert a != stack_of(*fs[1:]) and a == stack_of(fs[0], *frames(b.below))
+
+
 # ---------------------------------------------------------------------------
 # grammar validation
 
