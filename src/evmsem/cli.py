@@ -59,6 +59,8 @@ def _parse_values(text):
 
 
 def cmd_check(args) -> int:
+    if args.values and not args.component:
+        raise ValueError("--values needs --component")
     fixture = parse_fixture(args.fixture)
     params = dict(fixture.checker_params)   # flags override the fixture's keys
     if args.untrusted:

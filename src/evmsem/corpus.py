@@ -417,8 +417,8 @@ def build_bob_mallory() -> Fixture:
     }, tx, expect={
         "status": "success",
         "post": {
-            address_to_hex(MALLORY): {"balance": hex(2 * k)},
-            address_to_hex(BOB): {"balance": hex(2), "storage": {"0x0": "0x1"}},
+            MALLORY: {"balance": 2 * k},
+            BOB: {"balance": 2, "storage": {0: 1}},
         },
         "verdicts": {"single-entrancy": "violated", "call-integrity": "violated"},
         "committed_transfers": k,

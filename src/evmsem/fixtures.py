@@ -137,6 +137,17 @@ _CHECKER_PARAMS = _fields({
     "finpot_samples": _INT,
 })
 
+# the `expect` section; other keys ("status", "exists", verdict names) pass through
+_EXPECT = _fields({
+    "gas_used": _WORD,
+    "logs": _INT,
+    "created": ((lambda v, what: hex_to_address(v) if v else None),
+                lambda v: None if v is None else address_to_hex(v)),
+    "post": _map(_ADDRESS, _fields({"balance": _WORD, "nonce": _WORD, "code": _CODE,
+                                    "storage": _map(_WORD, _WORD)})),
+    "verdicts": _fields({}),
+})
+
 
 def _decode_header(obj) -> BlockHeader:
     _typed(obj, dict, "header")
@@ -192,11 +203,7 @@ def parse_fixture(obj, name: str = "<fixture>") -> Fixture:
                      for anc in _typed(obj.get("ancestors", []), list, "ancestors")}
         params = _CHECKER_PARAMS[0](obj.get("checker_params", {}), "checker_params")
 
-        expect = dict(_typed(obj.get("expect", {}), dict, "expect"))
-        _typed(expect.get("verdicts", {}), dict, "expect.verdicts")
-        for addr_hex, want in _typed(expect.get("post", {}), dict, "expect.post").items():
-            _typed(want, dict, f"expect.post[{addr_hex}]")
-            _typed(want.get("storage", {}), dict, f"expect.post[{addr_hex}].storage")
+        expect = _EXPECT[0](obj.get("expect", {}), "expect")
         return Fixture(name=name, pre=pre, tx=tx, header=header,
                        ancestors=ancestors, expect=expect, checker_params=params)
     except (KeyError, TypeError, ValueError) as e:
@@ -232,7 +239,7 @@ def fixture_to_json(f: Fixture) -> dict:
         out["ancestors"] = [{"hash": word_to_hex(hash_), **_encode_header(h)}
                             for hash_, h in sorted(f.ancestors.items())]
     if f.expect:
-        out["expect"] = f.expect
+        out["expect"] = _EXPECT[1](f.expect)
     if f.checker_params:
         out["checker_params"] = _CHECKER_PARAMS[1](f.checker_params)
     return out
@@ -245,36 +252,33 @@ def check_expectations(f: Fixture, sigma: GlobalState, receipt: Receipt) -> list
     exp = f.expect
     if "status" in exp and receipt.status != exp["status"]:
         problems.append(f"status: expected {exp['status']}, got {receipt.status}")
-    if "gas_used" in exp and receipt.gas_used != hex_to_word(exp["gas_used"]):
-        problems.append(f"gas_used: expected {exp['gas_used']}, got {hex(receipt.gas_used)}")
+    if "gas_used" in exp and receipt.gas_used != exp["gas_used"]:
+        problems.append(f"gas_used: expected {exp['gas_used']:#x}, got {receipt.gas_used:#x}")
     if "logs" in exp and len(receipt.logs) != exp["logs"]:
         problems.append(f"logs: expected {exp['logs']}, got {len(receipt.logs)}")
-    if "created" in exp:
-        want = hex_to_address(exp["created"]) if exp["created"] else None
-        if receipt.created != want:
-            problems.append(f"created: expected {exp['created']}, got {receipt.created}")
-    for addr_hex, want in exp.get("post", {}).items():
-        addr = hex_to_address(addr_hex)
+    if "created" in exp and receipt.created != exp["created"]:
+        problems.append("created: expected %s, got %s" % tuple(
+            a if a is None else address_to_hex(a) for a in (exp["created"], receipt.created)))
+    for addr, want in exp.get("post", {}).items():
+        name = address_to_hex(addr)
         acct = sigma.get(addr)
         if want.get("exists") is False:
             if acct is not None:
-                problems.append(f"{addr_hex}: expected deleted, still present")
+                problems.append(f"{name}: expected deleted, still present")
             continue
         if acct is None:
-            problems.append(f"{addr_hex}: expected present, account missing")
+            problems.append(f"{name}: expected present, account missing")
             continue
-        if "balance" in want and acct.balance != hex_to_word(want["balance"]):
-            problems.append(f"{addr_hex}.balance: expected {want['balance']},"
-                            f" got {hex(acct.balance)}")
-        if "nonce" in want and acct.nonce != hex_to_word(want["nonce"]):
-            problems.append(f"{addr_hex}.nonce: expected {want['nonce']},"
-                            f" got {hex(acct.nonce)}")
-        if "code" in want and acct.code != hex_to_bytes(want["code"]):
-            problems.append(f"{addr_hex}.code mismatch")
+        for key in ("balance", "nonce"):
+            if key in want and getattr(acct, key) != want[key]:
+                problems.append(f"{name}.{key}: expected {want[key]:#x},"
+                                f" got {getattr(acct, key):#x}")
+        if "code" in want and acct.code != want["code"]:
+            problems.append(f"{name}.code mismatch")
         for k, v in want.get("storage", {}).items():
-            if acct.storage_get(hex_to_word(k)) != hex_to_word(v):
-                problems.append(f"{addr_hex}.storage[{k}]: expected {v},"
-                                f" got {hex(acct.storage_get(hex_to_word(k)))}")
+            if acct.storage_get(k) != v:
+                problems.append(f"{name}.storage[{k:#x}]: expected {v:#x},"
+                                f" got {acct.storage_get(k):#x}")
     return problems
 
 

@@ -1,19 +1,20 @@
 """The small-step relation over annotated call stacks.
 
 `step` maps one configuration to its successor and emits one trace action.
-A regular step is one lookup in `_RULES`, a table indexed by the opcode
-byte whose entries carry the mnemonic, the constant cost from
-`gas.SCHEDULE` and the function that fires the rule. `iterate_steps` is the
-one loop over `step`; `run`, `run_to_depth`, `run_frame` and
-`run_with_local_updates` drain it with different stop conditions. All of
-them are pure with respect to their inputs: all mutation happens on freshly
-copied snapshots, so checkers can fork execution at any configuration by
-keeping a reference to it.
+A regular step is one lookup, by pc, in `_program(code)`: the entries of
+`_RULES`, a table indexed by opcode byte carrying the mnemonic, the constant
+cost from `gas.SCHEDULE` and the function that fires the rule, decoded once
+per code. `iterate_steps` is the one loop over `step`; `run`,
+`run_to_depth`, `run_frame` and `run_with_local_updates` drain it with
+different stop conditions. All of them are pure with respect to their
+inputs: all mutation happens on freshly copied snapshots, so checkers can
+fork execution at any configuration by keeping a reference to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import bytecode as bc
@@ -21,9 +22,9 @@ from .gas import (SCHEDULE, c_base, c_gascap, c_mem, copy_cost, exp_cost, l_all_
                   log_cost, mem_ext, sha3_cost, sstore_cost, sstore_refund)
 from .keccak import keccak256
 from .rlp import fresh_address
-from .state import (CALL_DEPTH_LIMIT, EXC, Account, CallStack, Frame, Halt, LogEvent,
-                    MachineState, Regular, STACK_LIMIT, TransactionEnvironment, is_final,
-                    memory_read, memory_write, validate_stack, with_top_state)
+from .state import (CALL_DEPTH_LIMIT, EXC, Account, CallStack, ExecutionEnvironment, Frame,
+                    Halt, LogEvent, MachineState, Regular, STACK_LIMIT, TransactionEnvironment,
+                    is_final, memory_read, memory_write, validate_stack, with_top_state)
 from .traces import Action
 from .words import ADDR_MASK, U256_MAX, binop, to_address, word_from_bytes
 
@@ -77,7 +78,7 @@ def step(tenv: TransactionEnvironment, stack: CallStack,
         raise MalformedConfiguration("empty call stack")
     st = stack.top.state
     if isinstance(st, Regular):
-        rule = _RULES[bc.current_opcode(st.mu, st.iota)]
+        rule = _rule_at(st)
         if len(st.mu.stack) < rule.n:
             new_stack, action = _exc(rule, stack)            # stack underflow
         else:
@@ -86,7 +87,7 @@ def step(tenv: TransactionEnvironment, stack: CallStack,
         if stack.below is None:
             raise MalformedConfiguration("final configuration cannot be stepped")
         new_stack, action = _process_return(stack)
-    return StepOutcome(new_stack, action, is_final(new_stack))
+    return _new(StepOutcome, (new_stack, action, is_final(new_stack)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,32 @@ class _Rule(NamedTuple):
     cost: int = 0             # constant cost, from SCHEDULE
     n: int = 0                # stack words read (and popped, except by DUP and SWAP)
     k: int = 0                # PUSH immediate size, DUP/SWAP index, LOG topics, MSTORE width
-    value: Optional[Callable] = None   # value(state, tenv, override, *words): word or source
+    value: Optional[Callable] = None   # value(state, tenv, override, *words): word or source;
+                                       # in a rule from _program, a PUSH's immediate word
+
+
+# the records a step builds are NamedTuples, whose Python-level __new__ costs
+# about twice tuple.__new__; build them with _new(Record, (fields...))
+_new = tuple.__new__
+
+
+@lru_cache(maxsize=256)      # a decoded code holds about 26 bytes per code byte
+def _program(code: bytes) -> tuple:
+    """_RULES indexed by the byte at each pc of code, decoded once per code; a
+    PUSH's rule carries as value its immediate word, zero-padded past the end."""
+    rules = [_RULES[byte] for byte in code]
+    for pc, r in enumerate(rules):
+        if r.fire is _push:
+            imm = code[pc + 1:pc + 1 + r.k].ljust(r.k, b"\x00")
+            rules[pc] = r._replace(value=word_from_bytes(imm))
+    return tuple(rules)
+
+
+def _rule_at(st: Regular) -> _Rule:
+    """The rule at the state's pc: STOP past the end of its code."""
+    rules = _program(st.iota.code)
+    pc = st.mu.pc
+    return rules[pc] if pc < len(rules) else _RULES[bc.STOP]
 
 
 def _valid(gas: int, cost: int, new_stack_size: int) -> bool:
@@ -206,33 +232,33 @@ def _account(sigma, addr: int) -> Account:
 
 def _exc(r: _Rule, stack, args=()):
     """The top frame ends in an exception."""
-    return with_top_state(stack, EXC), Action(r.name, stack.top.contract, args, "exc")
+    return with_top_state(stack, EXC), _new(Action, (r.name, stack.top.contract, args, "exc"))
 
 
-def _next(r: _Rule, stack, mu: MachineState, args=(), sigma=None, eta=None):
-    """The top frame goes on with machine state mu (and sigma/eta if given)."""
+def _next(r: _Rule, stack, mu: tuple, args=(), sigma=None, eta=None):
+    """The top frame goes on with machine state fields mu (and sigma/eta if given)."""
     st, c = stack.top
-    # most steps come here: tuple.__new__ saves the NamedTuple constructor's call
-    state = tuple.__new__(Regular, (mu, st.iota, st.sigma if sigma is None else sigma,
-                                    st.eta if eta is None else eta))
-    return with_top_state(stack, state), Action(r.name, c, args, "op")
+    state = _new(Regular, (_new(MachineState, mu), st.iota, st.sigma if sigma is None else sigma,
+                           st.eta if eta is None else eta))
+    return with_top_state(stack, state), _new(Action, (r.name, c, args, "op"))
 
 
 def _halt(r: _Rule, stack, sigma, gas: int, data: bytes, eta, args=()):
-    return (with_top_state(stack, Halt(sigma, gas, data, eta)),
-            Action(r.name, stack.top.contract, args, "halt"))
+    return (with_top_state(stack, _new(Halt, (sigma, gas, data, eta))),
+            _new(Action, (r.name, stack.top.contract, args, "halt")))
 
 
 def _enter(r: _Rule, stack, callee: Frame, args, tag="enter"):
-    """A frame is pushed: the callee, or EXC for a failure on the callee level."""
-    pushed = tuple.__new__(CallStack, (callee, stack, stack.depth + 1))
+    """Push the callee, or EXC for a call-time failure; Action checks enter arity."""
+    pushed = _new(CallStack, (callee, stack, stack.depth + 1))
     return pushed, Action(r.name, stack.top.contract, args, tag)
 
 
 def _resume(r: _Rule, stack, state, tag):
     """The caller below the finished top frame goes on in `state`."""
     caller = stack.below
-    return with_top_state(caller, state), Action(r.name + "RET", caller.top.contract, (), tag)
+    action = _new(Action, (r.name + "RET", caller.top.contract, (), tag))
+    return with_top_state(caller, state), action
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +287,15 @@ def _generic(r, st, tenv, stack, override):
     rest = s[r.n:]
     if pushes:
         rest = (r.value(st, tenv, override, *args),) + rest
-    return _next(r, stack, MachineState(mu.gas - r.cost, mu.pc + 1, mu.memory,
-                                        mu.active_words, rest), args)
+    return _next(r, stack, (mu.gas - r.cost, mu.pc + 1, mu.memory, mu.active_words, rest), args)
 
 
 def _push(r, st, tenv, stack, override):
     mu = st.mu
     if not _valid(mu.gas, r.cost, len(mu.stack) + 1):
         return _exc(r, stack)
-    imm = bytes(st.iota.code[mu.pc + 1:mu.pc + 1 + r.k]).ljust(r.k, b"\x00")
-    return _next(r, stack, MachineState(mu.gas - r.cost, mu.pc + r.k + 1, mu.memory,
-                                        mu.active_words, (word_from_bytes(imm),) + mu.stack))
+    return _next(r, stack, (mu.gas - r.cost, mu.pc + r.k + 1, mu.memory, mu.active_words,
+                            (r.value,) + mu.stack))
 
 
 def _dup(r, st, tenv, stack, override):
@@ -279,8 +303,8 @@ def _dup(r, st, tenv, stack, override):
     s = mu.stack
     if not _valid(mu.gas, r.cost, len(s) + 1):
         return _exc(r, stack)
-    return _next(r, stack, MachineState(mu.gas - r.cost, mu.pc + 1, mu.memory,
-                                        mu.active_words, (s[r.k - 1],) + s))
+    return _next(r, stack, (mu.gas - r.cost, mu.pc + 1, mu.memory, mu.active_words,
+                            (s[r.k - 1],) + s))
 
 
 def _swap(r, st, tenv, stack, override):
@@ -290,8 +314,7 @@ def _swap(r, st, tenv, stack, override):
     if not _valid(mu.gas, r.cost, len(s)):
         return _exc(r, stack)
     swapped = (s[n],) + s[1:n] + (s[0],) + s[n + 1:]
-    return _next(r, stack, MachineState(mu.gas - r.cost, mu.pc + 1, mu.memory,
-                                        mu.active_words, swapped))
+    return _next(r, stack, (mu.gas - r.cost, mu.pc + 1, mu.memory, mu.active_words, swapped))
 
 
 def _exp(r, st, tenv, stack, override):
@@ -301,8 +324,8 @@ def _exp(r, st, tenv, stack, override):
     cost = exp_cost(b)
     if not _valid(mu.gas, cost, len(s) - 1):
         return _exc(r, stack)
-    return _next(r, stack, MachineState(mu.gas - cost, mu.pc + 1, mu.memory, mu.active_words,
-                                        (pow(a, b, 2**256),) + s[2:]), (a, b))
+    return _next(r, stack, (mu.gas - cost, mu.pc + 1, mu.memory, mu.active_words,
+                            (pow(a, b, 2**256),) + s[2:]), (a, b))
 
 
 def _sha3(r, st, tenv, stack, override):
@@ -314,8 +337,8 @@ def _sha3(r, st, tenv, stack, override):
     if not _valid(mu.gas, cost, len(s) - 1):
         return _exc(r, stack)
     digest = keccak256(memory_read(mu.memory, pos, size))
-    return _next(r, stack, MachineState(mu.gas - cost, mu.pc + 1, mu.memory, aw,
-                                        (digest,) + s[2:]), (pos, size))
+    return _next(r, stack, (mu.gas - cost, mu.pc + 1, mu.memory, aw, (digest,) + s[2:]),
+                 (pos, size))
 
 
 def _copy(r, st, tenv, stack, override):
@@ -333,8 +356,8 @@ def _copy(r, st, tenv, stack, override):
         return _exc(r, stack)
     src = r.value(st, tenv, override, *args[:n - 3])
     data = bytes(src[pos_src:pos_src + size]).ljust(size, b"\x00")
-    return _next(r, stack, MachineState(mu.gas - cost, mu.pc + 1,
-                                        memory_write(mu.memory, pos_m, data), aw, s[n:]), args)
+    return _next(r, stack, (mu.gas - cost, mu.pc + 1, memory_write(mu.memory, pos_m, data),
+                            aw, s[n:]), args)
 
 
 def _mload(r, st, tenv, stack, override):
@@ -346,8 +369,7 @@ def _mload(r, st, tenv, stack, override):
     if not _valid(mu.gas, cost, len(s)):
         return _exc(r, stack)
     value = word_from_bytes(memory_read(mu.memory, a, 32))
-    return _next(r, stack, MachineState(mu.gas - cost, mu.pc + 1, mu.memory, aw,
-                                        (value,) + s[1:]), (a,))
+    return _next(r, stack, (mu.gas - cost, mu.pc + 1, mu.memory, aw, (value,) + s[1:]), (a,))
 
 
 def _mstore(r, st, tenv, stack, override):
@@ -360,8 +382,8 @@ def _mstore(r, st, tenv, stack, override):
     if not _valid(mu.gas, cost, len(s) - 2):
         return _exc(r, stack)
     data = b.to_bytes(32, "big")[32 - r.k:]
-    return _next(r, stack, MachineState(mu.gas - cost, mu.pc + 1,
-                                        memory_write(mu.memory, a, data), aw, s[2:]), (a, b))
+    return _next(r, stack, (mu.gas - cost, mu.pc + 1, memory_write(mu.memory, a, data), aw,
+                            s[2:]), (a, b))
 
 
 def _sstore(r, st, tenv, stack, override):
@@ -375,8 +397,8 @@ def _sstore(r, st, tenv, stack, override):
         return _exc(r, stack)
     sigma = st.sigma.put(st.iota.actor, acct.storage_set(a, b))
     eta = st.eta.add_refund(sstore_refund(current, b))
-    return _next(r, stack, MachineState(mu.gas - cost, mu.pc + 1, mu.memory, mu.active_words,
-                                        s[2:]), (a, b), sigma, eta)
+    return _next(r, stack, (mu.gas - cost, mu.pc + 1, mu.memory, mu.active_words, s[2:]),
+                 (a, b), sigma, eta)
 
 
 def _jump(r, st, tenv, stack, override):
@@ -390,8 +412,7 @@ def _jump(r, st, tenv, stack, override):
     if i not in bc.valid_jump_dests(st.iota.code) or not _valid(mu.gas, r.cost, len(s) - n):
         return _exc(r, stack, args)
     pc = mu.pc + 1 if n == 2 and s[1] == 0 else i
-    return _next(r, stack, MachineState(mu.gas - r.cost, pc, mu.memory, mu.active_words,
-                                        s[n:]), args)
+    return _next(r, stack, (mu.gas - r.cost, pc, mu.memory, mu.active_words, s[n:]), args)
 
 
 def _log(r, st, tenv, stack, override):
@@ -404,7 +425,7 @@ def _log(r, st, tenv, stack, override):
     if not _valid(mu.gas, cost, len(s) - n - 2):
         return _exc(r, stack)
     event = LogEvent(st.iota.actor, s[2:2 + n], memory_read(mu.memory, pos, size))
-    return _next(r, stack, MachineState(mu.gas - cost, mu.pc + 1, mu.memory, aw, s[2 + n:]),
+    return _next(r, stack, (mu.gas - cost, mu.pc + 1, mu.memory, aw, s[2 + n:]),
                  s[:2 + n], eta=st.eta.append_log(event))
 
 
@@ -473,19 +494,24 @@ def _call(r, st, tenv, stack, override):
     data = memory_read(mu.memory, io, isz)
     if r.name == "CALL":  # move value, hand control to the callee account
         # debit first, then credit the callee as it reads after the debit,
-        # so that a call to the caller's own address keeps the value
-        sigma = sigma.put(iota.actor, actor_acct.with_balance(actor_acct.balance - va))
-        payee = _account(sigma, to_a)
-        sigma = sigma.put(to_a, payee.with_balance(payee.balance + va))
-        iota = replace(iota, sender=iota.actor, actor=to_a, value=va, input=data,
-                       code=callee.code)
+        # so that a call to the caller's own address keeps the value; without
+        # value between two existing accounts, the puts would change nothing
+        if va or to_a not in sigma or iota.actor not in sigma:
+            sigma = sigma.put(iota.actor, actor_acct.with_balance(actor_acct.balance - va))
+            payee = _account(sigma, to_a)
+            sigma = sigma.put(to_a, payee.with_balance(payee.balance + va))
+        iota = ExecutionEnvironment(to_a, data, iota.actor, va, callee.code)
     elif r.name == "CALLCODE":  # run the code in the caller's context, no transfer
-        iota = replace(iota, sender=iota.actor, value=va, input=data, code=callee.code)
+        iota = ExecutionEnvironment(iota.actor, data, iota.actor, va, callee.code)
     else:  # DELEGATECALL: the caller's context, its sender and value too
-        iota = replace(iota, input=data, code=callee.code)
-    callee_frame = Frame(Regular(MachineState(cc, 0, b"", 0, ()), iota, sigma, st.eta),
-                         (to_a, callee.code))
-    return _enter(r, stack, callee_frame, args)
+        iota = ExecutionEnvironment(iota.actor, data, iota.sender, iota.value, callee.code)
+    return _enter(r, stack, _callee(cc, iota, sigma, st.eta, (to_a, callee.code)), args)
+
+
+def _callee(gas: int, iota, sigma, eta, contract) -> Frame:
+    """The frame a call or create pushes: pc 0, empty memory and stack."""
+    mu = _new(MachineState, (gas, 0, b"", 0, ()))
+    return _new(Frame, (_new(Regular, (mu, iota, sigma, eta)), contract))
 
 
 def _create_costs(r, mu, io: int, isz: int):
@@ -509,22 +535,19 @@ def _create(r, st, tenv, stack, override):
     sigma = (sigma.put(rho, Account(0, _account(sigma, rho).balance + va, {}, b""))
                   .put(iota.actor, Account(actor_acct.nonce + 1, actor_acct.balance - va,
                                            actor_acct.storage, actor_acct.code)))
-    iota = replace(iota, sender=iota.actor, actor=rho, value=va,
-                   code=memory_read(mu.memory, io, isz), input=b"")
-    callee = Frame(Regular(MachineState(budget, 0, b"", 0, ()), iota, sigma, st.eta), None)
-    return _enter(r, stack, callee, args)
+    iota = ExecutionEnvironment(rho, b"", iota.actor, va, memory_read(mu.memory, io, isz))
+    return _enter(r, stack, _callee(budget, iota, sigma, st.eta, None), args)
 
 
 def _process_return(stack):
     caller = stack.below.top.state
     if not isinstance(caller, Regular):
         raise MalformedConfiguration("halting state above a non-regular frame")
-    op = bc.current_opcode(caller.mu, caller.iota)
-    r = _RULES[op]
+    r = _rule_at(caller)
     if r.fire in _RETURNS and len(caller.mu.stack) >= r.n:
         return _RETURNS[r.fire](r, stack)
-    raise MalformedConfiguration(
-        f"halting state above a frame not executing a call (op {op:#x})")
+    raise MalformedConfiguration(f"halting state above a frame not executing a call "
+                                 f"(op {bc.current_opcode(caller.mu, caller.iota):#x})")
 
 
 def _exc_return(r, stack, total: int, aw: int):
@@ -532,8 +555,8 @@ def _exc_return(r, stack, total: int, aw: int):
     call is consumed, and 0 is pushed."""
     st = stack.below.top.state
     mu = st.mu
-    mu2 = MachineState(mu.gas - total, mu.pc + 1, mu.memory, aw, (0,) + mu.stack[r.n:])
-    return _resume(r, stack, Regular(mu2, st.iota, st.sigma, st.eta), "exc_ret")
+    mu2 = _new(MachineState, (mu.gas - total, mu.pc + 1, mu.memory, aw, (0,) + mu.stack[r.n:]))
+    return _resume(r, stack, _new(Regular, (mu2, st.iota, st.sigma, st.eta)), "exc_ret")
 
 
 def _return_call(r, stack):
@@ -544,9 +567,10 @@ def _return_call(r, stack):
     if not isinstance(top, Halt):
         return _exc_return(r, stack, total, aw)
     oo, os_ = words[5], words[6]
-    mu2 = MachineState(mu.gas + top.gas - total, mu.pc + 1,
-                       memory_write(mu.memory, oo, top.data[:os_]), aw, (1,) + mu.stack[r.n:])
-    return _resume(r, stack, Regular(mu2, st.iota, top.sigma, top.eta), "ret")
+    memory = memory_write(mu.memory, oo, top.data[:os_])
+    mu2 = _new(MachineState, (mu.gas + top.gas - total, mu.pc + 1, memory, aw,
+                              (1,) + mu.stack[r.n:]))
+    return _resume(r, stack, _new(Regular, (mu2, st.iota, top.sigma, top.eta)), "ret")
 
 
 def _return_create(r, stack):
@@ -561,9 +585,9 @@ def _return_create(r, stack):
         return _resume(r, stack, EXC, "exc")
     rho = fresh_address(iota.actor, _account(st.sigma, iota.actor).nonce)
     sigma = top.sigma.put(rho, _account(top.sigma, rho).with_code(bytes(top.data)))
-    mu2 = MachineState(mu.gas + top.gas - total - c_final, mu.pc + 1, mu.memory, aw,
-                       (rho,) + mu.stack[r.n:])
-    return _resume(r, stack, Regular(mu2, iota, sigma, top.eta), "ret")
+    mu2 = _new(MachineState, (mu.gas + top.gas - total - c_final, mu.pc + 1, mu.memory, aw,
+                              (rho,) + mu.stack[r.n:]))
+    return _resume(r, stack, _new(Regular, (mu2, iota, sigma, top.eta)), "ret")
 
 
 _RETURNS = {_call: _return_call, _create: _return_create}

@@ -1,11 +1,13 @@
 """CALL/CALLCODE/DELEGATECALL/CREATE rules: entry, every call-time exception,
 both return rules, rollback, and the printed differences between the flavors."""
 
+from dataclasses import replace
+
 import pytest
 
 from evmsem import rlp
 from evmsem.bytecode import assemble
-from evmsem.gas import c_gascap, l_all_but_one_64th
+from evmsem.gas import SCHEDULE, c_gascap, l_all_but_one_64th
 from evmsem.keccak import keccak256
 from evmsem.rlp import fresh_address
 from evmsem.semantics import (CodeOverride, MalformedConfiguration, StepBudget,
@@ -65,6 +67,62 @@ def test_call_to_absent_account_creates_it():
     assert st.iota.code == b""
     # flag = 0: the 25000 new-account charge applies inside the cap formula
     assert st.mu.gas == c_gascap(3, 0, 50_000, 100_000)
+
+
+def _two_puts(sigma, actor, to, va):
+    """sigma after a CALL's debit of the actor and credit of `to`."""
+    payer = sigma.get(actor) or Account()
+    sigma = sigma.put(actor, payer.with_balance(payer.balance - va))
+    payee = sigma.get(to) or Account()
+    return sigma.put(to, payee.with_balance(payee.balance + va))
+
+
+@pytest.mark.parametrize("to,va,actor_exists,skipped", [
+    (CALLEE, 0, True, True),
+    (SELF, 0, True, True),            # the self-call of a recursion
+    (ABSENT, 0, True, False),         # creates the callee
+    (CALLEE, 0, False, False),        # creates the caller
+    (CALLEE, 7, True, False),
+    (SELF, 7, True, False),
+], ids=["zero", "zero-to-self", "zero-to-absent", "zero-from-absent", "value", "value-to-self"])
+def test_call_sigma_is_what_the_debit_and_credit_give(to, va, actor_exists, skipped):
+    frame = make_call_frame(stack=call_stack_args(to=to, va=va))
+    sigma = frame.state.sigma if actor_exists else frame.state.sigma.delete(SELF)
+    frame = frame._replace(state=frame.state._replace(sigma=sigma))
+    st = step_one(frame).stack[0].state
+    assert st.sigma == _two_puts(sigma, SELF, to, va)
+    # without value between two existing accounts no put is made
+    assert (st.sigma is sigma) == skipped
+
+
+def test_zero_value_call_to_absent_account_pays_for_creating_it():
+    frame = make_call_frame(stack=call_stack_args(to=ABSENT))
+    tenv = make_env()
+    out = step(tenv, stack_of(frame))
+    assert out.stack[0].state.sigma.get(ABSENT) == Account()
+    stack, _trace = run_frame(tenv, out.stack, 10)
+    caller = step(tenv, stack).stack[0].state
+    assert caller.mu.stack == (1,)
+    assert caller.mu.gas == 100_000 - SCHEDULE["call_base"] - SCHEDULE["call_new_account"]
+
+
+@pytest.mark.parametrize("op", ["CALL", "CALLCODE", "DELEGATECALL"])
+def test_callee_environment_is_the_callers_with_the_call_fields_replaced(op):
+    words = call_stack_args(va=7, isz=2)
+    if op == "DELEGATECALL":
+        words = words[:2] + words[3:]
+    frame = make_call_frame(op=op, stack=words, memory={0: 0xAA}, active_words=1,
+                            value=3, sender=0x5E4D)
+    st = step_one(frame).stack[0].state
+    iota, code = frame.state.iota, assemble("STOP")
+    assert st.iota == {
+        "CALL": replace(iota, sender=SELF, actor=CALLEE, value=7, input=b"\xaa\x00",
+                        code=code),
+        "CALLCODE": replace(iota, sender=SELF, value=7, input=b"\xaa\x00", code=code),
+        "DELEGATECALL": replace(iota, input=b"\xaa\x00", code=code),
+    }[op]
+    if op != "CALL":
+        assert st.sigma is frame.state.sigma
 
 
 def test_call_balance_failure_pushes_exc():

@@ -91,9 +91,48 @@ def test_expectations_checker():
     f = {x.name: x for x in load_corpus()}["bob_mallory"]
     sigma, _t, receipt = execute_transaction(f.tx, f.header, f.pre)
     assert check_expectations(f, sigma, receipt) == []
-    # a deliberately wrong expectation is reported
-    f.expect["post"][next(iter(f.expect["post"]))]["balance"] = "0x999"
+    # a deliberately wrong expectation is reported; expect holds decoded values
+    f.expect["post"][next(iter(f.expect["post"]))]["balance"] = 0x999
     assert check_expectations(f, sigma, receipt)
+
+
+def test_every_expect_key_is_decoded_when_read():
+    obj = {"pre": {}, "tx": {"gaslimit": "0x186a0", "sender": "0xaa", "to": "0xc0"},
+           "expect": {"status": "success", "gas_used": "0x5208", "logs": 1, "created": "0xc1",
+                      "post": {"0xc0": {"balance": "0x5", "nonce": "0x1", "code": "0x6001",
+                                        "storage": {"0x0": "0x2a"}},
+                               "0xc2": {"exists": False}},
+                      "verdicts": {"atomicity": "holds"}, "note": "passes through"}}
+    f = parse_fixture(copy.deepcopy(obj), "expect")
+    assert f.expect == {"status": "success", "gas_used": 0x5208, "logs": 1, "created": 0xC1,
+                        "post": {0xC0: {"balance": 5, "nonce": 1, "code": b"\x60\x01",
+                                        "storage": {0: 0x2A}},
+                                 0xC2: {"exists": False}},
+                        "verdicts": {"atomicity": "holds"}, "note": "passes through"}
+    j1 = fixture_to_json(f)
+    assert fixture_to_json(parse_fixture(copy.deepcopy(j1), "expect")) == j1
+    assert j1["expect"]["post"]["0x" + "c0".rjust(40, "0")]["storage"] == {"0x0": "0x2a"}
+
+
+BOB_POST = ("expect", "post", "0x0000000000000000000000000000000000001001")
+
+
+@pytest.mark.parametrize("path,value", [
+    (("expect", "gas_used"), 5),
+    (("expect", "created"), 5),
+    (("expect", "logs"), "0x1"),
+    (BOB_POST + ("balance",), 5),
+    (BOB_POST + ("nonce",), "1"),
+    (BOB_POST + ("code",), "0x1"),
+    (BOB_POST + ("storage", "0x0"), 5),
+    (BOB_POST + ("storage",), []),
+])
+def test_cli_run_malformed_expect_exit_2_without_expect_flag(tmp_path, capsys, path, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_replaced(WELL_FORMED, path, value)))
+    assert main(["run", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be" in err
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +206,13 @@ def test_cli_check_expect(capsys):
 def test_cli_check_env_component_flags(capsys):
     assert main(["check", "env-independence", _fixture_path("timestamp_lottery"),
                  "--component", "timestamp", "--values", "0x5e000000,0x60000000"]) == 1
+
+
+def test_cli_check_values_without_component_exit_2(capsys):
+    assert main(["check", "env-independence", _fixture_path("timestamp_lottery"),
+                 "--values", "1,1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --values needs --component\n"
 
 
 @pytest.mark.parametrize("values", [[], ["--component", "timestamp", "--values", "5"]])

@@ -5,9 +5,14 @@ balance failures live in test_calls.py). All expected numbers are hand-derived
 from the cost schedule and frozen here."""
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+from evmsem import bytecode, semantics
 from evmsem.keccak import keccak256
-from evmsem.state import EXC, Halt, LogEvent, Regular, memory_read
+from evmsem.semantics import StepOutcome, step
+from evmsem.state import (EXC, CallStack, Frame, Halt, LogEvent, MachineState, Regular,
+                          memory_read)
+from evmsem.traces import Action
 from evmsem.words import TWO_255, TWO_256, U256_MAX
 from helpers import (DEFAULT_HEADER, MINER, ORIGIN, SELF, make_env, make_frame, stack_of,
                      step_one)
@@ -458,6 +463,65 @@ def test_call_to_itself_keeps_the_value():
 def test_rule_table_is_indexed_by_opcode_byte():
     # every byte's rule carries the mnemonic of the opcode table; bytes
     # outside it fire the INVALID rule
-    from evmsem import bytecode, semantics
     assert len(semantics._RULES) == 256
     assert [r.name for r in semantics._RULES] == [bytecode.mnemonic(b) for b in range(256)]
+
+
+# ---------------------------------------------------------------------------
+# the per-code decode cache
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=hst.binary(max_size=48), push=hst.integers(0x60, 0x7F),
+       tail=hst.binary(max_size=31))
+def test_program_decodes_every_pc_as_the_byte_table_does(body, push, tail):
+    # random bytes, a PUSH2 whose data are JUMPDEST bytes, and a PUSH cut
+    # short by the end of the code
+    k = push - 0x5F
+    code = body + bytes([0x61, 0x5B, 0x5B, push]) + tail[:k - 1]
+    st_ = make_frame(code).state
+    assert len(semantics._program(code)) == len(code)
+    for pc in range(len(code) + 3):
+        at = st_._replace(mu=st_.mu._replace(pc=pc))
+        want = semantics._RULES[bytecode.current_opcode(at.mu, at.iota)]
+        got = semantics._rule_at(at)
+        if want.fire is semantics._push:
+            imm = bytes(code[pc + 1:pc + 1 + want.k]).ljust(want.k, b"\x00")
+            want = want._replace(value=int.from_bytes(imm, "big"))
+        assert got == want, pc
+    for pc in (len(code), len(code) + 1, 10**40):
+        out = step_one(make_frame(code, pc=pc))
+        assert (out.action.op, out.action.tag) == ("STOP", "halt")
+
+
+# ---------------------------------------------------------------------------
+# records built with tuple.__new__
+
+
+def test_step_records_have_exactly_their_classes():
+    tenv = make_env()
+    stacks = [stack_of(make_frame(code, stack=stack)) for code, stack in (
+        ("PUSH1 0x01", ()), ("ADD", (1, 2)), ("ADD", ()), ("STOP", ()),
+        ("CALL", (1000, 0xC0DE, 0, 0, 0, 0, 0)), ("CREATE", (0, 0, 0)))]
+    for stack in stacks:
+        while True:
+            out = step(tenv, stack)
+            assert type(out) is StepOutcome
+            assert type(out.action) is Action
+            assert type(out.stack) is CallStack and type(out.stack.top) is Frame
+            state = out.stack.top.state
+            assert type(state) in (Regular, Halt) or state is EXC
+            if type(state) is Regular:
+                assert type(state.mu) is MachineState
+            if out.final:
+                break
+            stack = out.stack
+
+
+def test_enter_action_of_the_wrong_arity_still_raises():
+    stack = stack_of(make_frame("CALL"))
+    callee = make_frame("STOP")
+    _pushed, action = semantics._enter(semantics._RULES[0xF1], stack, callee, (1,) * 7)
+    assert type(action) is Action and action.tag == "enter"
+    with pytest.raises(ValueError):
+        semantics._enter(semantics._RULES[0xF1], stack, callee, (1, 2))
