@@ -101,16 +101,17 @@ def _holds(name: str, complete: bool, notes: str = "") -> Verdict:
 
 
 def _scan(space: ScenarioSpace, pick, first: bool = False):
-    """Drive the scenario once and collect pick(index, before, action, after)
-    for every step where it is not None, index counting from 1; with
-    `first`, stop at the first. Returns (tenv, initial stack, picks,
-    complete)."""
+    """Drive the scenario once, a run of plain ops at a time, and collect
+    pick(index, before, action, after) for every step it is shown where it
+    is not None; with `first`, stop at the first. index counts every step
+    from 1, plain ops included, but pick sees no plain-op step (action tag
+    "op"). Returns (tenv, initial stack, picks, complete)."""
     tenv, stack = _initial_config(space)
     picks = []
     complete = True
     try:
-        steps = iterate_steps(tenv, stack, space.max_steps)
-        for index, (before, action, after) in enumerate(steps, start=1):
+        for index, before, action, after in iterate_steps(tenv, stack, space.max_steps,
+                                                          ops=False):
             found = pick(index, before, action, after)
             if found is not None:
                 picks.append(found)
@@ -308,7 +309,7 @@ def check_env_independence(space: ScenarioSpace, c: Contract,
     tenv, stack = _initial_config(space)
 
     def observe(tenv_v):
-        _final, trace = run(tenv_v, stack, StepBudget(space.max_steps))
+        _final, trace = run(tenv_v, stack, StepBudget(space.max_steps), ops=False)
         return project(trace, pred)
 
     forks = []    # built before any run, so that every component is checked first
@@ -513,7 +514,7 @@ def check_call_integrity(space: ScenarioSpace, c: Contract, untrusted,
                 acct = Account()
             sigma = sigma.put(addr, acct.with_code(code))
         tenv, stack = _initial_config(replace(space, pre=sigma))
-        _final, trace = run(tenv, stack, StepBudget(space.max_steps))
+        _final, trace = run(tenv, stack, StepBudget(space.max_steps), ops=False)
         return project(trace, pred)
 
     forks = [(lambda i1, i2: {"mode": "direct", "assignments": [i1, i2]}, observe,

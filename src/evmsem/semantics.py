@@ -4,11 +4,13 @@
 A regular step is one lookup, by pc, in `_program(code)`: the entries of
 `_RULES`, a table indexed by opcode byte carrying the mnemonic, the constant
 cost from `gas.SCHEDULE` and the function that fires the rule, decoded once
-per code. `iterate_steps` is the one loop over `step`; `run`,
-`run_to_depth`, `run_frame` and `run_with_local_updates` drain it with
-different stop conditions. All of them are pure with respect to their
-inputs: all mutation happens on freshly copied snapshots, so checkers can
-fork execution at any configuration by keeping a reference to it.
+per code, and `_runs(code)` its straight-line runs of plain rules.
+`iterate_steps` is the one loop over `step`; `run`, `run_to_depth`,
+`run_frame` and `run_with_local_updates` drain it with different stop
+conditions, the last three (and `run` when asked) in block mode, a run at a
+time. All of them are pure with respect to their inputs: all mutation
+happens on freshly copied snapshots, so checkers can fork execution at any
+configuration by keeping a reference to it.
 """
 
 from __future__ import annotations
@@ -95,17 +97,29 @@ def step(tenv: TransactionEnvironment, stack: CallStack,
 
 
 def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int,
-                  override=None, stop: Callable = is_final) -> Iterator[tuple]:
-    """Yield (stack_before, action, stack_after) until stop(stack) holds.
+                  override=None, stop: Callable = is_final, ops: bool = True) -> Iterator[tuple]:
+    """Yield (index, stack_before, action, stack_after) for each step until
+    stop(stack) holds, index counting every step from 1; raise
+    BudgetExhausted when max_steps steps end before stop holds.
 
-    This is the only loop over `step`. It raises BudgetExhausted when
-    max_steps steps end before stop holds.
-    """
-    for _ in range(max_steps):
+    This is the only loop over `step`. Block mode (ops=False, the checkers')
+    yields no step tagged "op" and applies each run of `_runs` that
+    cannot fault in one call, with no per-op records. `stop` must then read
+    only the depth and whether the top frame is Regular, which no step of a
+    run changes, so a run that outlasts the budget is applied whole and the
+    drive raises, having yielded what it would one op at a time."""
+    index = 0
+    while index < max_steps:
         if stop(stack):
             return
+        if not ops and (ran := _run_block(tenv, stack, override)) is not None:
+            stack, length = ran
+            index += length
+            continue
         out = step(tenv, stack, override)
-        yield stack, out.action, out.stack
+        index += 1
+        if ops or out.action.tag != "op":
+            yield index, stack, out.action, out.stack
         stack = out.stack
     if not stop(stack):
         raise BudgetExhausted(f"no final configuration within {max_steps} steps")
@@ -114,7 +128,7 @@ def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int
 def _drain(steps, stack):
     """(last stack, trace) of a driver started at `stack`."""
     trace = []
-    for _before, action, stack in steps:
+    for _index, _before, action, stack in steps:
         trace.append(action)
     return stack, tuple(trace)
 
@@ -124,22 +138,24 @@ def _frame_done(depth: int) -> Callable:
     return lambda s: is_final(s) or (s.depth == depth and not isinstance(s.top.state, Regular))
 
 
-def run(tenv: TransactionEnvironment, stack: CallStack, limits: StepBudget):
-    """Iterate step until a final configuration; returns (final stack, trace)."""
+def run(tenv: TransactionEnvironment, stack: CallStack, limits: StepBudget, ops: bool = True):
+    """Iterate step until a final configuration; returns (final stack, trace),
+    whose plain-op actions block mode (ops=False) leaves out."""
     validate_stack(stack)
-    return _drain(iterate_steps(tenv, stack, limits.max_steps), stack)
+    return _drain(iterate_steps(tenv, stack, limits.max_steps, ops=ops), stack)
 
 
 def run_to_depth(tenv: TransactionEnvironment, stack: CallStack, depth: int,
                  max_steps: int):
-    """Run until the stack has depth frames with Halt/Exc on top (the
-    frame at that depth finalized, its return not yet processed)."""
-    return _drain(iterate_steps(tenv, stack, max_steps, stop=_frame_done(depth)), stack)
+    """Run, in block mode, until the stack has depth frames with Halt/Exc on
+    top (the frame at that depth finalized, its return not yet processed)."""
+    return _drain(iterate_steps(tenv, stack, max_steps, None, _frame_done(depth), False), stack)
 
 
 def run_frame(tenv: TransactionEnvironment, stack: CallStack, max_steps: int):
-    """Run until the frame currently on top has become Halt/Exc at the same
-    depth (without processing its return); returns (stack, trace)."""
+    """Run, in block mode, until the frame currently on top has become
+    Halt/Exc at the same depth (without processing its return); returns
+    (stack, trace)."""
     return run_to_depth(tenv, stack, stack.depth, max_steps)
 
 
@@ -157,7 +173,8 @@ class _FrameOverride:
 
 def run_with_local_updates(tenv: TransactionEnvironment, stack: CallStack,
                            f: CodeOverride, max_steps: int):
-    """Run the top frame to a final state under a local code update.
+    """Run the top frame, in block mode, to a final state under a local code
+    update.
 
     The override feeds EXTCODESIZE/EXTCODECOPY of the analyzed frame only;
     sub-executions run under the plain semantics, and after each one returns
@@ -169,7 +186,8 @@ def run_with_local_updates(tenv: TransactionEnvironment, stack: CallStack,
     view = _FrameOverride(f)
     trace = []
     sigma_at_call = None
-    for before, action, stack in iterate_steps(tenv, stack, max_steps, view, _frame_done(base)):
+    for _index, before, action, stack in iterate_steps(tenv, stack, max_steps, view,
+                                                       _frame_done(base), False):
         trace.append(action)
         if before.depth == base:
             sigma_at_call = before.top.state.sigma
@@ -213,11 +231,76 @@ def _program(code: bytes) -> tuple:
     return tuple(rules)
 
 
+@lru_cache(maxsize=256)
+def _runs(code: bytes) -> dict:
+    """The runs of code's rules in `_program`, by first pc; built the first
+    time block mode asks, so one-op-at-a-time stepping never pays for them.
+    A run goes from pc 0, a JUMPDEST or the pc after any other rule to the
+    next of these, over instructions. PC pushes its own pc, and GAS the gas
+    left at its own position: the entry gas less the cost before it."""
+    rules, runs, pc = _program(code), {}, 0
+    while pc < len(rules):
+        start, ops, cost, height, need, growth = pc, [], 0, 0, 0, 0
+        while (pc < len(rules) and (r := rules[pc]).fire in _PLAIN
+               and (pc == start or r.name != "JUMPDEST")):
+            need = max(need, r.n - height)
+            ops.append(r.value if r.fire is _push else pc if r.name == "PC"
+                       else (None, cost) if r.name == "GAS" else _RUN_OPS[r.name])
+            height += {_push: 1, _dup: 1, _swap: 0}.get(r.fire, (r.value is not None) - r.n)
+            growth, cost = max(growth, height), cost + r.cost
+            pc += r.k + 1 if r.fire is _push else 1
+        if ops:
+            runs[start] = _Run(tuple(ops), cost, need, growth, pc)
+        else:
+            pc += 1
+    return runs
+
+
 def _rule_at(st: Regular) -> _Rule:
     """The rule at the state's pc: STOP past the end of its code."""
     rules = _program(st.iota.code)
     pc = st.mu.pc
     return rules[pc] if pc < len(rules) else _RULES[bc.STOP]
+
+
+class _Run(NamedTuple):
+    """Straight-line plain rules (_PLAIN), none of which faults when the frame
+    has `cost` gas, `need` words and room for `growth` more."""
+    ops: tuple                # pushed words and (kind, x) pairs; kind None is GAS
+    cost: int                 # summed constant gas
+    need: int                 # machine-stack words the run reads
+    growth: int               # largest growth of the machine stack after an op
+    end: int                  # pc after the run
+
+
+def _run_block(tenv, stack: CallStack, override):
+    """(stack, steps) after the run at the top frame's pc, applied in one
+    call; None when no run starts there, or when it might fault."""
+    st = stack.top.state
+    if not isinstance(st, Regular):
+        return None
+    mu = st.mu
+    run = _runs(st.iota.code).get(mu.pc)
+    s = mu.stack
+    if run is None or mu.gas < run.cost or len(s) < run.need or len(s) + run.growth >= STACK_LIMIT:
+        return None
+    for op in run.ops:
+        if op.__class__ is int:                 # PUSH, PC
+            s = (op,) + s
+            continue
+        kind, x = op
+        if kind is _dup:
+            s = (s[x],) + s
+        elif kind is _swap:
+            s = (s[x],) + s[1:x] + (s[0],) + s[x + 1:]
+        elif kind is _generic:                  # POP, JUMPDEST: pop x words
+            s = s[x:]
+        elif kind is None:                      # GAS: the gas left at its position
+            s = (mu.gas - x,) + s
+        else:                                   # a value rule reading x words
+            s = (kind(st, tenv, override, *s[:x]),) + s[x:]
+    mu2 = _new(MachineState, (mu.gas - run.cost, run.end, mu.memory, mu.active_words, s))
+    return with_top_state(stack, _new(Regular, (mu2, st.iota, st.sigma, st.eta))), len(run.ops)
 
 
 def _valid(gas: int, cost: int, new_stack_size: int) -> bool:
@@ -468,38 +551,41 @@ def _call_words(s: tuple, n: int) -> tuple:
     return s[:7] if n == 7 else s[:2] + (0,) + s[2:6]
 
 
-def _call_costs(r, mu, sigma, g, to, va, io, isz, oo, os_):
-    """(active words, callee budget, total cost) of a call; a CALL to an
-    absent account also pays for creating it."""
-    flag = 0 if r.name == "CALL" and sigma.get(to & ADDR_MASK) is None else 1
-    aw = mem_ext(mem_ext(mu.active_words, io, isz), oo, os_)
-    cc = c_gascap(va, flag, g, mu.gas)
-    return aw, cc, c_base(va, flag) + c_mem(mu.active_words, aw) + cc
+@lru_cache(maxsize=1024)
+def _call_costs(new_account: bool, aw0: int, gas: int, g, va, io, isz, oo, os_):
+    """(active words, callee budget, total cost) of a call from a frame with aw0
+    active words and `gas` left, memoised for its return processing; a CALL to
+    an absent account (new_account) also pays for creating it."""
+    flag = 0 if new_account else 1
+    aw = mem_ext(mem_ext(aw0, io, isz), oo, os_)
+    cc = c_gascap(va, flag, g, gas)
+    return aw, cc, c_base(va, flag) + c_mem(aw0, aw) + cc
 
 
 def _call(r, st, tenv, stack, override):
     """CALL, CALLCODE and DELEGATECALL, which pop r.n = 7, 7 and 6 words."""
     mu, iota, sigma = st.mu, st.iota, st.sigma
     args = mu.stack[:r.n]
-    words = _call_words(mu.stack, r.n)
-    aw, cc, total = _call_costs(r, mu, sigma, *words)
+    g, to, va, io, isz, oo, os_ = _call_words(mu.stack, r.n)
+    to_a = to & ADDR_MASK
+    found = sigma.get(to_a)
+    aw, cc, total = _call_costs(r.name == "CALL" and found is None, mu.active_words, mu.gas,
+                                g, va, io, isz, oo, os_)
     if not _valid(mu.gas, total, len(mu.stack) - r.n + 1):
         return _exc(r, stack, args)
     actor_acct = _account(sigma, iota.actor)
-    _g, to, va, io, isz, _oo, _os = words
     if va > actor_acct.balance or stack.depth + 1 > CALL_DEPTH_LIMIT:
         return _enter(r, stack, Frame(EXC, None), args, "fail")
-    to_a = to & ADDR_MASK
-    callee = _account(sigma, to_a)
+    callee = found if found is not None else Account()
     data = memory_read(mu.memory, io, isz)
     if r.name == "CALL":  # move value, hand control to the callee account
         # debit first, then credit the callee as it reads after the debit,
         # so that a call to the caller's own address keeps the value; without
         # value between two existing accounts, the puts would change nothing
-        if va or to_a not in sigma or iota.actor not in sigma:
-            sigma = sigma.put(iota.actor, actor_acct.with_balance(actor_acct.balance - va))
-            payee = _account(sigma, to_a)
-            sigma = sigma.put(to_a, payee.with_balance(payee.balance + va))
+        if va or found is None or iota.actor not in sigma:
+            debited = actor_acct.with_balance(actor_acct.balance - va)
+            payee = debited if to_a == iota.actor else callee
+            sigma = sigma.put(iota.actor, debited).put(to_a, payee.with_balance(payee.balance + va))
         iota = ExecutionEnvironment(to_a, data, iota.actor, va, callee.code)
     elif r.name == "CALLCODE":  # run the code in the caller's context, no transfer
         iota = ExecutionEnvironment(iota.actor, data, iota.actor, va, callee.code)
@@ -562,11 +648,11 @@ def _exc_return(r, stack, total: int, aw: int):
 def _return_call(r, stack):
     top, st = stack.top.state, stack.below.top.state
     mu = st.mu
-    words = _call_words(mu.stack, r.n)
-    aw, _cc, total = _call_costs(r, mu, st.sigma, *words)
+    g, to, va, io, isz, oo, os_ = _call_words(mu.stack, r.n)
+    absent = r.name == "CALL" and st.sigma.get(to & ADDR_MASK) is None
+    aw, _cc, total = _call_costs(absent, mu.active_words, mu.gas, g, va, io, isz, oo, os_)
     if not isinstance(top, Halt):
         return _exc_return(r, stack, total, aw)
-    oo, os_ = words[5], words[6]
     memory = memory_write(mu.memory, oo, top.data[:os_])
     mu2 = _new(MachineState, (mu.gas + top.gas - total, mu.pc + 1, memory, aw,
                               (1,) + mu.stack[r.n:]))
@@ -692,3 +778,8 @@ def _rule_table() -> tuple:
 
 
 _RULES = _rule_table()
+_PLAIN = frozenset((_generic, _push, _dup, _swap))     # the rules a _Run may hold
+_RUN_OPS = {  # the (kind, x) op of each plain rule that is the same wherever it runs
+    r.name: ((_dup, r.k - 1) if r.fire is _dup else (_swap, r.k) if r.fire is _swap
+             else (r.value or _generic, r.n))
+    for r in _RULES if r.fire in _PLAIN and r.fire is not _push and r.name not in ("PC", "GAS")}

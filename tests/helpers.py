@@ -1,10 +1,10 @@
 """Shared builders and comparisons for semantics tests."""
 
 from evmsem.bytecode import assemble
-from evmsem.semantics import StepBudget, run, step
+from evmsem.semantics import BudgetExhausted, StepBudget, run, step
 from evmsem.state import (EMPTY_EFFECTS, Account, BlockHeader, CallStack,
                           ExecutionEnvironment, Frame, GlobalState, MachineState,
-                          Regular, TransactionEnvironment, frames)
+                          Regular, TransactionEnvironment, frames, is_final)
 from evmsem.traces import first_divergence
 
 SELF = 0x1001
@@ -86,6 +86,62 @@ def stack_diff(a: CallStack, b: CallStack) -> tuple:
     if lb <= la and a[la - lb:] == b:
         return a[:la - lb]
     return ()
+
+
+def same_stack(a: CallStack, b: CallStack, known: dict) -> bool:
+    """a == b, walking down only to a pair of cells found equal before;
+    `known` keeps those pairs, and with them the cells their ids name."""
+    while a is not b and (id(a), id(b)) not in known:
+        if a.depth != b.depth or a.top != b.top:
+            return False
+        known[id(a), id(b)] = a, b
+        a, b = a.below, b.below
+    return True
+
+
+def _next_shown(steps):
+    """The next step of a drive that is not a plain op: None when the drive
+    ends after one, BudgetExhausted when it raises that."""
+    item = None
+    try:
+        for item in steps:
+            if item[2].tag != "op":
+                return item
+    except BudgetExhausted:
+        return BudgetExhausted
+    assert item is None, f"a drive ended on a plain op: {item[2]}"
+    return None
+
+
+def modes_in_lockstep(iterate_steps, tenv, stack, max_steps, override=None, stop=is_final):
+    """Drive iterate_steps in block mode and, alongside it from the same
+    stack, one op at a time; yield the block-mode steps, each checked to be
+    the per-op drive's next non-op step (index, action and both stacks), and
+    end or raise BudgetExhausted as the per-op drive does. The two drives
+    advance together, so a driver that changes `override` between steps
+    changes it for both."""
+    per_op = iterate_steps(tenv, stack, max_steps, override, stop, True)
+    block = iterate_steps(tenv, stack, max_steps, override, stop, False)
+    known = {}
+    while True:
+        want, got = _next_shown(per_op), _next_shown(block)
+        if want is None or want is BudgetExhausted or got is None or got is BudgetExhausted:
+            assert got is want, f"block mode gave {got}, per-op stepping {want}"
+            if got is None:
+                return
+            raise BudgetExhausted(f"no final configuration within {max_steps} steps")
+        assert (got[0], got[2]) == (want[0], want[2]), (got[0], got[2], want[0], want[2])
+        assert same_stack(got[1], want[1], known) and same_stack(got[3], want[3], known)
+        yield got
+
+
+def checking_block_mode(iterate_steps):
+    """iterate_steps, with each block-mode drive checked by modes_in_lockstep."""
+    def checked(tenv, stack, max_steps, override=None, stop=is_final, ops=True):
+        if ops:
+            return iterate_steps(tenv, stack, max_steps, override, stop, True)
+        return modes_in_lockstep(iterate_steps, tenv, stack, max_steps, override, stop)
+    return checked
 
 
 _COMPONENTS = ("nonce", "balance", "storage", "code")

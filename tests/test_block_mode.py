@@ -1,0 +1,224 @@
+"""Block mode against one-op-at-a-time stepping.
+
+`iterate_steps(..., ops=False)`, the checkers' mode, applies each
+straight-line run of constant-cost plain ops in one call and yields no
+plain-op step. Whatever it skips, it must show the same steps per-op
+stepping shows for every step it yields: the same action at the same step
+index, between the same call stacks, the same final stack and step count,
+and BudgetExhausted for exactly the same budgets. Checked here over the
+criterion-5 programs and every corpus scenario, and at the edges of a run:
+gas, stack underflow and overflow, GAS and PC inside a run, a local code
+update read by EXTCODESIZE, and a budget that ends inside a run.
+"""
+
+import pytest
+
+from evmsem import semantics
+from evmsem.bytecode import assemble
+from evmsem.corpus import load_corpus
+from evmsem.semantics import (BudgetExhausted, CodeOverride, StepBudget, is_final,
+                              iterate_steps, run, run_frame, run_to_depth,
+                              run_with_local_updates)
+from evmsem.state import Account, CallStack
+from evmsem.transaction import t_init
+from helpers import (OTHER, checking_block_mode, make_env, make_frame, make_state,
+                     modes_in_lockstep, stack_of)
+from proputil import STEP_BUDGET, program_frame
+
+N_PROGRAMS = 10_000
+CUT_EVERY = 50      # every 50th program, and every corpus scenario, is cut
+CUTS = 80           # at every step count up to 80, and at its last three
+
+
+def _drive(steps):
+    """(the steps of a drive, whether its budget ran out)."""
+    out = []
+    try:
+        for item in steps:
+            out.append(item)
+    except BudgetExhausted:
+        return out, True
+    return out, False
+
+
+def assert_modes_agree(tenv, stack, budget, override=None, stop=is_final):
+    """Block mode yields per-op stepping's non-op steps, between the same
+    stacks, and ends as it does (helpers.modes_in_lockstep); returns the
+    per-op steps."""
+    _drive(modes_in_lockstep(iterate_steps, tenv, stack, budget, override, stop))
+    per_op, _exhausted = _drive(iterate_steps(tenv, stack, budget, override, stop))
+    return per_op
+
+
+def _counting_steps(monkeypatch):
+    """Count the calls of semantics.step."""
+    calls = []
+    real = semantics.step
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(semantics, "step", counted)
+    return calls
+
+
+def assert_cuts_agree(tenv, stack, budgets, override=None, stop=is_final):
+    for budget in budgets:
+        assert_modes_agree(tenv, stack, budget, override, stop)
+
+
+def _cuts(steps: int):
+    """The budgets a drive of `steps` steps is cut at."""
+    return sorted({*range(1, min(steps, CUTS) + 1), *range(max(steps - 1, 1), steps + 2)})
+
+
+# ---------------------------------------------------------------------------
+# the criterion-5 programs and the corpus
+
+
+def test_modes_agree_on_the_criterion_5_programs():
+    tenv = make_env()
+    for seed in range(N_PROGRAMS):
+        stack = stack_of(program_frame(seed))
+        per_op = assert_modes_agree(tenv, stack, STEP_BUDGET)
+        if seed % CUT_EVERY == 0:
+            assert_cuts_agree(tenv, stack, _cuts(len(per_op)))
+
+
+def _corpus_stacks():
+    for f in load_corpus():
+        tenv, frame, _created = t_init(f.tx, f.header, f.pre, f.ancestors)
+        yield f.name, tenv, CallStack(frame, None, 1)
+
+
+@pytest.mark.parametrize("name,tenv,stack", list(_corpus_stacks()),
+                         ids=[name for name, *_ in _corpus_stacks()])
+def test_modes_agree_on_every_corpus_scenario(monkeypatch, name, tenv, stack):
+    per_op = assert_modes_agree(tenv, stack, 1_000_000)
+    assert is_final(per_op[-1][3])
+    assert_cuts_agree(tenv, stack, _cuts(len(per_op)))
+    # the drivers the checkers call keep just the non-op actions in their traces
+    final, trace = per_op[-1][3], tuple(a for _i, _b, a, _s in per_op if a.tag != "op")
+    steps = _counting_steps(monkeypatch)
+    assert run_frame(tenv, stack, 1_000_000) == (final, trace)
+    assert len(steps) < len(per_op)        # block mode applied at least one run
+    assert run(tenv, stack, StepBudget(1_000_000), ops=False) == (final, trace)
+
+
+# ---------------------------------------------------------------------------
+# the edges of a run
+
+RUN = "PUSH1 0x01\nPUSH1 0x02\nADD\nGAS\nPC\nDUP2\nSWAP1\nPOP\nJUMPDEST\nPOP"
+
+
+def _frame_stack(code, **kw):
+    return stack_of(make_frame(code, **kw))
+
+
+def _first_run(code):
+    return semantics._runs(assemble(code))[0]
+
+
+def test_runs_stop_at_any_rule_outside_the_plain_ones():
+    # a JUMPDEST ends one run and starts the next
+    code = assemble("PUSH1 0x01\nPUSH1 0x00\nMSTORE\nJUMPDEST\nPUSH1 0x02\nJUMPDEST\nSTOP")
+    runs = semantics._runs(code)
+    assert {pc: (len(r.ops), r.end) for pc, r in runs.items()} == {
+        0: (2, 4), 5: (2, 8), 8: (1, 9)}
+
+
+def test_run_bounds():
+    run = _first_run(RUN)
+    # PUSH1 PUSH1 ADD GAS PC DUP2 SWAP1 POP (JUMPDEST starts the next run)
+    assert (len(run.ops), run.cost, run.need, run.growth, run.end) == (8, 21, 0, 4, 10)
+    assert _first_run("PUSH1 0x01\nADD\nADD\nSTOP").need == 2
+
+
+@pytest.mark.parametrize("short", [0, 1], ids=["gas=cost", "gas=cost-1"])
+def test_gas_equal_to_the_run_cost_and_one_less(monkeypatch, short):
+    code = "PUSH1 0x01\nPUSH1 0x02\nADD\nGAS\nPC\nDUP2\nSWAP1\nPOP\nSTOP"
+    cost = _first_run(code).cost
+    stack = _frame_stack(code, gas=cost - short)
+    per_op = assert_modes_agree(make_env(), stack, 100)
+    assert per_op[-1][2].tag == ("exc" if short else "halt")
+    steps = _counting_steps(monkeypatch)
+    _drive(iterate_steps(make_env(), stack, 100, ops=False))
+    assert len(steps) == (len(per_op) if short else 1)
+
+
+@pytest.mark.parametrize("words", [1, 2], ids=["one-short", "enough"])
+def test_a_stack_one_word_short_of_the_run(monkeypatch, words):
+    code = "PUSH1 0x01\nADD\nADD\nSTOP"
+    stack = _frame_stack(code, stack=(5,) * words)
+    per_op = assert_modes_agree(make_env(), stack, 100)
+    if words == 1:      # the second ADD underflows, partway in
+        assert [(a.op, a.tag) for _i, _b, a, _s in per_op] == [
+            ("PUSH1", "op"), ("ADD", "op"), ("ADD", "exc")]
+    steps = _counting_steps(monkeypatch)
+    _drive(iterate_steps(make_env(), stack, 100, ops=False))
+    assert len(steps) == (3 if words == 1 else 1)
+
+
+@pytest.mark.parametrize("size", [1021, 1022], ids=["fits", "overflows"])
+def test_a_stack_within_the_run_growth_of_the_limit(size):
+    code = "PUSH1 0x01\nPUSH1 0x02\nPOP\nPUSH1 0x03\nSTOP"
+    assert _first_run(code).growth == 2
+    per_op = assert_modes_agree(make_env(), _frame_stack(code, stack=(7,) * size), 100)
+    assert per_op[-1][2].tag == ("halt" if size == 1021 else "exc")
+
+
+def test_gas_and_pc_in_the_middle_of_a_run():
+    code = "PUSH1 0x01\nGAS\nPUSH2 0x1234\nPC\nGAS\nDUP2\nPOP\nSTOP"
+    tenv, stack = make_env(), _frame_stack(code, gas=10_000)
+    per_op = assert_modes_agree(tenv, stack, 100)
+    final, _trace = run_frame(tenv, stack, 100)
+    before_stop = per_op[-1][1].top.state
+    assert before_stop.mu.stack == (9_990, 6, 0x1234, 9_997, 1)
+    assert final == per_op[-1][3]
+
+
+def test_extcodesize_in_a_run_under_a_local_code_update(monkeypatch):
+    # the run PUSH2 OTHER, EXTCODESIZE, PUSH1 0 ends at the SSTORE that
+    # records the size; the update gives OTHER a 3-byte code
+    code = f"PUSH2 {hex(OTHER)}\nEXTCODESIZE\nPUSH1 0x00\nSSTORE\nSTOP"
+    frame = make_frame(code)
+    tenv, stack = make_env(), stack_of(frame, make_frame("STOP"))
+    update = CodeOverride({OTHER: b"\x00\x00\x00"})
+    assert len(semantics._runs(assemble(code))[0].ops) == 3
+    assert_modes_agree(tenv, stack, 100, update, semantics._frame_done(2))
+    # the driver's own override view, stepped alongside one op at a time
+    monkeypatch.setattr(semantics, "iterate_steps", checking_block_mode(iterate_steps))
+    final, trace, ext = run_with_local_updates(tenv, stack, update, 100)
+    assert [a.op for a in trace] == ["STOP"]      # a trace without plain ops
+    assert final.top.state.sigma.get(frame.contract[0]).storage_get(0) == 3
+    assert ext == update
+
+
+def test_a_budget_that_ends_partway_through_a_run():
+    tenv, stack = make_env(), _frame_stack(RUN + "\nSTOP")
+    per_op = assert_modes_agree(tenv, stack, 100)
+    assert len(per_op) == 11               # runs of 8 and 2 steps, then STOP
+    for budget in range(1, 13):
+        _steps, exhausted = _drive(iterate_steps(tenv, stack, budget))
+        assert exhausted == (budget < 11)
+    assert_cuts_agree(tenv, stack, range(1, 13))
+
+
+def test_a_call_between_runs_keeps_its_step_index():
+    # the enter, return and halt steps come after runs and are numbered as
+    # per-op stepping numbers them
+    callee = assemble("PUSH1 0x01\nPUSH1 0x02\nADD\nPOP\nSTOP")
+    code = ("PUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\n"
+            f"PUSH2 {hex(0xC0DE)}\nGAS\nCALL\nPOP\nSTOP")
+    sigma = make_state(code=assemble(code), accounts={0xC0DE: Account(0, 0, {}, callee)})
+    stack = _frame_stack(code, sigma=sigma)
+    tenv = make_env()
+    block, _exhausted = _drive(iterate_steps(tenv, stack, 100, ops=False))
+    assert [(i, a.op, a.tag) for i, _b, a, _s in block] == [
+        (8, "CALL", "enter"), (13, "STOP", "halt"), (14, "CALLRET", "ret"),
+        (16, "STOP", "halt")]
+    assert_modes_agree(tenv, stack, 100)
+    assert_cuts_agree(tenv, stack, range(1, 18))
+    _final, trace = run_to_depth(tenv, stack, 1, 100)
+    assert [a.tag for a in trace] == ["enter", "halt", "ret", "halt"]

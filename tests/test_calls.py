@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from evmsem import rlp
+from evmsem import rlp, semantics
 from evmsem.bytecode import assemble
 from evmsem.gas import SCHEDULE, c_gascap, l_all_but_one_64th
 from evmsem.keccak import keccak256
@@ -492,3 +492,33 @@ def test_run_with_local_updates_extends_after_create():
     assert isinstance(stack[0].state, Halt)
     rho = fresh_address(SELF, 3)
     assert f.mapping == {rho: b""}
+
+
+@pytest.mark.parametrize("op", ["CALL", "CALLCODE", "DELEGATECALL"])
+def test_a_call_reads_its_callee_once_and_costs_once(monkeypatch, op):
+    # a zero-value call to an existing account: the CALL step reads the
+    # callee from sigma once, and its return reuses the call's cost
+    semantics._call_costs.cache_clear()
+    lookups, caps = [], []
+    get, cap = GlobalState.get, semantics.c_gascap
+
+    def counting_get(sigma, key, default=None):
+        lookups.append(key)
+        return get(sigma, key, default)
+
+    def counting_cap(*args):
+        caps.append(args)
+        return cap(*args)
+
+    monkeypatch.setattr(GlobalState, "get", counting_get)
+    monkeypatch.setattr(semantics, "c_gascap", counting_cap)
+    n = 6 if op == "DELEGATECALL" else 7
+    frame = make_call_frame(op, stack=call_stack_args()[:n])
+    tenv = make_env()
+    out = step(tenv, stack_of(frame))
+    assert out.action.tag == "enter"
+    assert lookups.count(CALLEE) == 1
+    stack, _trace = run_frame(tenv, out.stack, 10)
+    resumed = step(tenv, stack)
+    assert resumed.action.tag == "ret" and resumed.stack.top.state.mu.stack == (1,)
+    assert len(caps) == 1

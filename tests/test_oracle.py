@@ -1,12 +1,16 @@
 """Differential oracle for the interpreter core.
 
 `tests/oracle` holds a frozen copy of the core as it stood before the
-rule-table rewrite. Every step evmsem takes below is also taken by the
+rule-table rewrite. Every `step` evmsem takes below is also taken by the
 frozen copy from the same configuration, and the two must agree on the
 successor stack, frame by frame, and the trace action: over the criterion-5
 programs, every corpus transaction, and every corpus checker run. The
-checkers must also return byte-identical verdicts when driven by the frozen
-core, and match the verdicts frozen in `tests/data/corpus_verdicts.json`.
+checkers drive in block mode, which applies runs of plain ops without
+`step`; here each of their drives is also stepped one op at a time
+alongside it, and the two must show the same non-op steps between the same
+stacks. The checkers must also return byte-identical verdicts when driven
+by the frozen core, one op at a time, and match the verdicts frozen in
+`tests/data/corpus_verdicts.json`.
 
 The frozen core steps tuples of frames, top first, where evmsem steps a
 CallStack cons list; the helpers below convert between the two and give
@@ -23,7 +27,7 @@ from evmsem import checkers, semantics
 from evmsem.corpus import load_corpus
 from evmsem.state import CallStack, Regular, frames, validate_stack
 from evmsem.transaction import t_init
-from helpers import make_env, stack_of
+from helpers import checking_block_mode, make_env, stack_of
 from oracle import semantics as frozen
 from proputil import STEP_BUDGET, program_frame
 
@@ -166,26 +170,33 @@ def _verdicts(fixture):
 
 def _frozen_driver(name: str):
     """The frozen driver `name` as the checkers call it: with a CallStack,
-    returning one."""
-    def driver(tenv, stack, *args):
+    returning one. It takes `run`'s block mode and still steps the frozen
+    core one op at a time; the checkers read its trace only through
+    `project`, which drops the plain ops that block mode leaves out."""
+    def driver(tenv, stack, *args, ops=True):
         final, *rest = getattr(frozen, name)(tenv, tuple(frames(stack)), *args)
         return (stack_of(*final), *rest)
     return driver
 
 
-def _frozen_iterate_steps(tenv, stack, max_steps):
-    """frozen.iterate_steps as the checkers call it, yielding CallStacks
-    that share their cells as evmsem's do."""
-    for before_frames, action, after_frames in frozen.iterate_steps(
-            tenv, tuple(frames(stack)), max_steps):
+def _frozen_iterate_steps(tenv, stack, max_steps, ops=True):
+    """frozen.iterate_steps as the checkers call it, yielding numbered
+    CallStacks that share their cells as evmsem's do. It takes the `ops`
+    mode and still yields every step, one op at a time."""
+    for index, (before_frames, action, after_frames) in enumerate(
+            frozen.iterate_steps(tenv, tuple(frames(stack)), max_steps), start=1):
         after = _stack_like(after_frames, stack, before_frames)
-        yield stack, action, after
+        yield index, stack, action, after
         stack = after
 
 
 def test_corpus_checkers_step_alike_and_agree(lockstep, monkeypatch):
     corpus = load_corpus()
-    new = {f.name: _verdicts(f) for f in corpus}
+    checked = checking_block_mode(semantics.iterate_steps)
+    with monkeypatch.context() as patch:
+        for module in (semantics, checkers):
+            patch.setattr(module, "iterate_steps", checked)
+        new = {f.name: _verdicts(f) for f in corpus}
     assert lockstep.deepest == 1025
     assert new == json.loads(FROZEN_VERDICTS.read_text())
     for f in corpus:
