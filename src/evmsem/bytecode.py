@@ -61,18 +61,6 @@ def push_size(byte: int) -> int:
     return byte - PUSH1 + 1 if is_push(byte) else 0
 
 
-def dup_index(byte: int) -> int:
-    return byte - 0x80 + 1
-
-
-def swap_index(byte: int) -> int:
-    return byte - 0x90 + 1
-
-
-def log_topics(byte: int) -> int:
-    return byte - 0xA0
-
-
 def current_opcode(mu, iota) -> int:
     """Code byte at pc when pc < |code|, STOP otherwise."""
     pc = mu.pc

@@ -27,8 +27,8 @@ from functools import partial
 from itertools import product
 from typing import Optional, Sequence
 
-from .semantics import (BudgetExhausted, CodeOverride, StepBudget, iterate_steps,
-                        run, run_frame, run_to_depth, run_with_local_updates)
+from .semantics import (BudgetExhausted, CodeOverride, iterate_steps, run_frame,
+                        run_to_depth, run_with_local_updates)
 from .state import (EXC, Account, BlockHeader, CallStack, Contract, Frame, GlobalState, Halt,
                     Regular, env_with_component, frames, with_top_state)
 from .traces import action_to_json, calls_of, first_divergence, project
@@ -309,7 +309,7 @@ def check_env_independence(space: ScenarioSpace, c: Contract,
     tenv, stack = _initial_config(space)
 
     def observe(tenv_v):
-        _final, trace = run(tenv_v, stack, StepBudget(space.max_steps), ops=False)
+        _final, trace = run_frame(tenv_v, stack, space.max_steps)
         return project(trace, pred)
 
     forks = []    # built before any run, so that every component is checked first
@@ -514,7 +514,7 @@ def check_call_integrity(space: ScenarioSpace, c: Contract, untrusted,
                 acct = Account()
             sigma = sigma.put(addr, acct.with_code(code))
         tenv, stack = _initial_config(replace(space, pre=sigma))
-        _final, trace = run(tenv, stack, StepBudget(space.max_steps), ops=False)
+        _final, trace = run_frame(tenv, stack, space.max_steps)
         return project(trace, pred)
 
     forks = [(lambda i1, i2: {"mode": "direct", "assignments": [i1, i2]}, observe,

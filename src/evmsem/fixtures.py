@@ -167,6 +167,8 @@ def parse_fixture(obj, name: str = "<fixture>") -> Fixture:
             obj = json.loads(path.read_text())
         except json.JSONDecodeError as e:
             raise FixtureError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}")
+        except RecursionError:
+            raise FixtureError(f"{path}: JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise FixtureError(f"{name}: fixture must be a JSON object")
 
@@ -191,7 +193,7 @@ def parse_fixture(obj, name: str = "<fixture>") -> Fixture:
             nonce=hex_to_word(txo.get("nonce", "0x0")),
             gas_price=hex_to_word(txo.get("gasprice", "0x0")),
             gas_limit=hex_to_word(txo["gaslimit"]),
-            to=hex_to_address(txo["to"]) if tx_type == "call" else None,
+            to=hex_to_address(txo["to"]) if "to" in txo else None,
             value=hex_to_word(txo.get("value", "0x0")),
             sender=hex_to_address(txo["sender"]),
             input=hex_to_bytes(txo.get("input", "0x")),
@@ -243,6 +245,15 @@ def fixture_to_json(f: Fixture) -> dict:
     if f.checker_params:
         out["checker_params"] = _CHECKER_PARAMS[1](f.checker_params)
     return out
+
+
+def corpus_dir() -> Path:
+    """The shipped scenario corpus: JSON fixtures installed as package data."""
+    return Path(__file__).parent / "corpus"
+
+
+def load_corpus() -> list:
+    return [parse_fixture(p) for p in sorted(corpus_dir().glob("*.json"))]
 
 
 def check_expectations(f: Fixture, sigma: GlobalState, receipt: Receipt) -> list:
@@ -302,12 +313,15 @@ def ingest_official_tests(directory) -> tuple:
     Returns (fixtures, skipped) where skipped is a list of (source, reason);
     untranslatable files never abort the batch.
     """
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise NotADirectoryError(f"{directory}: not a directory")
     fixtures = []
     skipped = []
-    for path in sorted(Path(directory).glob("*.json")):
+    for path in sorted(directory.glob("*.json")):
         try:
             doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, json.JSONDecodeError, RecursionError) as e:
             skipped.append((str(path), f"unreadable: {e}"))
             continue
         if not isinstance(doc, dict):

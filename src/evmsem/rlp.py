@@ -1,4 +1,4 @@
-"""Minimal RLP encoding/decoding and contract-address derivation."""
+"""Minimal RLP encoding and contract-address derivation."""
 
 from __future__ import annotations
 
@@ -37,57 +37,6 @@ def _length_prefix(length: int, offset: int) -> bytes:
         return bytes([offset + length])
     l_bytes = encode_int(length)
     return bytes([offset + 55 + len(l_bytes)]) + l_bytes
-
-
-def decode(data: bytes):
-    """Inverse of encode; returns bytes or nested lists of bytes."""
-    item, rest = _decode_item(bytes(data))
-    if rest:
-        raise ValueError("trailing bytes after RLP item")
-    return item
-
-
-def _decode_item(data: bytes):
-    if not data:
-        raise ValueError("empty RLP input")
-    b0 = data[0]
-    if b0 < 0x80:
-        return data[:1], data[1:]
-    if b0 < 0xB8:
-        n = b0 - 0x80
-        payload = data[1:1 + n]
-        if len(payload) != n:
-            raise ValueError("short RLP string")
-        if n == 1 and payload[0] < 0x80:
-            raise ValueError("non-canonical single byte")
-        return payload, data[1 + n:]
-    if b0 < 0xC0:
-        ln = b0 - 0xB7
-        n = int.from_bytes(data[1:1 + ln], "big")
-        payload = data[1 + ln:1 + ln + n]
-        if len(payload) != n:
-            raise ValueError("short RLP string")
-        return payload, data[1 + ln + n:]
-    if b0 < 0xF8:
-        n = b0 - 0xC0
-        payload = data[1:1 + n]
-        if len(payload) != n:
-            raise ValueError("short RLP list")
-        return _decode_list(payload), data[1 + n:]
-    ln = b0 - 0xF7
-    n = int.from_bytes(data[1:1 + ln], "big")
-    payload = data[1 + ln:1 + ln + n]
-    if len(payload) != n:
-        raise ValueError("short RLP list")
-    return _decode_list(payload), data[1 + ln + n:]
-
-
-def _decode_list(payload: bytes) -> list:
-    items = []
-    while payload:
-        item, payload = _decode_item(payload)
-        items.append(item)
-    return items
 
 
 def rlp_encode_pair(address: Address, nonce: int) -> bytes:

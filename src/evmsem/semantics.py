@@ -7,10 +7,10 @@ cost from `gas.SCHEDULE` and the function that fires the rule, decoded once
 per code, and `_runs(code)` its straight-line runs of plain rules.
 `iterate_steps` is the one loop over `step`; `run`, `run_to_depth`,
 `run_frame` and `run_with_local_updates` drain it with different stop
-conditions, the last three (and `run` when asked) in block mode, a run at a
-time. All of them are pure with respect to their inputs: all mutation
-happens on freshly copied snapshots, so checkers can fork execution at any
-configuration by keeping a reference to it.
+conditions, the last three in block mode, a run at a time. All of them are
+pure with respect to their inputs: all mutation happens on freshly copied
+snapshots, so checkers can fork execution at any configuration by keeping a
+reference to it.
 """
 
 from __future__ import annotations
@@ -138,11 +138,10 @@ def _frame_done(depth: int) -> Callable:
     return lambda s: is_final(s) or (s.depth == depth and not isinstance(s.top.state, Regular))
 
 
-def run(tenv: TransactionEnvironment, stack: CallStack, limits: StepBudget, ops: bool = True):
-    """Iterate step until a final configuration; returns (final stack, trace),
-    whose plain-op actions block mode (ops=False) leaves out."""
+def run(tenv: TransactionEnvironment, stack: CallStack, limits: StepBudget):
+    """Iterate step until a final configuration; returns (final stack, trace)."""
     validate_stack(stack)
-    return _drain(iterate_steps(tenv, stack, limits.max_steps, ops=ops), stack)
+    return _drain(iterate_steps(tenv, stack, limits.max_steps), stack)
 
 
 def run_to_depth(tenv: TransactionEnvironment, stack: CallStack, depth: int,
@@ -219,7 +218,7 @@ class _Rule(NamedTuple):
 _new = tuple.__new__
 
 
-@lru_cache(maxsize=256)      # a decoded code holds about 26 bytes per code byte
+@lru_cache(maxsize=256)      # a decoded code holds about 32 bytes per code byte
 def _program(code: bytes) -> tuple:
     """_RULES indexed by the byte at each pc of code, decoded once per code; a
     PUSH's rule carries as value its immediate word, zero-padded past the end."""

@@ -101,10 +101,6 @@ def word_from_bytes(data: bytes) -> Word256:
     return int.from_bytes(data, "big")
 
 
-def word_to_bytes32(x: Word256) -> bytes:
-    return x.to_bytes(32, "big")
-
-
 def address_to_bytes(a: Address) -> bytes:
     return a.to_bytes(20, "big")
 

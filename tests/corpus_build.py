@@ -1,9 +1,13 @@
-"""The shipped scenario corpus, hand-assembled to bytecode.
+"""Builds the shipped scenario corpus, hand-assembled to bytecode.
 
 Every builder returns a Fixture with expected verdicts; `write_corpus`
-freezes them to JSON. Programs are written in the textual assembly format
+freezes them to the JSON files under `src/evmsem/corpus/`, which are the
+corpus the package ships. Programs are written in the textual assembly format
 with a tiny label pass on top (targets are referenced as `@name` in PUSH1
 immediates and defined by `LABEL name` lines).
+
+Regenerate the shipped files from the root of the repository with
+`PYTHONPATH=src python tests/corpus_build.py`.
 """
 
 from __future__ import annotations
@@ -11,12 +15,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .bytecode import MNEMONIC_TO_BYTE, assemble, push_size
-from .fixtures import Fixture, fixture_to_json, parse_fixture
-from .rlp import fresh_address
-from .state import Account, BlockHeader, GlobalState
-from .transaction import Transaction, execute_transaction
-from .words import address_to_hex
+from evmsem.bytecode import MNEMONIC_TO_BYTE, assemble, push_size
+from evmsem.fixtures import Fixture, corpus_dir, fixture_to_json
+from evmsem.rlp import fresh_address
+from evmsem.state import Account, BlockHeader, GlobalState
+from evmsem.transaction import Transaction, execute_transaction
+from evmsem.words import address_to_hex
 
 EOA = 0xAAAA
 MINER = 0x5001
@@ -606,14 +610,6 @@ BUILDERS = [
 
 def build_all() -> list:
     return [b() for b in BUILDERS]
-
-
-def corpus_dir() -> Path:
-    return Path(__file__).parent / "corpus"
-
-
-def load_corpus() -> list:
-    return [parse_fixture(p) for p in sorted(corpus_dir().glob("*.json"))]
 
 
 def write_corpus(directory=None) -> list:

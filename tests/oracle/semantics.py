@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from evmsem import bytecode as bc
+from ._helpers import dup_index, log_topics, swap_index
 from .gas import (c_base, c_gascap, c_mem, copy_cost, exp_cost, l_all_but_one_64th,
                   log_cost, mem_ext, sha3_cost, sstore_cost, sstore_refund)
 from evmsem.keccak import keccak256
@@ -413,7 +414,7 @@ def _step_regular(tenv, stack, override):
         return ok(mu2)
 
     if 0x80 <= op <= 0x8F:  # DUP1..16
-        n = bc.dup_index(op)
+        n = dup_index(op)
         if len(s) < n or not _valid(mu.gas, 3, len(s) + 1):
             return exc()
         mu2 = MachineState(mu.gas - 3, mu.pc + 1, mu.memory, mu.active_words,
@@ -421,7 +422,7 @@ def _step_regular(tenv, stack, override):
         return ok(mu2)
 
     if 0x90 <= op <= 0x9F:  # SWAP1..16
-        n = bc.swap_index(op)
+        n = swap_index(op)
         if len(s) < n + 1 or not _valid(mu.gas, 3, len(s)):
             return exc()
         swapped = (s[n],) + s[1:n] + (s[0],) + s[n + 1:]
@@ -507,7 +508,7 @@ def _step_regular(tenv, stack, override):
         return ok(mu2, sigma2, eta2, args=(a, b))
 
     if 0xA0 <= op <= 0xA4:  # LOG0..4
-        n = bc.log_topics(op)
+        n = log_topics(op)
         if len(s) < n + 2:
             return exc()
         pos, size = s[0], s[1]

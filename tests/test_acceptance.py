@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from corpus_build import BANK, DEPOSITOR, MALLORY
 from evmsem.checkers import (check_atomicity, check_call_integrity,
                              check_env_independence, check_single_entrancy)
-from evmsem.corpus import BANK, DEPOSITOR, MALLORY, load_corpus
-from evmsem.fixtures import check_expectations, ingest_official_tests
+from evmsem.fixtures import check_expectations, ingest_official_tests, load_corpus
 from evmsem.semantics import StepBudget, run_frame
 from evmsem.state import Frame, Halt, Regular
 from evmsem.transaction import execute_transaction, t_init

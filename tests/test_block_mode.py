@@ -15,10 +15,9 @@ import pytest
 
 from evmsem import semantics
 from evmsem.bytecode import assemble
-from evmsem.corpus import load_corpus
-from evmsem.semantics import (BudgetExhausted, CodeOverride, StepBudget, is_final,
-                              iterate_steps, run, run_frame, run_to_depth,
-                              run_with_local_updates)
+from evmsem.fixtures import load_corpus
+from evmsem.semantics import (BudgetExhausted, CodeOverride, is_final, iterate_steps,
+                              run_frame, run_to_depth, run_with_local_updates)
 from evmsem.state import Account, CallStack
 from evmsem.transaction import t_init
 from helpers import (OTHER, checking_block_mode, make_env, make_frame, make_state,
@@ -103,7 +102,6 @@ def test_modes_agree_on_every_corpus_scenario(monkeypatch, name, tenv, stack):
     steps = _counting_steps(monkeypatch)
     assert run_frame(tenv, stack, 1_000_000) == (final, trace)
     assert len(steps) < len(per_op)        # block mode applied at least one run
-    assert run(tenv, stack, StepBudget(1_000_000), ops=False) == (final, trace)
 
 
 # ---------------------------------------------------------------------------

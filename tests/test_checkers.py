@@ -3,6 +3,7 @@ monitors-don't-alter-execution invariant."""
 
 import pytest
 
+from corpus_build import ALLY, MALLORY, OUTSIDER, PAYEE, asm
 from evmsem import checkers
 from evmsem.bytecode import assemble
 from evmsem.checkers import (ScenarioSpace, check_account_state_independence,
@@ -11,7 +12,7 @@ from evmsem.checkers import (ScenarioSpace, check_account_state_independence,
                              check_effect_independence, check_env_independence,
                              check_fuelled_calls, check_single_entrancy,
                              check_stack_limit_compliance)
-from evmsem.corpus import ALLY, MALLORY, OUTSIDER, PAYEE, asm, load_corpus
+from evmsem.fixtures import load_corpus
 from evmsem.state import Account, BlockHeader, GlobalState
 from evmsem.transaction import Transaction, execute_transaction
 
@@ -209,7 +210,7 @@ def test_env_independence_stops_at_the_first_difference(monkeypatch):
                     "PUSH1 0x00\nTIMESTAMP\nPUSH2 0x0fff\nCALL\nSTOP")
     space = space_for({C: Account(0, 0, {}, code)}, C,
                       component_values={"timestamp": [1, 2, 3]})
-    runs = counting(monkeypatch, "run")
+    runs = counting(monkeypatch, "run_frame")
     v = check_env_independence(space, (C, code), ["timestamp"])
     assert v.violated and v.witness["values"] == ["0x1", "0x2"]
     assert len(runs) == 2

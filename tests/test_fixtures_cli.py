@@ -4,10 +4,10 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from corpus_build import build_all, write_corpus
 from evmsem.cli import main
-from evmsem.corpus import build_all, corpus_dir, load_corpus, write_corpus
-from evmsem.fixtures import (FixtureError, check_expectations, fixture_to_json,
-                             ingest_official_tests, parse_fixture)
+from evmsem.fixtures import (FixtureError, check_expectations, corpus_dir, fixture_to_json,
+                             ingest_official_tests, load_corpus, parse_fixture)
 from evmsem.transaction import execute_transaction
 
 
@@ -85,6 +85,9 @@ def test_fixture_parse_errors():
     with pytest.raises(FixtureError):
         parse_fixture({"pre": {}, "tx": {"gaslimit": "0x0", "sender": "0x0",
                                          "to": "0x0", "type": "weird"}}, "badtype")
+    with pytest.raises(FixtureError, match="must not name a recipient"):
+        parse_fixture({"pre": {}, "tx": {"gaslimit": "0x0", "sender": "0x0",
+                                         "to": "0xbb", "type": "create"}}, "createto")
 
 
 def test_expectations_checker():
@@ -278,6 +281,13 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_cli_deeply_nested_fixture_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["run", str(deep)]) == 2
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
+
 def test_cli_usage_error_exit_2():
     assert main(["frobnicate"]) == 2
 
@@ -406,12 +416,14 @@ def test_ingest_skips_unsupported_and_unreadable(tmp_path, capsys):
     (tmp_path / "mixed.json").write_text(json.dumps(
         {"good": body, "badop": bad, "nosender": nosender}))
     (tmp_path / "broken.json").write_text("not json")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     fixtures, skipped = ingest_official_tests(tmp_path)
     assert len(fixtures) == 1
     reasons = {s[0].split("::")[-1] if "::" in s[0] else s[0]: s[1] for s in skipped}
     assert any("unsupported opcode" in r for r in reasons.values())
     assert any("sender" in r for r in reasons.values())
-    assert any("unreadable" in r for r in reasons.values())
+    assert reasons[str(tmp_path / "broken.json")].startswith("unreadable")
+    assert reasons[str(tmp_path / "deep.json")].startswith("unreadable")
 
 
 def test_ingest_skips_tests_whose_sections_are_not_objects(tmp_path):
@@ -441,3 +453,11 @@ def test_ingest_empty_dir(tmp_path):
 def test_cli_ingest(capsys):
     assert main(["ingest", str(corpus_dir() / "state_tests")]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["missing", "file.json"])
+def test_cli_ingest_not_a_directory_exit_2(tmp_path, capsys, name):
+    (tmp_path / "file.json").write_text("{}")
+    assert main(["ingest", str(tmp_path / name)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {tmp_path / name}: not a directory\n")

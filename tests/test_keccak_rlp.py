@@ -6,7 +6,7 @@ import random
 import pytest
 
 from evmsem.keccak import keccak256, keccak256_bytes
-from evmsem.rlp import decode, encode, encode_int, fresh_address, rlp_encode_pair
+from evmsem.rlp import encode, encode_int, fresh_address, rlp_encode_pair
 
 # published Keccak-256 known-answer vectors
 KAT = {
@@ -114,6 +114,58 @@ def test_one_byte_inputs_all_distinct():
 
 # ---------------------------------------------------------------------------
 # RLP
+
+
+def decode(data: bytes):
+    """Inverse of encode; returns bytes or nested lists of bytes. The
+    reference the encoder is checked against: the package only encodes."""
+    item, rest = _decode_item(bytes(data))
+    if rest:
+        raise ValueError("trailing bytes after RLP item")
+    return item
+
+
+def _decode_item(data: bytes):
+    if not data:
+        raise ValueError("empty RLP input")
+    b0 = data[0]
+    if b0 < 0x80:
+        return data[:1], data[1:]
+    if b0 < 0xB8:
+        n = b0 - 0x80
+        payload = data[1:1 + n]
+        if len(payload) != n:
+            raise ValueError("short RLP string")
+        if n == 1 and payload[0] < 0x80:
+            raise ValueError("non-canonical single byte")
+        return payload, data[1 + n:]
+    if b0 < 0xC0:
+        ln = b0 - 0xB7
+        n = int.from_bytes(data[1:1 + ln], "big")
+        payload = data[1 + ln:1 + ln + n]
+        if len(payload) != n:
+            raise ValueError("short RLP string")
+        return payload, data[1 + ln + n:]
+    if b0 < 0xF8:
+        n = b0 - 0xC0
+        payload = data[1:1 + n]
+        if len(payload) != n:
+            raise ValueError("short RLP list")
+        return _decode_list(payload), data[1 + n:]
+    ln = b0 - 0xF7
+    n = int.from_bytes(data[1:1 + ln], "big")
+    payload = data[1 + ln:1 + ln + n]
+    if len(payload) != n:
+        raise ValueError("short RLP list")
+    return _decode_list(payload), data[1 + ln + n:]
+
+
+def _decode_list(payload: bytes) -> list:
+    items = []
+    while payload:
+        item, payload = _decode_item(payload)
+        items.append(item)
+    return items
 
 
 def test_pair_zero_zero():

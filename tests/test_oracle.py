@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from evmsem import checkers, semantics
-from evmsem.corpus import load_corpus
+from evmsem.fixtures import load_corpus
 from evmsem.state import CallStack, Regular, frames, validate_stack
 from evmsem.transaction import t_init
 from helpers import checking_block_mode, make_env, stack_of
@@ -38,8 +38,8 @@ FROZEN_VERDICTS = Path(__file__).parent / "data" / "corpus_verdicts.json"
 # verdicts too slow for the suite: every property except the declared ones
 SLOW_FIXTURES = {"deep_recursion"}
 # what the checkers take from the core, swapped for the frozen copy's
-CORE_CLASSES = ("BudgetExhausted", "CodeOverride", "StepBudget")
-CORE_DRIVERS = ("run", "run_frame", "run_to_depth", "run_with_local_updates")
+CORE_CLASSES = ("BudgetExhausted", "CodeOverride")
+CORE_DRIVERS = ("run_frame", "run_to_depth", "run_with_local_updates")
 
 
 def _tuple_is_final(stack) -> bool:
@@ -170,10 +170,10 @@ def _verdicts(fixture):
 
 def _frozen_driver(name: str):
     """The frozen driver `name` as the checkers call it: with a CallStack,
-    returning one. It takes `run`'s block mode and still steps the frozen
-    core one op at a time; the checkers read its trace only through
-    `project`, which drops the plain ops that block mode leaves out."""
-    def driver(tenv, stack, *args, ops=True):
+    returning one. It steps the frozen core one op at a time; the checkers
+    read its trace only through `project`, which drops the plain ops that
+    block mode leaves out."""
+    def driver(tenv, stack, *args):
         final, *rest = getattr(frozen, name)(tenv, tuple(frames(stack)), *args)
         return (stack_of(*final), *rest)
     return driver

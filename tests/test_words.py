@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from evmsem.words import (TWO_255, TWO_256, U256_MAX, binop, byte_op, hex_to_bytes,
                           hex_to_word, bytes_to_hex, signed, signextend, to_address,
-                          unsigned, word_from_bytes, word_to_bytes32, word_to_hex)
+                          unsigned, word_from_bytes, word_to_hex)
 
 words = st.integers(min_value=0, max_value=U256_MAX)
 
@@ -137,7 +137,7 @@ def test_hex_codecs():
 
 @given(words)
 def test_word_bytes_roundtrip(a):
-    assert word_from_bytes(word_to_bytes32(a)) == a
+    assert word_from_bytes(a.to_bytes(32, "big")) == a
 
 
 def test_word_from_bytes_rejects_oversize():
