@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from evmsem import bytecode, semantics
+from evmsem.gas import c_mem, sha3_cost
 from evmsem.keccak import keccak256
 from evmsem.semantics import StepOutcome, step
 from evmsem.state import (EXC, CallStack, Frame, Halt, LogEvent, MachineState, Regular,
@@ -16,6 +17,7 @@ from evmsem.traces import Action
 from evmsem.words import TWO_255, TWO_256, U256_MAX
 from helpers import (DEFAULT_HEADER, MINER, ORIGIN, SELF, make_env, make_frame, stack_of,
                      step_one)
+from test_keccak_rlp import _ref_keccak256
 
 W = TWO_256
 
@@ -231,6 +233,29 @@ def test_sha3():
     state, delta = run_op("SHA3", (10**30, 0))
     assert state.mu.stack == (keccak256(b""),)
     assert delta == 30
+
+
+# region size, active words after, gas: 100 bytes of memory (4 active words),
+# read from offset 50, so each region runs past the end of memory; gas is
+# sha3_base 30 + 6 per word of the region, plus 3 per new word and the
+# quadratic term aw**2 // 512 (0 below 23 words)
+SHA3_PAST_END_CASES = [
+    (135, 6, 30 + 6 * 5 + 3 * 2),   # one byte short of the 136-byte rate
+    (136, 6, 30 + 6 * 5 + 3 * 2),   # exactly one block before padding
+    (137, 6, 30 + 6 * 5 + 3 * 2),
+    (272, 11, 30 + 6 * 9 + 3 * 7),  # exactly two blocks
+]
+
+
+@pytest.mark.parametrize("size,aw,cost", SHA3_PAST_END_CASES,
+                         ids=[str(c[0]) for c in SHA3_PAST_END_CASES])
+def test_sha3_region_past_the_end_of_memory(size, aw, cost):
+    mem = {i: (7 * i + 1) % 256 for i in range(100)}
+    state, delta = run_op("SHA3", (50, size), memory=mem, active_words=4)
+    region = bytes(mem[i] for i in range(50, 100)).ljust(size, b"\x00")
+    assert state.mu.stack == (int.from_bytes(_ref_keccak256(region), "big"),)
+    assert state.mu.active_words == aw
+    assert delta == cost == c_mem(4, aw) + sha3_cost(size)
 
 
 def test_balance_and_extcode():

@@ -1,11 +1,14 @@
 import pytest
 
+from evmsem import semantics
 from evmsem.bytecode import assemble
+from evmsem.fixtures import load_corpus
 from evmsem.gas import SCHEDULE
 from evmsem.rlp import fresh_address
 from evmsem.semantics import BudgetExhausted, StepBudget
 from evmsem.state import Account, BlockHeader, GlobalState
 from evmsem.transaction import Transaction, execute_transaction, t_init
+from proputil import program_frame
 
 SENDER = 0xAAAA
 TARGET = 0x1010
@@ -193,3 +196,40 @@ def test_receipt_reports_logs():
     assert receipt.logs[0].address == TARGET
     js = receipt.to_json()
     assert js["logs"][0]["topics"] == ["0x7"]
+
+
+def _program_transaction(seed):
+    """The criterion-5 program of one seed as a call transaction from ORIGIN
+    to the program's account, with the program's gas left after t_init."""
+    st = program_frame(seed).state
+    pre = GlobalState({**dict(st.sigma.items()),
+                       st.iota.sender: Account(0, 10**15, {}, b"")})
+    tx = Transaction(nonce=0, gas_price=1,
+                     gas_limit=SCHEDULE["tx_intrinsic_call"] + st.mu.gas,
+                     to=st.iota.actor, value=st.iota.value, sender=st.iota.sender,
+                     input=st.iota.input)
+    return tx, pre
+
+
+def test_execute_transaction_steps_once_per_trace_action(monkeypatch):
+    # a tracer that counts calls to semantics.step sees every step this way
+    calls = []
+    inner = semantics.step
+
+    def counting_step(*args):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(semantics, "step", counting_step)
+    f = next(f for f in load_corpus() if f.name == "bob_mallory")
+    runs = [(f.tx, f.pre, f.header)]
+    # seeds 0-11 give plain programs and call prefixes; 16 and 25 a CREATE pair
+    runs += [(*_program_transaction(seed), HEADER) for seed in (*range(12), 16, 25)]
+    tags = set()
+    for tx, pre, header in runs:
+        calls.clear()
+        _sigma, trace, receipt = execute_transaction(tx, header, pre)
+        assert receipt.status != "invalid"
+        assert len(calls) == len(trace) > 0
+        tags.update(a.tag for a in trace)
+    assert {"op", "enter", "ret", "exc_ret", "halt", "exc"} <= tags
