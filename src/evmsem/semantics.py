@@ -27,7 +27,7 @@ from .rlp import fresh_address
 from .state import (CALL_DEPTH_LIMIT, EXC, Account, CallStack, ExecutionEnvironment, Frame,
                     Halt, LogEvent, MachineState, Regular, STACK_LIMIT, TransactionEnvironment,
                     is_final, memory_read, memory_write, validate_stack, with_top_state)
-from .traces import Action
+from .traces import CALL_ACTION_ARITY, Action
 from .words import ADDR_MASK, U256_MAX, binop, to_address, word_from_bytes
 
 
@@ -79,8 +79,9 @@ def step(tenv: TransactionEnvironment, stack: CallStack,
     if stack is None:
         raise MalformedConfiguration("empty call stack")
     st = stack.top.state
-    if isinstance(st, Regular):
-        rule = _rule_at(st)
+    if st.__class__ is Regular:
+        rules, pc = _program(st.iota.code), st.mu.pc
+        rule = rules[pc] if pc < len(rules) else _STOP
         if len(st.mu.stack) < rule.n:
             new_stack, action = _exc(rule, stack)            # stack underflow
         else:
@@ -89,7 +90,8 @@ def step(tenv: TransactionEnvironment, stack: CallStack,
         if stack.below is None:
             raise MalformedConfiguration("final configuration cannot be stepped")
         new_stack, action = _process_return(stack)
-    return _new(StepOutcome, (new_stack, action, is_final(new_stack)))
+    final = new_stack.below is None and new_stack.top.state.__class__ is not Regular
+    return _new(StepOutcome, (new_stack, action, final))
 
 
 # ---------------------------------------------------------------------------
@@ -106,23 +108,29 @@ def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int
     yields no step tagged "op" and applies each run of `_runs` that
     cannot fault in one call, with no per-op records. `stop` must then read
     only the depth and whether the top frame is Regular, which no step of a
-    run changes, so a run that outlasts the budget is applied whole and the
-    drive raises, having yielded what it would one op at a time."""
-    index = 0
+    run changes: so `stop` is not asked after a run, a run that outlasts the
+    budget is applied whole and the drive raises, having yielded what it
+    would one op at a time. After a run, the next is looked for only when
+    one starts at its end; after a step, `stop` is the step's own `final`
+    when it is the default."""
+    if stop(stack):
+        return
+    index, default, look = 0, stop is is_final, not ops
     while index < max_steps:
-        if stop(stack):
-            return
-        if not ops and (ran := _run_block(tenv, stack, override)) is not None:
-            stack, length = ran
-            index += length
-            continue
+        if look:
+            st = stack.top.state
+            if (st.__class__ is Regular and (run := _runs(st.iota.code).get(st.mu.pc)) is not None
+                    and (ran := _run_block(tenv, stack, st, run, override)) is not None):
+                stack, index, look = ran, index + run.steps, run.chain
+                continue
         out = step(tenv, stack, override)
         index += 1
         if ops or out.action.tag != "op":
             yield index, stack, out.action, out.stack
-        stack = out.stack
-    if not stop(stack):
-        raise BudgetExhausted(f"no final configuration within {max_steps} steps")
+        stack, look = out.stack, not ops
+        if out.final if default else stop(stack):
+            return
+    raise BudgetExhausted(f"no final configuration within {max_steps} steps")
 
 
 def _drain(steps, stack):
@@ -135,7 +143,7 @@ def _drain(steps, stack):
 
 def _frame_done(depth: int) -> Callable:
     """Stop when the frame at `depth` is Halt/Exc, or at a final configuration."""
-    return lambda s: is_final(s) or (s.depth == depth and not isinstance(s.top.state, Regular))
+    return lambda s: s.top.state.__class__ is not Regular and (s.below is None or s.depth == depth)
 
 
 def run(tenv: TransactionEnvironment, stack: CallStack, limits: StepBudget):
@@ -218,16 +226,25 @@ class _Rule(NamedTuple):
 _new = tuple.__new__
 
 
-@lru_cache(maxsize=256)      # a decoded code holds about 32 bytes per code byte
+@lru_cache(maxsize=256)      # a decoded code holds about 17 bytes per code byte
 def _program(code: bytes) -> tuple:
     """_RULES indexed by the byte at each pc of code, decoded once per code; a
-    PUSH's rule carries as value its immediate word, zero-padded past the end."""
-    rules = [_RULES[byte] for byte in code]
-    for pc, r in enumerate(rules):
+    PUSH's rule at an instruction start carries as value its immediate word,
+    zero-padded past the end. A pc inside PUSH data shares the plain _RULES
+    entry, whose PUSH decodes on demand (`_immediate`)."""
+    rules, pc = [_RULES[byte] for byte in code], 0
+    while pc < len(rules):
+        r = rules[pc]
         if r.fire is _push:
-            imm = code[pc + 1:pc + 1 + r.k].ljust(r.k, b"\x00")
-            rules[pc] = r._replace(value=word_from_bytes(imm))
+            rules[pc] = r._replace(value=_immediate(code, pc, r.k))
+            pc += r.k
+        pc += 1
     return tuple(rules)
+
+
+def _immediate(code: bytes, pc: int, k: int) -> int:
+    """The k-byte immediate word of the PUSH at pc, zero-padded past the end."""
+    return word_from_bytes(bytes(code[pc + 1:pc + 1 + k]).ljust(k, b"\x00"))
 
 
 @lru_cache(maxsize=256)
@@ -235,21 +252,29 @@ def _runs(code: bytes) -> dict:
     """The runs of code's rules in `_program`, by first pc; built the first
     time block mode asks, so one-op-at-a-time stepping never pays for them.
     A run goes from pc 0, a JUMPDEST or the pc after any other rule to the
-    next of these, over instructions. PC pushes its own pc, and GAS the gas
-    left at its own position: the entry gas less the cost before it."""
+    next of these, over instructions. Each stretch of PUSH and PC is fused
+    into one tuple of the words it pushes, top first, as PC pushes its own
+    pc; GAS pushes the gas left at its own position: the entry gas less the
+    cost before it."""
     rules, runs, pc = _program(code), {}, 0
     while pc < len(rules):
-        start, ops, cost, height, need, growth = pc, [], 0, 0, 0, 0
+        start, ops, steps, cost, height, need, growth = pc, [], 0, 0, 0, 0, 0
         while (pc < len(rules) and (r := rules[pc]).fire in _PLAIN
                and (pc == start or r.name != "JUMPDEST")):
             need = max(need, r.n - height)
-            ops.append(r.value if r.fire is _push else pc if r.name == "PC"
-                       else (None, cost) if r.name == "GAS" else _RUN_OPS[r.name])
+            word = r.value if r.fire is _push else pc if r.name == "PC" else None
+            if word is None:
+                ops.append((None, cost) if r.name == "GAS" else _RUN_OPS[r.name])
+            elif ops and ops[-1].__class__ is _Words:
+                ops[-1] = _Words((word, *ops[-1]))
+            else:
+                ops.append(_Words((word,)))
             height += {_push: 1, _dup: 1, _swap: 0}.get(r.fire, (r.value is not None) - r.n)
-            growth, cost = max(growth, height), cost + r.cost
+            steps, growth, cost = steps + 1, max(growth, height), cost + r.cost
             pc += r.k + 1 if r.fire is _push else 1
         if ops:
-            runs[start] = _Run(tuple(ops), cost, need, growth, pc)
+            chain = pc < len(rules) and rules[pc].name == "JUMPDEST"
+            runs[start] = _Run(tuple(ops), steps, cost, need, growth, pc, chain)
         else:
             pc += 1
     return runs
@@ -257,35 +282,40 @@ def _runs(code: bytes) -> dict:
 
 def _rule_at(st: Regular) -> _Rule:
     """The rule at the state's pc: STOP past the end of its code."""
-    rules = _program(st.iota.code)
-    pc = st.mu.pc
-    return rules[pc] if pc < len(rules) else _RULES[bc.STOP]
+    rules, pc = _program(st.iota.code), st.mu.pc
+    r = rules[pc] if pc < len(rules) else _STOP
+    if r.fire is _push and r.value is None:       # a PUSH byte inside PUSH data
+        r = r._replace(value=_immediate(st.iota.code, pc, r.k))
+    return r
+
+
+class _Words(tuple):
+    """A run's stretch of PUSH and PC: the words it pushes, top first."""
+    __slots__ = ()
 
 
 class _Run(NamedTuple):
     """Straight-line plain rules (_PLAIN), none of which faults when the frame
     has `cost` gas, `need` words and room for `growth` more."""
-    ops: tuple                # pushed words and (kind, x) pairs; kind None is GAS
+    ops: tuple                # _Words and (kind, x) pairs; kind None is GAS
+    steps: int                # rules applied
     cost: int                 # summed constant gas
     need: int                 # machine-stack words the run reads
     growth: int               # largest growth of the machine stack after an op
     end: int                  # pc after the run
+    chain: bool               # another run starts at end (a JUMPDEST)
 
 
-def _run_block(tenv, stack: CallStack, override):
-    """(stack, steps) after the run at the top frame's pc, applied in one
-    call; None when no run starts there, or when it might fault."""
-    st = stack.top.state
-    if not isinstance(st, Regular):
-        return None
+def _run_block(tenv, stack: CallStack, st: Regular, run: _Run, override):
+    """The stack after `run`, at the pc of `st`, the top frame's state,
+    applied in one call; None when it might fault."""
     mu = st.mu
-    run = _runs(st.iota.code).get(mu.pc)
     s = mu.stack
-    if run is None or mu.gas < run.cost or len(s) < run.need or len(s) + run.growth >= STACK_LIMIT:
+    if mu.gas < run.cost or len(s) < run.need or len(s) + run.growth >= STACK_LIMIT:
         return None
     for op in run.ops:
-        if op.__class__ is int:                 # PUSH, PC
-            s = (op,) + s
+        if op.__class__ is _Words:              # PUSH, PC: one concatenation
+            s = op + s
             continue
         kind, x = op
         if kind is _dup:
@@ -299,7 +329,8 @@ def _run_block(tenv, stack: CallStack, override):
         else:                                   # a value rule reading x words
             s = (kind(st, tenv, override, *s[:x]),) + s[x:]
     mu2 = _new(MachineState, (mu.gas - run.cost, run.end, mu.memory, mu.active_words, s))
-    return with_top_state(stack, _new(Regular, (mu2, st.iota, st.sigma, st.eta))), len(run.ops)
+    top = _new(Frame, (_new(Regular, (mu2, st.iota, st.sigma, st.eta)), stack.top.contract))
+    return _new(CallStack, (top, stack.below, stack.depth))
 
 
 def _valid(gas: int, cost: int, new_stack_size: int) -> bool:
@@ -322,7 +353,8 @@ def _next(r: _Rule, stack, mu: tuple, args=(), sigma=None, eta=None):
     st, c = stack.top
     state = _new(Regular, (_new(MachineState, mu), st.iota, st.sigma if sigma is None else sigma,
                            st.eta if eta is None else eta))
-    return with_top_state(stack, state), _new(Action, (r.name, c, args, "op"))
+    top = _new(Frame, (state, c))
+    return _new(CallStack, (top, stack.below, stack.depth)), _new(Action, (r.name, c, args, "op"))
 
 
 def _halt(r: _Rule, stack, sigma, gas: int, data: bytes, eta, args=()):
@@ -331,9 +363,12 @@ def _halt(r: _Rule, stack, sigma, gas: int, data: bytes, eta, args=()):
 
 
 def _enter(r: _Rule, stack, callee: Frame, args, tag="enter"):
-    """Push the callee, or EXC for a call-time failure; Action checks enter arity."""
+    """Push the callee, or EXC for a call-time failure; an enter action
+    carries exactly its CALL_ACTION_ARITY args, as Action's constructor checks."""
+    if tag == "enter" and len(args) != CALL_ACTION_ARITY[r.name]:
+        raise ValueError(f"{r.name} action needs {CALL_ACTION_ARITY[r.name]} args")
     pushed = _new(CallStack, (callee, stack, stack.depth + 1))
-    return pushed, Action(r.name, stack.top.contract, args, tag)
+    return pushed, _new(Action, (r.name, stack.top.contract, args, tag))
 
 
 def _resume(r: _Rule, stack, state, tag):
@@ -363,7 +398,7 @@ def _generic(r, st, tenv, stack, override):
     mu = st.mu
     s = mu.stack
     pushes = r.value is not None
-    if not _valid(mu.gas, r.cost, len(s) - r.n + pushes):
+    if mu.gas < r.cost or len(s) - r.n + pushes >= STACK_LIMIT:
         return _exc(r, stack)
     args = s[:r.n]
     rest = s[r.n:]
@@ -374,16 +409,18 @@ def _generic(r, st, tenv, stack, override):
 
 def _push(r, st, tenv, stack, override):
     mu = st.mu
-    if not _valid(mu.gas, r.cost, len(mu.stack) + 1):
+    if mu.gas < r.cost or len(mu.stack) + 1 >= STACK_LIMIT:
         return _exc(r, stack)
+    # a PUSH byte inside PUSH data decodes its immediate here
+    value = r.value if r.value is not None else _immediate(st.iota.code, mu.pc, r.k)
     return _next(r, stack, (mu.gas - r.cost, mu.pc + r.k + 1, mu.memory, mu.active_words,
-                            (r.value,) + mu.stack))
+                            (value,) + mu.stack))
 
 
 def _dup(r, st, tenv, stack, override):
     mu = st.mu
     s = mu.stack
-    if not _valid(mu.gas, r.cost, len(s) + 1):
+    if mu.gas < r.cost or len(s) + 1 >= STACK_LIMIT:
         return _exc(r, stack)
     return _next(r, stack, (mu.gas - r.cost, mu.pc + 1, mu.memory, mu.active_words,
                             (s[r.k - 1],) + s))
@@ -393,7 +430,7 @@ def _swap(r, st, tenv, stack, override):
     mu = st.mu
     s = mu.stack
     n = r.k
-    if not _valid(mu.gas, r.cost, len(s)):
+    if mu.gas < r.cost or len(s) >= STACK_LIMIT:
         return _exc(r, stack)
     swapped = (s[n],) + s[1:n] + (s[0],) + s[n + 1:]
     return _next(r, stack, (mu.gas - r.cost, mu.pc + 1, mu.memory, mu.active_words, swapped))
@@ -572,7 +609,8 @@ def _call(r, st, tenv, stack, override):
                                 g, va, io, isz, oo, os_)
     if not _valid(mu.gas, total, len(mu.stack) - r.n + 1):
         return _exc(r, stack, args)
-    actor_acct = _account(sigma, iota.actor)
+    actor_found = sigma.get(iota.actor)
+    actor_acct = actor_found if actor_found is not None else Account()
     if va > actor_acct.balance or stack.depth + 1 > CALL_DEPTH_LIMIT:
         return _enter(r, stack, Frame(EXC, None), args, "fail")
     callee = found if found is not None else Account()
@@ -581,20 +619,25 @@ def _call(r, st, tenv, stack, override):
         # debit first, then credit the callee as it reads after the debit,
         # so that a call to the caller's own address keeps the value; without
         # value between two existing accounts, the puts would change nothing
-        if va or found is None or iota.actor not in sigma:
+        if va or found is None or actor_found is None:
             debited = actor_acct.with_balance(actor_acct.balance - va)
             payee = debited if to_a == iota.actor else callee
             sigma = sigma.put(iota.actor, debited).put(to_a, payee.with_balance(payee.balance + va))
-        iota = ExecutionEnvironment(to_a, data, iota.actor, va, callee.code)
+        env = (to_a, data, iota.actor, va, callee.code)
     elif r.name == "CALLCODE":  # run the code in the caller's context, no transfer
-        iota = ExecutionEnvironment(iota.actor, data, iota.actor, va, callee.code)
+        env = (iota.actor, data, iota.actor, va, callee.code)
     else:  # DELEGATECALL: the caller's context, its sender and value too
-        iota = ExecutionEnvironment(iota.actor, data, iota.sender, iota.value, callee.code)
-    return _enter(r, stack, _callee(cc, iota, sigma, st.eta, (to_a, callee.code)), args)
+        env = (iota.actor, data, iota.sender, iota.value, callee.code)
+    return _enter(r, stack, _callee(cc, env, sigma, st.eta, (to_a, callee.code)), args)
 
 
-def _callee(gas: int, iota, sigma, eta, contract) -> Frame:
-    """The frame a call or create pushes: pc 0, empty memory and stack."""
+def _callee(gas: int, env: tuple, sigma, eta, contract) -> Frame:
+    """The frame a call or create pushes: pc 0, empty memory and stack, and
+    the ExecutionEnvironment of the fields env, built without its generated
+    frozen __init__, which sets each field through object.__setattr__."""
+    iota = object.__new__(ExecutionEnvironment)
+    d = iota.__dict__
+    d["actor"], d["input"], d["sender"], d["value"], d["code"] = env
     mu = _new(MachineState, (gas, 0, b"", 0, ()))
     return _new(Frame, (_new(Regular, (mu, iota, sigma, eta)), contract))
 
@@ -620,8 +663,8 @@ def _create(r, st, tenv, stack, override):
     sigma = (sigma.put(rho, Account(0, _account(sigma, rho).balance + va, {}, b""))
                   .put(iota.actor, Account(actor_acct.nonce + 1, actor_acct.balance - va,
                                            actor_acct.storage, actor_acct.code)))
-    iota = ExecutionEnvironment(rho, b"", iota.actor, va, memory_read(mu.memory, io, isz))
-    return _enter(r, stack, _callee(budget, iota, sigma, st.eta, None), args)
+    env = (rho, b"", iota.actor, va, memory_read(mu.memory, io, isz))
+    return _enter(r, stack, _callee(budget, env, sigma, st.eta, None), args)
 
 
 def _process_return(stack):
@@ -777,6 +820,7 @@ def _rule_table() -> tuple:
 
 
 _RULES = _rule_table()
+_STOP = _RULES[bc.STOP]
 _PLAIN = frozenset((_generic, _push, _dup, _swap))     # the rules a _Run may hold
 _RUN_OPS = {  # the (kind, x) op of each plain rule that is the same wherever it runs
     r.name: ((_dup, r.k - 1) if r.fire is _dup else (_swap, r.k) if r.fire is _swap

@@ -315,7 +315,7 @@ def frames(stack: Optional[CallStack]) -> Iterator[Frame]:
 
 
 def is_final(stack: CallStack) -> bool:
-    return stack.below is None and not isinstance(stack.top.state, Regular)
+    return stack.below is None and stack.top.state.__class__ is not Regular
 
 
 def validate_stack(stack: Optional[CallStack]) -> None:

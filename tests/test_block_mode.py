@@ -122,14 +122,14 @@ def test_runs_stop_at_any_rule_outside_the_plain_ones():
     # a JUMPDEST ends one run and starts the next
     code = assemble("PUSH1 0x01\nPUSH1 0x00\nMSTORE\nJUMPDEST\nPUSH1 0x02\nJUMPDEST\nSTOP")
     runs = semantics._runs(code)
-    assert {pc: (len(r.ops), r.end) for pc, r in runs.items()} == {
+    assert {pc: (r.steps, r.end) for pc, r in runs.items()} == {
         0: (2, 4), 5: (2, 8), 8: (1, 9)}
 
 
 def test_run_bounds():
     run = _first_run(RUN)
     # PUSH1 PUSH1 ADD GAS PC DUP2 SWAP1 POP (JUMPDEST starts the next run)
-    assert (len(run.ops), run.cost, run.need, run.growth, run.end) == (8, 21, 0, 4, 10)
+    assert (run.steps, run.cost, run.need, run.growth, run.end) == (8, 21, 0, 4, 10)
     assert _first_run("PUSH1 0x01\nADD\nADD\nSTOP").need == 2
 
 
@@ -174,6 +174,52 @@ def test_gas_and_pc_in_the_middle_of_a_run():
     before_stop = per_op[-1][1].top.state
     assert before_stop.mu.stack == (9_990, 6, 0x1234, 9_997, 1)
     assert final == per_op[-1][3]
+
+
+def _pushes(length):
+    """length PUSH1..PUSH32 and PC ops, with distinct words."""
+    return [f"PUSH{i % 32 + 1} 0x" + "".join(f"{(i + j) % 256:02x}" for j in range(i % 32 + 1))
+            if i % 5 else "PC" for i in range(length)]
+
+
+@pytest.mark.parametrize("tail", ["GAS", "DUP", "SWAP"])
+def test_a_stretch_of_pushes_then_gas_dup_or_swap(tail):
+    # the stretch is fused into one op; the run ends at the STOP
+    tenv = make_env()
+    for length in range(1, 33):
+        n = min(length, 16)
+        code = "\n".join(_pushes(length) + [{"GAS": "GAS", "DUP": f"DUP{n}",
+                                             "SWAP": f"SWAP{n}"}[tail], "STOP"])
+        stack = _frame_stack(code, stack=(0xEE,), gas=50_000)
+        per_op = assert_modes_agree(tenv, stack, 100)
+        run = _first_run(code)
+        assert (run.steps, len(run.ops)) == (length + 1, 2)
+        after = semantics._run_block(tenv, stack, stack.top.state, run, None)
+        assert after == per_op[length][3] == per_op[-1][1], length
+
+
+def test_chained_runs_agree_with_cuts_at_each_chain(monkeypatch):
+    # JUMPDESTs inside straight-line code: three runs, each starting where
+    # the one before it ends, applied one after another without a step
+    code = "PUSH1 0x01\nPUSH1 0x02\nJUMPDEST\nADD\nPC\nJUMPDEST\nGAS\nDUP2\nPOP\nSTOP"
+    runs = semantics._runs(assemble(code))
+    assert [(pc, r.steps, r.end, r.chain) for pc, r in sorted(runs.items())] == [
+        (0, 2, 4, True), (4, 3, 7, True), (7, 4, 11, False)]
+    cost = sum(r.cost for r in runs.values())
+    tenv = make_env()
+    for gas in (cost - 1, cost, cost + 1):    # one short: the last run's POP faults
+        stack = _frame_stack(code, gas=gas)
+        per_op = assert_modes_agree(tenv, stack, 100)
+        assert len(per_op) == (10 if gas >= cost else 9)
+        # the chains are at steps 2 and 5: cut there and one step either side
+        assert_cuts_agree(tenv, stack, range(1, 12))
+    stack = _frame_stack(code)
+    for budget in range(1, 12):
+        _steps, exhausted = _drive(iterate_steps(tenv, stack, budget, ops=False))
+        assert exhausted == (budget < 10)
+    steps = _counting_steps(monkeypatch)
+    _drive(iterate_steps(tenv, stack, 100, ops=False))
+    assert len(steps) == 1                  # the three runs, then STOP alone
 
 
 def test_extcodesize_in_a_run_under_a_local_code_update(monkeypatch):

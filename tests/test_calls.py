@@ -1,7 +1,7 @@
 """CALL/CALLCODE/DELEGATECALL/CREATE rules: entry, every call-time exception,
 both return rules, rollback, and the printed differences between the flavors."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -13,7 +13,8 @@ from evmsem.rlp import fresh_address
 from evmsem.semantics import (CodeOverride, MalformedConfiguration, StepBudget,
                               extend_override_after_create, run, run_frame,
                               run_with_local_updates, step)
-from evmsem.state import EXC, Account, Frame, GlobalState, Halt, Regular, memory_read
+from evmsem.state import (EXC, Account, ExecutionEnvironment, Frame, GlobalState, Halt, Regular,
+                          memory_read)
 from helpers import OTHER, SELF, make_env, make_frame, make_state, stack_of, step_one
 
 CALLEE = 0xC0DE
@@ -123,6 +124,26 @@ def test_callee_environment_is_the_callers_with_the_call_fields_replaced(op):
     }[op]
     if op != "CALL":
         assert st.sigma is frame.state.sigma
+
+
+@pytest.mark.parametrize("op", ["CALL", "CALLCODE", "DELEGATECALL", "CREATE"])
+def test_the_callee_environment_is_the_one_its_constructor_builds(op):
+    # the step builds it without the generated __init__; the record must
+    # still be a frozen ExecutionEnvironment like any other
+    if op == "CREATE":
+        frame = create_frame(va=9, init="PUSH1 0x00\nPUSH1 0x00\nRETURN")
+    else:
+        words = call_stack_args(va=7, isz=2)
+        frame = make_call_frame(op=op, stack=words[:2] + words[3:] if op == "DELEGATECALL"
+                                else words, memory={0: 0xAA}, active_words=1, value=3)
+    iota = step_one(frame).stack[0].state.iota
+    built = ExecutionEnvironment(iota.actor, iota.input, iota.sender, iota.value, iota.code)
+    assert type(iota) is ExecutionEnvironment
+    assert iota == built and hash(iota) == hash(built) and repr(iota) == repr(built)
+    assert list(vars(iota).items()) == list(vars(built).items())
+    assert replace(iota, value=5) == replace(built, value=5) != iota
+    with pytest.raises(FrozenInstanceError):
+        iota.value = 5
 
 
 def test_call_balance_failure_pushes_exc():
