@@ -13,9 +13,9 @@ from pathlib import Path
 from typing import Optional
 
 from .bytecode import BYTE_TO_MNEMONIC, assemble, is_push, next_instr_pos
-from .checkers import ScenarioSpace
+from .checkers import CHECKERS, ScenarioSpace
 from .state import Account, BlockHeader, GlobalState
-from .transaction import Transaction, Receipt
+from .transaction import TYPE_CALL, TYPE_CREATE, Transaction, Receipt
 from .words import (address_to_hex, bytes_to_hex, hex_to_address, hex_to_bytes,
                     hex_to_word, word_to_hex)
 
@@ -64,9 +64,9 @@ _JSON_TYPES = {dict: "a JSON object", list: "a JSON array", int: "an integer"}
 
 
 def _typed(value, kind: type, what: str):
-    """value, which must be a JSON object (dict), array (list) or integer
-    (int); parse_fixture reports the TypeError as a FixtureError."""
-    if not isinstance(value, kind):
+    """value, which must be a JSON object, array or integer (a JSON boolean is
+    not one); parse_fixture reports the TypeError as a FixtureError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise TypeError(f"{what} must be {_JSON_TYPES[kind]}, not {type(value).__name__}")
     return value
 
@@ -88,15 +88,17 @@ def _leaf(decode, encode):
 
 def _list(item):
     decode, encode = item
-    return ((lambda v, what: [decode(x, what) for x in _typed(v, list, what)]),
+    return ((lambda v, what: [decode(x, f"{what}[{i}]")
+                              for i, x in enumerate(_typed(v, list, what))]),
             lambda v: [encode(x) for x in v])
 
 
-def _map(key, item):
+def _map(key, item, make=dict, sort=False):
+    """A JSON object read into make(mapping); sort writes it in key order."""
     (kdecode, kencode), (decode, encode) = key, item
-    return ((lambda v, what: {kdecode(k, what): decode(x, what)
-                              for k, x in _typed(v, dict, what).items()}),
-            lambda v: {kencode(k): encode(x) for k, x in v.items()})
+    return ((lambda v, what: make({kdecode(k, f"{what} key"): decode(x, f"{what}[{k}]")
+                                   for k, x in _typed(v, dict, what).items()})),
+            lambda v: {kencode(k): encode(x) for k, x in (sorted(v.items()) if sort else v.items())})
 
 
 def _fields(table):
@@ -105,6 +107,41 @@ def _fields(table):
     return ((lambda v, what: {k: table[k][0](x, k) if k in table else x
                               for k, x in _typed(v, dict, what).items()}),
             lambda v: {k: table[k][1](x) if k in table else x for k, x in v.items()})
+
+
+_REQUIRED = object()    # the default of a key that must be given
+
+
+def _record(make, table, names=None, parts=vars):
+    """A JSON object read as make(**fields) and written from parts(record). table maps
+    each JSON key to (codec, the JSON an absent key reads as, or _REQUIRED); names maps a
+    key to its field where the two differ. Other keys are ignored; None is not written."""
+    keys = [(key, (names or {}).get(key, key), codec, default)
+            for key, (codec, default) in table.items()]
+
+    def decode(v, what):
+        _typed(v, dict, what)
+        fields = {}
+        for key, name, (decode_field, _), default in keys:
+            if key not in v and default is _REQUIRED:
+                raise ValueError(f"{key} must be given in {what}")
+            fields[name] = decode_field(v.get(key, default), key)
+        return make(**fields)
+
+    def encode(record):
+        values = parts(record)
+        out = ((key, encode_field(values[name])) for key, name, (_, encode_field), _ in keys)
+        return {key: x for key, x in out if x is not None}
+
+    return decode, encode
+
+
+def _one_of(*names):
+    def decode(v, what):
+        if v not in names:
+            raise ValueError(f"{what} must be one of {', '.join(names)}, not {v!r}")
+        return v
+    return decode, str
 
 
 def _positive(v, what):
@@ -117,10 +154,36 @@ _NAME = _leaf(str, str)
 _INT = (lambda v, what: _typed(v, int, what)), int
 _WORD = _leaf(hex_to_word, word_to_hex)
 _ADDRESS = _leaf(hex_to_address, address_to_hex)
+_OPTIONAL_ADDRESS = _leaf(lambda v: None if v is None else hex_to_address(v),
+                          lambda v: None if v is None else address_to_hex(v))
+_BYTES = _leaf(hex_to_bytes, bytes_to_hex)
 _CODE = _leaf(_decode_code, bytes_to_hex)
 
-_HEADER = {"parent": _WORD, "beneficiary": _ADDRESS, "difficulty": _WORD,
-           "number": _WORD, "gaslimit": _WORD, "timestamp": _WORD}
+_HEADER_KEYS = {"parent": (_WORD, "0x0"), "beneficiary": (_ADDRESS, "0x0"),
+                "difficulty": (_WORD, "0x0"), "number": (_WORD, "0x0"),
+                "gaslimit": (_WORD, "0x0"), "timestamp": (_WORD, "0x0")}
+
+# an ancestor is a header and its hash, read as the pair (hash, header)
+_ANCESTOR_LIST = _list(_record(lambda hash, **h: (hash, BlockHeader(**h)),
+                               {"hash": (_WORD, _REQUIRED), **_HEADER_KEYS},
+                               parts=lambda pair: {"hash": pair[0], **vars(pair[1])}))
+
+# `pre` reads an absent account key as its default; `expect.post` checks
+# only the keys it gives
+_ACCOUNT_KEYS = {"nonce": (_WORD, "0x0"), "balance": (_WORD, "0x0"),
+                 "storage": (_map(_WORD, _WORD, sort=True), {}), "code": (_CODE, "0x")}
+
+
+def _pre_account(storage, **rest) -> Account:
+    """Storage never holds a zero, so `pre` drops zero values."""
+    return Account(storage={k: v for k, v in storage.items() if v}, **rest)
+
+
+_TX = _record(Transaction, {
+    "type": (_one_of(TYPE_CALL, TYPE_CREATE), TYPE_CALL), "nonce": (_WORD, "0x0"),
+    "gasprice": (_WORD, "0x0"), "gaslimit": (_WORD, _REQUIRED), "value": (_WORD, "0x0"),
+    "sender": (_ADDRESS, _REQUIRED), "input": (_BYTES, "0x"), "to": (_OPTIONAL_ADDRESS, None),
+}, names={"gasprice": "gas_price", "gaslimit": "gas_limit"})
 
 _CHECKER_PARAMS = _fields({
     "contract": _ADDRESS,
@@ -135,28 +198,30 @@ _CHECKER_PARAMS = _fields({
                                       "storage_set": _map(_WORD, _WORD)}),
     "max_steps": (_positive, int),
     "finpot_samples": _INT,
+    "mode": _one_of("direct", "theorem1"),
 })
 
-# the `expect` section; other keys ("status", "exists", verdict names) pass through
-_EXPECT = _fields({
+# the `expect` section; other keys (notes, "exists" in a post account) pass through
+_EXPECT_KEYS = {
+    "status": _one_of("success", "exception", "invalid"),
     "gas_used": _WORD,
     "logs": _INT,
-    "created": ((lambda v, what: hex_to_address(v) if v else None),
-                lambda v: None if v is None else address_to_hex(v)),
-    "post": _map(_ADDRESS, _fields({"balance": _WORD, "nonce": _WORD, "code": _CODE,
-                                    "storage": _map(_WORD, _WORD)})),
-    "verdicts": _fields({}),
+    "created": _OPTIONAL_ADDRESS,
+    "post": _map(_ADDRESS, _fields({k: codec for k, (codec, _) in _ACCOUNT_KEYS.items()})),
+    "verdicts": _map(_one_of(*sorted(CHECKERS)), _one_of("holds", "violated")),
+}
+
+# the fixture's sections, read as Fixture's fields
+_SECTIONS = _record(dict, {
+    "pre": (_map(_ADDRESS, _record(_pre_account, _ACCOUNT_KEYS), make=GlobalState, sort=True),
+            {}),
+    "tx": (_TX, _REQUIRED),
+    "header": (_record(BlockHeader, _HEADER_KEYS), {}),
+    "ancestors": (((lambda v, what: dict(_ANCESTOR_LIST[0](v, what))),
+                   lambda v: _ANCESTOR_LIST[1](sorted(v.items()))), []),
+    "expect": (_fields(_EXPECT_KEYS), {}),
+    "checker_params": (_CHECKER_PARAMS, {}),
 })
-
-
-def _decode_header(obj) -> BlockHeader:
-    _typed(obj, dict, "header")
-    return BlockHeader(**{k: decode(obj.get(k, "0x0"), k)
-                          for k, (decode, _) in _HEADER.items()})
-
-
-def _encode_header(h: BlockHeader) -> dict:
-    return {k: encode(getattr(h, k)) for k, (_, encode) in _HEADER.items()}
 
 
 def parse_fixture(obj, name: str = "<fixture>") -> Fixture:
@@ -169,82 +234,15 @@ def parse_fixture(obj, name: str = "<fixture>") -> Fixture:
             raise FixtureError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}")
         except RecursionError:
             raise FixtureError(f"{path}: JSON nested too deeply") from None
-    if not isinstance(obj, dict):
-        raise FixtureError(f"{name}: fixture must be a JSON object")
-
     try:
-        accounts = {}
-        for addr_hex, acct in _typed(obj.get("pre", {}), dict, "pre").items():
-            _typed(acct, dict, f"pre[{addr_hex}]")
-            storage = {hex_to_word(k): hex_to_word(v)
-                       for k, v in _typed(acct.get("storage", {}), dict, "storage").items()
-                       if hex_to_word(v) != 0}
-            accounts[hex_to_address(addr_hex)] = Account(
-                nonce=hex_to_word(acct.get("nonce", "0x0")),
-                balance=hex_to_word(acct.get("balance", "0x0")),
-                storage=storage,
-                code=_decode_code(acct.get("code", "0x")),
-            )
-        pre = GlobalState(accounts)
-
-        txo = _typed(obj["tx"], dict, "tx")
-        tx_type = txo.get("type", "call")
-        tx = Transaction(
-            nonce=hex_to_word(txo.get("nonce", "0x0")),
-            gas_price=hex_to_word(txo.get("gasprice", "0x0")),
-            gas_limit=hex_to_word(txo["gaslimit"]),
-            to=hex_to_address(txo["to"]) if "to" in txo else None,
-            value=hex_to_word(txo.get("value", "0x0")),
-            sender=hex_to_address(txo["sender"]),
-            input=hex_to_bytes(txo.get("input", "0x")),
-            type=tx_type,
-        )
-
-        header = _decode_header(obj.get("header", {}))
-        ancestors = {hex_to_word(_typed(anc, dict, "ancestor")["hash"]): _decode_header(anc)
-                     for anc in _typed(obj.get("ancestors", []), list, "ancestors")}
-        params = _CHECKER_PARAMS[0](obj.get("checker_params", {}), "checker_params")
-
-        expect = _EXPECT[0](obj.get("expect", {}), "expect")
-        return Fixture(name=name, pre=pre, tx=tx, header=header,
-                       ancestors=ancestors, expect=expect, checker_params=params)
-    except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, FixtureError):
-            raise
+        return Fixture(name=name, **_SECTIONS[0](obj, "fixture"))
+    except (TypeError, ValueError) as e:
         raise FixtureError(f"{name}: {e}") from e
 
 
 def fixture_to_json(f: Fixture) -> dict:
-    pre = {}
-    for addr, acct in sorted(f.pre.items()):
-        pre[address_to_hex(addr)] = {
-            "nonce": word_to_hex(acct.nonce),
-            "balance": word_to_hex(acct.balance),
-            "storage": {word_to_hex(k): word_to_hex(v)
-                        for k, v in sorted(acct.storage.items())},
-            "code": bytes_to_hex(acct.code),
-        }
-    txo = {
-        "type": f.tx.type,
-        "nonce": word_to_hex(f.tx.nonce),
-        "gasprice": word_to_hex(f.tx.gas_price),
-        "gaslimit": word_to_hex(f.tx.gas_limit),
-        "value": word_to_hex(f.tx.value),
-        "sender": address_to_hex(f.tx.sender),
-        "input": bytes_to_hex(f.tx.input),
-    }
-    if f.tx.to is not None:
-        txo["to"] = address_to_hex(f.tx.to)
-
-    out = {"name": f.name, "pre": pre, "tx": txo, "header": _encode_header(f.header)}
-    if f.ancestors:
-        out["ancestors"] = [{"hash": word_to_hex(hash_), **_encode_header(h)}
-                            for hash_, h in sorted(f.ancestors.items())]
-    if f.expect:
-        out["expect"] = _EXPECT[1](f.expect)
-    if f.checker_params:
-        out["checker_params"] = _CHECKER_PARAMS[1](f.checker_params)
-    return out
+    """The fixture's JSON; an empty section is left out."""
+    return {"name": f.name, **{k: v for k, v in _SECTIONS[1](f).items() if v}}
 
 
 def corpus_dir() -> Path:
@@ -261,15 +259,12 @@ def check_expectations(f: Fixture, sigma: GlobalState, receipt: Receipt) -> list
     returns a list of human-readable mismatches (empty = match)."""
     problems = []
     exp = f.expect
-    if "status" in exp and receipt.status != exp["status"]:
-        problems.append(f"status: expected {exp['status']}, got {receipt.status}")
-    if "gas_used" in exp and receipt.gas_used != exp["gas_used"]:
-        problems.append(f"gas_used: expected {exp['gas_used']:#x}, got {receipt.gas_used:#x}")
-    if "logs" in exp and len(receipt.logs) != exp["logs"]:
-        problems.append(f"logs: expected {exp['logs']}, got {len(receipt.logs)}")
-    if "created" in exp and receipt.created != exp["created"]:
-        problems.append("created: expected %s, got %s" % tuple(
-            a if a is None else address_to_hex(a) for a in (exp["created"], receipt.created)))
+    got = {"status": receipt.status, "gas_used": receipt.gas_used,
+           "logs": len(receipt.logs), "created": receipt.created}
+    for key, value in got.items():
+        if key in exp and exp[key] != value:
+            encode = _EXPECT_KEYS[key][1]
+            problems.append(f"{key}: expected {encode(exp[key])}, got {encode(value)}")
     for addr, want in exp.get("post", {}).items():
         name = address_to_hex(addr)
         acct = sigma.get(addr)
@@ -316,8 +311,7 @@ def ingest_official_tests(directory) -> tuple:
     directory = Path(directory)
     if not directory.is_dir():
         raise NotADirectoryError(f"{directory}: not a directory")
-    fixtures = []
-    skipped = []
+    fixtures, skipped = [], []
     for path in sorted(directory.glob("*.json")):
         try:
             doc = json.loads(path.read_text())
@@ -333,56 +327,41 @@ def ingest_official_tests(directory) -> tuple:
                 fixtures.append(_ingest_one(test_name, body))
             except FixtureError as e:
                 skipped.append((src, str(e)))
-            except (KeyError, TypeError, ValueError) as e:
+            except (LookupError, TypeError, ValueError) as e:
                 skipped.append((src, f"untranslatable: {e}"))
     return fixtures, skipped
 
 
-# the GeneralStateTest env name of each header field
+# the GeneralStateTest name of each header field (in env) and tx key
 _ENV_HEADER = {"parent": "previousHash", "beneficiary": "currentCoinbase",
                "difficulty": "currentDifficulty", "number": "currentNumber",
                "gaslimit": "currentGasLimit", "timestamp": "currentTimestamp"}
+_GST_TX = {"nonce": "nonce", "gasprice": "gasPrice", "gaslimit": "gasLimit", "value": "value",
+           "sender": "sender", "input": "data", "to": "to"}
 
 
 def _ingest_one(name: str, body: dict) -> Fixture:
     env = _typed(body["env"], dict, "env")
     txo = _typed(body["transaction"], dict, "transaction")
-    sender = txo.get("sender")
-    if not sender:
+    if not txo.get("sender"):
         raise FixtureError("no sender field (secretKey recovery unsupported)")
 
-    pre_obj = {}
+    pre = {}
     for addr, acct in _typed(body["pre"], dict, "pre").items():
-        _typed(acct, dict, f"pre[{addr}]")
-        code = acct.get("code", "0x") or "0x"
+        code = _typed(acct, dict, f"pre[{addr}]").get("code") or "0x"
         reason = _uses_unsupported_opcodes(hex_to_bytes(code))
         if reason:
             raise FixtureError(f"account {addr}: {reason}")
-        pre_obj[addr] = {
-            "nonce": acct.get("nonce", "0x0"),
-            "balance": acct.get("balance", "0x0"),
-            "code": code,
-            "storage": acct.get("storage", {}),
-        }
+        pre[addr] = {**acct, "code": code}
 
-    def first(v):
-        return v[0] if isinstance(v, list) else v
-
-    to = txo.get("to", "")
-    fixture_tx = {
-        "type": "call" if to else "create",
-        "nonce": txo.get("nonce", "0x0"),
-        "gasprice": txo.get("gasPrice", "0x0"),
-        "gaslimit": first(txo["gasLimit"]),
-        "value": first(txo.get("value", "0x0")),
-        "sender": sender,
-        "input": first(txo.get("data", "0x")),
-    }
-    if to:
-        fixture_tx["to"] = to
+    # data, gasLimit and value are lists, indexed by the test's variants: take the first
+    tx = {key: txo[src][0] if isinstance(txo[src], list) else txo[src]
+          for key, src in _GST_TX.items() if src in txo}
+    tx["to"] = tx.get("to") or None
+    tx["type"] = "call" if tx["to"] else "create"
 
     header = {k: env[src] for k, src in _ENV_HEADER.items() if src in env}
-    obj = {"pre": pre_obj, "tx": fixture_tx, "header": header}
+    obj = {"pre": pre, "tx": tx, "header": header}
     if "expect" in body and isinstance(body["expect"], dict):
         obj["expect"] = body["expect"]
     return parse_fixture(obj, name=name)

@@ -8,7 +8,8 @@ from corpus_build import build_all, write_corpus
 from evmsem.cli import main
 from evmsem.fixtures import (FixtureError, check_expectations, corpus_dir, fixture_to_json,
                              ingest_official_tests, load_corpus, parse_fixture)
-from evmsem.transaction import execute_transaction
+from evmsem.state import Account, BlockHeader
+from evmsem.transaction import Transaction, execute_transaction
 
 
 def test_corpus_files_match_builders(tmp_path):
@@ -64,6 +65,70 @@ def test_every_checker_param_round_trips():
     assert j2 == j1
     assert j1["checker_params"]["account_perturbations"]["storage_set"] == {"0x0": "0x1",
                                                                           "0x5": "0x0"}
+
+
+def _addr(short):
+    return "0x" + short.rjust(40, "0")
+
+
+EVERY_SCENARIO_KEY = {
+    "pre": {"0xc0": {"nonce": "0x1", "balance": "0x64", "storage": {"0x2": "0x7", "0x1": "0x0"},
+                     "code": {"asm": "PUSH1 0x01\nSTOP"}},
+            "0xaa": {}},
+    "tx": {"type": "create", "nonce": "0x2", "gasprice": "0x3", "gaslimit": "0x186a0",
+           "value": "0x4", "sender": "0xaa", "input": "0x6001"},
+    "header": {"parent": "0x11", "beneficiary": "0xbe", "difficulty": "0x22", "number": "0x8",
+               "gaslimit": "0x989680", "timestamp": "0x3e8"},
+    "ancestors": [{"hash": "0x77", "parent": "0x66", "beneficiary": "0xbe", "difficulty": "0x1",
+                   "number": "0x7", "gaslimit": "0x5", "timestamp": "0x9"},
+                  {"hash": "0x66"}],
+    "expect": {"post": {"0xc0": {"storage": {"0x1": "0x0"}}}},
+}
+
+
+def test_every_scenario_key_round_trips():
+    f = parse_fixture(copy.deepcopy(EVERY_SCENARIO_KEY), "scenario")
+    # pre drops the zero storage value; expect.post keeps it, since it is checked
+    assert f.pre.get(0xC0) == Account(nonce=1, balance=0x64, storage={2: 7},
+                                      code=bytes.fromhex("600100"))
+    assert f.pre.get(0xAA) == Account()
+    assert f.expect["post"] == {0xC0: {"storage": {1: 0}}}
+    assert f.tx == Transaction(nonce=2, gas_price=3, gas_limit=0x186A0, to=None, value=4,
+                               sender=0xAA, input=b"\x60\x01", type="create")
+    assert f.header == BlockHeader(parent=0x11, beneficiary=0xBE, difficulty=0x22, number=8,
+                                   gaslimit=0x989680, timestamp=0x3E8)
+    assert f.ancestors == {0x77: BlockHeader(0x66, 0xBE, 1, 7, 5, 9), 0x66: BlockHeader()}
+    j1 = fixture_to_json(f)
+    assert list(j1) == ["name", "pre", "tx", "header", "ancestors", "expect"]
+    assert j1["pre"] == {
+        _addr("aa"): {"nonce": "0x0", "balance": "0x0", "storage": {}, "code": "0x"},
+        _addr("c0"): {"nonce": "0x1", "balance": "0x64", "storage": {"0x2": "0x7"},
+                      "code": "0x600100"}}
+    assert j1["tx"] == {"type": "create", "nonce": "0x2", "gasprice": "0x3",
+                        "gaslimit": "0x186a0", "value": "0x4", "sender": _addr("aa"),
+                        "input": "0x6001"}
+    assert j1["header"]["beneficiary"] == _addr("be")
+    assert j1["ancestors"] == [
+        {"hash": "0x66", "parent": "0x0", "beneficiary": _addr("0"), "difficulty": "0x0",
+         "number": "0x0", "gaslimit": "0x0", "timestamp": "0x0"},
+        {"hash": "0x77", "parent": "0x66", "beneficiary": _addr("be"), "difficulty": "0x1",
+         "number": "0x7", "gaslimit": "0x5", "timestamp": "0x9"}]
+    assert j1["expect"] == {"post": {_addr("c0"): {"storage": {"0x1": "0x0"}}}}
+    assert fixture_to_json(parse_fixture(copy.deepcopy(j1), "scenario")) == j1
+
+
+def test_absent_scenario_keys_read_as_their_defaults():
+    f = parse_fixture({"tx": {"gaslimit": "0x5", "sender": "0xaa", "to": "0xc0"}}, "defaults")
+    assert f.pre == {} and f.ancestors == {} and f.expect == {} and f.checker_params == {}
+    assert f.tx == Transaction(nonce=0, gas_price=0, gas_limit=5, to=0xC0, value=0,
+                               sender=0xAA, input=b"", type="call")
+    assert f.header == BlockHeader()
+    assert fixture_to_json(f) == {
+        "name": "defaults",
+        "tx": {"type": "call", "nonce": "0x0", "gasprice": "0x0", "gaslimit": "0x5",
+               "value": "0x0", "sender": _addr("aa"), "input": "0x", "to": _addr("c0")},
+        "header": {"parent": "0x0", "beneficiary": _addr("0"), "difficulty": "0x0",
+                   "number": "0x0", "gaslimit": "0x0", "timestamp": "0x0"}}
 
 
 def test_fixture_asm_code_form(tmp_path):
@@ -129,6 +194,10 @@ BOB_POST = ("expect", "post", "0x0000000000000000000000000000000000001001")
     (BOB_POST + ("code",), "0x1"),
     (BOB_POST + ("storage", "0x0"), 5),
     (BOB_POST + ("storage",), []),
+    (("expect", "logs"), False),
+    (("expect", "status"), "ok"),
+    (("expect", "verdicts", "single-entrancy"), "violatd"),
+    (("expect", "verdicts", "single-entrancyy"), "violated"),
 ])
 def test_cli_run_malformed_expect_exit_2_without_expect_flag(tmp_path, capsys, path, value):
     bad = tmp_path / "bad.json"
@@ -352,12 +421,32 @@ WELL_FORMED["checker_params"].update({
     (("checker_params", "max_steps"), 0),
     (("checker_params", "contract_code"), "0x1"),
     (("checker_params", "contract_code"), {"asm": 5}),
+    (("tx",), {k: v for k, v in WELL_FORMED["tx"].items() if k != "gaslimit"}),
+    (("tx", "to"), 5),
+    (("tx", "input"), {"asm": "STOP"}),
+    (("pre", "0x0000000000000000000000000000000000001001", "nonce"), "1"),
+    (("ancestors", 0), {"parent": "0x66", "number": "0x8"}),
+    (("checker_params", "max_steps"), True),
+    (("checker_params", "account_perturbations", "balance_deltas"), [1, True]),
+    (("checker_params", "mode"), 7),
 ])
 def test_cli_wrongly_typed_field_exit_2(tmp_path, capsys, path, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_replaced(WELL_FORMED, path, value)))
     assert main(["run", str(bad)]) == 2
     assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,says", [
+    ("single-entrancy", "violatd", ["verdicts[single-entrancy] must be", "not 'violatd'"]),
+    ("single-entrancyy", "violated", ["verdicts key must be", "not 'single-entrancyy'"]),
+])
+def test_cli_check_malformed_verdict_exit_2_naming_the_key(tmp_path, capsys, key, value, says):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_replaced(WELL_FORMED, ("expect", "verdicts", key), value)))
+    assert main(["check", "single-entrancy", str(bad), "--expect"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and all(s in err for s in says), err
 
 
 @pytest.mark.parametrize("values", [["0x1", "0x2"], ["0x1"]])
@@ -444,6 +533,15 @@ def test_ingest_skips_tests_whose_sections_are_not_objects(tmp_path):
         "sections.json::account": "untranslatable: pre[0x0000000000000000000000000000000000001010]"
                                   " must be a JSON object, not list",
         "sections.json::env": "untranslatable: env must be a JSON object, not str"}
+
+
+def test_ingest_skips_an_empty_variant_list(tmp_path):
+    doc = json.loads((corpus_dir() / "state_tests" / "simple_sstore.json").read_text())
+    doc["simpleStorageFill"]["transaction"]["gasLimit"] = []
+    (tmp_path / "empty.json").write_text(json.dumps(doc))
+    fixtures, skipped = ingest_official_tests(tmp_path)
+    assert fixtures == []
+    assert [reason for _src, reason in skipped] == ["untranslatable: list index out of range"]
 
 
 def test_ingest_empty_dir(tmp_path):
