@@ -10,8 +10,8 @@ from .checkers import (ScenarioSpace, Verdict, check_account_state_independence,
 from .keccak import keccak256, keccak256_bytes
 from .rlp import fresh_address, rlp_encode_pair
 from .semantics import (BudgetExhausted, CodeOverride, MalformedConfiguration,
-                        StepBudget, StepOutcome, extend_override_after_create,
-                        run, run_with_local_updates, step)
+                        StepOutcome, extend_override_after_create, run,
+                        run_with_local_updates, step)
 from .state import (Account, BlockHeader, ExecutionEnvironment, Frame, GlobalState,
                     Halt, MachineState, Regular, TransactionEffects,
                     TransactionEnvironment, EXC)

@@ -14,25 +14,25 @@ from pathlib import Path
 
 from .bytecode import AsmError, assemble, disassemble_text
 from .checkers import CHECKERS
-from .fixtures import FixtureError, check_expectations, ingest_official_tests, parse_fixture
-from .semantics import BudgetExhausted, StepBudget
+from .fixtures import (_CHECKER_PARAMS, FixtureError, check_expectations,
+                       ingest_official_tests, parse_fixture)
+from .semantics import BudgetExhausted
 from .traces import action_to_json
 from .transaction import execute_transaction
-from .words import bytes_to_hex, hex_to_address, hex_to_bytes, hex_to_word
+from .words import address_to_hex, bytes_to_hex, hex_to_bytes
 
-
-def _addr_list(text):
-    return [hex_to_address(a) for a in text.split(",") if a]
+# a flag that sets a checker_params key is decoded by that key's codec
+_decode_params = _CHECKER_PARAMS[0]
 
 
 def cmd_run(args) -> int:
     fixture = parse_fixture(args.fixture)
-    limits = StepBudget(args.max_steps)
+    max_steps = _decode_params({"max_steps": args.max_steps}, "flags")["max_steps"]
     # open the trace file first, so an unwritable path fails before any output
     out = open(args.trace, "w") if args.trace not in (None, "", "-") else sys.stdout
     try:
         sigma, trace, receipt = execute_transaction(
-            fixture.tx, fixture.header, fixture.pre, limits, fixture.ancestors)
+            fixture.tx, fixture.header, fixture.pre, max_steps, fixture.ancestors)
         print(json.dumps(receipt.to_json(), indent=1))
         if args.trace:
             for action in trace:
@@ -53,41 +53,38 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_values(text):
-    return [hex_to_word(v) if v.startswith("0x") else int(v)
-            for v in text.split(",")]
+def _items(text):
+    """A comma-separated flag as the JSON list its key holds. A plain decimal
+    item is rewritten as 0x hex; anything else is left for the codec to judge."""
+    return None if text is None else [hex(int(x)) if x.isascii() and x.isdecimal() else x
+                                      for x in text.split(",")]
 
 
 def cmd_check(args) -> int:
-    if args.values and not args.component:
+    if args.values is not None and args.component is None:
         raise ValueError("--values needs --component")
     fixture = parse_fixture(args.fixture)
     params = dict(fixture.checker_params)   # flags override the fixture's keys
-    if args.untrusted:
-        params["untrusted"] = _addr_list(args.untrusted)
-    if args.allowed:
-        params["allowed"] = _addr_list(args.allowed)
-    if args.gas_values:
-        params["gas_values"] = _parse_values(args.gas_values)
-    if args.component:
-        values = (_parse_values(args.values) if args.values
-                  else params.get("components", {}).get(args.component, []))
+    if args.component is not None:          # vary only this component
+        values = params.get("components", {}).get(args.component, [])
         params["components"] = {args.component: values}
-    if args.variants:
-        variants = []
-        for path in sorted(Path(args.variants).iterdir()):
-            if path.suffix in (".hex", ".bin"):
-                variants.append(hex_to_bytes(path.read_text().strip()))
-            elif path.suffix == ".easm":
-                variants.append(assemble(path.read_text()))
+    flags = {"untrusted": _items(args.untrusted), "allowed": _items(args.allowed),
+             "gas_values": _items(args.gas_values), "mode": args.mode,
+             "max_steps": args.max_steps}
+    if args.values is not None:
+        flags["components"] = {args.component: _items(args.values)}
+    params.update(_decode_params({k: v for k, v in flags.items() if v is not None}, "flags"))
+    if args.variants is not None:
+        if not params.get("untrusted"):
+            raise ValueError("--variants needs an untrusted address (--untrusted or the fixture's)")
+        # each file as the JSON a code_variants entry holds
+        variants = [{"asm": p.read_text()} if p.suffix == ".easm" else p.read_text().strip()
+                    for p in sorted(Path(args.variants).iterdir())
+                    if p.suffix in (".hex", ".bin", ".easm")]
         if not variants:
-            print("error: no .hex/.easm variants in directory", file=sys.stderr)
-            return 2
-        params["code_variants"] = {a: variants for a in params.get("untrusted", ())}
-    if args.mode:
-        params["mode"] = args.mode
-    if args.max_steps is not None:
-        params["max_steps"] = args.max_steps
+            raise ValueError("no .hex/.easm variants in directory")
+        params.update(_decode_params({"code_variants": {
+            address_to_hex(a): variants for a in params["untrusted"]}}, "flags"))
 
     checker = CHECKERS.get(args.property)
     if checker is None:
@@ -163,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--values", help="comma-separated component values")
     p_check.add_argument("--variants", metavar="DIR",
                          help="directory of .hex/.easm code variants")
-    p_check.add_argument("--mode", choices=["direct", "theorem1"])
+    p_check.add_argument("--mode")
     p_check.add_argument("--relaxed-gas", action="store_true",
                          help="ignore the gas argument when comparing traces")
     p_check.add_argument("--expect", action="store_true")

@@ -40,15 +40,6 @@ class BudgetExhausted(Exception):
 
 
 @dataclass(frozen=True)
-class StepBudget:
-    max_steps: int
-
-    def __post_init__(self):
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
-
-
-@dataclass(frozen=True)
 class CodeOverride:
     """Partial map address -> code consulted by EXTCODESIZE/EXTCODECOPY
     in place of the global state (local code update)."""
@@ -146,10 +137,10 @@ def _frame_done(depth: int) -> Callable:
     return lambda s: s.top.state.__class__ is not Regular and (s.below is None or s.depth == depth)
 
 
-def run(tenv: TransactionEnvironment, stack: CallStack, limits: StepBudget):
+def run(tenv: TransactionEnvironment, stack: CallStack, max_steps: int):
     """Iterate step until a final configuration; returns (final stack, trace)."""
     validate_stack(stack)
-    return _drain(iterate_steps(tenv, stack, limits.max_steps), stack)
+    return _drain(iterate_steps(tenv, stack, max_steps), stack)
 
 
 def run_to_depth(tenv: TransactionEnvironment, stack: CallStack, depth: int,

@@ -7,7 +7,7 @@ from typing import Optional
 
 from .gas import SCHEDULE
 from .rlp import fresh_address
-from .semantics import StepBudget, run
+from .semantics import run
 from .state import (EMPTY_EFFECTS, Account, BlockHeader, CallStack, ExcState, Frame,
                     GlobalState, Halt, MachineState, Regular,
                     TransactionEnvironment, ExecutionEnvironment)
@@ -178,14 +178,14 @@ def _finalize_exception(tx: Transaction, sigma_pre: GlobalState, beneficiary: in
 
 
 def execute_transaction(tx: Transaction, header: BlockHeader, sigma: GlobalState,
-                        limits: StepBudget = StepBudget(1_000_000),
+                        max_steps: int = 1_000_000,
                         ancestors: Optional[dict] = None):
     """Compose t_init, run and t_final; returns (sigma', trace, receipt)."""
     init = t_init(tx, header, sigma, ancestors)
     if init is None:
         return sigma, (), Receipt("invalid", 0, ())
     tenv, frame, created = init
-    final_stack, trace = run(tenv, CallStack(frame, None, 1), limits)
+    final_stack, trace = run(tenv, CallStack(frame, None, 1), max_steps)
     sigma2, receipt = t_final(final_stack.top.state, tx, sigma,
                               header.beneficiary, created)
     return sigma2, trace, receipt

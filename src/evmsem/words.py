@@ -1,7 +1,8 @@
 """256-bit machine words, byte arrays and hex codecs.
 
 Words are plain ints kept in [0, 2**256); every operation reduces mod 2**256.
-Addresses are ints in [0, 2**160).
+Addresses are ints in [0, 2**160). The hex codecs reject a value outside
+those ranges rather than reduce it.
 """
 
 from __future__ import annotations
@@ -113,10 +114,19 @@ def word_to_hex(x: int) -> str:
     return hex(x)
 
 
-def hex_to_word(s: str) -> Word256:
+def _hex_below(s: str, bits: int, what: str) -> int:
+    """The int a 0x hex string names, which must fit in bits: a value that
+    does not fit is an error, not reduced."""
     if not isinstance(s, str) or not s.startswith("0x"):
         raise ValueError(f"hex value must be a 0x-prefixed string: {s!r}")
-    return int(s, 16) % TWO_256
+    x = int(s, 16)
+    if x >> bits:
+        raise ValueError(f"{what} must be below 2**{bits}: {s!r}")
+    return x
+
+
+def hex_to_word(s: str) -> Word256:
+    return _hex_below(s, 256, "a word")
 
 
 def bytes_to_hex(data: bytes) -> str:
@@ -137,4 +147,4 @@ def address_to_hex(a: Address) -> str:
 
 
 def hex_to_address(s: str) -> Address:
-    return hex_to_word(s) & ADDR_MASK
+    return _hex_below(s, 160, "an address")

@@ -1,7 +1,7 @@
 """Shared builders and comparisons for semantics tests."""
 
 from evmsem.bytecode import assemble
-from evmsem.semantics import BudgetExhausted, StepBudget, run, step
+from evmsem.semantics import BudgetExhausted, run, step
 from evmsem.state import (EMPTY_EFFECTS, Account, BlockHeader, CallStack,
                           ExecutionEnvironment, Frame, GlobalState, MachineState,
                           Regular, TransactionEnvironment, frames, is_final)
@@ -63,7 +63,7 @@ def step_one(frame, tenv=None, rest=(), override=None):
 
 def run_code(code, gas=1_000_000, budget=100_000, **kw):
     frame = make_frame(code, gas=gas, **kw)
-    return run(make_env(), stack_of(frame), StepBudget(budget))
+    return run(make_env(), stack_of(frame), budget)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from corpus_build import BANK, DEPOSITOR, MALLORY
 from evmsem.checkers import (check_atomicity, check_call_integrity,
                              check_env_independence, check_single_entrancy)
 from evmsem.fixtures import check_expectations, ingest_official_tests, load_corpus
-from evmsem.semantics import StepBudget, run_frame
+from evmsem.semantics import run_frame
 from evmsem.state import Frame, Halt, Regular
 from evmsem.transaction import execute_transaction, t_init
 from helpers import stack_of
@@ -195,7 +195,7 @@ def test_criterion_7_runtime_and_ingest():
     for f in load_corpus():
         if "status" in f.expect or "post" in f.expect:
             sigma, _t, receipt = execute_transaction(
-                f.tx, f.header, f.pre, StepBudget(1_000_000), f.ancestors)
+                f.tx, f.header, f.pre, ancestors=f.ancestors)
             problems = check_expectations(f, sigma, receipt)
             assert not problems, (f.name, problems)
 

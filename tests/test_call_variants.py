@@ -3,7 +3,7 @@ callee and what an exception erases, for each call flavor."""
 
 from evmsem.bytecode import assemble
 from evmsem.gas import c_gascap
-from evmsem.semantics import StepBudget, run
+from evmsem.semantics import run
 from evmsem.state import Account, GlobalState, Halt
 from helpers import OTHER, SELF, make_env, make_frame, make_state, stack_of
 
@@ -22,7 +22,7 @@ def run_calling(op, callee_code, caller_gas=200_000, g_arg=50_000, va=0,
     sigma = make_state(code=code, balance=self_balance,
                        accounts={TARGET: Account(0, 5, {7: 8}, callee)})
     frame = make_frame(code, gas=caller_gas, sigma=sigma, value=11)
-    final, trace = run(make_env(), stack_of(frame), StepBudget(1000))
+    final, trace = run(make_env(), stack_of(frame), 1000)
     assert isinstance(final[0].state, Halt)
     return final[0].state, trace
 

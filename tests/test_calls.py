@@ -10,7 +10,7 @@ from evmsem.bytecode import assemble
 from evmsem.gas import SCHEDULE, c_gascap, l_all_but_one_64th
 from evmsem.keccak import keccak256
 from evmsem.rlp import fresh_address
-from evmsem.semantics import (CodeOverride, MalformedConfiguration, StepBudget,
+from evmsem.semantics import (CodeOverride, MalformedConfiguration,
                               extend_override_after_create, run, run_frame,
                               run_with_local_updates, step)
 from evmsem.state import (EXC, Account, ExecutionEnvironment, Frame, GlobalState, Halt, Regular,
@@ -348,7 +348,7 @@ def test_two_creates_at_nonce_0_make_two_accounts():
     code = assemble("PUSH1 0x00\nPUSH1 0x00\nPUSH1 0x01\nCREATE\n" * 2 + "STOP")
     sigma = GlobalState({SELF: Account(0, 10, {}, code)})
     frame = make_frame(code, gas=200_000, sigma=sigma)
-    stack, _ = run(make_env(), stack_of(frame), StepBudget(100))
+    stack, _ = run(make_env(), stack_of(frame), 100)
     st = stack[0].state
     assert isinstance(st, Halt)
     first, second = fresh_address(SELF, 0), fresh_address(SELF, 1)

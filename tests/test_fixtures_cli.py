@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,6 +11,7 @@ from evmsem.fixtures import (FixtureError, check_expectations, corpus_dir, fixtu
                              ingest_official_tests, load_corpus, parse_fixture)
 from evmsem.state import Account, BlockHeader
 from evmsem.transaction import Transaction, execute_transaction
+from evmsem.words import address_to_hex
 
 
 def test_corpus_files_match_builders(tmp_path):
@@ -278,6 +280,14 @@ def test_cli_check_expect(capsys):
 def test_cli_check_env_component_flags(capsys):
     assert main(["check", "env-independence", _fixture_path("timestamp_lottery"),
                  "--component", "timestamp", "--values", "0x5e000000,0x60000000"]) == 1
+    capsys.readouterr()
+    # a plain decimal flag item reads as the word it names
+    outs = []
+    for values in ("5,6", "0x5,0x6"):
+        main(["check", "env-independence", _fixture_path("timestamp_lottery"),
+              "--component", "timestamp", "--values", values])
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["property"] == "env-independence"
 
 
 def test_cli_check_values_without_component_exit_2(capsys):
@@ -328,6 +338,73 @@ def test_cli_check_bad_budget_or_component_exit_2(capsys, args):
     assert main(["check", prop, _fixture_path(name), *flags]) == 2
     err = capsys.readouterr().err
     assert "max_steps must be positive" in err or "unknown environment component" in err
+
+
+@pytest.mark.parametrize("argv,says", [
+    (["check", "env-independence", "timestamp_lottery", "--component", "timestamp",
+      "--values", f"5,{2**256 + 1}"], "a word must be below 2**256"),
+    (["check", "env-independence", "timestamp_lottery", "--component", "timestamp",
+      "--values", "5,0x1" + "0" * 64], "a word must be below 2**256"),
+    (["check", "atomicity", "bank_atomicity", "--gas-values=-1,5"], "must be a 0x-prefixed"),
+    (["check", "atomicity", "bank_atomicity", f"--gas-values=5,{2**300}"],
+     "a word must be below 2**256"),
+    (["check", "call-restriction", "call_restriction", "--allowed", "0x1" + "0" * 40],
+     "an address must be below 2**160"),
+    (["check", "env-independence", "timestamp_lottery", "--component", "timestamp",
+      "--values", ""], "must be a 0x-prefixed"),
+    (["check", "single-entrancy", "bob_mallory", "--untrusted", ""], "must be a 0x-prefixed"),
+    (["check", "single-entrancy", "bob_mallory", "--untrusted", "0x1,,0x2"],
+     "must be a 0x-prefixed"),
+    (["check", "call-integrity", "bob_mallory", "--mode", "theorem2"],
+     "mode must be one of direct, theorem1"),
+    (["check", "code-independence", "timestamp_lottery", "--variants", "DIR"],
+     "--variants needs an untrusted address"),
+    (["run", "bob_mallory", "--max-steps", "0"], "max_steps must be positive"),
+    (["run", "bob_mallory", "--max-steps", "-5"], "max_steps must be positive"),
+])
+def test_cli_flag_decoded_like_its_key_exit_2(tmp_path, capsys, argv, says):
+    """A flag that sets a fixture key is decoded by that key's codec."""
+    (tmp_path / "a.easm").write_text("STOP\n")
+    corpus = {p.stem for p in corpus_dir().glob("*.json")}
+    argv = [_fixture_path(a) if a in corpus else str(tmp_path) if a == "DIR" else a
+            for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert says in err, err
+
+
+FROZEN_VERDICTS = json.loads((Path(__file__).parent / "data" / "corpus_verdicts.json").read_text())
+
+
+def _own_params_as_flags(params):
+    """A fixture's untrusted, allowed, gas_values and components restated as
+    flags: addresses in hex, words in decimal."""
+    flags = [f"--{key}={','.join(map(address_to_hex, params[key]))}"
+             for key in ("untrusted", "allowed") if key in params]
+    if "gas_values" in params:
+        flags.append(f"--gas-values={','.join(map(str, params['gas_values']))}")
+    if "components" in params:
+        (component, values), = params["components"].items()
+        flags += ["--component", component, f"--values={','.join(map(str, values))}"]
+    return flags
+
+
+def test_cli_check_expect_on_every_declared_verdict(capsys):
+    """Every declared verdict of the corpus prints its frozen verdict, and
+    the same bytes again with the fixture's own parameters given as flags."""
+    checked = 0
+    for f in load_corpus():
+        path = _fixture_path(f.name)
+        for prop in f.expect.get("verdicts", {}):
+            assert main(["check", prop, path, "--expect"]) == 0
+            out = capsys.readouterr().out
+            verdict = json.dumps(json.loads(FROZEN_VERDICTS[f.name][prop]), indent=1)
+            assert out == verdict + "\nexpectations match\n"
+            assert main(["check", prop, path, "--expect", *_own_params_as_flags(f.checker_params)]) == 0
+            assert capsys.readouterr().out == out
+            checked += 1
+    assert checked == 19
 
 
 def test_cli_asm_disasm(tmp_path, capsys):
@@ -429,6 +506,8 @@ WELL_FORMED["checker_params"].update({
     (("checker_params", "max_steps"), True),
     (("checker_params", "account_perturbations", "balance_deltas"), [1, True]),
     (("checker_params", "mode"), 7),
+    (("pre", "0x0000000000000000000000000000000000001001", "balance"), "0x1" + "0" * 64),
+    (("tx", "to"), "0x1" + "0" * 40),
 ])
 def test_cli_wrongly_typed_field_exit_2(tmp_path, capsys, path, value):
     bad = tmp_path / "bad.json"

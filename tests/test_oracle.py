@@ -137,8 +137,7 @@ def test_criterion_5_programs_step_alike(lockstep):
     tenv = make_env()
     for seed in range(N_PROGRAMS):
         try:
-            semantics.run(tenv, stack_of(program_frame(seed)),
-                          semantics.StepBudget(STEP_BUDGET))
+            semantics.run(tenv, stack_of(program_frame(seed)), STEP_BUDGET)
         except semantics.BudgetExhausted:
             pass
     assert lockstep.steps > 100_000
@@ -147,7 +146,7 @@ def test_criterion_5_programs_step_alike(lockstep):
 def test_corpus_transactions_step_alike(lockstep):
     for f in load_corpus():
         tenv, frame, _created = t_init(f.tx, f.header, f.pre, f.ancestors)
-        stack, _trace = semantics.run(tenv, stack_of(frame), semantics.StepBudget(1_000_000))
+        stack, _trace = semantics.run(tenv, stack_of(frame), 1_000_000)
         assert semantics.is_final(stack)
     assert lockstep.deepest == 1025          # deep_recursion's EXC at the depth limit
 

@@ -4,7 +4,7 @@ suite reruns the same machinery over the full 10,000-program corpus."""
 import random
 
 from evmsem.bytecode import valid_jump_dests
-from evmsem.semantics import BudgetExhausted, StepBudget, run
+from evmsem.semantics import BudgetExhausted, run
 from evmsem.state import is_final
 from helpers import make_env, stack_of
 from proputil import (check_program, make_program_frame, monitored_run,
@@ -35,7 +35,7 @@ def test_monitored_run_agrees_with_plain_run():
             f1, t1 = monitored_run(tenv, stack_of(frame))
         except BudgetExhausted:
             continue
-        f2, t2 = run(tenv, stack_of(frame), StepBudget(10_000))
+        f2, t2 = run(tenv, stack_of(frame), 10_000)
         assert f1 == f2 and t1 == t2
         assert is_final(f1)
 

@@ -456,11 +456,11 @@ def test_run_jump_to_non_dest_is_exc():
 
 
 def test_gas_refund_visible_within_budget_and_not_after():
-    from evmsem.semantics import BudgetExhausted, StepBudget, run
+    from evmsem.semantics import BudgetExhausted, run
     from helpers import make_env, make_frame
     frame = make_frame("JUMPDEST\nPUSH1 0x00\nJUMP", gas=10**6)
     with pytest.raises(BudgetExhausted):
-        run(make_env(), stack_of(frame), StepBudget(100))
+        run(make_env(), stack_of(frame), 100)
 
 
 def test_selfdestruct_to_itself_burns_the_balance():

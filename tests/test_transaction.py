@@ -5,7 +5,7 @@ from evmsem.bytecode import assemble
 from evmsem.fixtures import load_corpus
 from evmsem.gas import SCHEDULE
 from evmsem.rlp import fresh_address
-from evmsem.semantics import BudgetExhausted, StepBudget
+from evmsem.semantics import BudgetExhausted
 from evmsem.state import Account, BlockHeader, GlobalState
 from evmsem.transaction import Transaction, execute_transaction, t_init
 from proputil import program_frame
@@ -183,8 +183,7 @@ def test_budget_exhausted_propagates():
     code = assemble("JUMPDEST\nPUSH1 0x00\nJUMP")
     sigma = make_sigma(target_code=code)
     with pytest.raises(BudgetExhausted):
-        execute_transaction(call_tx(gas_limit=10**6), HEADER, sigma,
-                            StepBudget(50))
+        execute_transaction(call_tx(gas_limit=10**6), HEADER, sigma, 50)
 
 
 def test_receipt_reports_logs():

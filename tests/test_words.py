@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from evmsem.words import (TWO_255, TWO_256, U256_MAX, binop, byte_op, hex_to_bytes,
-                          hex_to_word, bytes_to_hex, signed, signextend, to_address,
-                          unsigned, word_from_bytes, word_to_hex)
+from evmsem.words import (ADDR_MASK, TWO_255, TWO_256, U256_MAX, binop, byte_op,
+                          hex_to_address, hex_to_bytes, hex_to_word, bytes_to_hex, signed,
+                          signextend, to_address, unsigned, word_from_bytes, word_to_hex)
 
 words = st.integers(min_value=0, max_value=U256_MAX)
 
@@ -133,6 +133,16 @@ def test_hex_codecs():
         hex_to_bytes("0102")
     with pytest.raises(ValueError):
         hex_to_bytes("0x123")
+
+
+def test_hex_values_must_fit():
+    # the largest word and address decode; one more is an error, not reduced
+    assert hex_to_word(hex(U256_MAX)) == U256_MAX
+    assert hex_to_address(hex(ADDR_MASK)) == ADDR_MASK
+    with pytest.raises(ValueError, match="a word must be below 2"):
+        hex_to_word(hex(TWO_256))
+    with pytest.raises(ValueError, match="an address must be below 2"):
+        hex_to_address(hex(ADDR_MASK + 1))
 
 
 @given(words)
