@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from typing import Iterator
 
 # mnemonic -> byte for the non-parameterised opcodes
 _BASE_OPS = {
@@ -68,23 +69,18 @@ def current_opcode(mu, iota) -> int:
     return code[pc] if pc < len(code) else STOP
 
 
-def next_instr_pos(i: int, byte: int) -> int:
-    """Position of the next instruction, skipping PUSH immediates."""
-    return i + push_size(byte) + 1
+def instructions(code: bytes) -> Iterator[int]:
+    """The position of each instruction in code, from 0, skipping PUSH immediates."""
+    i = 0
+    while i < len(code):
+        yield i
+        i += push_size(code[i]) + 1
 
 
 @lru_cache(maxsize=1024)
 def valid_jump_dests(code: bytes) -> frozenset:
-    """Positions of JUMPDEST reached by the instruction-skipping scan from 0."""
-    dests = set()
-    i = 0
-    n = len(code)
-    while i < n:
-        byte = code[i]
-        if byte == JUMPDEST:
-            dests.add(i)
-        i = next_instr_pos(i, byte)
-    return frozenset(dests)
+    """Positions of the JUMPDEST instructions of code."""
+    return frozenset(i for i in instructions(code) if code[i] == JUMPDEST)
 
 
 # ---------------------------------------------------------------------------
@@ -136,29 +132,17 @@ def disassemble(code: bytes) -> list:
     """Decode to a list of (mnemonic, arg-or-None); truncated PUSH payloads
     are zero-padded in the rendering and marked."""
     out = []
-    i = 0
-    n = len(code)
-    while i < n:
+    for i in instructions(code):
         byte = code[i]
-        name = mnemonic(byte)
-        imm = push_size(byte)
+        name, imm = mnemonic(byte), push_size(byte)
         if imm:
             raw = code[i + 1:i + 1 + imm]
-            arg = "0x" + raw.ljust(imm, b"\x00").hex()
-            if len(raw) < imm:
-                arg += " # truncated"
-            out.append((name, arg))
+            arg = "0x" + raw.ljust(imm, b"\x00").hex() + (" # truncated" if len(raw) < imm else "")
         else:
-            if name == "INVALID" and byte != INVALID:
-                out.append((name, f"# raw 0x{byte:02x}"))
-            else:
-                out.append((name, None))
-        i += imm + 1
+            arg = f"# raw 0x{byte:02x}" if name == "INVALID" and byte != INVALID else None
+        out.append((name, arg))
     return out
 
 
 def disassemble_text(code: bytes) -> str:
-    lines = []
-    for name, arg in disassemble(code):
-        lines.append(f"{name} {arg}" if arg else name)
-    return "\n".join(lines)
+    return "\n".join(f"{name} {arg}" if arg else name for name, arg in disassemble(code))

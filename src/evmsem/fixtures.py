@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .bytecode import BYTE_TO_MNEMONIC, assemble, is_push, next_instr_pos
+from .bytecode import BYTE_TO_MNEMONIC, assemble, instructions
 from .checkers import CHECKERS, ScenarioSpace
 from .state import Account, BlockHeader, GlobalState
 from .transaction import TYPE_CALL, TYPE_CREATE, Transaction, Receipt
@@ -81,9 +81,24 @@ def _decode_code(value) -> bytes:
 
 # A codec is (decode(json_value, what), encode(value)); decoding raises
 # TypeError or ValueError, which parse_fixture reports as a FixtureError.
+# what labels the value by its path, as pre[0x..01].balance or gas_values[0].
+
+_TOP = ("fixture", "flags")     # the labels of a whole fixture and of evmsem check's flags
+
+
+def _at(what: str, key: str) -> str:
+    """The label of key in the object labelled what; a top-level key goes by its name."""
+    return key if what in _TOP else f"{what}.{key}"
+
 
 def _leaf(decode, encode):
-    return (lambda v, what: decode(v)), encode
+    """A codec of one JSON scalar; its errors name the value's label."""
+    def read(v, what):
+        try:
+            return decode(v)
+        except ValueError as e:
+            raise ValueError(f"{what}: {e}") from e
+    return read, encode
 
 
 def _list(item):
@@ -104,7 +119,7 @@ def _map(key, item, make=dict, sort=False):
 def _fields(table):
     """A JSON object whose keys in table are decoded by their codec; other
     keys pass through unchanged."""
-    return ((lambda v, what: {k: table[k][0](x, k) if k in table else x
+    return ((lambda v, what: {k: table[k][0](x, _at(what, k)) if k in table else x
                               for k, x in _typed(v, dict, what).items()}),
             lambda v: {k: table[k][1](x) if k in table else x for k, x in v.items()})
 
@@ -125,7 +140,7 @@ def _record(make, table, names=None, parts=vars):
         for key, name, (decode_field, _), default in keys:
             if key not in v and default is _REQUIRED:
                 raise ValueError(f"{key} must be given in {what}")
-            fields[name] = decode_field(v.get(key, default), key)
+            fields[name] = decode_field(v.get(key, default), _at(what, key))
         return make(**fields)
 
     def encode(record):
@@ -293,12 +308,9 @@ def check_expectations(f: Fixture, sigma: GlobalState, receipt: Receipt) -> list
 
 
 def _uses_unsupported_opcodes(code: bytes) -> Optional[str]:
-    i = 0
-    while i < len(code):
-        byte = code[i]
-        if byte not in BYTE_TO_MNEMONIC and not is_push(byte):
-            return f"unsupported opcode 0x{byte:02x} at offset {i}"
-        i = next_instr_pos(i, byte)
+    for i in instructions(code):
+        if code[i] not in BYTE_TO_MNEMONIC:
+            return f"unsupported opcode 0x{code[i]:02x} at offset {i}"
     return None
 
 

@@ -6,8 +6,8 @@ A regular step is one lookup, by pc, in `_program(code)`: the entries of
 cost from `gas.SCHEDULE` and the function that fires the rule, decoded once
 per code, and `_runs(code)` its straight-line runs of plain rules.
 `iterate_steps` is the one loop over `step`; `run`, `run_to_depth`,
-`run_frame` and `run_with_local_updates` drain it with different stop
-conditions, the last three in block mode, a run at a time. All of them are
+`run_frame` and `run_with_local_updates` drain it to different depths, the
+last three in block mode, a run at a time. All of them are
 pure with respect to their inputs: all mutation happens on freshly copied
 snapshots, so checkers can fork execution at any configuration by keeping a
 reference to it.
@@ -61,12 +61,13 @@ def extend_override_after_create(f: CodeOverride, created) -> CodeOverride:
 class StepOutcome(NamedTuple):
     stack: CallStack
     action: Action
-    final: bool
+    final: bool               # the step ended the run: its bottom frame finished
 
 
 def step(tenv: TransactionEnvironment, stack: CallStack,
          override: Optional[CodeOverride] = None) -> StepOutcome:
-    """Apply exactly one small-step rule to a non-final configuration."""
+    """Apply exactly one small-step rule to a non-final configuration; the
+    rule builds the outcome."""
     if stack is None:
         raise MalformedConfiguration("empty call stack")
     st = stack.top.state
@@ -74,15 +75,11 @@ def step(tenv: TransactionEnvironment, stack: CallStack,
         rules, pc = _program(st.iota.code), st.mu.pc
         rule = rules[pc] if pc < len(rules) else _STOP
         if len(st.mu.stack) < rule.n:
-            new_stack, action = _exc(rule, stack)            # stack underflow
-        else:
-            new_stack, action = rule.fire(rule, st, tenv, stack, override)
-    else:
-        if stack.below is None:
-            raise MalformedConfiguration("final configuration cannot be stepped")
-        new_stack, action = _process_return(stack)
-    final = new_stack.below is None and new_stack.top.state.__class__ is not Regular
-    return _new(StepOutcome, (new_stack, action, final))
+            return _exc(rule, stack)                        # stack underflow
+        return rule.fire(rule, st, tenv, stack, override)
+    if stack.below is None:
+        raise MalformedConfiguration("final configuration cannot be stepped")
+    return _process_return(stack)
 
 
 # ---------------------------------------------------------------------------
@@ -90,23 +87,23 @@ def step(tenv: TransactionEnvironment, stack: CallStack,
 
 
 def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int,
-                  override=None, stop: Callable = is_final, ops: bool = True) -> Iterator[tuple]:
+                  override=None, depth: int = 1, ops: bool = True) -> Iterator[tuple]:
     """Yield (index, stack_before, action, stack_after) for each step until
-    stop(stack) holds, index counting every step from 1; raise
-    BudgetExhausted when max_steps steps end before stop holds.
+    the frame at `depth` has finished (is Halt/Exc, its return not yet
+    processed) or the configuration is final, index counting every step
+    from 1; raise BudgetExhausted when max_steps steps end before that.
 
     This is the only loop over `step`. Block mode (ops=False, the checkers')
     yields no step tagged "op" and applies each run of `_runs` that
-    cannot fault in one call, with no per-op records. `stop` must then read
-    only the depth and whether the top frame is Regular, which no step of a
-    run changes: so `stop` is not asked after a run, a run that outlasts the
-    budget is applied whole and the drive raises, having yielded what it
-    would one op at a time. After a run, the next is looked for only when
-    one starts at its end; after a step, `stop` is the step's own `final`
-    when it is the default."""
-    if stop(stack):
+    cannot fault in one call, with no per-op records. No step of a run
+    changes the depth or finishes a frame, so the drive does not look after
+    a run, and a run that outlasts the budget is applied whole and the drive
+    raises, having yielded what it would one op at a time. After a run, the
+    next is looked for only when one starts at its end; after a step, a
+    drive to depth 1 reads only the step's own `final`."""
+    if is_final(stack) or stack.depth == depth and stack.top.state.__class__ is not Regular:
         return
-    index, default, look = 0, stop is is_final, not ops
+    index, look, deep = 0, not ops, depth > 1
     while index < max_steps:
         if look:
             st = stack.top.state
@@ -119,7 +116,7 @@ def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int
         if ops or out.action.tag != "op":
             yield index, stack, out.action, out.stack
         stack, look = out.stack, not ops
-        if out.final if default else stop(stack):
+        if out.final or deep and stack.depth == depth and stack.top.state.__class__ is not Regular:
             return
     raise BudgetExhausted(f"no final configuration within {max_steps} steps")
 
@@ -132,11 +129,6 @@ def _drain(steps, stack):
     return stack, tuple(trace)
 
 
-def _frame_done(depth: int) -> Callable:
-    """Stop when the frame at `depth` is Halt/Exc, or at a final configuration."""
-    return lambda s: s.top.state.__class__ is not Regular and (s.below is None or s.depth == depth)
-
-
 def run(tenv: TransactionEnvironment, stack: CallStack, max_steps: int):
     """Iterate step until a final configuration; returns (final stack, trace)."""
     validate_stack(stack)
@@ -147,7 +139,7 @@ def run_to_depth(tenv: TransactionEnvironment, stack: CallStack, depth: int,
                  max_steps: int):
     """Run, in block mode, until the stack has depth frames with Halt/Exc on
     top (the frame at that depth finalized, its return not yet processed)."""
-    return _drain(iterate_steps(tenv, stack, max_steps, None, _frame_done(depth), False), stack)
+    return _drain(iterate_steps(tenv, stack, max_steps, None, depth, False), stack)
 
 
 def run_frame(tenv: TransactionEnvironment, stack: CallStack, max_steps: int):
@@ -184,8 +176,7 @@ def run_with_local_updates(tenv: TransactionEnvironment, stack: CallStack,
     view = _FrameOverride(f)
     trace = []
     sigma_at_call = None
-    for _index, before, action, stack in iterate_steps(tenv, stack, max_steps, view,
-                                                       _frame_done(base), False):
+    for _index, before, action, stack in iterate_steps(tenv, stack, max_steps, view, base, False):
         trace.append(action)
         if before.depth == base:
             sigma_at_call = before.top.state.sigma
@@ -204,7 +195,7 @@ def run_with_local_updates(tenv: TransactionEnvironment, stack: CallStack,
 
 class _Rule(NamedTuple):
     name: str                 # mnemonic, from the bytecode opcode table
-    fire: Callable            # fire(rule, state, tenv, stack, override) -> (stack, action)
+    fire: Callable            # fire(rule, state, tenv, stack, override) -> StepOutcome
     cost: int = 0             # constant cost, from SCHEDULE
     n: int = 0                # stack words read (and popped, except by DUP and SWAP)
     k: int = 0                # PUSH immediate size, DUP/SWAP index, LOG topics, MSTORE width
@@ -223,13 +214,11 @@ def _program(code: bytes) -> tuple:
     PUSH's rule at an instruction start carries as value its immediate word,
     zero-padded past the end. A pc inside PUSH data shares the plain _RULES
     entry, whose PUSH decodes on demand (`_immediate`)."""
-    rules, pc = [_RULES[byte] for byte in code], 0
-    while pc < len(rules):
+    rules = [_RULES[byte] for byte in code]
+    for pc in bc.instructions(code):
         r = rules[pc]
         if r.fire is _push:
             rules[pc] = r._replace(value=_immediate(code, pc, r.k))
-            pc += r.k
-        pc += 1
     return tuple(rules)
 
 
@@ -334,43 +323,49 @@ def _account(sigma, addr: int) -> Account:
     return acct if acct is not None else Account()
 
 
-def _exc(r: _Rule, stack, args=()):
-    """The top frame ends in an exception."""
-    return with_top_state(stack, EXC), _new(Action, (r.name, stack.top.contract, args, "exc"))
+def _exc(r: _Rule, stack, args=()) -> StepOutcome:
+    """The top frame ends in an exception, which ends the run on the bottom frame."""
+    action = _new(Action, (r.name, stack.top.contract, args, "exc"))
+    return _new(StepOutcome, (with_top_state(stack, EXC), action, stack.below is None))
 
 
-def _next(r: _Rule, stack, mu: tuple, args=(), sigma=None, eta=None):
+def _next(r: _Rule, stack, mu: tuple, args=(), sigma=None, eta=None) -> StepOutcome:
     """The top frame goes on with machine state fields mu (and sigma/eta if given)."""
     st, c = stack.top
     state = _new(Regular, (_new(MachineState, mu), st.iota, st.sigma if sigma is None else sigma,
                            st.eta if eta is None else eta))
     top = _new(Frame, (state, c))
-    return _new(CallStack, (top, stack.below, stack.depth)), _new(Action, (r.name, c, args, "op"))
+    return _new(StepOutcome, (_new(CallStack, (top, stack.below, stack.depth)),
+                              _new(Action, (r.name, c, args, "op")), False))
 
 
-def _halt(r: _Rule, stack, sigma, gas: int, data: bytes, eta, args=()):
-    return (with_top_state(stack, _new(Halt, (sigma, gas, data, eta))),
-            _new(Action, (r.name, stack.top.contract, args, "halt")))
+def _halt(r: _Rule, stack, sigma, gas: int, data: bytes, eta, args=()) -> StepOutcome:
+    """The top frame halts, which ends the run on the bottom frame."""
+    action = _new(Action, (r.name, stack.top.contract, args, "halt"))
+    return _new(StepOutcome, (with_top_state(stack, _new(Halt, (sigma, gas, data, eta))), action,
+                              stack.below is None))
 
 
-def _enter(r: _Rule, stack, callee: Frame, args, tag="enter"):
+def _enter(r: _Rule, stack, callee: Frame, args, tag="enter") -> StepOutcome:
     """Push the callee, or EXC for a call-time failure; an enter action
     carries exactly its CALL_ACTION_ARITY args, as Action's constructor checks."""
     if tag == "enter" and len(args) != CALL_ACTION_ARITY[r.name]:
         raise ValueError(f"{r.name} action needs {CALL_ACTION_ARITY[r.name]} args")
     pushed = _new(CallStack, (callee, stack, stack.depth + 1))
-    return pushed, _new(Action, (r.name, stack.top.contract, args, tag))
+    return _new(StepOutcome, (pushed, _new(Action, (r.name, stack.top.contract, args, tag)), False))
 
 
-def _resume(r: _Rule, stack, state, tag):
-    """The caller below the finished top frame goes on in `state`."""
+def _resume(r: _Rule, stack, state, tag) -> StepOutcome:
+    """The caller below the finished top frame goes on in `state`; EXC there
+    ends the run on the bottom frame."""
     caller = stack.below
     action = _new(Action, (r.name + "RET", caller.top.contract, (), tag))
-    return with_top_state(caller, state), action
+    return _new(StepOutcome, (with_top_state(caller, state), action,
+                              state is EXC and caller.below is None))
 
 
 # ---------------------------------------------------------------------------
-# regular rules: fire(rule, state, tenv, stack, override) -> (stack, action),
+# regular rules: fire(rule, state, tenv, stack, override) -> StepOutcome,
 # where state is the top frame's Regular state and its machine stack holds
 # at least the rule's n words
 
@@ -578,15 +573,14 @@ def _call_words(s: tuple, n: int) -> tuple:
     return s[:7] if n == 7 else s[:2] + (0,) + s[2:6]
 
 
-@lru_cache(maxsize=1024)
-def _call_costs(new_account: bool, aw0: int, gas: int, g, va, io, isz, oo, os_):
-    """(active words, callee budget, total cost) of a call from a frame with aw0
-    active words and `gas` left, memoised for its return processing; a CALL to
-    an absent account (new_account) also pays for creating it."""
+def _call_costs(new_account: bool, mu, g, va, io, isz, oo, os_):
+    """(active words, callee budget, total cost) of a call from machine state
+    mu, which its return recomputes; a CALL to an absent account
+    (new_account) also pays for creating it."""
     flag = 0 if new_account else 1
-    aw = mem_ext(mem_ext(aw0, io, isz), oo, os_)
-    cc = c_gascap(va, flag, g, gas)
-    return aw, cc, c_base(va, flag) + c_mem(aw0, aw) + cc
+    aw = mem_ext(mem_ext(mu.active_words, io, isz), oo, os_)
+    cc = c_gascap(va, flag, g, mu.gas)
+    return aw, cc, c_base(va, flag) + c_mem(mu.active_words, aw) + cc
 
 
 def _call(r, st, tenv, stack, override):
@@ -596,8 +590,7 @@ def _call(r, st, tenv, stack, override):
     g, to, va, io, isz, oo, os_ = _call_words(mu.stack, r.n)
     to_a = to & ADDR_MASK
     found = sigma.get(to_a)
-    aw, cc, total = _call_costs(r.name == "CALL" and found is None, mu.active_words, mu.gas,
-                                g, va, io, isz, oo, os_)
+    aw, cc, total = _call_costs(r.name == "CALL" and found is None, mu, g, va, io, isz, oo, os_)
     if not _valid(mu.gas, total, len(mu.stack) - r.n + 1):
         return _exc(r, stack, args)
     actor_found = sigma.get(iota.actor)
@@ -683,7 +676,7 @@ def _return_call(r, stack):
     mu = st.mu
     g, to, va, io, isz, oo, os_ = _call_words(mu.stack, r.n)
     absent = r.name == "CALL" and st.sigma.get(to & ADDR_MASK) is None
-    aw, _cc, total = _call_costs(absent, mu.active_words, mu.gas, g, va, io, isz, oo, os_)
+    aw, _cc, total = _call_costs(absent, mu, g, va, io, isz, oo, os_)
     if not isinstance(top, Halt):
         return _exc_return(r, stack, total, aw)
     memory = memory_write(mu.memory, oo, top.data[:os_])

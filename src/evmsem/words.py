@@ -114,12 +114,23 @@ def word_to_hex(x: int) -> str:
     return hex(x)
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def _hex_digits(s: str, what: str) -> str:
+    """The digits of s, which must be 0x followed by hex digits only: int
+    and bytes.fromhex would also take underscores and whitespace."""
+    if not isinstance(s, str) or not s.startswith("0x"):
+        raise ValueError(f"{what} must be a 0x-prefixed string: {s!r}")
+    if not _HEX_DIGITS.issuperset(s[2:]):
+        raise ValueError(f"{what} must be 0x followed by hex digits only: {s!r}")
+    return s[2:]
+
+
 def _hex_below(s: str, bits: int, what: str) -> int:
     """The int a 0x hex string names, which must fit in bits: a value that
     does not fit is an error, not reduced."""
-    if not isinstance(s, str) or not s.startswith("0x"):
-        raise ValueError(f"hex value must be a 0x-prefixed string: {s!r}")
-    x = int(s, 16)
+    x = int(_hex_digits(s, "hex value"), 16)
     if x >> bits:
         raise ValueError(f"{what} must be below 2**{bits}: {s!r}")
     return x
@@ -134,9 +145,7 @@ def bytes_to_hex(data: bytes) -> str:
 
 
 def hex_to_bytes(s: str) -> bytes:
-    if not isinstance(s, str) or not s.startswith("0x"):
-        raise ValueError(f"hex bytes must be a 0x-prefixed string: {s!r}")
-    body = s[2:]
+    body = _hex_digits(s, "hex bytes")
     if len(body) % 2:
         raise ValueError(f"hex bytes must be of even length: {s!r}")
     return bytes.fromhex(body)

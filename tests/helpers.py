@@ -4,7 +4,7 @@ from evmsem.bytecode import assemble
 from evmsem.semantics import BudgetExhausted, run, step
 from evmsem.state import (EMPTY_EFFECTS, Account, BlockHeader, CallStack,
                           ExecutionEnvironment, Frame, GlobalState, MachineState,
-                          Regular, TransactionEnvironment, frames, is_final)
+                          Regular, TransactionEnvironment, frames)
 from evmsem.traces import first_divergence
 
 SELF = 0x1001
@@ -113,15 +113,15 @@ def _next_shown(steps):
     return None
 
 
-def modes_in_lockstep(iterate_steps, tenv, stack, max_steps, override=None, stop=is_final):
+def modes_in_lockstep(iterate_steps, tenv, stack, max_steps, override=None, depth=1):
     """Drive iterate_steps in block mode and, alongside it from the same
     stack, one op at a time; yield the block-mode steps, each checked to be
     the per-op drive's next non-op step (index, action and both stacks), and
     end or raise BudgetExhausted as the per-op drive does. The two drives
     advance together, so a driver that changes `override` between steps
     changes it for both."""
-    per_op = iterate_steps(tenv, stack, max_steps, override, stop, True)
-    block = iterate_steps(tenv, stack, max_steps, override, stop, False)
+    per_op = iterate_steps(tenv, stack, max_steps, override, depth, True)
+    block = iterate_steps(tenv, stack, max_steps, override, depth, False)
     known = {}
     while True:
         want, got = _next_shown(per_op), _next_shown(block)
@@ -137,10 +137,10 @@ def modes_in_lockstep(iterate_steps, tenv, stack, max_steps, override=None, stop
 
 def checking_block_mode(iterate_steps):
     """iterate_steps, with each block-mode drive checked by modes_in_lockstep."""
-    def checked(tenv, stack, max_steps, override=None, stop=is_final, ops=True):
+    def checked(tenv, stack, max_steps, override=None, depth=1, ops=True):
         if ops:
-            return iterate_steps(tenv, stack, max_steps, override, stop, True)
-        return modes_in_lockstep(iterate_steps, tenv, stack, max_steps, override, stop)
+            return iterate_steps(tenv, stack, max_steps, override, depth, True)
+        return modes_in_lockstep(iterate_steps, tenv, stack, max_steps, override, depth)
     return checked
 
 

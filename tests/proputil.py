@@ -7,6 +7,7 @@ burns it), that every address a CREATE enters was absent before, and
 call-stack indifference."""
 
 import random
+from functools import cache
 
 from evmsem.bytecode import MNEMONIC_TO_BYTE, assemble
 from evmsem.semantics import BudgetExhausted, is_final, step
@@ -218,8 +219,11 @@ def _create_pair(rng: random.Random) -> bytes:
                     + create * 2)
 
 
+@cache
 def program_frame(seed: int):
-    """The criterion-5 program of one seed, as a frame ready to run."""
+    """The criterion-5 program of one seed, as a frame ready to run. Three
+    tests drive all 10,000 programs, so each frame is built once per session
+    and shared: a frame is an immutable snapshot."""
     rng = random.Random(seed)
     roll = rng.random()
     if roll < 0.35:

@@ -14,7 +14,7 @@ update read by EXTCODESIZE, and a budget that ends inside a run.
 import pytest
 
 from evmsem import semantics
-from evmsem.bytecode import assemble
+from evmsem.bytecode import assemble, valid_jump_dests
 from evmsem.fixtures import load_corpus
 from evmsem.semantics import (BudgetExhausted, CodeOverride, is_final, iterate_steps,
                               run_frame, run_to_depth, run_with_local_updates)
@@ -40,12 +40,12 @@ def _drive(steps):
     return out, False
 
 
-def assert_modes_agree(tenv, stack, budget, override=None, stop=is_final):
+def assert_modes_agree(tenv, stack, budget, override=None, depth=1):
     """Block mode yields per-op stepping's non-op steps, between the same
     stacks, and ends as it does (helpers.modes_in_lockstep); returns the
     per-op steps."""
-    _drive(modes_in_lockstep(iterate_steps, tenv, stack, budget, override, stop))
-    per_op, _exhausted = _drive(iterate_steps(tenv, stack, budget, override, stop))
+    _drive(modes_in_lockstep(iterate_steps, tenv, stack, budget, override, depth))
+    per_op, _exhausted = _drive(iterate_steps(tenv, stack, budget, override, depth))
     return per_op
 
 
@@ -62,9 +62,9 @@ def _counting_steps(monkeypatch):
     return calls
 
 
-def assert_cuts_agree(tenv, stack, budgets, override=None, stop=is_final):
+def assert_cuts_agree(tenv, stack, budgets, override=None, depth=1):
     for budget in budgets:
-        assert_modes_agree(tenv, stack, budget, override, stop)
+        assert_modes_agree(tenv, stack, budget, override, depth)
 
 
 def _cuts(steps: int):
@@ -230,7 +230,7 @@ def test_extcodesize_in_a_run_under_a_local_code_update(monkeypatch):
     tenv, stack = make_env(), stack_of(frame, make_frame("STOP"))
     update = CodeOverride({OTHER: b"\x00\x00\x00"})
     assert len(semantics._runs(assemble(code))[0].ops) == 3
-    assert_modes_agree(tenv, stack, 100, update, semantics._frame_done(2))
+    assert_modes_agree(tenv, stack, 100, update, 2)
     # the driver's own override view, stepped alongside one op at a time
     monkeypatch.setattr(semantics, "iterate_steps", checking_block_mode(iterate_steps))
     final, trace, ext = run_with_local_updates(tenv, stack, update, 100)
@@ -266,3 +266,30 @@ def test_a_call_between_runs_keeps_its_step_index():
     assert_cuts_agree(tenv, stack, range(1, 18))
     _final, trace = run_to_depth(tenv, stack, 1, 100)
     assert [a.tag for a in trace] == ["enter", "halt", "ret", "halt"]
+
+
+# a contract that calls itself with its input less one, until the input is 0
+SELF_CHAIN = """
+PUSH1 0x00\nCALLDATALOAD\nDUP1\nISZERO\nPUSH1 0x22\nJUMPI
+PUSH1 0x01\nSWAP1\nSUB\nPUSH1 0x00\nMSTORE
+PUSH1 0x00\nPUSH1 0x00\nPUSH1 0x20\nPUSH1 0x00\nPUSH1 0x00\nADDRESS\nGAS\nCALL
+POP\nPUSH1 0x01\nPUSH1 0x02\nADD
+JUMPDEST\nSTOP
+"""
+
+
+def test_drives_stop_at_each_depth_of_a_self_call_chain():
+    # input 2: frames at depths 1, 2 and 3; a drive to depth d stops when the
+    # frame at depth d halts, its return not yet processed
+    code = assemble(SELF_CHAIN)
+    assert valid_jump_dests(code) == {0x22}
+    stack = _frame_stack(code, sigma=make_state(code=code), input=(2).to_bytes(32, "big"))
+    tenv = make_env()
+    stops = []
+    for depth in (1, 2, 3):
+        per_op = assert_modes_agree(tenv, stack, 1000, depth=depth)
+        index, _before, action, last = per_op[-1]
+        assert (last.depth, action.tag) == (depth, "halt")
+        assert_cuts_agree(tenv, stack, (index - 1, index, index + 1), depth=depth)
+        stops.append(index)
+    assert stops[0] > stops[1] > stops[2]

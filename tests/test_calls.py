@@ -422,6 +422,17 @@ def test_create_final_fee_unpayable_replaces_caller():
     assert out.stack[0].state is EXC
 
 
+def test_an_unpayable_create_fee_ends_the_run_only_on_the_bottom_frame():
+    # the one return that leaves its caller in EXC: the rule sets the
+    # outcome's final flag when that caller is the bottom frame
+    frame = create_frame(init="PUSH1 0x20\nPUSH1 0x00\nRETURN", gas=38_500)
+    tenv = make_env()
+    for below in ((), (make_frame("STOP"),)):
+        stack, _ = run_frame(tenv, step_one(frame, tenv, below).stack, 100)
+        out = step(tenv, stack)
+        assert out.stack[0].state is EXC and out.final == (not below)
+
+
 def test_create_exception_return():
     frame = create_frame(init="INVALID", gas=100_000)
     tenv = make_env()
@@ -518,8 +529,8 @@ def test_run_with_local_updates_extends_after_create():
 @pytest.mark.parametrize("op", ["CALL", "CALLCODE", "DELEGATECALL"])
 def test_a_call_reads_its_callee_once_and_costs_once(monkeypatch, op):
     # a zero-value call to an existing account: the CALL step reads the
-    # callee from sigma once, and its return reuses the call's cost
-    semantics._call_costs.cache_clear()
+    # callee from sigma once, and its return recomputes the call's cost
+    # from the same caller state
     lookups, caps = [], []
     get, cap = GlobalState.get, semantics.c_gascap
 
@@ -542,4 +553,4 @@ def test_a_call_reads_its_callee_once_and_costs_once(monkeypatch, op):
     stack, _trace = run_frame(tenv, out.stack, 10)
     resumed = step(tenv, stack)
     assert resumed.action.tag == "ret" and resumed.stack.top.state.mu.stack == (1,)
-    assert len(caps) == 1
+    assert len(caps) == 2 and caps[0] == caps[1]

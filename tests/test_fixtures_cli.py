@@ -346,6 +346,8 @@ def test_cli_check_bad_budget_or_component_exit_2(capsys, args):
     (["check", "env-independence", "timestamp_lottery", "--component", "timestamp",
       "--values", "5,0x1" + "0" * 64], "a word must be below 2**256"),
     (["check", "atomicity", "bank_atomicity", "--gas-values=-1,5"], "must be a 0x-prefixed"),
+    (["check", "env-independence", "timestamp_lottery", "--component", "timestamp",
+      "--values", "5,0x1_0"], "must be 0x followed by hex digits only"),
     (["check", "atomicity", "bank_atomicity", f"--gas-values=5,{2**300}"],
      "a word must be below 2**256"),
     (["check", "call-restriction", "call_restriction", "--allowed", "0x1" + "0" * 40],
@@ -372,6 +374,19 @@ def test_cli_flag_decoded_like_its_key_exit_2(tmp_path, capsys, argv, says):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert says in err, err
+
+
+def test_a_bad_value_names_where_it_sits(tmp_path, capsys):
+    """A bad word names its flag's key and index, or its pre account and key."""
+    assert main(["check", "atomicity", _fixture_path("bank_atomicity"), "--gas-values=-1,5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: gas_values[0]: hex value must be a 0x-prefixed string: '-1'\n")
+    bad = tmp_path / "bad.json"
+    account = "0x0000000000000000000000000000000000001001"
+    bad.write_text(json.dumps(_replaced(WELL_FORMED, ("pre", account, "storage"), {"0x0": 5})))
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad: pre[{account}].storage[0x0]: hex value must be a 0x-prefixed string: 5\n")
 
 
 FROZEN_VERDICTS = json.loads((Path(__file__).parent / "data" / "corpus_verdicts.json").read_text())
@@ -508,6 +523,10 @@ WELL_FORMED["checker_params"].update({
     (("checker_params", "mode"), 7),
     (("pre", "0x0000000000000000000000000000000000001001", "balance"), "0x1" + "0" * 64),
     (("tx", "to"), "0x1" + "0" * 40),
+    (("pre", "0x0000000000000000000000000000000000001001", "balance"), "0x1_0000"),
+    (("pre", "0x0000000000000000000000000000000000001001", "balance"), "0x5 "),
+    (("pre", "0x0000000000000000000000000000000000001001", "balance"), "0x_5"),
+    (("tx", "input"), "0x0a  0b"),
 ])
 def test_cli_wrongly_typed_field_exit_2(tmp_path, capsys, path, value):
     bad = tmp_path / "bad.json"

@@ -546,7 +546,7 @@ def test_step_records_have_exactly_their_classes():
 def test_enter_action_of_the_wrong_arity_still_raises():
     stack = stack_of(make_frame("CALL"))
     callee = make_frame("STOP")
-    _pushed, action = semantics._enter(semantics._RULES[0xF1], stack, callee, (1,) * 7)
-    assert type(action) is Action and action.tag == "enter"
+    out = semantics._enter(semantics._RULES[0xF1], stack, callee, (1,) * 7)
+    assert type(out.action) is Action and out.action.tag == "enter" and not out.final
     with pytest.raises(ValueError):
         semantics._enter(semantics._RULES[0xF1], stack, callee, (1, 2))

@@ -135,6 +135,18 @@ def test_hex_codecs():
         hex_to_bytes("0x123")
 
 
+@pytest.mark.parametrize("s", ["0x1_0", "0x5 ", "0x_5", " 0x5", "0x0a  0b", "0x\u0665"])
+def test_hex_is_0x_then_hex_digits_only(s):
+    # int(s, 16) would read "0x1_0" as 16, and bytes.fromhex skips spaces
+    with pytest.raises(ValueError, match="hex value must"):
+        hex_to_word(s)
+    with pytest.raises(ValueError, match="hex value must"):
+        hex_to_address(s)
+    with pytest.raises(ValueError, match="hex bytes must"):
+        hex_to_bytes(s)
+    assert hex_to_bytes("0x0A0b") == b"\x0a\x0b" and hex_to_word("0xfF") == 255
+
+
 def test_hex_values_must_fit():
     # the largest word and address decode; one more is an error, not reduced
     assert hex_to_word(hex(U256_MAX)) == U256_MAX
