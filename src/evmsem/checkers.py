@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from .semantics import (BudgetExhausted, CodeOverride, iterate_steps, run_frame,
                         run_to_depth, run_with_local_updates)
 from .state import (EXC, Account, BlockHeader, CallStack, Contract, Frame, GlobalState, Halt,
-                    Regular, env_with_component, frames, with_top_state)
+                    Regular, account, env_with_component, frames, with_top_state)
 from .traces import action_to_json, calls_of, first_divergence, project
 from .transaction import Transaction, t_init
 from .words import address_to_hex
@@ -509,10 +509,7 @@ def check_call_integrity(space: ScenarioSpace, c: Contract, untrusted,
     def observe(mapping):
         sigma = space.pre
         for addr, code in mapping.items():
-            acct = sigma.get(addr)
-            if acct is None:
-                acct = Account()
-            sigma = sigma.put(addr, acct.with_code(code))
+            sigma = sigma.put(addr, account(sigma, addr).with_code(code))
         tenv, stack = _initial_config(replace(space, pre=sigma))
         _final, trace = run_frame(tenv, stack, space.max_steps)
         return project(trace, pred)

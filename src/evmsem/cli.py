@@ -88,9 +88,8 @@ def cmd_check(args) -> int:
 
     checker = CHECKERS.get(args.property)
     if checker is None:
-        print(f"error: unknown property {args.property!r}; choose from "
-              f"{', '.join(sorted(CHECKERS))}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown property {args.property!r}; choose from "
+                         f"{', '.join(sorted(CHECKERS))}")
     fixture = replace(fixture, checker_params=params)
     verdict = checker(fixture.space(args.relaxed_gas), fixture.contract(), params)
     print(json.dumps(verdict.to_json(), indent=1))

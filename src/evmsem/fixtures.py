@@ -14,7 +14,7 @@ from typing import Optional
 
 from .bytecode import BYTE_TO_MNEMONIC, assemble, instructions
 from .checkers import CHECKERS, ScenarioSpace
-from .state import Account, BlockHeader, GlobalState
+from .state import Account, BlockHeader, GlobalState, account
 from .transaction import TYPE_CALL, TYPE_CREATE, Transaction, Receipt
 from .words import (address_to_hex, bytes_to_hex, hex_to_address, hex_to_bytes,
                     hex_to_word, word_to_hex)
@@ -51,8 +51,7 @@ class Fixture:
             raise FixtureError(f"{self.name}: checker_params.contract missing")
         code = self.checker_params.get("contract_code")
         if code is None:
-            acct = self.pre.get(addr)
-            code = acct.code if acct else b""
+            code = account(self.pre, addr).code
         return (addr, code)
 
 

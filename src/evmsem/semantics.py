@@ -25,8 +25,9 @@ from .gas import (SCHEDULE, c_base, c_gascap, c_mem, copy_cost, exp_cost, l_all_
 from .keccak import keccak256
 from .rlp import fresh_address
 from .state import (CALL_DEPTH_LIMIT, EXC, Account, CallStack, ExecutionEnvironment, Frame,
-                    Halt, LogEvent, MachineState, Regular, STACK_LIMIT, TransactionEnvironment,
-                    is_final, memory_read, memory_write, validate_stack, with_top_state)
+                    GlobalState, Halt, LogEvent, MachineState, Regular, STACK_LIMIT,
+                    TransactionEnvironment, account, charge, credit, is_final, memory_read,
+                    memory_write, validate_stack, with_top_state)
 from .traces import CALL_ACTION_ARITY, Action
 from .words import ADDR_MASK, U256_MAX, binop, to_address, word_from_bytes
 
@@ -224,7 +225,7 @@ def _program(code: bytes) -> tuple:
 
 def _immediate(code: bytes, pc: int, k: int) -> int:
     """The k-byte immediate word of the PUSH at pc, zero-padded past the end."""
-    return word_from_bytes(bytes(code[pc + 1:pc + 1 + k]).ljust(k, b"\x00"))
+    return word_from_bytes(memory_read(code, pc + 1, k))
 
 
 @lru_cache(maxsize=256)
@@ -315,12 +316,6 @@ def _run_block(tenv, stack: CallStack, st: Regular, run: _Run, override):
 
 def _valid(gas: int, cost: int, new_stack_size: int) -> bool:
     return gas >= cost and new_stack_size < STACK_LIMIT
-
-
-def _account(sigma, addr: int) -> Account:
-    """The account at addr; an absent one reads as empty."""
-    acct = sigma.get(addr)
-    return acct if acct is not None else Account()
 
 
 def _exc(r: _Rule, stack, args=()) -> StepOutcome:
@@ -460,7 +455,7 @@ def _copy(r, st, tenv, stack, override):
     if not _valid(mu.gas, cost, len(s) - n):
         return _exc(r, stack)
     src = r.value(st, tenv, override, *args[:n - 3])
-    data = bytes(src[pos_src:pos_src + size]).ljust(size, b"\x00")
+    data = memory_read(src, pos_src, size)
     return _next(r, stack, (mu.gas - cost, mu.pc + 1, memory_write(mu.memory, pos_m, data),
                             aw, s[n:]), args)
 
@@ -495,7 +490,7 @@ def _sstore(r, st, tenv, stack, override):
     mu = st.mu
     s = mu.stack
     a, b = s[0], s[1]
-    acct = _account(st.sigma, st.iota.actor)
+    acct = account(st.sigma, st.iota.actor)
     current = acct.storage_get(a)
     cost = sstore_cost(current, b)
     if not _valid(mu.gas, cost, len(s) - 2):
@@ -554,8 +549,7 @@ def _selfdestruct(r, st, tenv, stack, override):
         return _exc(r, stack)
     # Yellow Paper order: credit the beneficiary, then zero the actor, so
     # a contract that names itself as beneficiary burns its balance
-    target = _account(sigma, a)
-    sigma = sigma.put(a, target.with_balance(target.balance + _account(sigma, actor).balance))
+    sigma = credit(sigma, a, account(sigma, actor).balance)
     if actor in sigma:
         sigma = sigma.put(actor, sigma.get(actor).with_balance(0))
     refund = 0 if actor in st.eta.suicides else SCHEDULE["selfdestruct_refund"]
@@ -593,31 +587,28 @@ def _call(r, st, tenv, stack, override):
     aw, cc, total = _call_costs(r.name == "CALL" and found is None, mu, g, va, io, isz, oo, os_)
     if not _valid(mu.gas, total, len(mu.stack) - r.n + 1):
         return _exc(r, stack, args)
-    actor_found = sigma.get(iota.actor)
-    actor_acct = actor_found if actor_found is not None else Account()
-    if va > actor_acct.balance or stack.depth + 1 > CALL_DEPTH_LIMIT:
+    if va > account(sigma, iota.actor).balance or stack.depth + 1 > CALL_DEPTH_LIMIT:
         return _enter(r, stack, Frame(EXC, None), args, "fail")
-    callee = found if found is not None else Account()
+    code = b"" if found is None else found.code
     data = memory_read(mu.memory, io, isz)
     if r.name == "CALL":  # move value, hand control to the callee account
         # debit first, then credit the callee as it reads after the debit,
         # so that a call to the caller's own address keeps the value; without
         # value between two existing accounts, the puts would change nothing
-        if va or found is None or actor_found is None:
-            debited = actor_acct.with_balance(actor_acct.balance - va)
-            payee = debited if to_a == iota.actor else callee
-            sigma = sigma.put(iota.actor, debited).put(to_a, payee.with_balance(payee.balance + va))
-        env = (to_a, data, iota.actor, va, callee.code)
+        if va or found is None or iota.actor not in sigma:
+            sigma = credit(credit(sigma, iota.actor, -va), to_a, va)
+        env = (to_a, data, iota.actor, va, code)
     elif r.name == "CALLCODE":  # run the code in the caller's context, no transfer
-        env = (iota.actor, data, iota.actor, va, callee.code)
+        env = (iota.actor, data, iota.actor, va, code)
     else:  # DELEGATECALL: the caller's context, its sender and value too
-        env = (iota.actor, data, iota.sender, iota.value, callee.code)
-    return _enter(r, stack, _callee(cc, env, sigma, st.eta, (to_a, callee.code)), args)
+        env = (iota.actor, data, iota.sender, iota.value, code)
+    return _enter(r, stack, callee_frame(cc, env, sigma, st.eta, (to_a, code)), args)
 
 
-def _callee(gas: int, env: tuple, sigma, eta, contract) -> Frame:
-    """The frame a call or create pushes: pc 0, empty memory and stack, and
-    the ExecutionEnvironment of the fields env, built without its generated
+def callee_frame(gas: int, env: tuple, sigma: GlobalState, eta, contract) -> Frame:
+    """The frame a transaction, a call or a create starts: pc 0, empty memory
+    and stack, labelled with its contract (None for init code), and the
+    ExecutionEnvironment of the fields env, built without its generated
     frozen __init__, which sets each field through object.__setattr__."""
     iota = object.__new__(ExecutionEnvironment)
     d = iota.__dict__
@@ -640,15 +631,29 @@ def _create(r, st, tenv, stack, override):
     aw, cost, budget = _create_costs(r, mu, io, isz)
     if not _valid(mu.gas, cost, len(mu.stack) - 2):
         return _exc(r, stack)
-    actor_acct = _account(sigma, iota.actor)
+    actor_acct = account(sigma, iota.actor)
     if va > actor_acct.balance or stack.depth + 1 > CALL_DEPTH_LIMIT:
         return _enter(r, stack, Frame(EXC, None), args, "fail")
     rho = fresh_address(iota.actor, actor_acct.nonce)
-    sigma = (sigma.put(rho, Account(0, _account(sigma, rho).balance + va, {}, b""))
-                  .put(iota.actor, Account(actor_acct.nonce + 1, actor_acct.balance - va,
-                                           actor_acct.storage, actor_acct.code)))
+    sigma = charge(open_account(sigma, rho, va), iota.actor, va)
     env = (rho, b"", iota.actor, va, memory_read(mu.memory, io, isz))
-    return _enter(r, stack, _callee(budget, env, sigma, st.eta, None), args)
+    return _enter(r, stack, callee_frame(budget, env, sigma, st.eta, None), args)
+
+
+def open_account(sigma: GlobalState, rho: int, value: int) -> GlobalState:
+    """sigma with the account a create opens at its fresh address rho: nonce
+    0, no storage, no code, and the balance rho already held plus value."""
+    return sigma.put(rho, Account(0, account(sigma, rho).balance + value, {}, b""))
+
+
+def deposit_code(halt: Halt, rho: int) -> Optional[tuple]:
+    """Deposit the code a create's init code returned at rho, paid from the
+    gas it left: (sigma, gas left after the fee), or None when that gas does
+    not cover create_per_code_byte for each byte."""
+    gas = halt.gas - SCHEDULE["create_per_code_byte"] * len(halt.data)
+    if gas < 0:
+        return None
+    return halt.sigma.put(rho, account(halt.sigma, rho).with_code(bytes(halt.data))), gas
 
 
 def _process_return(stack):
@@ -692,12 +697,12 @@ def _return_create(r, stack):
     total = cost + budget        # full allocation: local cost plus the budget handed over
     if not isinstance(top, Halt):
         return _exc_return(r, stack, total, aw)
-    c_final = SCHEDULE["create_per_code_byte"] * len(top.data)
-    if top.gas < c_final:
+    rho = fresh_address(iota.actor, account(st.sigma, iota.actor).nonce)
+    deposit = deposit_code(top, rho)
+    if deposit is None:
         return _resume(r, stack, EXC, "exc")
-    rho = fresh_address(iota.actor, _account(st.sigma, iota.actor).nonce)
-    sigma = top.sigma.put(rho, _account(top.sigma, rho).with_code(bytes(top.data)))
-    mu2 = _new(MachineState, (mu.gas + top.gas - total - c_final, mu.pc + 1, mu.memory, aw,
+    sigma, gas = deposit
+    mu2 = _new(MachineState, (mu.gas + gas - total, mu.pc + 1, mu.memory, aw,
                               (rho,) + mu.stack[r.n:]))
     return _resume(r, stack, _new(Regular, (mu2, iota, sigma, top.eta)), "ret")
 
@@ -713,11 +718,11 @@ def _account_code(st: Regular, word: int, override) -> bytes:
     """Code at the address in `word`; a local code update takes precedence."""
     addr = to_address(word)
     code = override.get(addr) if override is not None else None
-    return code if code is not None else _account(st.sigma, addr).code
+    return code if code is not None else account(st.sigma, addr).code
 
 
 def _calldataload(st, tenv, override, a):
-    return word_from_bytes(bytes(st.iota.input[a:a + 32]).ljust(32, b"\x00"))
+    return word_from_bytes(memory_read(st.iota.input, a, 32))
 
 
 def _blockhash(st, tenv, override, n):
@@ -759,12 +764,12 @@ def _rule_table() -> tuple:
         "MULMOD": (_generic, "ternary", 3, lambda st, tenv, ov, a, b, m: (a * b) % m if m else 0),
         "CALLDATALOAD": (_generic, "verylow", 1, _calldataload),
         "BALANCE": (_generic, "balance", 1,
-                    lambda st, tenv, ov, a: _account(st.sigma, to_address(a)).balance),
+                    lambda st, tenv, ov, a: account(st.sigma, to_address(a)).balance),
         "EXTCODESIZE": (_generic, "extcode", 1,
                         lambda st, tenv, ov, a: len(_account_code(st, a, ov))),
         "BLOCKHASH": (_generic, "blockhash", 1, _blockhash),
         "SLOAD": (_generic, "sload", 1,
-                  lambda st, tenv, ov, a: _account(st.sigma, st.iota.actor).storage_get(a)),
+                  lambda st, tenv, ov, a: account(st.sigma, st.iota.actor).storage_get(a)),
         "POP": (_generic, "base_access", 1, None),
         "JUMPDEST": (_generic, "jumpdest", 0, None),
         "EXP": (_exp, None, 2, None),

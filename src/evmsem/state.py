@@ -129,6 +129,25 @@ class GlobalState(_PMap):
         return sum(a.balance for a in self._whole().values())
 
 
+def account(sigma: GlobalState, addr: Address) -> Account:
+    """The account at addr; an absent one reads as empty."""
+    acct = sigma.get(addr)
+    return acct if acct is not None else Account()
+
+
+def credit(sigma: GlobalState, addr: Address, amount: int) -> GlobalState:
+    """sigma with amount added to addr's balance, which opens an absent account."""
+    acct = account(sigma, addr)
+    return sigma.put(addr, acct.with_balance(acct.balance + amount))
+
+
+def charge(sigma: GlobalState, addr: Address, amount: int) -> GlobalState:
+    """sigma with addr's nonce bumped and amount taken from its balance: what a
+    transaction does to its sender and a create to its creator."""
+    acct = account(sigma, addr)
+    return sigma.put(addr, Account(acct.nonce + 1, acct.balance - amount, acct.storage, acct.code))
+
+
 class LogEvent(NamedTuple):
     address: Address
     topics: tuple

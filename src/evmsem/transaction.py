@@ -7,10 +7,9 @@ from typing import Optional
 
 from .gas import SCHEDULE
 from .rlp import fresh_address
-from .semantics import run
-from .state import (EMPTY_EFFECTS, Account, BlockHeader, CallStack, ExcState, Frame,
-                    GlobalState, Halt, MachineState, Regular,
-                    TransactionEnvironment, ExecutionEnvironment)
+from .semantics import callee_frame, deposit_code, open_account, run
+from .state import (EMPTY_EFFECTS, BlockHeader, CallStack, ExcState, GlobalState, Halt,
+                    TransactionEnvironment, charge, credit)
 
 TYPE_CALL = "call"
 TYPE_CREATE = "create"
@@ -85,95 +84,52 @@ def t_init(tx: Transaction, header: BlockHeader, sigma: GlobalState,
         return None
 
     tenv = TransactionEnvironment(tx.sender, tx.gas_price, header, ancestors or {})
-    gas = tx.gas_limit - intrinsic_gas(tx)
-    sigma0 = sigma.put(tx.sender, Account(sender.nonce + 1, sender.balance - upfront,
-                                          sender.storage, sender.code))
-
+    sigma0 = charge(sigma, tx.sender, upfront)
     if tx.type == TYPE_CALL:
-        to = tx.to
-        target = sigma0.get(to)
-        if target is not None:
-            code = target.code
-            sigma0 = sigma0.put(to, target.with_balance(target.balance + tx.value))
-        else:
-            code = b""
-            sigma0 = sigma0.put(to, Account(0, tx.value, {}, b""))
-        iota = ExecutionEnvironment(actor=to, input=tx.input, sender=tx.sender,
-                                    value=tx.value, code=code)
-        annotation = (to, code)
-        created = None
+        sigma0 = credit(sigma0, tx.to, tx.value)
+        code = sigma0.get(tx.to).code
+        env, contract, created = (tx.to, tx.input, tx.sender, tx.value, code), (tx.to, code), None
     else:
-        rho = fresh_address(tx.sender, sender.nonce)
-        existing = sigma0.get(rho)
-        balance = tx.value if existing is None else existing.balance + tx.value
-        sigma0 = sigma0.put(rho, Account(0, balance, {}, b""))
-        iota = ExecutionEnvironment(actor=rho, input=b"", sender=tx.sender,
-                                    value=tx.value, code=tx.input)
-        annotation = None
-        created = rho
-
-    mu = MachineState(gas=gas, pc=0, memory=b"", active_words=0, stack=())
-    frame = Frame(Regular(mu, iota, sigma0, EMPTY_EFFECTS), annotation)
+        created = fresh_address(tx.sender, sender.nonce)
+        sigma0 = open_account(sigma0, created, tx.value)
+        env, contract = (created, b"", tx.sender, tx.value, tx.input), None
+    frame = callee_frame(tx.gas_limit - intrinsic_gas(tx), env, sigma0, EMPTY_EFFECTS, contract)
     return tenv, frame, created
 
 
 def t_final(final_state, tx: Transaction, sigma_pre: GlobalState,
             beneficiary: int, created: Optional[int] = None):
-    """Finalization: code deployment for creates, gas refund, fee payout and
-    suicide-set deletion. Returns (sigma', receipt)."""
+    """Finalization: code deployment for creates (at created, the address
+    t_init returned), gas refund, fee payout and suicide-set deletion.
+    Returns (sigma', receipt)."""
     if isinstance(final_state, ExcState):
         return _finalize_exception(tx, sigma_pre, beneficiary)
 
     assert isinstance(final_state, Halt)
-    sigma, gas_rem, data, eta = (final_state.sigma, final_state.gas,
-                                 final_state.data, final_state.eta)
-
-    deployed = None
+    sigma, gas_rem, data, eta = final_state
     if tx.type == TYPE_CREATE:
-        c_final = SCHEDULE["create_per_code_byte"] * len(data)
-        if gas_rem < c_final:
+        deposit = deposit_code(final_state, created)
+        if deposit is None:
             return _finalize_exception(tx, sigma_pre, beneficiary)
-        gas_rem -= c_final
-        acct = sigma.get(created)
-        if acct is None:
-            acct = Account()
-        sigma = sigma.put(created, acct.with_code(bytes(data)))
-        deployed = created
+        sigma, gas_rem = deposit
 
     gas_used = tx.gas_limit - gas_rem
     refund = min(eta.refund, gas_used // 2)
     gas_returned = gas_rem + refund
     fee = (tx.gas_limit - gas_returned) * tx.gas_price
-
-    sender = sigma.get(tx.sender)
-    if sender is None:
-        sender = Account()
-    sigma = sigma.put(tx.sender,
-                      sender.with_balance(sender.balance + gas_returned * tx.gas_price))
-    sigma = _pay(sigma, beneficiary, fee)
+    sigma = credit(credit(sigma, tx.sender, gas_returned * tx.gas_price), beneficiary, fee)
     for addr in eta.suicides:
         sigma = sigma.delete(addr)
 
-    receipt = Receipt("success", tx.gas_limit - gas_returned, eta.logs,
-                      deployed, bytes(data))
+    receipt = Receipt("success", tx.gas_limit - gas_returned, eta.logs, created, bytes(data))
     return sigma, receipt
-
-
-def _pay(sigma: GlobalState, addr: int, amount: int) -> GlobalState:
-    acct = sigma.get(addr)
-    if acct is None:
-        return sigma.put(addr, Account(0, amount, {}, b""))
-    return sigma.put(addr, acct.with_balance(acct.balance + amount))
 
 
 def _finalize_exception(tx: Transaction, sigma_pre: GlobalState, beneficiary: int):
     """All gas consumed; nonce bump and gas payment stand, everything else
     (including the upfront value transfer) reverted."""
-    sender = sigma_pre.get(tx.sender)
     fee = tx.gas_limit * tx.gas_price
-    sigma = sigma_pre.put(tx.sender, Account(sender.nonce + 1, sender.balance - fee,
-                                             sender.storage, sender.code))
-    sigma = _pay(sigma, beneficiary, fee)
+    sigma = credit(charge(sigma_pre, tx.sender, fee), beneficiary, fee)
     return sigma, Receipt("exception", tx.gas_limit, ())
 
 

@@ -325,6 +325,10 @@ def test_cli_check_variants_dir(tmp_path, capsys):
 
 def test_cli_check_unknown_property(capsys):
     assert main(["check", "no-such-prop", _fixture_path("bob_mallory")]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown property 'no-such-prop'; choose from account-state-independence, "
+        "atomicity, call-integrity, call-restriction, code-independence, effect-independence, "
+        "env-independence, fuelled-calls, single-entrancy, stack-limit\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -135,6 +135,49 @@ def test_create_transaction_deploys_real_code():
     assert receipt.gas_used >= 53_000 + 200
 
 
+def _create_tx(init, gas_limit, value=0):
+    return Transaction(nonce=0, gas_price=1, gas_limit=gas_limit, to=None, value=value,
+                       sender=SENDER, input=init, type="create")
+
+
+def test_create_transaction_deposit_fee_paid_exactly_or_not_at_all():
+    # init costs 18 gas and returns one byte, whose deposit costs 200
+    init = assemble("PUSH1 0xfe\nPUSH1 0x00\nMSTORE8\nPUSH1 0x01\nPUSH1 0x00\nRETURN")
+    exact = SCHEDULE["tx_intrinsic_create"] + 18 + SCHEDULE["create_per_code_byte"]
+    rho = fresh_address(SENDER, 0)
+    sigma = make_sigma()
+    sigma2, _t, receipt = execute_transaction(_create_tx(init, exact, value=4), HEADER, sigma)
+    assert receipt.status == "success" and receipt.gas_used == exact
+    assert sigma2.get(rho).code == b"\xfe" and sigma2.get(rho).balance == 4
+    sigma2, _t, receipt = execute_transaction(_create_tx(init, exact - 1, value=4), HEADER, sigma)
+    assert receipt.status == "exception" and receipt.gas_used == exact - 1
+    assert sigma2.get(rho) is None                                # value returned
+    assert sigma2.get(SENDER) == Account(1, 10**15 - (exact - 1), {}, b"")
+    assert sigma2.get(MINER).balance == exact - 1
+    assert sigma2.total_balance() == sigma.total_balance()
+
+
+def test_create_transaction_keeps_the_balance_its_fresh_address_held():
+    rho = fresh_address(SENDER, 0)
+    sigma = make_sigma(extra={rho: Account(0, 7, {}, b"")})
+    init = assemble("PUSH1 0x00\nPUSH1 0x00\nRETURN")
+    sigma2, _t, receipt = execute_transaction(_create_tx(init, 100_000, value=4), HEADER, sigma)
+    assert receipt.status == "success" and receipt.created == rho
+    assert sigma2.get(rho) == Account(0, 7 + 4, {}, b"")
+    assert sigma2.total_balance() == sigma.total_balance()
+
+
+def test_call_transaction_with_value_to_its_sender_conserves_wei():
+    sigma = make_sigma()
+    tx = Transaction(nonce=0, gas_price=2, gas_limit=50_000, to=SENDER, value=100,
+                     sender=SENDER, input=b"")
+    sigma2, _t, receipt = execute_transaction(tx, HEADER, sigma)
+    assert receipt.status == "success" and receipt.gas_used == 21_000
+    assert sigma2.get(SENDER) == Account(1, 10**15 - 2 * 21_000, {}, b"")
+    assert sigma2.get(MINER).balance == 2 * 21_000
+    assert sigma2.total_balance() == sigma.total_balance()
+
+
 def test_selfdestruct_deletes_at_finalization():
     # the beneficiary account does not exist: 37000-gas branch
     code = assemble(f"PUSH2 {hex(MINER)}\nSELFDESTRUCT")
