@@ -61,6 +61,17 @@ SCHEDULE = MappingProxyType({
 })
 
 
+# what the formulas read, once, at import: several run on every call or memory access
+(_MEMORY_PER_WORD, _MEMORY_QUAD_DIVISOR, _CALLCAP_DIVISOR, _EXP_BASE, _EXP_PER_BYTE, _SHA3_BASE,
+ _SHA3_PER_WORD, _COPY_PER_WORD, _LOG_BASE, _LOG_PER_BYTE, _LOG_PER_TOPIC, _SSTORE_SET,
+ _SSTORE_RESET, _SSTORE_REFUND, _CALL_BASE, _CALL_VALUE, _CALL_NEW_ACCOUNT, _CALL_STIPEND,
+ _CALLCAP_VALUE) = (SCHEDULE[k] for k in (
+    "memory_per_word", "memory_quad_divisor", "callcap_divisor", "exp_base", "exp_per_byte",
+    "sha3_base", "sha3_per_word", "copy_per_word", "log_base", "log_per_byte", "log_per_topic",
+    "sstore_set", "sstore_reset", "sstore_refund", "call_base", "call_value",
+    "call_new_account", "call_stipend", "callcap_value"))
+
+
 def mem_ext(i: int, offset: int, size: int) -> int:
     """Active words in memory after touching [offset, offset+size)."""
     if size == 0:
@@ -70,17 +81,12 @@ def mem_ext(i: int, offset: int, size: int) -> int:
 
 def c_mem(aw: int, aw_after: int) -> int:
     """Cost of growing active memory words from aw to aw_after."""
-    q = SCHEDULE["memory_quad_divisor"]
-    return SCHEDULE["memory_per_word"] * (aw_after - aw) + aw_after**2 // q - aw**2 // q
+    q = _MEMORY_QUAD_DIVISOR
+    return _MEMORY_PER_WORD * (aw_after - aw) + aw_after**2 // q - aw**2 // q
 
 
 def l_all_but_one_64th(g: int) -> int:
-    return g - g // SCHEDULE["callcap_divisor"]
-
-
-# the call costs, read once: c_base and c_gascap run on every call
-_CALL_BASE, _CALL_VALUE, _CALL_NEW_ACCOUNT, _CALL_STIPEND, _CALLCAP_VALUE = (SCHEDULE[k] for k in (
-    "call_base", "call_value", "call_new_account", "call_stipend", "callcap_value"))
+    return g - g // _CALLCAP_DIVISOR
 
 
 def c_base(va: int, flag: int) -> int:
@@ -98,30 +104,25 @@ def c_gascap(va: int, flag: int, g: int, gas: int) -> int:
 
 
 def exp_cost(exponent: int) -> int:
-    """exp_base for a zero exponent, else exp_base plus exp_per_byte for
-    each byte of the exponent (1 + floor(log256 exponent))."""
-    if exponent == 0:
-        return SCHEDULE["exp_base"]
-    per_byte = SCHEDULE["exp_per_byte"]
-    return SCHEDULE["exp_base"] + per_byte * (1 + (exponent.bit_length() - 1) // 8)
+    """exp_base plus exp_per_byte for each byte of the exponent, none for 0."""
+    return _EXP_BASE + _EXP_PER_BYTE * ((exponent.bit_length() + 7) // 8)
 
 
 def sha3_cost(size: int) -> int:
-    return SCHEDULE["sha3_base"] + SCHEDULE["sha3_per_word"] * -(-size // 32)
+    return _SHA3_BASE + _SHA3_PER_WORD * -(-size // 32)
 
 
 def copy_cost(base: int, size: int) -> int:
-    return base + SCHEDULE["copy_per_word"] * -(-size // 32)
+    return base + _COPY_PER_WORD * -(-size // 32)
 
 
 def log_cost(size: int, topics: int) -> int:
-    return (SCHEDULE["log_base"] + SCHEDULE["log_per_byte"] * size
-            + SCHEDULE["log_per_topic"] * topics)
+    return _LOG_BASE + _LOG_PER_BYTE * size + _LOG_PER_TOPIC * topics
 
 
 def sstore_cost(current: int, new: int) -> int:
-    return SCHEDULE["sstore_set" if (new != 0 and current == 0) else "sstore_reset"]
+    return _SSTORE_SET if (new != 0 and current == 0) else _SSTORE_RESET
 
 
 def sstore_refund(current: int, new: int) -> int:
-    return SCHEDULE["sstore_refund"] if (new == 0 and current != 0) else 0
+    return _SSTORE_REFUND if (new == 0 and current != 0) else 0

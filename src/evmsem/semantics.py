@@ -52,11 +52,7 @@ class CodeOverride:
 
 def extend_override_after_create(f: CodeOverride, created) -> CodeOverride:
     """Union with newly created (address, code) pairs; existing entries win."""
-    mapping = dict(f.mapping)
-    for addr, code in created:
-        if addr not in mapping:
-            mapping[addr] = code
-    return CodeOverride(mapping)
+    return CodeOverride({**dict(created), **f.mapping})
 
 
 class StepOutcome(NamedTuple):
@@ -112,12 +108,12 @@ def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int
                     and (ran := _run_block(tenv, stack, st, run, override)) is not None):
                 stack, index, look = ran, index + run.steps, run.chain
                 continue
-        out = step(tenv, stack, override)
+        after, action, final = step(tenv, stack, override)
         index += 1
-        if ops or out.action.tag != "op":
-            yield index, stack, out.action, out.stack
-        stack, look = out.stack, not ops
-        if out.final or deep and stack.depth == depth and stack.top.state.__class__ is not Regular:
+        if ops or action.tag != "op":
+            yield index, stack, action, after
+        stack, look = after, not ops
+        if final or deep and stack.depth == depth and stack.top.state.__class__ is not Regular:
             return
     raise BudgetExhausted(f"no final configuration within {max_steps} steps")
 
@@ -207,6 +203,7 @@ class _Rule(NamedTuple):
 # the records a step builds are NamedTuples, whose Python-level __new__ costs
 # about twice tuple.__new__; build them with _new(Record, (fields...))
 _new = tuple.__new__
+_FAILED = Frame(EXC, None)        # what a call-time failure pushes
 
 
 @lru_cache(maxsize=256)      # a decoded code holds about 17 bytes per code byte
@@ -561,10 +558,10 @@ def _selfdestruct(r, st, tenv, stack, override):
 # calling and return processing
 
 
-def _call_words(s: tuple, n: int) -> tuple:
-    """(g, to, va, io, is, oo, os) of a call; DELEGATECALL pops no value and
-    is costed as a zero-value call."""
-    return s[:7] if n == 7 else s[:2] + (0,) + s[2:6]
+def _call_words(args: tuple) -> tuple:
+    """(g, to, va, io, is, oo, os) of the r.n words a call pops; DELEGATECALL
+    pops no va and is costed as a zero-value call."""
+    return args if len(args) == 7 else (*args[:2], 0, *args[2:])
 
 
 def _call_costs(new_account: bool, mu, g, va, io, isz, oo, os_):
@@ -572,30 +569,33 @@ def _call_costs(new_account: bool, mu, g, va, io, isz, oo, os_):
     mu, which its return recomputes; a CALL to an absent account
     (new_account) also pays for creating it."""
     flag = 0 if new_account else 1
-    aw = mem_ext(mem_ext(mu.active_words, io, isz), oo, os_)
     cc = c_gascap(va, flag, g, mu.gas)
+    if not (isz or os_):                # two empty ranges: memory as it is, at no cost
+        return mu.active_words, cc, c_base(va, flag) + cc
+    aw = mem_ext(mem_ext(mu.active_words, io, isz), oo, os_)
     return aw, cc, c_base(va, flag) + c_mem(mu.active_words, aw) + cc
 
 
 def _call(r, st, tenv, stack, override):
-    """CALL, CALLCODE and DELEGATECALL, which pop r.n = 7, 7 and 6 words."""
+    """CALL, CALLCODE and DELEGATECALL, which pop r.n = 7, 7 and 6 words. A
+    call of no value reads no balance, and an empty input range no memory."""
     mu, iota, sigma = st.mu, st.iota, st.sigma
     args = mu.stack[:r.n]
-    g, to, va, io, isz, oo, os_ = _call_words(mu.stack, r.n)
+    g, to, va, io, isz, oo, os_ = _call_words(args)
     to_a = to & ADDR_MASK
     found = sigma.get(to_a)
     aw, cc, total = _call_costs(r.name == "CALL" and found is None, mu, g, va, io, isz, oo, os_)
     if not _valid(mu.gas, total, len(mu.stack) - r.n + 1):
         return _exc(r, stack, args)
-    if va > account(sigma, iota.actor).balance or stack.depth + 1 > CALL_DEPTH_LIMIT:
-        return _enter(r, stack, Frame(EXC, None), args, "fail")
+    if stack.depth >= CALL_DEPTH_LIMIT or va and va > account(sigma, iota.actor).balance:
+        return _enter(r, stack, _FAILED, args, "fail")
     code = b"" if found is None else found.code
-    data = memory_read(mu.memory, io, isz)
+    data = memory_read(mu.memory, io, isz) if isz else b""
     if r.name == "CALL":  # move value, hand control to the callee account
-        # debit first, then credit the callee as it reads after the debit,
-        # so that a call to the caller's own address keeps the value; without
-        # value between two existing accounts, the puts would change nothing
-        if va or found is None or iota.actor not in sigma:
+        # debit first, then credit the callee as read after the debit, so a call
+        # to the caller's own address keeps the value; with no value between two
+        # existing accounts (as a caller that finds itself is), no put is needed
+        if va or found is None or to_a != iota.actor and iota.actor not in sigma:
             sigma = credit(credit(sigma, iota.actor, -va), to_a, va)
         env = (to_a, data, iota.actor, va, code)
     elif r.name == "CALLCODE":  # run the code in the caller's context, no transfer
@@ -607,9 +607,8 @@ def _call(r, st, tenv, stack, override):
 
 def callee_frame(gas: int, env: tuple, sigma: GlobalState, eta, contract) -> Frame:
     """The frame a transaction, a call or a create starts: pc 0, empty memory
-    and stack, labelled with its contract (None for init code), and the
-    ExecutionEnvironment of the fields env, built without its generated
-    frozen __init__, which sets each field through object.__setattr__."""
+    and stack, labelled with its contract (None for init code), and the fields
+    env, set without ExecutionEnvironment's frozen __init__ (slow setattrs)."""
     iota = object.__new__(ExecutionEnvironment)
     d = iota.__dict__
     d["actor"], d["input"], d["sender"], d["value"], d["code"] = env
@@ -633,7 +632,7 @@ def _create(r, st, tenv, stack, override):
         return _exc(r, stack)
     actor_acct = account(sigma, iota.actor)
     if va > actor_acct.balance or stack.depth + 1 > CALL_DEPTH_LIMIT:
-        return _enter(r, stack, Frame(EXC, None), args, "fail")
+        return _enter(r, stack, _FAILED, args, "fail")
     rho = fresh_address(iota.actor, actor_acct.nonce)
     sigma = charge(open_account(sigma, rho, va), iota.actor, va)
     env = (rho, b"", iota.actor, va, memory_read(mu.memory, io, isz))
@@ -658,13 +657,13 @@ def deposit_code(halt: Halt, rho: int) -> Optional[tuple]:
 
 def _process_return(stack):
     caller = stack.below.top.state
-    if not isinstance(caller, Regular):
+    if caller.__class__ is not Regular:
         raise MalformedConfiguration("halting state above a non-regular frame")
     r = _rule_at(caller)
-    if r.fire in _RETURNS and len(caller.mu.stack) >= r.n:
-        return _RETURNS[r.fire](r, stack)
-    raise MalformedConfiguration(f"halting state above a frame not executing a call "
-                                 f"(op {bc.current_opcode(caller.mu, caller.iota):#x})")
+    if (ret := _RETURNS.get(r.fire)) is None or len(caller.mu.stack) < r.n:
+        raise MalformedConfiguration(f"halting state above a frame not executing a call "
+                                     f"(op {bc.current_opcode(caller.mu, caller.iota):#x})")
+    return ret(r, stack)
 
 
 def _exc_return(r, stack, total: int, aw: int):
@@ -679,12 +678,12 @@ def _exc_return(r, stack, total: int, aw: int):
 def _return_call(r, stack):
     top, st = stack.top.state, stack.below.top.state
     mu = st.mu
-    g, to, va, io, isz, oo, os_ = _call_words(mu.stack, r.n)
+    g, to, va, io, isz, oo, os_ = _call_words(mu.stack[:r.n])
     absent = r.name == "CALL" and st.sigma.get(to & ADDR_MASK) is None
     aw, _cc, total = _call_costs(absent, mu, g, va, io, isz, oo, os_)
-    if not isinstance(top, Halt):
+    if top.__class__ is not Halt:
         return _exc_return(r, stack, total, aw)
-    memory = memory_write(mu.memory, oo, top.data[:os_])
+    memory = memory_write(mu.memory, oo, top.data[:os_]) if os_ else mu.memory
     mu2 = _new(MachineState, (mu.gas + top.gas - total, mu.pc + 1, memory, aw,
                               (1,) + mu.stack[r.n:]))
     return _resume(r, stack, _new(Regular, (mu2, st.iota, top.sigma, top.eta)), "ret")
@@ -695,7 +694,7 @@ def _return_create(r, stack):
     mu, iota = st.mu, st.iota
     aw, cost, budget = _create_costs(r, mu, mu.stack[1], mu.stack[2])
     total = cost + budget        # full allocation: local cost plus the budget handed over
-    if not isinstance(top, Halt):
+    if top.__class__ is not Halt:
         return _exc_return(r, stack, total, aw)
     rho = fresh_address(iota.actor, account(st.sigma, iota.actor).nonce)
     deposit = deposit_code(top, rho)

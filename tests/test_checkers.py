@@ -1,6 +1,10 @@
 """Targeted scenarios for every checker, plus witness replay and the
 monitors-don't-alter-execution invariant."""
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from corpus_build import ALLY, MALLORY, OUTSIDER, PAYEE, asm
@@ -474,3 +478,37 @@ def test_paired_witness_replays():
     narrowed = type(space)(**{**g.space().__dict__,
                               "gas_values": tuple(va.witness["gas_pair"])})
     assert check_atomicity(narrowed, g.contract()).violated
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: how a verdict must move when its inputs move
+
+CORPUS_VERDICTS = Path(__file__).parent / "data" / "corpus_verdicts.json"
+
+
+def _reversed(space: ScenarioSpace):
+    """space with gas_values, each component's values and each code-variant
+    list reversed, or None when that changes nothing. Every corpus list
+    has at most two entries, so reversing is the only other order."""
+    moved = replace(space, gas_values=space.gas_values[::-1],
+                    component_values={k: v[::-1] for k, v in space.component_values.items()},
+                    code_variants={a: v[::-1] for a, v in space.code_variants.items()})
+    return None if moved == space else moved
+
+
+def test_verdicts_are_blind_to_the_order_of_their_value_sets():
+    # reordering a generator set may change which labels a witness names,
+    # never the result or whether the space was explored completely
+    frozen = json.loads(CORPUS_VERDICTS.read_text())
+    compared = 0
+    for f in load_corpus():
+        space = _reversed(f.space())
+        if space is None:
+            continue
+        for prop, verdict_json in frozen[f.name].items():
+            want = json.loads(verdict_json)
+            got = checkers.CHECKERS[prop](space, f.contract(), f.checker_params)
+            assert (got.result, got.explored_complete) == (
+                want["result"], want["explored_complete"]), (f.name, prop)
+            compared += 1
+    assert compared > 90

@@ -4,11 +4,11 @@
 rule-table rewrite. Every `step` evmsem takes below is also taken by the
 frozen copy from the same configuration, and the two must agree on the
 successor stack, frame by frame, and the trace action: over the criterion-5
-programs, every corpus transaction, and every corpus checker run. The
-checkers drive in block mode, which applies runs of plain ops without
-`step`; here each of their drives is also stepped one op at a time
-alongside it, and the two must show the same non-op steps between the same
-stacks. The checkers must also return byte-identical verdicts when driven
+programs, a seeded deck of call edges, every corpus transaction, and every
+corpus checker run. The checkers drive in block mode, which applies runs of
+plain ops without `step`; here each of their drives is also stepped one op
+at a time alongside it, and the two must show the same non-op steps between
+the same stacks. The checkers must also return byte-identical verdicts when driven
 by the frozen core, one op at a time, and match the verdicts frozen in
 `tests/data/corpus_verdicts.json`.
 
@@ -19,15 +19,18 @@ written against.
 """
 
 import json
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from evmsem import checkers, semantics
 from evmsem.fixtures import load_corpus
-from evmsem.state import CallStack, Regular, frames, validate_stack
+from evmsem.bytecode import assemble
+from evmsem.state import Account, CallStack, Halt, Regular, frames, validate_stack
 from evmsem.transaction import t_init
-from helpers import checking_block_mode, make_env, stack_of
+from helpers import checking_block_mode, make_env, make_frame, make_state, stack_of
 from oracle import semantics as frozen
 from proputil import STEP_BUDGET, program_frame
 
@@ -149,6 +152,107 @@ def test_corpus_transactions_step_alike(lockstep):
         stack, _trace = semantics.run(tenv, stack_of(frame), 1_000_000)
         assert semantics.is_final(stack)
     assert lockstep.deepest == 1025          # deep_recursion's EXC at the depth limit
+
+
+# the call-edge deck: the criterion-5 programs' calls all pass empty in and
+# out ranges (tests/proputil.py _call_prefix), so they never extend memory
+# at a call or write a callee's output back; this deck does, seeded
+N_CALL_EDGES = 240
+CALL_EDGES = ("ranges", "far_empty", "value", "absent", "out_of_gas")
+CALL_OPS = ("CALL", "CALLCODE", "DELEGATECALL")
+EDGE_BALANCE = 1_000
+FAR = 2**255
+ABSENT = 0xD00D
+CALLEES = {  # address -> code: RETURN 64 bytes, RETURN 3 bytes, STOP, INVALID
+    0xCA11: f"PUSH32 {hex(2**256 - 3)}\nPUSH1 0x00\nMSTORE\nPUSH1 0x40\nPUSH1 0x00\nRETURN",
+    0xCA12: f"PUSH32 {hex(0xABCDEF)}\nPUSH1 0x00\nMSTORE\nPUSH1 0x03\nPUSH1 0x1d\nRETURN",
+    0xCA13: "STOP",
+    0xCA14: "INVALID",
+}
+
+
+def _pushes(*words) -> str:
+    """Assembly that pushes words, the last on top; a mnemonic pushes its own."""
+    return "".join(f"{w}\n" if isinstance(w, str) else f"PUSH32 {hex(w)}\n" for w in words)
+
+
+def _edge_frame(rng: random.Random, op: str, words: tuple, gas: int, tail: str):
+    """A frame that stores a random word at a random offset below 64, so
+    memory holds one to three words, then makes one call of op with the
+    words (g, to, va, io, is, oo, os), DELEGATECALL leaving out va, and
+    goes on with tail."""
+    g, to, va, io, isz, oo, os_ = words
+    pushed = (os_, oo, isz, io) + ((va,) if op != "DELEGATECALL" else ()) + (to, g)
+    code = assemble(f"{_pushes(rng.getrandbits(256), rng.randrange(64))}MSTORE\n"
+                    f"{_pushes(*pushed)}{op}\n{tail}")
+    accounts = {addr: Account(0, 0, {}, assemble(callee)) for addr, callee in CALLEES.items()}
+    sigma = make_state(code=code, balance=EDGE_BALANCE, accounts=accounts)
+    return make_frame(code, gas=gas, sigma=sigma)
+
+
+def call_edge(seed: int):
+    """(edge, frame) of one seed of the deck: CALL_EDGES in turn, each with
+    a random op, callee and ranges."""
+    rng = random.Random(seed)
+    edge = CALL_EDGES[seed % len(CALL_EDGES)]
+    op = rng.choice(CALL_OPS[:2] if edge == "value" else CALL_OPS)
+    to = rng.choice(sorted(CALLEES))
+    g, va, gas = rng.randrange(60_000), rng.randrange(4), 200_000
+    io, oo = rng.randrange(160), rng.randrange(160)        # memory ends below 96
+    isz, os_ = (rng.choice((0, rng.randrange(1, 80))) for _ in range(2))
+    if edge == "far_empty":          # empty ranges; at least one at 2**255
+        io, oo = rng.choice(((FAR, FAR), (FAR, oo), (io, FAR)))
+        isz = os_ = 0
+    elif edge == "value":
+        va = EDGE_BALANCE + rng.randrange(2)
+    elif edge == "absent":
+        to = ABSENT
+    elif edge == "out_of_gas":       # far ranges, whose memory the gas may not cover
+        io, oo = (FAR if rng.random() < 0.1 else 2**rng.randrange(10, 18) for _ in range(2))
+        g, gas = rng.randrange(2_000), rng.randrange(800, 60_000)
+    return edge, _edge_frame(rng, op, (g, to, va, io, isz, oo, os_), gas, "STOP")
+
+
+def depth_edge(op: str):
+    """A frame that calls itself with op, nonzero ranges and all its gas
+    until the call at depth 1,024 fails; each frame then returns 40 bytes."""
+    rng = random.Random(op)
+    words = ("GAS", "ADDRESS", 0, rng.randrange(96), 33, rng.randrange(96), 20)
+    return _edge_frame(rng, op, words, 10**13, "PUSH1 0x28\nPUSH1 0x08\nRETURN")
+
+
+def test_call_edges_step_alike(lockstep):
+    tenv = make_env()
+    seen = Counter()
+    decks = [call_edge(seed) for seed in range(N_CALL_EDGES)]
+    decks += [("depth", depth_edge(op)) for op in CALL_OPS]
+    for edge, frame in decks:
+        aw = None
+        for _i, before, action, after in semantics.iterate_steps(tenv, stack_of(frame), 200_000):
+            if action.op in CALL_OPS and before.depth in (1, 1024):
+                aw = before.top.state.mu.active_words
+                seen[edge, action.op, action.tag, before.depth] += 1
+            elif after.depth in (1, 1024) and action.op[:-3] in CALL_OPS:   # its return
+                words = before.below.top.state.mu.stack
+                os_, done = words[5 if action.op == "DELEGATECALLRET" else 6], before.top.state
+                if done.__class__ is Halt and os_:
+                    seen[edge, "longer" if len(done.data) > os_ else "not longer"] += 1
+                seen[edge, action.tag] += 1
+                if edge == "far_empty":
+                    assert after.top.state.mu.active_words == aw
+        assert semantics.is_final(after)
+    assert lockstep.deepest == 1025
+    for op in CALL_OPS:
+        assert seen["depth", op, "fail", 1024] == 1
+        for edge in ("ranges", "far_empty", "absent", "out_of_gas"):
+            assert seen[edge, op, "enter", 1] > 0, (edge, op)
+        assert seen["out_of_gas", op, "exc", 1] > 0
+    for op in CALL_OPS[:2]:
+        assert seen["value", op, "enter", 1] > 0 and seen["value", op, "fail", 1] > 0
+    for key in (("ranges", "ret"), ("ranges", "exc_ret"), ("ranges", "longer"),
+                ("ranges", "not longer"), ("far_empty", "ret"), ("absent", "ret"),
+                ("out_of_gas", "ret"), ("depth", "exc_ret"), ("depth", "ret")):
+        assert seen[key] > 0, key
 
 
 def _verdicts(fixture):
