@@ -1,18 +1,20 @@
-"""Executable security analyses.
+"""Executable security analyses, all on one engine.
 
 `_scan` is the only loop that drives the scenario, and each check drives
 it at most once (call integrity's theorem1 mode, a conjunction of three
-checks, drives it three times). Monitors (single-entrancy, call restriction, fuelled calls,
-stack-limit compliance) watch that drive for a violating step. The
-hyperproperty checkers (atomicity, the independence family, call integrity)
-are falsifiers: they fork a few variant runs, from configurations the drive
-reaches (entries into the analyzed contract, its calls into untrusted code)
-or from the scenario's start, and compare what the variants show, mostly
-projected call traces. `_explore` is the only place that runs variants:
+checks, drives it three times). `_monitor` watches that drive for a
+violating step (single-entrancy, call restriction, fuelled calls,
+stack-limit compliance). The hyperproperty checkers (atomicity, the
+independence family, call integrity) are falsifiers: each only names its
+forks, from configurations the drive reaches (entries into the analyzed
+contract, its calls into untrusted code) or from the scenario's start, and
+each fork's variants. `_explore` is the only place that runs variants:
 each is compared with the first completed run of its fork, the first
 difference is a violation and stops further runs, and a fork with fewer
-than two variants runs nothing, as there is nothing to compare. A "holds"
-verdict therefore always means "holds within the explored space";
+than two variants runs nothing, as there is nothing to compare.
+`_compare_calls` is the one place that projects the analyzed contract's
+calls and compares them; every falsifier but atomicity goes through it.
+A "holds" verdict therefore always means "holds within the explored space";
 `explored_complete` records whether any run ran out of step budget, and
 the notes say when no fork had two variants, so nothing was compared.
 
@@ -77,6 +79,8 @@ class ScenarioSpace:
     def __post_init__(self):
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
+        if self.finpot_samples < 2:
+            raise ValueError("finpot_samples must be at least 2")
 
 
 def _initial_config(space: ScenarioSpace):
@@ -97,7 +101,7 @@ def _holds(name: str, complete: bool, notes: str = "") -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# the engine: one scan of the scenario, one comparison loop over variants
+# the engine: one scan, one monitor, one comparison loop, one call comparison
 
 
 def _scan(space: ScenarioSpace, pick, first: bool = False):
@@ -122,17 +126,28 @@ def _scan(space: ScenarioSpace, pick, first: bool = False):
     return tenv, stack, picks, complete
 
 
-def _explore(name: str, forks, differ, complete: bool) -> Verdict:
+def _monitor(name: str, space: ScenarioSpace, watch) -> Verdict:
+    """Violated at the first step where watch(index, before, action, after)
+    returns (index, action, entries), witnessed by step, action and entries."""
+    _tenv, _stack, found, complete = _scan(space, watch, first=True)
+    if found:
+        index, action, entries = found[0]
+        return Verdict(name, "violated",
+                       {"step": index, "action": action_to_json(action), **entries}, True)
+    return _holds(name, complete)
+
+
+def _explore(name: str, observe, forks, differ, complete: bool) -> Verdict:
     """Run the variants of each fork and compare their observations.
 
-    `forks` yields (witness, observe, variants), `variants` being (label,
-    input) pairs; observe(input) runs one variant and returns what it shows,
-    None if there is nothing to compare. differ(first, other) is None when
-    two observations agree, else the witness entries of their difference,
-    to which witness(first_label, label) adds the knobs that reproduce it.
+    `forks` yields (witness, variants), `variants` being (label, input)
+    pairs; observe(input) runs one variant and returns what it shows, None
+    if there is nothing to compare. differ(first, other) is None when two
+    observations agree, else the witness entries of their difference, to
+    which witness(first_label, label) adds the knobs that reproduce it.
     A "holds" says so in its notes when no fork had two variants."""
     compared = False
-    for witness, observe, variants in forks:
+    for witness, variants in forks:
         if len(variants) < 2:
             continue
         compared = True
@@ -155,30 +170,26 @@ def _explore(name: str, forks, differ, complete: bool) -> Verdict:
     return _holds(name, complete, nothing if complete else f"{_INCOMPLETE}; {nothing}")
 
 
-def _divergence(relaxed: bool, left, right) -> Optional[dict]:
-    """None if the projected traces agree, else their first divergence and
-    the three actions from there on each side."""
-    div = first_divergence(left, right, relaxed)
-    if div is None:
-        return None
-    return {
-        "first_divergence": div,
-        "trace_left": [action_to_json(a) for a in left[div:div + 3]],
-        "trace_right": [action_to_json(a) for a in right[div:div + 3]],
-    }
+def _compare_calls(name: str, space: ScenarioSpace, c: Contract, drive, forks,
+                   complete: bool) -> Verdict:
+    """_explore over c's projected calls, drive(input) returning one variant's
+    trace: two variants differ at the first divergence of their projections
+    (gas ignored under relaxed_gas), shown by three actions on each side."""
+    pred = calls_of(c)
+
+    def differ(left, right):
+        div = first_divergence(left, right, space.relaxed_gas)
+        return None if div is None else {
+            "first_divergence": div,
+            "trace_left": [action_to_json(a) for a in left[div:div + 3]],
+            "trace_right": [action_to_json(a) for a in right[div:div + 3]]}
+
+    return _explore(name, lambda variant: project(drive(variant), pred), forks, differ,
+                    complete)
 
 
 # ---------------------------------------------------------------------------
 # monitors over one scenario run
-
-
-def _monitor(name: str, space: ScenarioSpace, watch) -> Verdict:
-    """Violated at the first step where watch(index, before, action, after)
-    returns a witness."""
-    _tenv, _stack, witnesses, complete = _scan(space, watch, first=True)
-    if witnesses:
-        return Verdict(name, "violated", witnesses[0], True)
-    return _holds(name, complete)
 
 
 def _entered(before, after) -> bool:
@@ -193,14 +204,10 @@ def _on_stack(c: Contract, stack) -> bool:
 def check_single_entrancy(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a reentered frame of c makes the call stack grow again."""
 
-    def watch(step_index, before, action, after):
+    def watch(index, before, action, after):
         if after.depth > before.depth and before.top.contract == c and _on_stack(c, before.below):
-            return {
-                "step": step_index,
-                "action": action_to_json(action),
-                "reentry_depth": before.depth,
-                "contract": address_to_hex(c[0]),
-            }
+            return index, action, {"reentry_depth": before.depth,
+                                   "contract": address_to_hex(c[0])}
         return None
 
     return _monitor("single-entrancy", space, watch)
@@ -211,16 +218,12 @@ def check_call_restriction(space: ScenarioSpace, c: Contract, allowed) -> Verdic
     is on the stack (directly or transitively below c)."""
     allowed = frozenset(allowed)
 
-    def watch(step_index, before, action, after):
+    def watch(index, before, action, after):
         ann = after.top.contract
         if (_entered(before, after) and _on_stack(c, before)
                 and (ann is None or ann[0] not in allowed)):
-            return {
-                "step": step_index,
-                "action": action_to_json(action),
-                "entered": address_to_hex(ann[0]) if ann else None,
-                "allowed": sorted(address_to_hex(a) for a in allowed),
-            }
+            return index, action, {"entered": address_to_hex(ann[0]) if ann else None,
+                                   "allowed": sorted(address_to_hex(a) for a in allowed)}
         return None
 
     return _monitor("call-restriction", space, watch)
@@ -229,14 +232,10 @@ def check_call_restriction(space: ScenarioSpace, c: Contract, allowed) -> Verdic
 def check_fuelled_calls(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a callee below c starts with zero gas."""
 
-    def watch(step_index, before, action, after):
+    def watch(index, before, action, after):
         if _entered(before, after) and _on_stack(c, before) and after.top.state.mu.gas == 0:
             ann = after.top.contract
-            return {
-                "step": step_index,
-                "action": action_to_json(action),
-                "callee": address_to_hex(ann[0]) if ann else None,
-            }
+            return index, action, {"callee": address_to_hex(ann[0]) if ann else None}
         return None
 
     return _monitor("fuelled-calls", space, watch)
@@ -246,11 +245,10 @@ def check_stack_limit_compliance(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a call-time exception is pushed with the residual stack
     at the 1024-frame limit while c is on it."""
 
-    def watch(step_index, before, action, after):
+    def watch(index, before, action, after):
         if (after.depth == before.depth + 1 and after.top.state is EXC
                 and before.depth == 1024 and _on_stack(c, before)):
-            return {"step": step_index, "action": action_to_json(action),
-                    "residual_depth": before.depth}
+            return index, action, {"residual_depth": before.depth}
         return None
 
     return _monitor("stack-limit", space, watch)
@@ -294,24 +292,18 @@ def check_atomicity(space: ScenarioSpace, c: Contract) -> Verdict:
             entry = config.top.state
             yield ((lambda g1, g2, idx=idx: {"entry_index": idx, "gas_pair": [g1, g2],
                                              "contract": address_to_hex(c[0])}),
-                   final_sigma,
                    [(g, with_top_state(config, entry._replace(mu=entry.mu._replace(gas=g))))
                     for g in space.gas_values])
 
-    return _explore("atomicity", forks(), lambda s1, s2: None if s1 == s2 else {}, complete)
+    return _explore("atomicity", final_sigma, forks(),
+                    lambda s1, s2: None if s1 == s2 else {}, complete)
 
 
 def check_env_independence(space: ScenarioSpace, c: Contract,
                            components: Sequence[str]) -> Verdict:
     """Projected call traces of c must agree across paired whole-scenario
     runs whose transaction environments differ in one component."""
-    pred = calls_of(c)
     tenv, stack = _initial_config(space)
-
-    def observe(tenv_v):
-        _final, trace = run_frame(tenv_v, stack, space.max_steps)
-        return project(trace, pred)
-
     forks = []    # built before any run, so that every component is checked first
     for comp in components:
         values = space.component_values.get(comp)
@@ -319,9 +311,9 @@ def check_env_independence(space: ScenarioSpace, c: Contract,
             raise ValueError(f"no value set for component {comp!r}")
         forks.append(((lambda v1, v2, comp=comp: {"component": comp,
                                                    "values": [hex(v1), hex(v2)]}),
-                      observe,
                       [(v, env_with_component(tenv, comp, v)) for v in dict.fromkeys(values)]))
-    return _explore("env-independence", forks, partial(_divergence, space.relaxed_gas), True)
+    return _compare_calls("env-independence", space, c,
+                          lambda env: run_frame(env, stack, space.max_steps)[1], forks, True)
 
 
 def _account_variants(acct: Account, perturbations: dict):
@@ -352,12 +344,7 @@ def check_account_state_independence(space: ScenarioSpace, c: Contract) -> Verdi
     Each perturbed run is compared with the unperturbed one; should that
     exhaust its budget, with the first perturbed run that completes, which
     the witness then names as its reference."""
-    pred = calls_of(c)
     tenv, configs, complete = _entry_configs(space, c)
-
-    def observe(config):
-        _f, trace = run_frame(tenv, config, space.max_steps)
-        return project(trace, pred)
 
     def witness(idx, reference, label):
         knobs = {"entry_index": idx, "perturbation": label}
@@ -371,13 +358,14 @@ def check_account_state_independence(space: ScenarioSpace, c: Contract) -> Verdi
             acct = entry.sigma.get(c[0])
             if acct is None:
                 continue
-            yield partial(witness, idx), observe, [(None, config)] + [
+            yield partial(witness, idx), [(None, config)] + [
                 (label, with_top_state(config,
                                        entry._replace(sigma=entry.sigma.put(c[0], variant))))
                 for label, variant in _account_variants(acct, space.account_perturbations)]
 
-    return _explore("account-state-independence", forks(),
-                    partial(_divergence, space.relaxed_gas), complete)
+    return _compare_calls("account-state-independence", space, c,
+                          lambda config: run_frame(tenv, config, space.max_steps)[1],
+                          forks(), complete)
 
 
 def _override_assignments(space: ScenarioSpace, untrusted):
@@ -395,20 +383,18 @@ def _override_assignments(space: ScenarioSpace, untrusted):
 def check_code_independence(space: ScenarioSpace, c: Contract, untrusted) -> Verdict:
     """Runs under two local code updates with domain `untrusted` must produce
     the same projected call traces of c."""
-    pred = calls_of(c)
-    assignments = list(enumerate(_override_assignments(space, untrusted)))
+    assignments = _override_assignments(space, untrusted)
     tenv, configs, complete = _entry_configs(space, c)
 
-    def observe(config, mapping):
-        _f, trace, _ext = run_with_local_updates(
-            tenv, config, CodeOverride(dict(mapping)), space.max_steps)
-        return project(trace, pred)
+    def drive(variant):
+        config, mapping = variant
+        return run_with_local_updates(tenv, config, CodeOverride(dict(mapping)),
+                                      space.max_steps)[1]
 
     forks = (((lambda i1, i2, idx=idx: {"entry_index": idx, "assignments": [i1, i2]}),
-              partial(observe, config), assignments)
+              [(i, (config, mapping)) for i, mapping in enumerate(assignments)])
              for idx, config in enumerate(configs))
-    return _explore("code-independence", forks, partial(_divergence, space.relaxed_gas),
-                    complete)
+    return _compare_calls("code-independence", space, c, drive, forks, complete)
 
 
 def _finpot_samples(c: Contract, callee_frame: Frame, space: ScenarioSpace):
@@ -448,14 +434,13 @@ def _finpot_samples(c: Contract, callee_frame: Frame, space: ScenarioSpace):
         halts.append(("halt_new_acct",
                       Halt(sigma.put(probe, Account(0, 1, {}, b"")), budget, b"", eta)))
     samples.extend(halts)
-    return samples[:max(space.finpot_samples, 2)]
+    return samples[:space.finpot_samples]
 
 
 def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> Verdict:
     """At every call of c into an untrusted address, replacing the callee's
     outcome with any potential final state must leave c's continuation calls
     unchanged."""
-    pred = calls_of(c)
     untrusted = frozenset(untrusted)
 
     def call_site(_index, before, action, after):
@@ -467,17 +452,14 @@ def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> V
     tenv, _stack, call_sites, complete = _scan(space, call_site)
 
     def continuation(forked):
-        """c's calls until the callee's return has been processed."""
-        _f, trace = run_to_depth(tenv, forked, forked.depth - 1, space.max_steps)
-        return project(trace, pred)
+        """The run until the callee's return has been processed."""
+        return run_to_depth(tenv, forked, forked.depth - 1, space.max_steps)[1]
 
     forks = (((lambda l1, l2, idx=idx: {"call_site": idx, "samples": [l1, l2]}),
-              continuation,
               [(label, with_top_state(after, st))
                for label, st in _finpot_samples(c, after.top, space)])
              for idx, after in enumerate(call_sites))
-    return _explore("effect-independence", forks, partial(_divergence, space.relaxed_gas),
-                    complete)
+    return _compare_calls("effect-independence", space, c, continuation, forks, complete)
 
 
 def check_call_integrity(space: ScenarioSpace, c: Contract, untrusted,
@@ -504,19 +486,16 @@ def check_call_integrity(space: ScenarioSpace, c: Contract, untrusted,
     if mode != "direct":
         raise ValueError(f"unknown call-integrity mode {mode!r}")
 
-    pred = calls_of(c)
-
-    def observe(mapping):
+    def drive(mapping):
         sigma = space.pre
         for addr, code in mapping.items():
             sigma = sigma.put(addr, account(sigma, addr).with_code(code))
         tenv, stack = _initial_config(replace(space, pre=sigma))
-        _final, trace = run_frame(tenv, stack, space.max_steps)
-        return project(trace, pred)
+        return run_frame(tenv, stack, space.max_steps)[1]
 
-    forks = [(lambda i1, i2: {"mode": "direct", "assignments": [i1, i2]}, observe,
+    forks = [(lambda i1, i2: {"mode": "direct", "assignments": [i1, i2]},
               list(enumerate(_override_assignments(space, untrusted))))]
-    return _explore("call-integrity", forks, partial(_divergence, space.relaxed_gas), True)
+    return _compare_calls("call-integrity", space, c, drive, forks, True)
 
 
 CHECKERS = {

@@ -158,10 +158,13 @@ def _one_of(*names):
     return decode, str
 
 
-def _positive(v, what):
-    if _typed(v, int, what) <= 0:
-        raise ValueError(f"{what} must be positive")
-    return v
+def _at_least(low: int, must: str):
+    """An integer that must not be below `low`; `must` says so in the error."""
+    def decode(v, what):
+        if _typed(v, int, what) < low:
+            raise ValueError(f"{what} must be {must}")
+        return v
+    return decode, int
 
 
 _NAME = _leaf(str, str)
@@ -210,8 +213,8 @@ _CHECKER_PARAMS = _fields({
     "account_perturbations": _fields({"balance_deltas": _list(_INT),
                                       "nonce_bumps": _list(_INT),
                                       "storage_set": _map(_WORD, _WORD)}),
-    "max_steps": (_positive, int),
-    "finpot_samples": _INT,
+    "max_steps": _at_least(1, "positive"),
+    "finpot_samples": _at_least(2, "at least 2"),
     "mode": _one_of("direct", "theorem1"),
 })
 

@@ -2,6 +2,7 @@
 monitors-don't-alter-execution invariant."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -409,6 +410,15 @@ def test_effect_independence_state_readback_violated():
     assert v.violated
 
 
+def test_finpot_samples_below_two_rejected():
+    # an exception and one halt are the fewest outcomes that compare anything
+    stop = assemble("STOP")
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError, match="finpot_samples must be at least 2"):
+            space_for({C: Account(0, 0, {}, stop)}, C, finpot_samples=n)
+    assert space_for({C: Account(0, 0, {}, stop)}, C, finpot_samples=2).finpot_samples == 2
+
+
 # ---------------------------------------------------------------------------
 # call integrity
 
@@ -512,3 +522,57 @@ def test_verdicts_are_blind_to_the_order_of_their_value_sets():
                 want["result"], want["explored_complete"]), (f.name, prop)
             compared += 1
     assert compared > 90
+
+
+def _frozen_corpus():
+    """(fixture, property, frozen verdict JSON) of every frozen corpus
+    verdict but deep_recursion's, as tests/test_oracle.py leaves it out."""
+    frozen = json.loads(CORPUS_VERDICTS.read_text())
+    for f in load_corpus():
+        if f.name != "deep_recursion":
+            for prop, verdict_json in frozen[f.name].items():
+                yield f, prop, verdict_json
+
+
+def test_complete_verdicts_are_monotone_in_the_budget():
+    # a check that explored everything within max_steps makes the same runs,
+    # to the same ends, under twice the budget
+    compared = 0
+    for f, prop, verdict_json in _frozen_corpus():
+        if not json.loads(verdict_json)["explored_complete"]:
+            continue
+        space = f.space()
+        got = checkers.CHECKERS[prop](replace(space, max_steps=2 * space.max_steps),
+                                      f.contract(), f.checker_params)
+        assert json.dumps(got.to_json()) == verdict_json, (f.name, prop)
+        compared += 1
+    assert compared == 130
+
+
+FALSIFIERS = ("atomicity", "env-independence", "account-state-independence",
+              "code-independence", "effect-independence", "call-integrity")
+
+
+def _widened(space: ScenarioSpace):
+    """space with one new value, one above the largest, put first in
+    gas_values and in each component's values."""
+    def widen(values):
+        return type(values)((max(values) + 1, *values)) if values else values
+
+    return replace(space, gas_values=widen(space.gas_values),
+                   component_values={k: widen(v) for k, v in space.component_values.items()})
+
+
+def test_violations_are_monotone_in_the_generator_sets():
+    # _explore compares each run with the first one that completes; a new
+    # first run agrees with at most one of two runs that differ, and a run
+    # that exhausts its budget is skipped, so a violation survives
+    kept = Counter()
+    for f, prop, verdict_json in _frozen_corpus():
+        if prop not in FALSIFIERS or json.loads(verdict_json)["result"] != "violated":
+            continue
+        got = checkers.CHECKERS[prop](_widened(f.space()), f.contract(), f.checker_params)
+        assert got.violated, (f.name, prop)
+        kept[prop] += 1
+    # the four that draw their variants from the widened sets, and 13 others
+    assert (kept["atomicity"], kept["env-independence"], sum(kept.values())) == (2, 2, 17)

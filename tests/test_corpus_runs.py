@@ -1,7 +1,8 @@
-"""`evmsem run --expect --trace -` on every corpus fixture, and `evmsem ingest`
-of the shipped state tests, print the stdout (by sha256) and exit with the
-code recorded in `tests/data/corpus_runs.json`. The commands run in process,
-through `cli.main`.
+"""`evmsem run --expect --trace -` on every corpus fixture, `evmsem check
+PROPERTY FIXTURE --expect` for every verdict a fixture declares, and `evmsem
+ingest` of the shipped state tests, print the stdout (by sha256) and exit with
+the code recorded in `tests/data/corpus_runs.json`. The commands run in
+process, through `cli.main`.
 
 Rewrite the record, only when a change of that output is intended, with
 `PYTHONPATH=src python tests/test_corpus_runs.py`.
@@ -14,7 +15,7 @@ from io import StringIO
 from pathlib import Path
 
 from evmsem.cli import main
-from evmsem.fixtures import corpus_dir
+from evmsem.fixtures import corpus_dir, parse_fixture
 
 RECORD = Path(__file__).parent / "data" / "corpus_runs.json"
 
@@ -23,6 +24,8 @@ def _commands():
     """(name, argv) of each recorded command."""
     for path in sorted(corpus_dir().glob("*.json")):
         yield f"run {path.stem}", ["run", "--expect", "--trace", "-", str(path)]
+        for prop in parse_fixture(path).expect.get("verdicts", {}):
+            yield f"check {prop} {path.stem}", ["check", prop, str(path), "--expect"]
     yield "ingest state_tests", ["ingest", str(corpus_dir() / "state_tests")]
 
 
@@ -40,7 +43,7 @@ def corpus_runs() -> dict:
 
 def test_corpus_runs_print_the_recorded_bytes():
     recorded = json.loads(RECORD.read_text())
-    assert len(recorded) == 16       # 15 fixtures and one ingest
+    assert len(recorded) == 35       # 15 runs, 19 declared checks and one ingest
     assert corpus_runs() == recorded
 
 

@@ -560,6 +560,18 @@ def test_cli_check_unknown_fixture_component_exit_2(tmp_path, capsys, values):
     assert "unknown environment component" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_cli_check_finpot_samples_below_two_exit_2(tmp_path, capsys, samples):
+    # effect independence needs an exception and at least one halt to compare
+    fixture = json.loads((corpus_dir() / "bob_mallory.json").read_text())
+    fixture["checker_params"]["finpot_samples"] = samples
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(fixture))
+    assert main(["check", "effect-independence", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad: checker_params.finpot_samples must be at least 2\n")
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_arbitrary_json_gives_fixture_error_or_exit_2(tmp_path_factory, data):
