@@ -94,23 +94,17 @@ class AsmError(ValueError):
 _LINE_RE = re.compile(r"^\s*([A-Z0-9]+)(?:\s+(\S+))?\s*$")
 
 
-def assemble(program) -> bytes:
-    """Assemble a text program or a list of (mnemonic, arg) pairs."""
-    if isinstance(program, str):
-        instrs = []
-        for lineno, raw in enumerate(program.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            m = _LINE_RE.match(line)
-            if not m:
-                raise AsmError(f"line {lineno}: cannot parse {raw!r}")
-            instrs.append((m.group(1), m.group(2), lineno))
-    else:
-        instrs = [(op, arg, i + 1) for i, (op, arg) in enumerate(program)]
-
+def assemble(program: str) -> bytes:
+    """Assemble a text program."""
     out = bytearray()
-    for op, arg, lineno in instrs:
+    for lineno, raw in enumerate(program.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = _LINE_RE.match(line)
+        if not m:
+            raise AsmError(f"line {lineno}: cannot parse {raw!r}")
+        op, arg = m.groups()
         byte = MNEMONIC_TO_BYTE.get(op)
         if byte is None:
             raise AsmError(f"line {lineno}: unknown mnemonic {op!r}")

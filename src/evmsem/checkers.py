@@ -29,8 +29,8 @@ from functools import partial
 from itertools import product
 from typing import Optional, Sequence
 
-from .semantics import (BudgetExhausted, CodeOverride, iterate_steps, run_frame,
-                        run_to_depth, run_with_local_updates)
+from .semantics import (BudgetExhausted, iterate_steps, run_frame, run_to_depth,
+                        run_with_local_updates)
 from .state import (EXC, Account, BlockHeader, CallStack, Contract, Frame, GlobalState, Halt,
                     Regular, account, env_with_component, frames, with_top_state)
 from .traces import action_to_json, calls_of, first_divergence, project
@@ -388,8 +388,7 @@ def check_code_independence(space: ScenarioSpace, c: Contract, untrusted) -> Ver
 
     def drive(variant):
         config, mapping = variant
-        return run_with_local_updates(tenv, config, CodeOverride(dict(mapping)),
-                                      space.max_steps)[1]
+        return run_with_local_updates(tenv, config, mapping, space.max_steps)[1]
 
     forks = (((lambda i1, i2, idx=idx: {"entry_index": idx, "assignments": [i1, i2]}),
               [(i, (config, mapping)) for i, mapping in enumerate(assignments)])

@@ -1,4 +1,4 @@
-"""Minimal RLP encoding and contract-address derivation."""
+"""RLP of a (creator, nonce) pair and contract-address derivation."""
 
 from __future__ import annotations
 
@@ -17,33 +17,14 @@ def encode_int(n: int) -> bytes:
     return n.to_bytes((n.bit_length() + 7) // 8, "big")
 
 
-def encode(item) -> bytes:
-    """Encode bytes, ints, or (nested) lists of them."""
-    if isinstance(item, int):
-        item = encode_int(item)
-    if isinstance(item, (bytes, bytearray)):
-        item = bytes(item)
-        if len(item) == 1 and item[0] < 0x80:
-            return item
-        return _length_prefix(len(item), 0x80) + item
-    if isinstance(item, (list, tuple)):
-        payload = b"".join(encode(x) for x in item)
-        return _length_prefix(len(payload), 0xC0) + payload
-    raise TypeError(f"cannot RLP-encode {type(item).__name__}")
-
-
-def _length_prefix(length: int, offset: int) -> bytes:
-    if length < 56:
-        return bytes([offset + length])
-    l_bytes = encode_int(length)
-    return bytes([offset + 55 + len(l_bytes)]) + l_bytes
-
-
 def rlp_encode_pair(address: Address, nonce: int) -> bytes:
-    """Canonical RLP list of (20-byte address, minimal big-endian nonce)."""
+    """Canonical RLP list of (20-byte address, minimal big-endian nonce). The
+    payload is at most 21 + 33 = 54 bytes, so both lengths take the short form."""
     if nonce >= 2**256:
         raise ValueError("nonce out of range")
-    return encode([address_to_bytes(address), nonce])
+    n = encode_int(nonce)
+    item = n if len(n) == 1 and n[0] < 0x80 else bytes([0x80 + len(n)]) + n
+    return bytes([0xC0 + 21 + len(item), 0x80 + 20]) + address_to_bytes(address) + item
 
 
 @lru_cache(maxsize=1024)    # a CREATE and its return hash once, at any call depth

@@ -4,18 +4,18 @@
 A regular step is one lookup, by pc, in `_program(code)`: the entries of
 `_RULES`, a table indexed by opcode byte carrying the mnemonic, the constant
 cost from `gas.SCHEDULE` and the function that fires the rule, decoded once
-per code, and `_runs(code)` its straight-line runs of plain rules.
-`iterate_steps` is the one loop over `step`; `run`, `run_to_depth`,
-`run_frame` and `run_with_local_updates` drain it to different depths, the
-last three in block mode, a run at a time. All of them are
-pure with respect to their inputs: all mutation happens on freshly copied
-snapshots, so checkers can fork execution at any configuration by keeping a
-reference to it.
+per code, and `_runs(code)` its straight-line runs of plain rules; return
+processing reads the caller's rule the same way. `iterate_steps` is the one
+loop over `step`; `run`, `run_to_depth`, `run_frame` and
+`run_with_local_updates` drain it to different depths, the last three in
+block mode, a run at a time. A local code update is a plain dict from
+address to code. All of them are pure with respect to their inputs: all
+mutation happens on freshly copied snapshots, so checkers can fork
+execution at any configuration by keeping a reference to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -28,7 +28,7 @@ from .state import (CALL_DEPTH_LIMIT, EXC, Account, CallStack, ExecutionEnvironm
                     GlobalState, Halt, LogEvent, MachineState, Regular, STACK_LIMIT,
                     TransactionEnvironment, account, charge, credit, is_final, memory_read,
                     memory_write, validate_stack, with_top_state)
-from .traces import CALL_ACTION_ARITY, Action
+from .traces import Action
 from .words import ADDR_MASK, U256_MAX, binop, to_address, word_from_bytes
 
 
@@ -40,21 +40,6 @@ class BudgetExhausted(Exception):
     """The step budget ran out (distinct from in-model out-of-gas)."""
 
 
-@dataclass(frozen=True)
-class CodeOverride:
-    """Partial map address -> code consulted by EXTCODESIZE/EXTCODECOPY
-    in place of the global state (local code update)."""
-    mapping: dict
-
-    def get(self, addr: int) -> Optional[bytes]:
-        return self.mapping.get(addr)
-
-
-def extend_override_after_create(f: CodeOverride, created) -> CodeOverride:
-    """Union with newly created (address, code) pairs; existing entries win."""
-    return CodeOverride({**dict(created), **f.mapping})
-
-
 class StepOutcome(NamedTuple):
     stack: CallStack
     action: Action
@@ -62,7 +47,7 @@ class StepOutcome(NamedTuple):
 
 
 def step(tenv: TransactionEnvironment, stack: CallStack,
-         override: Optional[CodeOverride] = None) -> StepOutcome:
+         override: Optional[dict] = None) -> StepOutcome:
     """Apply exactly one small-step rule to a non-final configuration; the
     rule builds the outcome."""
     if stack is None:
@@ -150,7 +135,7 @@ class _FrameOverride:
     """A local code update that only the analyzed frame sees: its driver
     switches it off while a sub-execution runs."""
 
-    def __init__(self, f: CodeOverride):
+    def __init__(self, f: dict):
         self.f = f
         self.active = True
 
@@ -159,13 +144,14 @@ class _FrameOverride:
 
 
 def run_with_local_updates(tenv: TransactionEnvironment, stack: CallStack,
-                           f: CodeOverride, max_steps: int):
+                           f: dict, max_steps: int):
     """Run the top frame, in block mode, to a final state under a local code
-    update.
+    update f, a partial map address -> code.
 
     The override feeds EXTCODESIZE/EXTCODECOPY of the analyzed frame only;
     sub-executions run under the plain semantics, and after each one returns
-    the override is extended with the accounts it created.
+    the override is extended with the accounts it created, its own entries
+    winning.
 
     Returns (stack, trace, extended override).
     """
@@ -181,7 +167,7 @@ def run_with_local_updates(tenv: TransactionEnvironment, stack: CallStack,
             created = [(a, acct.code) for a, acct in stack.top.state.sigma.items()
                        if sigma_at_call.get(a) is None]
             if created:
-                view.f = extend_override_after_create(view.f, created)
+                view.f = {**dict(created), **view.f}
         view.active = stack.depth == base
     return stack, tuple(trace), view.f
 
@@ -258,15 +244,6 @@ def _runs(code: bytes) -> dict:
     return runs
 
 
-def _rule_at(st: Regular) -> _Rule:
-    """The rule at the state's pc: STOP past the end of its code."""
-    rules, pc = _program(st.iota.code), st.mu.pc
-    r = rules[pc] if pc < len(rules) else _STOP
-    if r.fire is _push and r.value is None:       # a PUSH byte inside PUSH data
-        r = r._replace(value=_immediate(st.iota.code, pc, r.k))
-    return r
-
-
 class _Words(tuple):
     """A run's stretch of PUSH and PC: the words it pushes, top first."""
     __slots__ = ()
@@ -339,10 +316,8 @@ def _halt(r: _Rule, stack, sigma, gas: int, data: bytes, eta, args=()) -> StepOu
 
 
 def _enter(r: _Rule, stack, callee: Frame, args, tag="enter") -> StepOutcome:
-    """Push the callee, or EXC for a call-time failure; an enter action
-    carries exactly its CALL_ACTION_ARITY args, as Action's constructor checks."""
-    if tag == "enter" and len(args) != CALL_ACTION_ARITY[r.name]:
-        raise ValueError(f"{r.name} action needs {CALL_ACTION_ARITY[r.name]} args")
+    """Push the callee, or EXC for a call-time failure; args are the rule's n
+    popped words, as many as CALL_ACTION_ARITY gives an enter action."""
     pushed = _new(CallStack, (callee, stack, stack.depth + 1))
     return _new(StepOutcome, (pushed, _new(Action, (r.name, stack.top.contract, args, tag)), False))
 
@@ -659,7 +634,8 @@ def _process_return(stack):
     caller = stack.below.top.state
     if caller.__class__ is not Regular:
         raise MalformedConfiguration("halting state above a non-regular frame")
-    r = _rule_at(caller)
+    rules, pc = _program(caller.iota.code), caller.mu.pc
+    r = rules[pc] if pc < len(rules) else _STOP
     if (ret := _RETURNS.get(r.fire)) is None or len(caller.mu.stack) < r.n:
         raise MalformedConfiguration(f"halting state above a frame not executing a call "
                                      f"(op {bc.current_opcode(caller.mu, caller.iota):#x})")

@@ -16,7 +16,7 @@ import pytest
 from evmsem import semantics
 from evmsem.bytecode import assemble, valid_jump_dests
 from evmsem.fixtures import load_corpus
-from evmsem.semantics import (BudgetExhausted, CodeOverride, is_final, iterate_steps,
+from evmsem.semantics import (BudgetExhausted, is_final, iterate_steps,
                               run_frame, run_to_depth, run_with_local_updates)
 from evmsem.state import Account, CallStack
 from evmsem.transaction import t_init
@@ -40,12 +40,25 @@ def _drive(steps):
     return out, False
 
 
+def _kept(steps, out: list):
+    """The steps of a drive, each also appended to out."""
+    for item in steps:
+        out.append(item)
+        yield item
+
+
 def assert_modes_agree(tenv, stack, budget, override=None, depth=1):
     """Block mode yields per-op stepping's non-op steps, between the same
     stacks, and ends as it does (helpers.modes_in_lockstep); returns the
-    per-op steps."""
-    _drive(modes_in_lockstep(iterate_steps, tenv, stack, budget, override, depth))
-    per_op, _exhausted = _drive(iterate_steps(tenv, stack, budget, override, depth))
+    per-op steps, kept from the per-op drive of that lockstep, which it
+    drains."""
+    per_op = []
+
+    def keeping(tenv, stack, max_steps, override, depth, ops):
+        steps = iterate_steps(tenv, stack, max_steps, override, depth, ops)
+        return _kept(steps, per_op) if ops else steps
+
+    _drive(modes_in_lockstep(keeping, tenv, stack, budget, override, depth))
     return per_op
 
 
@@ -228,7 +241,7 @@ def test_extcodesize_in_a_run_under_a_local_code_update(monkeypatch):
     code = f"PUSH2 {hex(OTHER)}\nEXTCODESIZE\nPUSH1 0x00\nSSTORE\nSTOP"
     frame = make_frame(code)
     tenv, stack = make_env(), stack_of(frame, make_frame("STOP"))
-    update = CodeOverride({OTHER: b"\x00\x00\x00"})
+    update = {OTHER: b"\x00\x00\x00"}
     assert len(semantics._runs(assemble(code))[0].ops) == 3
     assert_modes_agree(tenv, stack, 100, update, 2)
     # the driver's own override view, stepped alongside one op at a time

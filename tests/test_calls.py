@@ -10,9 +10,8 @@ from evmsem.bytecode import assemble
 from evmsem.gas import SCHEDULE, c_gascap, l_all_but_one_64th
 from evmsem.keccak import keccak256
 from evmsem.rlp import fresh_address
-from evmsem.semantics import (CodeOverride, MalformedConfiguration,
-                              extend_override_after_create, run, run_frame,
-                              run_with_local_updates, step)
+from evmsem.semantics import (MalformedConfiguration, run, run_frame, run_with_local_updates,
+                              step)
 from evmsem.state import (EXC, Account, ExecutionEnvironment, Frame, GlobalState, Halt, Regular,
                           memory_read)
 from helpers import OTHER, SELF, make_env, make_frame, make_state, stack_of, step_one
@@ -470,7 +469,7 @@ def test_final_configuration_cannot_step():
 def test_extcodesize_consults_override():
     code = assemble("EXTCODESIZE")
     frame = make_frame(code, stack=(OTHER,))
-    override = CodeOverride({OTHER: b"\x01\x02\x03"})
+    override = {OTHER: b"\x01\x02\x03"}
     out = step_one(frame, override=override)
     assert out.stack[0].state.mu.stack == (3,)
     # without the override: OTHER's real code (1 byte STOP)
@@ -481,7 +480,7 @@ def test_extcodesize_consults_override():
 def test_extcodecopy_consults_override():
     code = assemble("EXTCODECOPY")
     frame = make_frame(code, stack=(OTHER, 0, 0, 2))
-    override = CodeOverride({OTHER: b"\xaa\xbb"})
+    override = {OTHER: b"\xaa\xbb"}
     out = step_one(frame, override=override)
     mem = out.stack[0].state.mu.memory
     assert list(memory_read(mem, 0, 2)) == [0xAA, 0xBB]
@@ -492,7 +491,7 @@ def test_override_does_not_change_called_code():
     code = assemble("PUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\n"
                     "PUSH1 0x00\nPUSH2 0xbbbb\nPUSH2 0x0fff\nCALL")
     frame = make_frame(code, sigma=make_state(code=code))
-    override = CodeOverride({OTHER: assemble("INVALID")})
+    override = {OTHER: assemble("INVALID")}
     tenv = make_env()
     stack = stack_of(frame)
     for _ in range(8):
@@ -501,29 +500,35 @@ def test_override_does_not_change_called_code():
     assert callee.state.iota.code == assemble("STOP")   # from sigma, not f
 
 
-def test_extend_override_after_create():
-    f = CodeOverride({})
-    f2 = extend_override_after_create(f, [(5, b"\x01")])
-    assert f2.mapping == {5: b"\x01"}
-    assert extend_override_after_create(f2, []).mapping == {5: b"\x01"}
-    # existing entries never overwritten
-    f3 = extend_override_after_create(f2, [(5, b"\x02"), (6, b"\x03")])
-    assert f3.mapping == {5: b"\x01", 6: b"\x03"}
-    assert f.mapping == {}
+def _creating_frame(tail: str = "STOP"):
+    """SELF, at nonce 3, creates an account with empty code, then runs tail."""
+    init_code = assemble("PUSH1 0x00\nPUSH1 0x00\nRETURN")
+    mem = {i: b for i, b in enumerate(init_code) if b}
+    code = assemble(f"PUSH1 {hex(len(init_code))}\nPUSH1 0x00\nPUSH1 0x00\nCREATE\n{tail}")
+    sigma = GlobalState({SELF: Account(3, 100, {}, code)})
+    return make_frame(code, gas=200_000, sigma=sigma, memory=mem, active_words=1)
 
 
 def test_run_with_local_updates_extends_after_create():
     # SELF creates an account, then the override gains its (empty) code
-    init = "PUSH1 0x00\nPUSH1 0x00\nRETURN"
-    init_code = assemble(init)
-    mem = {i: b for i, b in enumerate(init_code) if b}
-    code = assemble(f"PUSH1 {hex(len(init_code))}\nPUSH1 0x00\nPUSH1 0x00\nCREATE\nSTOP")
-    sigma = GlobalState({SELF: Account(3, 100, {}, code)})
-    frame = make_frame(code, gas=200_000, sigma=sigma, memory=mem, active_words=1)
-    stack, trace, f = run_with_local_updates(make_env(), stack_of(frame), CodeOverride({}), 1000)
+    update = {}
+    stack, trace, f = run_with_local_updates(make_env(), stack_of(_creating_frame()), update,
+                                             1000)
     assert isinstance(stack[0].state, Halt)
+    assert f == {fresh_address(SELF, 3): b""}
+    assert update == {}                       # the caller's update is not changed
+
+
+def test_an_override_entry_at_a_created_address_wins():
+    # the update already gives the new address a 2-byte code: the create
+    # does not replace it, and EXTCODESIZE of the new address reads it
     rho = fresh_address(SELF, 3)
-    assert f.mapping == {rho: b""}
+    update = {rho: b"\xaa\xbb", OTHER: b"\x01"}
+    frame = _creating_frame("EXTCODESIZE\nPUSH1 0x00\nSSTORE\nSTOP")
+    stack, trace, f = run_with_local_updates(make_env(), stack_of(frame), update, 1000)
+    assert f == update
+    assert stack[0].state.sigma.get(SELF).storage_get(0) == 2
+    assert stack[0].state.sigma.get(rho).code == b""
 
 
 @pytest.mark.parametrize("op", ["CALL", "CALLCODE", "DELEGATECALL"])

@@ -221,6 +221,16 @@ def test_env_independence_stops_at_the_first_difference(monkeypatch):
     assert len(runs) == 2
 
 
+@pytest.mark.parametrize("component,op", [("origin", "ORIGIN"), ("gasprice", "GASPRICE")])
+def test_env_independence_varies_origin_and_gasprice(component, op):
+    # c calls the address that its ORIGIN or GASPRICE gives
+    code = assemble("PUSH1 0x00\n" * 5 + f"{op}\nPUSH2 0x0fff\nCALL\nSTOP")
+    space = space_for({C: Account(0, 0, {}, code)}, C, component_values={component: [1, 2]})
+    v = check_env_independence(space, (C, code), [component])
+    assert v.violated and v.witness["component"] == component
+    assert v.witness["values"] == ["0x1", "0x2"]
+
+
 def test_env_independence_unknown_component_rejected():
     stop = assemble("STOP")
     for values in ([1], [1, 2]):

@@ -225,6 +225,34 @@ def test_cli_run_expect_ok(capsys):
     assert receipt["status"] == "success"
 
 
+BOB = "0x0000000000000000000000000000000000001001"
+DEAD = "0x000000000000000000000000000000000000dead"
+
+
+@pytest.mark.parametrize("path,value,says", [
+    (("status",), "exception", "status: expected exception, got success"),
+    (("gas_used",), "0x1", "gas_used: expected 0x1, got 0x39738"),
+    (("logs",), 2, "logs: expected 2, got 0"),
+    (("created",), "0x" + "c1".rjust(40, "0"),
+     "created: expected 0x00000000000000000000000000000000000000c1, got None"),
+    (("post", BOB), {"exists": False}, f"{BOB}: expected deleted, still present"),
+    (("post", DEAD), {"balance": "0x0"}, f"{DEAD}: expected present, account missing"),
+    (("post", BOB, "nonce"), "0x5", f"{BOB}.nonce: expected 0x5, got 0x0"),
+    (("post", BOB, "code"), "0x00", f"{BOB}.code mismatch"),
+    (("post", BOB, "storage"), {"0x0": "0x2"}, f"{BOB}.storage[0x0]: expected 0x2, got 0x1"),
+])
+def test_cli_run_expect_mismatch_exit_1(tmp_path, capsys, path, value, says):
+    # bob_mallory with one expectation changed: the run's receipt is still
+    # printed, and the one changed expectation is the one mismatch line
+    fixture = json.loads((corpus_dir() / "bob_mallory.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_replaced(fixture, ("expect",) + path, value)))
+    assert main(["run", str(bad), "--expect"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["gas_used"] == "0x39738"
+    assert err == f"mismatch: {says}\n"
+
+
 def test_cli_run_trace(tmp_path, capsys):
     trace_file = tmp_path / "trace.jsonl"
     assert main(["run", _fixture_path("gasless_send"), "--trace", str(trace_file)]) == 0
@@ -275,6 +303,37 @@ def test_cli_check_expect(capsys):
                  "--expect"]) == 0
     assert main(["check", "stack-limit", _fixture_path("bounded_recursion"),
                  "--expect"]) == 0
+
+
+def test_cli_check_expect_without_a_declared_verdict_exit_1(capsys):
+    # time_fn declares only env-independence
+    assert main(["check", "single-entrancy", _fixture_path("time_fn"), "--expect"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["result"] == "holds"
+    assert err == "mismatch: fixture declares no expected verdict for single-entrancy\n"
+
+
+def test_cli_check_out_of_budget_holds_incomplete(capsys):
+    assert main(["check", "stack-limit", _fixture_path("deep_recursion"),
+                 "--max-steps", "1000"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["result"], report["explored_complete"]) == ("holds", False)
+    assert report["notes"] == "step budget exhausted; explored space is incomplete"
+
+
+def test_cli_check_invalid_scenario_transaction_exit_2(tmp_path, capsys):
+    # the sender's nonce is 0, so a transaction at nonce 5 is invalid
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_replaced(WELL_FORMED, ("tx", "nonce"), "0x5")))
+    assert main(["check", "single-entrancy", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: scenario transaction is invalid under the given state\n"
+
+
+def test_cli_run_out_of_budget_exit_1(capsys):
+    assert main(["run", _fixture_path("deep_recursion"), "--max-steps", "10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: no final configuration within 10 steps\n"
 
 
 def test_cli_check_env_component_flags(capsys):

@@ -8,7 +8,7 @@ import pytest
 import evmsem
 from evmsem import keccak, rlp, semantics
 from evmsem.keccak import keccak256, keccak256_bytes
-from evmsem.rlp import encode, encode_int, fresh_address, rlp_encode_pair
+from evmsem.rlp import encode_int, fresh_address, rlp_encode_pair
 
 # published Keccak-256 known-answer vectors
 KAT = {
@@ -138,8 +138,9 @@ def test_one_byte_inputs_all_distinct():
 
 
 def decode(data: bytes):
-    """Inverse of encode; returns bytes or nested lists of bytes. The
-    reference the encoder is checked against: the package only encodes."""
+    """Inverse of the pair encoder; returns bytes or nested lists of bytes.
+    The reference the encoder is checked against: it reads only the short
+    forms (payloads under 56 bytes), the only ones a pair takes."""
     item, rest = _decode_item(bytes(data))
     if rest:
         raise ValueError("trailing bytes after RLP item")
@@ -152,33 +153,17 @@ def _decode_item(data: bytes):
     b0 = data[0]
     if b0 < 0x80:
         return data[:1], data[1:]
+    if 0xB8 <= b0 < 0xC0 or b0 >= 0xF8:
+        raise ValueError("long-form RLP length")
+    n = b0 - (0x80 if b0 < 0xB8 else 0xC0)
+    payload = data[1:1 + n]
+    if len(payload) != n:
+        raise ValueError("short RLP item")
     if b0 < 0xB8:
-        n = b0 - 0x80
-        payload = data[1:1 + n]
-        if len(payload) != n:
-            raise ValueError("short RLP string")
         if n == 1 and payload[0] < 0x80:
             raise ValueError("non-canonical single byte")
         return payload, data[1 + n:]
-    if b0 < 0xC0:
-        ln = b0 - 0xB7
-        n = int.from_bytes(data[1:1 + ln], "big")
-        payload = data[1 + ln:1 + ln + n]
-        if len(payload) != n:
-            raise ValueError("short RLP string")
-        return payload, data[1 + ln + n:]
-    if b0 < 0xF8:
-        n = b0 - 0xC0
-        payload = data[1:1 + n]
-        if len(payload) != n:
-            raise ValueError("short RLP list")
-        return _decode_list(payload), data[1 + n:]
-    ln = b0 - 0xF7
-    n = int.from_bytes(data[1:1 + ln], "big")
-    payload = data[1 + ln:1 + ln + n]
-    if len(payload) != n:
-        raise ValueError("short RLP list")
-    return _decode_list(payload), data[1 + ln + n:]
+    return _decode_list(payload), data[1 + n:]
 
 
 def _decode_list(payload: bytes) -> list:
@@ -207,22 +192,20 @@ def test_int_encoding_minimal():
 
 def test_roundtrip_fixture_pairs():
     rng = random.Random(5)
-    for _ in range(200):
-        addr = rng.randrange(2**160)
-        nonce = rng.randrange(2**64)
+    # the single-byte nonces and the longest pair, a full 32-byte nonce
+    edges = [(2**160 - 1, n) for n in (0, 1, 0x7F, 0x80, 0xFF, 2**256 - 1)]
+    for addr, nonce in edges + [(rng.randrange(2**160), rng.randrange(2**64))
+                                for _ in range(200)]:
         enc = rlp_encode_pair(addr, nonce)
         dec = decode(enc)
         assert dec == [addr.to_bytes(20, "big"), encode_int(nonce)]
 
 
-def test_long_string_and_nested_list_roundtrip():
-    payload = [b"x" * 100, [b"", b"\x01", b"y" * 60]]
-    assert decode(encode(payload)) == payload
-
-
 def test_negative_int_rejected():
     with pytest.raises(ValueError):
-        encode(-1)
+        rlp_encode_pair(0, -1)
+    with pytest.raises(ValueError):
+        rlp_encode_pair(0, 2**256)
 
 
 def test_fresh_address_matches_formula():

@@ -41,7 +41,7 @@ FROZEN_VERDICTS = Path(__file__).parent / "data" / "corpus_verdicts.json"
 # verdicts too slow for the suite: every property except the declared ones
 SLOW_FIXTURES = {"deep_recursion"}
 # what the checkers take from the core, swapped for the frozen copy's
-CORE_CLASSES = ("BudgetExhausted", "CodeOverride")
+CORE_CLASSES = ("BudgetExhausted",)
 CORE_DRIVERS = ("run_frame", "run_to_depth", "run_with_local_updates")
 
 
@@ -275,8 +275,10 @@ def _frozen_driver(name: str):
     """The frozen driver `name` as the checkers call it: with a CallStack,
     returning one. It steps the frozen core one op at a time; the checkers
     read its trace only through `project`, which drops the plain ops that
-    block mode leaves out."""
+    block mode leaves out. A local code update, a dict in evmsem, goes to
+    the frozen core in its CodeOverride."""
     def driver(tenv, stack, *args):
+        args = [frozen.CodeOverride(a) if isinstance(a, dict) else a for a in args]
         final, *rest = getattr(frozen, name)(tenv, tuple(frames(stack)), *args)
         return (stack_of(*final), *rest)
     return driver

@@ -11,9 +11,9 @@ from evmsem import bytecode, semantics
 from evmsem.gas import c_mem, sha3_cost
 from evmsem.keccak import keccak256
 from evmsem.semantics import StepOutcome, step
-from evmsem.state import (EXC, CallStack, Frame, Halt, LogEvent, MachineState, Regular,
-                          memory_read)
-from evmsem.traces import Action
+from evmsem.state import (EXC, BlockHeader, CallStack, Frame, Halt, LogEvent, MachineState,
+                          Regular, memory_read)
+from evmsem.traces import CALL_ACTION_ARITY, Action
 from evmsem.words import TWO_255, TWO_256, U256_MAX
 from helpers import (DEFAULT_HEADER, MINER, ORIGIN, SELF, make_env, make_frame, stack_of,
                      step_one)
@@ -279,7 +279,6 @@ def test_balance_and_extcode():
 
 
 def test_blockhash_chain_walk():
-    from evmsem.state import BlockHeader
     h7 = BlockHeader(parent=0x66, number=7)
     h8 = BlockHeader(parent=0x77, number=8)   # hash 0x88 -> parent hash 0x77
     anc = {0x77: h7, 0x88: h8}
@@ -298,6 +297,20 @@ def test_blockhash_chain_walk():
     frame = make_frame("BLOCKHASH", stack=(8,))
     out = step_one(frame, tenv=tenv)
     assert 1_000_000 - out.stack[0].state.mu.gas == 20
+
+
+def test_blockhash_walks_at_most_256_parents():
+    # a chain of 300 known headers, each block n's hash 0x1000 + n: the walk
+    # from block 300 finds the 256 most recent ancestors and stops there
+    chain = {0x1000 + n: BlockHeader(parent=0x1000 + n - 1, number=n) for n in range(1, 300)}
+    tenv = make_env(header=BlockHeader(parent=0x1000 + 299, number=300), ancestors=chain)
+
+    def bh(n):
+        return step_one(make_frame("BLOCKHASH", stack=(n,)), tenv=tenv).stack[0].state.mu.stack[0]
+
+    assert bh(299) == 0x1000 + 299
+    assert bh(44) == 0x1000 + 44           # the 256th parent hop
+    assert bh(43) == 0                     # known, but 257 hops away
 
 
 def test_push_dup_swap_pop():
@@ -504,15 +517,20 @@ def test_program_decodes_every_pc_as_the_byte_table_does(body, push, tail):
     # short by the end of the code
     k = push - 0x5F
     code = body + bytes([0x61, 0x5B, 0x5B, push]) + tail[:k - 1]
-    st_ = make_frame(code).state
-    assert len(semantics._program(code)) == len(code)
-    for pc in range(len(code) + 3):
-        at = st_._replace(mu=st_.mu._replace(pc=pc))
-        want = semantics._RULES[bytecode.current_opcode(at.mu, at.iota)]
-        got = semantics._rule_at(at)
+    program = semantics._program(code)
+    assert len(program) == len(code)
+    starts = set(bytecode.instructions(code))
+    for pc, got in enumerate(program):
+        want = semantics._RULES[code[pc]]
         if want.fire is semantics._push:
             imm = bytes(code[pc + 1:pc + 1 + want.k]).ljust(want.k, b"\x00")
-            want = want._replace(value=int.from_bytes(imm, "big"))
+            word = int.from_bytes(imm, "big")
+            # decoded at an instruction start; inside PUSH data, by the step
+            if pc in starts:
+                want = want._replace(value=word)
+            out = step_one(make_frame(code, pc=pc))
+            assert out.action.op == want.name, pc
+            assert out.stack.top.state.mu.stack == (word,), pc
         assert got == want, pc
     for pc in (len(code), len(code) + 1, 10**40):
         out = step_one(make_frame(code, pc=pc))
@@ -543,10 +561,14 @@ def test_step_records_have_exactly_their_classes():
             stack = out.stack
 
 
-def test_enter_action_of_the_wrong_arity_still_raises():
-    stack = stack_of(make_frame("CALL"))
-    callee = make_frame("STOP")
-    out = semantics._enter(semantics._RULES[0xF1], stack, callee, (1,) * 7)
-    assert type(out.action) is Action and out.action.tag == "enter" and not out.final
+def test_call_rules_pop_their_action_arity():
+    # an enter or fail action carries the rule's n popped words, which is
+    # as many as an action of its op must carry
+    for name in ("CALL", "CALLCODE", "DELEGATECALL", "CREATE"):
+        r = semantics._RULES[bytecode.MNEMONIC_TO_BYTE[name]]
+        assert r.n == CALL_ACTION_ARITY[name], name
+    stack = stack_of(make_frame("CALL", stack=(1000, 0xC0DE, 0, 0, 0, 0, 0)))
+    out = step(make_env(), stack)
+    assert out.action.tag == "enter" and out.action.args == (1000, 0xC0DE, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
-        semantics._enter(semantics._RULES[0xF1], stack, callee, (1, 2))
+        Action("CALL", None, (1, 2), "enter")

@@ -79,6 +79,16 @@ def test_relaxed_gas_equality():
     assert not actions_equal(plain(), Action("ADD", C1, (1, 3), "op"), True)
 
 
+def test_relaxed_equality_still_compares_op_contract_and_tag():
+    # only the gas word is masked: with the same args, a different op,
+    # contract or tag still tells the actions apart
+    a = call(C1, g=10)
+    for b in (Action("CALLCODE", C1, (99, 5, 0, 0, 0, 0, 0), "enter"),
+              call(C2, g=99), call(C1, g=10, tag="fail")):
+        assert not actions_equal(a, b, ignore_gas=True), b
+        assert not actions_equal(b, a, ignore_gas=True), b
+
+
 def test_first_divergence():
     t1 = (plain(), call(C1))
     t2 = (plain(), call(C1, g=99))

@@ -26,6 +26,30 @@ def test_slt_signed_view():
     assert binop("SGT", TWO_256 - 1, 0) == 0
 
 
+def _two_complement(x):
+    # the signed value of a 256-bit word, from its top bit
+    return x - (1 << 256) if x >> 255 else x
+
+
+COMPARISONS = {  # mnemonic -> reference on Python ints
+    "LT": lambda a, b: a < b,
+    "GT": lambda a, b: a > b,
+    "SLT": lambda a, b: _two_complement(a) < _two_complement(b),
+    "SGT": lambda a, b: _two_complement(a) > _two_complement(b),
+    "EQ": lambda a, b: a == b,
+}
+# equal operands, then pairs on either side of the sign boundary, both ways round
+COMPARISON_ROWS = ([(x, x) for x in (0, 1, 2**255, 2**256 - 1)]
+                   + [(2**255 - 1, 2**255), (2**255, 2**255 - 1),
+                      (0, 2**256 - 1), (2**256 - 1, 0)])
+
+
+@pytest.mark.parametrize("op", list(COMPARISONS))
+def test_comparisons_at_equal_operands_and_the_sign_boundary(op):
+    for a, b in COMPARISON_ROWS:
+        assert binop(op, a, b) == int(COMPARISONS[op](a, b)), (op, a, b)
+
+
 def test_byte_out_of_range():
     for x in (0, 1, U256_MAX, 12345):
         assert binop("BYTE", 32, x) == 0
