@@ -281,7 +281,8 @@ def check_expectations(f: Fixture, sigma: GlobalState, receipt: Receipt) -> list
     for key, value in got.items():
         if key in exp and exp[key] != value:
             encode = _EXPECT_KEYS[key][1]
-            problems.append(f"{key}: expected {encode(exp[key])}, got {encode(value)}")
+            want, have = ("null" if v is None else encode(v) for v in (exp[key], value))
+            problems.append(f"{key}: expected {want}, got {have}")
     for addr, want in exp.get("post", {}).items():
         name = address_to_hex(addr)
         acct = sigma.get(addr)

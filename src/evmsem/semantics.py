@@ -4,14 +4,17 @@
 A regular step is one lookup, by pc, in `_program(code)`: the entries of
 `_RULES`, a table indexed by opcode byte carrying the mnemonic, the constant
 cost from `gas.SCHEDULE` and the function that fires the rule, decoded once
-per code, and `_runs(code)` its straight-line runs of plain rules; return
-processing reads the caller's rule the same way. `iterate_steps` is the one
-loop over `step`; `run`, `run_to_depth`, `run_frame` and
-`run_with_local_updates` drain it to different depths, the last three in
-block mode, a run at a time. A local code update is a plain dict from
-address to code. All of them are pure with respect to their inputs: all
-mutation happens on freshly copied snapshots, so checkers can fork
-execution at any configuration by keeping a reference to it.
+per code; return processing reads the caller's rule the same way. A plain
+rule (constant cost, machine stack only) is defined by its kernel, the
+machine stack after it: `step` applies one kernel through `_plain`, and
+block mode applies the kernels of a straight-line run of plain rules,
+`_runs(code)`, in one call. `iterate_steps` is the one loop over `step`;
+`run`, `run_to_depth`, `run_frame` and `run_with_local_updates` drain it to
+different depths, the last three in block mode, a run at a time. A local
+code update is a plain dict from address to code. All of them are pure
+with respect to their inputs: all mutation happens on freshly copied
+snapshots, so checkers can fork execution at any configuration by keeping
+a reference to it.
 """
 
 from __future__ import annotations
@@ -182,8 +185,11 @@ class _Rule(NamedTuple):
     cost: int = 0             # constant cost, from SCHEDULE
     n: int = 0                # stack words read (and popped, except by DUP and SWAP)
     k: int = 0                # PUSH immediate size, DUP/SWAP index, LOG topics, MSTORE width
-    value: Optional[Callable] = None   # value(state, tenv, override, *words): word or source;
-                                       # in a rule from _program, a PUSH's immediate word
+    size: int = 1             # length in bytes
+    value: Optional[Callable] = None   # a copy's source(state, tenv, override, *words)
+    kernel: Optional[Callable] = None  # a plain rule's kernel(s, state, tenv, override): the
+                                       # machine stack after it, from the stack s before it
+    height: int = 0           # a plain rule's change in machine-stack height
 
 
 # the records a step builds are NamedTuples, whose Python-level __new__ costs
@@ -192,17 +198,19 @@ _new = tuple.__new__
 _FAILED = Frame(EXC, None)        # what a call-time failure pushes
 
 
-@lru_cache(maxsize=256)      # a decoded code holds about 17 bytes per code byte
+@lru_cache(maxsize=256)      # a decoded code holds about 22 bytes per code byte
 def _program(code: bytes) -> tuple:
     """_RULES indexed by the byte at each pc of code, decoded once per code; a
-    PUSH's rule at an instruction start carries as value its immediate word,
-    zero-padded past the end. A pc inside PUSH data shares the plain _RULES
-    entry, whose PUSH decodes on demand (`_immediate`)."""
+    PUSH or PC at an instruction start gets the one-word _Words kernel of what
+    it pushes: the PUSH's immediate, zero-padded past the end, or the pc. A pc
+    inside PUSH data shares the plain _RULES entry, whose kernel reads its
+    word when it is stepped."""
     rules = [_RULES[byte] for byte in code]
     for pc in bc.instructions(code):
         r = rules[pc]
-        if r.fire is _push:
-            rules[pc] = r._replace(value=_immediate(code, pc, r.k))
+        if r.name == "PC" or r.size > 1:
+            word = pc if r.name == "PC" else _immediate(code, pc, r.k)
+            rules[pc] = r._replace(kernel=_Words((word,)))
     return tuple(rules)
 
 
@@ -216,26 +224,24 @@ def _runs(code: bytes) -> dict:
     """The runs of code's rules in `_program`, by first pc; built the first
     time block mode asks, so one-op-at-a-time stepping never pays for them.
     A run goes from pc 0, a JUMPDEST or the pc after any other rule to the
-    next of these, over instructions. Each stretch of PUSH and PC is fused
-    into one tuple of the words it pushes, top first, as PC pushes its own
-    pc; GAS pushes the gas left at its own position: the entry gas less the
+    next of these, over instructions, and holds their kernels in order. Each
+    stretch of PUSH and PC is fused into one _Words; a GAS gets a kernel
+    that pushes the gas left at its own position: the entry gas less the
     cost before it."""
     rules, runs, pc = _program(code), {}, 0
     while pc < len(rules):
         start, ops, steps, cost, height, need, growth = pc, [], 0, 0, 0, 0, 0
-        while (pc < len(rules) and (r := rules[pc]).fire in _PLAIN
+        while (pc < len(rules) and (r := rules[pc]).fire is _plain
                and (pc == start or r.name != "JUMPDEST")):
             need = max(need, r.n - height)
-            word = r.value if r.fire is _push else pc if r.name == "PC" else None
-            if word is None:
-                ops.append((None, cost) if r.name == "GAS" else _RUN_OPS[r.name])
-            elif ops and ops[-1].__class__ is _Words:
-                ops[-1] = _Words((word, *ops[-1]))
+            kernel = _gas(cost) if r.name == "GAS" else r.kernel
+            if kernel.__class__ is _Words and ops and ops[-1].__class__ is _Words:
+                ops[-1] = _Words(kernel + ops[-1])
             else:
-                ops.append(_Words((word,)))
-            height += {_push: 1, _dup: 1, _swap: 0}.get(r.fire, (r.value is not None) - r.n)
+                ops.append(kernel)
+            height += r.height
             steps, growth, cost = steps + 1, max(growth, height), cost + r.cost
-            pc += r.k + 1 if r.fire is _push else 1
+            pc += r.size
         if ops:
             chain = pc < len(rules) and rules[pc].name == "JUMPDEST"
             runs[start] = _Run(tuple(ops), steps, cost, need, growth, pc, chain)
@@ -245,14 +251,22 @@ def _runs(code: bytes) -> dict:
 
 
 class _Words(tuple):
-    """A run's stretch of PUSH and PC: the words it pushes, top first."""
+    """The kernel of a stretch of PUSH and PC: the words it pushes, top first."""
     __slots__ = ()
+
+    def __call__(self, s, st, tenv, ov):
+        return self + s
+
+
+def _gas(spent: int) -> Callable:
+    """GAS's kernel where `spent` gas has gone since the state's own gas."""
+    return lambda s, st, tenv, ov: (st.mu.gas - spent,) + s
 
 
 class _Run(NamedTuple):
-    """Straight-line plain rules (_PLAIN), none of which faults when the frame
-    has `cost` gas, `need` words and room for `growth` more."""
-    ops: tuple                # _Words and (kind, x) pairs; kind None is GAS
+    """Straight-line plain rules, none of which faults when the frame has
+    `cost` gas, `need` words and room for `growth` more."""
+    ops: tuple                # the rules' kernels in order, PUSH and PC fused
     steps: int                # rules applied
     cost: int                 # summed constant gas
     need: int                 # machine-stack words the run reads
@@ -268,21 +282,8 @@ def _run_block(tenv, stack: CallStack, st: Regular, run: _Run, override):
     s = mu.stack
     if mu.gas < run.cost or len(s) < run.need or len(s) + run.growth >= STACK_LIMIT:
         return None
-    for op in run.ops:
-        if op.__class__ is _Words:              # PUSH, PC: one concatenation
-            s = op + s
-            continue
-        kind, x = op
-        if kind is _dup:
-            s = (s[x],) + s
-        elif kind is _swap:
-            s = (s[x],) + s[1:x] + (s[0],) + s[x + 1:]
-        elif kind is _generic:                  # POP, JUMPDEST: pop x words
-            s = s[x:]
-        elif kind is None:                      # GAS: the gas left at its position
-            s = (mu.gas - x,) + s
-        else:                                   # a value rule reading x words
-            s = (kind(st, tenv, override, *s[:x]),) + s[x:]
+    for kernel in run.ops:
+        s = kernel(s, st, tenv, override)
     mu2 = _new(MachineState, (mu.gas - run.cost, run.end, mu.memory, mu.active_words, s))
     top = _new(Frame, (_new(Regular, (mu2, st.iota, st.sigma, st.eta)), stack.top.contract))
     return _new(CallStack, (top, stack.below, stack.depth))
@@ -345,48 +346,16 @@ def _stop(r, st, tenv, stack, override):
     return _halt(r, stack, st.sigma, st.mu.gas, b"", st.eta)
 
 
-def _generic(r, st, tenv, stack, override):
-    """Constant cost; pops r.n words, which are the trace args, and pushes
-    r.value of them unless it is None (POP, JUMPDEST)."""
+def _plain(r, st, tenv, stack, override):
+    """Constant cost; the kernel gives the machine stack after the rule. The
+    trace args are the n words it pops; a rule with a k (PUSH, DUP, SWAP)
+    pops none."""
     mu = st.mu
     s = mu.stack
-    pushes = r.value is not None
-    if mu.gas < r.cost or len(s) - r.n + pushes >= STACK_LIMIT:
+    if mu.gas < r.cost or len(s) + r.height >= STACK_LIMIT:
         return _exc(r, stack)
-    args = s[:r.n]
-    rest = s[r.n:]
-    if pushes:
-        rest = (r.value(st, tenv, override, *args),) + rest
-    return _next(r, stack, (mu.gas - r.cost, mu.pc + 1, mu.memory, mu.active_words, rest), args)
-
-
-def _push(r, st, tenv, stack, override):
-    mu = st.mu
-    if mu.gas < r.cost or len(mu.stack) + 1 >= STACK_LIMIT:
-        return _exc(r, stack)
-    # a PUSH byte inside PUSH data decodes its immediate here
-    value = r.value if r.value is not None else _immediate(st.iota.code, mu.pc, r.k)
-    return _next(r, stack, (mu.gas - r.cost, mu.pc + r.k + 1, mu.memory, mu.active_words,
-                            (value,) + mu.stack))
-
-
-def _dup(r, st, tenv, stack, override):
-    mu = st.mu
-    s = mu.stack
-    if mu.gas < r.cost or len(s) + 1 >= STACK_LIMIT:
-        return _exc(r, stack)
-    return _next(r, stack, (mu.gas - r.cost, mu.pc + 1, mu.memory, mu.active_words,
-                            (s[r.k - 1],) + s))
-
-
-def _swap(r, st, tenv, stack, override):
-    mu = st.mu
-    s = mu.stack
-    n = r.k
-    if mu.gas < r.cost or len(s) >= STACK_LIMIT:
-        return _exc(r, stack)
-    swapped = (s[n],) + s[1:n] + (s[0],) + s[n + 1:]
-    return _next(r, stack, (mu.gas - r.cost, mu.pc + 1, mu.memory, mu.active_words, swapped))
+    return _next(r, stack, (mu.gas - r.cost, mu.pc + r.size, mu.memory, mu.active_words,
+                            r.kernel(s, st, tenv, override)), () if r.k else s[:r.n])
 
 
 def _exp(r, st, tenv, stack, override):
@@ -696,11 +665,11 @@ def _account_code(st: Regular, word: int, override) -> bytes:
     return code if code is not None else account(st.sigma, addr).code
 
 
-def _calldataload(st, tenv, override, a):
-    return word_from_bytes(memory_read(st.iota.input, a, 32))
+def _calldataload(s, st, tenv, ov):
+    return (word_from_bytes(memory_read(st.iota.input, s[0], 32)),) + s[1:]
 
 
-def _blockhash(st, tenv, override, n):
+def _blockhash(tenv, n: int) -> int:
     """Walk parent headers for the hash of block n; 0 past 256 hops, past an
     unknown ancestor, or when n lies beyond the visited header."""
     h = tenv.header.parent
@@ -716,37 +685,8 @@ def _blockhash(st, tenv, override, n):
 
 def _rule_table() -> tuple:
     """The 256 rules, indexed by opcode byte."""
-    spec = {  # mnemonic -> (rule, SCHEDULE key or None, n, value, k)
+    spec = {  # mnemonic -> (rule, SCHEDULE key or None, n, copy source, k)
         "STOP": (_stop, None, 0, None),
-        "ADDRESS": (_generic, "base_access", 0, lambda st, tenv, ov: st.iota.actor),
-        "CALLER": (_generic, "base_access", 0, lambda st, tenv, ov: st.iota.sender),
-        "CALLVALUE": (_generic, "base_access", 0, lambda st, tenv, ov: st.iota.value),
-        "CODESIZE": (_generic, "base_access", 0, lambda st, tenv, ov: len(st.iota.code)),
-        "CALLDATASIZE": (_generic, "base_access", 0, lambda st, tenv, ov: len(st.iota.input)),
-        "ORIGIN": (_generic, "base_access", 0, lambda st, tenv, ov: tenv.origin),
-        "GASPRICE": (_generic, "base_access", 0, lambda st, tenv, ov: tenv.gas_price),
-        "COINBASE": (_generic, "base_access", 0, lambda st, tenv, ov: tenv.header.beneficiary),
-        "TIMESTAMP": (_generic, "base_access", 0, lambda st, tenv, ov: tenv.header.timestamp),
-        "NUMBER": (_generic, "base_access", 0, lambda st, tenv, ov: tenv.header.number),
-        "DIFFICULTY": (_generic, "base_access", 0, lambda st, tenv, ov: tenv.header.difficulty),
-        "GASLIMIT": (_generic, "base_access", 0, lambda st, tenv, ov: tenv.header.gaslimit),
-        "PC": (_generic, "base_access", 0, lambda st, tenv, ov: st.mu.pc),
-        "MSIZE": (_generic, "base_access", 0, lambda st, tenv, ov: 32 * st.mu.active_words),
-        "GAS": (_generic, "base_access", 0, lambda st, tenv, ov: st.mu.gas),
-        "ISZERO": (_generic, "unop", 1, lambda st, tenv, ov, a: 1 if a == 0 else 0),
-        "NOT": (_generic, "unop", 1, lambda st, tenv, ov, a: a ^ U256_MAX),
-        "ADDMOD": (_generic, "ternary", 3, lambda st, tenv, ov, a, b, m: (a + b) % m if m else 0),
-        "MULMOD": (_generic, "ternary", 3, lambda st, tenv, ov, a, b, m: (a * b) % m if m else 0),
-        "CALLDATALOAD": (_generic, "verylow", 1, _calldataload),
-        "BALANCE": (_generic, "balance", 1,
-                    lambda st, tenv, ov, a: account(st.sigma, to_address(a)).balance),
-        "EXTCODESIZE": (_generic, "extcode", 1,
-                        lambda st, tenv, ov, a: len(_account_code(st, a, ov))),
-        "BLOCKHASH": (_generic, "blockhash", 1, _blockhash),
-        "SLOAD": (_generic, "sload", 1,
-                  lambda st, tenv, ov, a: account(st.sigma, st.iota.actor).storage_get(a)),
-        "POP": (_generic, "base_access", 1, None),
-        "JUMPDEST": (_generic, "jumpdest", 0, None),
         "EXP": (_exp, None, 2, None),
         "SHA3": (_sha3, None, 2, None),
         "CALLDATACOPY": (_copy, "copy_base", 3, lambda st, tenv, ov: st.iota.input),
@@ -765,28 +705,63 @@ def _rule_table() -> tuple:
         "CALLCODE": (_call, None, 7, None),
         "DELEGATECALL": (_call, None, 6, None),
     }
+    plain = {  # mnemonic -> (SCHEDULE key, n, height, kernel(s, state, tenv, override), k, size)
+        "ADDRESS": ("base_access", 0, 1, lambda s, st, tenv, ov: (st.iota.actor,) + s),
+        "CALLER": ("base_access", 0, 1, lambda s, st, tenv, ov: (st.iota.sender,) + s),
+        "CALLVALUE": ("base_access", 0, 1, lambda s, st, tenv, ov: (st.iota.value,) + s),
+        "CODESIZE": ("base_access", 0, 1, lambda s, st, tenv, ov: (len(st.iota.code),) + s),
+        "CALLDATASIZE": ("base_access", 0, 1, lambda s, st, tenv, ov: (len(st.iota.input),) + s),
+        "ORIGIN": ("base_access", 0, 1, lambda s, st, tenv, ov: (tenv.origin,) + s),
+        "GASPRICE": ("base_access", 0, 1, lambda s, st, tenv, ov: (tenv.gas_price,) + s),
+        "COINBASE": ("base_access", 0, 1, lambda s, st, tenv, ov: (tenv.header.beneficiary,) + s),
+        "TIMESTAMP": ("base_access", 0, 1, lambda s, st, tenv, ov: (tenv.header.timestamp,) + s),
+        "NUMBER": ("base_access", 0, 1, lambda s, st, tenv, ov: (tenv.header.number,) + s),
+        "DIFFICULTY": ("base_access", 0, 1, lambda s, st, tenv, ov: (tenv.header.difficulty,) + s),
+        "GASLIMIT": ("base_access", 0, 1, lambda s, st, tenv, ov: (tenv.header.gaslimit,) + s),
+        "PC": ("base_access", 0, 1, lambda s, st, tenv, ov: (st.mu.pc,) + s),
+        "MSIZE": ("base_access", 0, 1, lambda s, st, tenv, ov: (32 * st.mu.active_words,) + s),
+        "GAS": ("base_access", 0, 1, _gas(0)),
+        "ISZERO": ("unop", 1, 0, lambda s, st, tenv, ov: (1 if s[0] == 0 else 0,) + s[1:]),
+        "NOT": ("unop", 1, 0, lambda s, st, tenv, ov: (s[0] ^ U256_MAX,) + s[1:]),
+        "ADDMOD": ("ternary", 3, -2, lambda s, st, tenv, ov:
+                   ((s[0] + s[1]) % s[2] if s[2] else 0,) + s[3:]),
+        "MULMOD": ("ternary", 3, -2, lambda s, st, tenv, ov:
+                   ((s[0] * s[1]) % s[2] if s[2] else 0,) + s[3:]),
+        "CALLDATALOAD": ("verylow", 1, 0, _calldataload),
+        "BALANCE": ("balance", 1, 0, lambda s, st, tenv, ov:
+                    (account(st.sigma, to_address(s[0])).balance,) + s[1:]),
+        "EXTCODESIZE": ("extcode", 1, 0, lambda s, st, tenv, ov:
+                        (len(_account_code(st, s[0], ov)),) + s[1:]),
+        "BLOCKHASH": ("blockhash", 1, 0, lambda s, st, tenv, ov:
+                      (_blockhash(tenv, s[0]),) + s[1:]),
+        "SLOAD": ("sload", 1, 0, lambda s, st, tenv, ov:
+                  (account(st.sigma, st.iota.actor).storage_get(s[0]),) + s[1:]),
+        "POP": ("base_access", 1, -1, lambda s, st, tenv, ov: s[1:]),
+        "JUMPDEST": ("jumpdest", 0, 0, lambda s, st, tenv, ov: s),
+    }
     for key, names in (("binop_cheap", "ADD SUB LT GT SLT SGT EQ AND OR XOR BYTE"),
                        ("binop_expensive", "MUL DIV SDIV MOD SMOD SIGNEXTEND")):
         for name in names.split():
-            spec[name] = (_generic, key, 2, lambda st, tenv, ov, a, b, name=name: binop(name, a, b))
-    for k in range(1, 33):
-        spec[f"PUSH{k}"] = (_push, "verylow", 0, None, k)
+            plain[name] = (key, 2, -1, lambda s, st, tenv, ov, name=name:
+                           (binop(name, s[0], s[1]),) + s[2:])
+    for k in range(1, 33):      # a PUSH byte inside PUSH data decodes its immediate when stepped
+        plain[f"PUSH{k}"] = ("verylow", 0, 1, lambda s, st, tenv, ov, k=k:
+                             (_immediate(st.iota.code, st.mu.pc, k),) + s, k, k + 1)
     for k in range(1, 17):
-        spec[f"DUP{k}"] = (_dup, "verylow", k, None, k)
-        spec[f"SWAP{k}"] = (_swap, "verylow", k + 1, None, k)
+        plain[f"DUP{k}"] = ("verylow", k, 1, lambda s, st, tenv, ov, i=k - 1: (s[i],) + s, k)
+        plain[f"SWAP{k}"] = ("verylow", k + 1, 0, lambda s, st, tenv, ov, k=k:
+                             (s[k],) + s[1:k] + (s[0],) + s[k + 1:], k)
     for k in range(5):
         spec[f"LOG{k}"] = (_log, None, k + 2, None, k)
     rules = [_Rule("INVALID", _invalid)] * 256     # INVALID and every byte outside the table
     for name, (fire, key, n, value, *k) in spec.items():
         cost = SCHEDULE[key] if key else 0
         rules[bc.MNEMONIC_TO_BYTE[name]] = _Rule(name, fire, cost, n, *k, value=value)
+    for name, (key, n, height, kernel, *k) in plain.items():
+        rules[bc.MNEMONIC_TO_BYTE[name]] = _Rule(name, _plain, SCHEDULE[key], n, *k,
+                                                 kernel=kernel, height=height)
     return tuple(rules)
 
 
 _RULES = _rule_table()
 _STOP = _RULES[bc.STOP]
-_PLAIN = frozenset((_generic, _push, _dup, _swap))     # the rules a _Run may hold
-_RUN_OPS = {  # the (kind, x) op of each plain rule that is the same wherever it runs
-    r.name: ((_dup, r.k - 1) if r.fire is _dup else (_swap, r.k) if r.fire is _swap
-             else (r.value or _generic, r.n))
-    for r in _RULES if r.fire in _PLAIN and r.fire is not _push and r.name not in ("PC", "GAS")}

@@ -234,7 +234,7 @@ DEAD = "0x000000000000000000000000000000000000dead"
     (("gas_used",), "0x1", "gas_used: expected 0x1, got 0x39738"),
     (("logs",), 2, "logs: expected 2, got 0"),
     (("created",), "0x" + "c1".rjust(40, "0"),
-     "created: expected 0x00000000000000000000000000000000000000c1, got None"),
+     "created: expected 0x00000000000000000000000000000000000000c1, got null"),
     (("post", BOB), {"exists": False}, f"{BOB}: expected deleted, still present"),
     (("post", DEAD), {"balance": "0x0"}, f"{DEAD}: expected present, account missing"),
     (("post", BOB, "nonce"), "0x5", f"{BOB}.nonce: expected 0x5, got 0x0"),
@@ -287,6 +287,11 @@ def test_create_type_fixture_runs(tmp_path, capsys):
     assert f.tx.type == "create" and f.tx.to is None
     assert main(["run", str(path), "--expect"]) == 0
     assert "expectations match" in capsys.readouterr().out
+    # a created of none is JSON null, in the fixture and in the mismatch
+    obj["expect"]["created"] = None
+    path.write_text(json.dumps(obj))
+    assert main(["run", str(path), "--expect"]) == 1
+    assert capsys.readouterr().err == f"mismatch: created: expected null, got {created}\n"
 
 
 def test_cli_check_violated_exit_code(capsys):

@@ -27,7 +27,7 @@ import pytest
 
 from evmsem import checkers, semantics
 from evmsem.fixtures import load_corpus
-from evmsem.bytecode import assemble
+from evmsem.bytecode import MNEMONIC_TO_BYTE, assemble
 from evmsem.state import Account, CallStack, Halt, Regular, frames, validate_stack
 from evmsem.transaction import t_init
 from helpers import checking_block_mode, make_env, make_frame, make_state, stack_of
@@ -253,6 +253,40 @@ def test_call_edges_step_alike(lockstep):
                 ("ranges", "not longer"), ("far_empty", "ret"), ("absent", "ret"),
                 ("out_of_gas", "ret"), ("depth", "exc_ret"), ("depth", "ret")):
         assert seen[key] > 0, key
+
+
+# the plain rules: constant cost, and an effect on the machine stack alone
+PLAIN_RULES = (
+    "ADDRESS CALLER CALLVALUE CODESIZE CALLDATASIZE ORIGIN GASPRICE COINBASE TIMESTAMP NUMBER"
+    " DIFFICULTY GASLIMIT PC MSIZE GAS ISZERO NOT ADDMOD MULMOD CALLDATALOAD BALANCE"
+    " EXTCODESIZE BLOCKHASH SLOAD POP JUMPDEST ADD SUB LT GT SLT SGT EQ AND OR XOR BYTE"
+    " MUL DIV SDIV MOD SMOD SIGNEXTEND").split() + [
+    f"{op}{k}" for op, ks in (("PUSH", 32), ("DUP", 16), ("SWAP", 16)) for k in range(1, ks + 1)]
+
+
+def test_plain_rules_step_alike_at_their_bounds(lockstep):
+    # each plain rule from a machine stack of 1,023 and of 1,022 words, from
+    # one word fewer than it reads, and with gas equal to its cost and one less
+    assert len(PLAIN_RULES) == 107
+    rng = random.Random(7)
+    words = tuple(rng.choice((0, 1, rng.getrandbits(8), rng.getrandbits(256)))
+                  for _ in range(1023))
+    tenv, seen = make_env(), Counter()
+    for name in PLAIN_RULES:
+        r = semantics._RULES[MNEMONIC_TO_BYTE[name]]
+        code = bytes([MNEMONIC_TO_BYTE[name]]) + rng.randbytes(32)
+        cases = {"1023": (words, 10**6), "1022": (words[1:], 10**6),
+                 "gas=cost": (words[:r.n], r.cost), "gas=cost-1": (words[:r.n], r.cost - 1)}
+        if r.n:
+            cases["n-1"] = (words[:r.n - 1], 10**6)
+        for kind, (stack, gas) in cases.items():
+            out = semantics.step(tenv, stack_of(make_frame(code, stack=stack, gas=gas)))
+            seen[kind, out.action.tag] += 1
+    # 63 rules push one word more than they pop: the 32 PUSHes, the 16 DUPs
+    # and the 15 that read no stack word (ADDRESS to GAS above)
+    assert seen == {("1023", "exc"): 63, ("1023", "op"): 44, ("1022", "op"): 107,
+                    ("gas=cost", "op"): 107, ("gas=cost-1", "exc"): 107, ("n-1", "exc"): 59}
+    assert lockstep.steps == 107 * 4 + 59
 
 
 def _verdicts(fixture):

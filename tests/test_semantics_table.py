@@ -513,21 +513,22 @@ def test_rule_table_is_indexed_by_opcode_byte():
 @given(body=hst.binary(max_size=48), push=hst.integers(0x60, 0x7F),
        tail=hst.binary(max_size=31))
 def test_program_decodes_every_pc_as_the_byte_table_does(body, push, tail):
-    # random bytes, a PUSH2 whose data are JUMPDEST bytes, and a PUSH cut
-    # short by the end of the code
+    # random bytes, a PUSH2 whose data are JUMPDEST bytes, a PC, and a PUSH
+    # cut short by the end of the code
     k = push - 0x5F
-    code = body + bytes([0x61, 0x5B, 0x5B, push]) + tail[:k - 1]
+    code = body + bytes([0x61, 0x5B, 0x5B, 0x58, push]) + tail[:k - 1]
     program = semantics._program(code)
     assert len(program) == len(code)
     starts = set(bytecode.instructions(code))
     for pc, got in enumerate(program):
         want = semantics._RULES[code[pc]]
-        if want.fire is semantics._push:
+        if want.name == "PC" or want.name.startswith("PUSH"):
             imm = bytes(code[pc + 1:pc + 1 + want.k]).ljust(want.k, b"\x00")
-            word = int.from_bytes(imm, "big")
+            word = pc if want.name == "PC" else int.from_bytes(imm, "big")
             # decoded at an instruction start; inside PUSH data, by the step
             if pc in starts:
-                want = want._replace(value=word)
+                assert got.kernel((7,), None, None, None) == (word, 7), pc
+                got = got._replace(kernel=want.kernel)
             out = step_one(make_frame(code, pc=pc))
             assert out.action.op == want.name, pc
             assert out.stack.top.state.mu.stack == (word,), pc
