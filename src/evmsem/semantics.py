@@ -1,20 +1,20 @@
 """The small-step relation over annotated call stacks.
 
 `step` maps one configuration to its successor and emits one trace action.
-A regular step is one lookup, by pc, in `_program(code)`: the entries of
-`_RULES`, a table indexed by opcode byte carrying the mnemonic, the constant
-cost from `gas.SCHEDULE` and the function that fires the rule, decoded once
-per code; return processing reads the caller's rule the same way. A plain
-rule (constant cost, machine stack only) is defined by its kernel, the
+A regular step is one lookup, by the code byte at pc (STOP past the end), in
+`_RULES`, the one dispatch table: indexed by opcode byte, each entry carries
+the mnemonic, the constant cost from `gas.SCHEDULE` and the function that
+fires the rule; return processing reads the caller's rule the same way. A
+plain rule (constant cost, machine stack only) is defined by its kernel, the
 machine stack after it: `step` applies one kernel through `_plain`, and
-block mode applies the kernels of a straight-line run of plain rules,
-`_runs(code)`, in one call. `iterate_steps` is the one loop over `step`;
-`run`, `run_to_depth`, `run_frame` and `run_with_local_updates` drain it to
-different depths, the last three in block mode, a run at a time. A local
-code update is a plain dict from address to code. All of them are pure
-with respect to their inputs: all mutation happens on freshly copied
-snapshots, so checkers can fork execution at any configuration by keeping
-a reference to it.
+block mode applies the kernels of a straight-line run of plain rules in
+one call, from `_runs(code)`, the one table built per code. `iterate_steps`
+is the one loop over `step`; `run`, `run_to_depth`, `run_frame` and
+`run_with_local_updates` drain it to different depths, the last three in
+block mode, a run at a time. A local code update is a plain dict from
+address to code. All of them are pure with respect to their inputs: all
+mutation happens on freshly copied snapshots, so checkers can fork
+execution at any configuration by keeping a reference to it.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ def step(tenv: TransactionEnvironment, stack: CallStack,
         raise MalformedConfiguration("empty call stack")
     st = stack.top.state
     if st.__class__ is Regular:
-        rules, pc = _program(st.iota.code), st.mu.pc
-        rule = rules[pc] if pc < len(rules) else _STOP
+        code, pc = st.iota.code, st.mu.pc
+        rule = _RULES[code[pc]] if pc < len(code) else _STOP
         if len(st.mu.stack) < rule.n:
             return _exc(rule, stack)                        # stack underflow
         return rule.fire(rule, st, tenv, stack, override)
@@ -198,64 +198,50 @@ _new = tuple.__new__
 _FAILED = Frame(EXC, None)        # what a call-time failure pushes
 
 
-@lru_cache(maxsize=256)      # a decoded code holds about 22 bytes per code byte
-def _program(code: bytes) -> tuple:
-    """_RULES indexed by the byte at each pc of code, decoded once per code; a
-    PUSH or PC at an instruction start gets the one-word _Words kernel of what
-    it pushes: the PUSH's immediate, zero-padded past the end, or the pc. A pc
-    inside PUSH data shares the plain _RULES entry, whose kernel reads its
-    word when it is stepped."""
-    rules = [_RULES[byte] for byte in code]
-    for pc in bc.instructions(code):
-        r = rules[pc]
-        if r.name == "PC" or r.size > 1:
-            word = pc if r.name == "PC" else _immediate(code, pc, r.k)
-            rules[pc] = r._replace(kernel=_Words((word,)))
-    return tuple(rules)
-
-
 def _immediate(code: bytes, pc: int, k: int) -> int:
     """The k-byte immediate word of the PUSH at pc, zero-padded past the end."""
-    return word_from_bytes(memory_read(code, pc + 1, k))
+    data = code[pc + 1:pc + 1 + k]
+    return int.from_bytes(data, "big") << 8 * (k - len(data))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256)      # a run table holds about 33 bytes per code byte
 def _runs(code: bytes) -> dict:
-    """The runs of code's rules in `_program`, by first pc; built the first
-    time block mode asks, so one-op-at-a-time stepping never pays for them.
-    A run goes from pc 0, a JUMPDEST or the pc after any other rule to the
-    next of these, over instructions, and holds their kernels in order. Each
-    stretch of PUSH and PC is fused into one _Words; a GAS gets a kernel
-    that pushes the gas left at its own position: the entry gas less the
-    cost before it."""
-    rules, runs, pc = _program(code), {}, 0
-    while pc < len(rules):
+    """The runs of code's rules, by first pc; built the first time block
+    mode asks, so one-op-at-a-time stepping never pays for them. A run goes
+    from pc 0, a JUMPDEST or the pc after any other rule to the next of
+    these, over instructions, and holds their kernels in order. Each stretch
+    of PUSH and PC is fused into one kernel that pushes its words, read here
+    once; a GAS gets a kernel that pushes the gas left at its own position:
+    the entry gas less the cost before it."""
+    runs, pc = {}, 0
+    while pc < len(code):
         start, ops, steps, cost, height, need, growth = pc, [], 0, 0, 0, 0, 0
-        while (pc < len(rules) and (r := rules[pc]).fire is _plain
+        while (pc < len(code) and (r := _RULES[code[pc]]).fire is _plain
                and (pc == start or r.name != "JUMPDEST")):
             need = max(need, r.n - height)
-            kernel = _gas(cost) if r.name == "GAS" else r.kernel
-            if kernel.__class__ is _Words and ops and ops[-1].__class__ is _Words:
-                ops[-1] = _Words(kernel + ops[-1])
+            if r.name == "PC" or r.size > 1:      # a word, on top of the stretch's words
+                word = pc if r.name == "PC" else _immediate(code, pc, r.k)
+                if ops and ops[-1].__class__ is tuple:
+                    ops[-1] = (word,) + ops[-1]
+                else:
+                    ops.append((word,))
             else:
-                ops.append(kernel)
+                ops.append(_gas(cost) if r.name == "GAS" else r.kernel)
             height += r.height
             steps, growth, cost = steps + 1, max(growth, height), cost + r.cost
             pc += r.size
         if ops:
-            chain = pc < len(rules) and rules[pc].name == "JUMPDEST"
-            runs[start] = _Run(tuple(ops), steps, cost, need, growth, pc, chain)
+            chain = pc < len(code) and code[pc] == bc.JUMPDEST
+            ops = tuple(_words(op) if op.__class__ is tuple else op for op in ops)
+            runs[start] = _Run(ops, steps, cost, need, growth, pc, chain)
         else:
             pc += 1
     return runs
 
 
-class _Words(tuple):
-    """The kernel of a stretch of PUSH and PC: the words it pushes, top first."""
-    __slots__ = ()
-
-    def __call__(self, s, st, tenv, ov):
-        return self + s
+def _words(words: tuple) -> Callable:
+    """The kernel of a stretch of PUSH and PC: push its words, top first."""
+    return lambda s, st, tenv, ov: words + s
 
 
 def _gas(spent: int) -> Callable:
@@ -603,8 +589,8 @@ def _process_return(stack):
     caller = stack.below.top.state
     if caller.__class__ is not Regular:
         raise MalformedConfiguration("halting state above a non-regular frame")
-    rules, pc = _program(caller.iota.code), caller.mu.pc
-    r = rules[pc] if pc < len(rules) else _STOP
+    code, pc = caller.iota.code, caller.mu.pc
+    r = _RULES[code[pc]] if pc < len(code) else _STOP
     if (ret := _RETURNS.get(r.fire)) is None or len(caller.mu.stack) < r.n:
         raise MalformedConfiguration(f"halting state above a frame not executing a call "
                                      f"(op {bc.current_opcode(caller.mu, caller.iota):#x})")
@@ -744,7 +730,7 @@ def _rule_table() -> tuple:
         for name in names.split():
             plain[name] = (key, 2, -1, lambda s, st, tenv, ov, name=name:
                            (binop(name, s[0], s[1]),) + s[2:])
-    for k in range(1, 33):      # a PUSH byte inside PUSH data decodes its immediate when stepped
+    for k in range(1, 33):      # a PUSH stepped alone decodes its immediate, as in PUSH data
         plain[f"PUSH{k}"] = ("verylow", 0, 1, lambda s, st, tenv, ov, k=k:
                              (_immediate(st.iota.code, st.mu.pc, k),) + s, k, k + 1)
     for k in range(1, 17):

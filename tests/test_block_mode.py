@@ -19,7 +19,7 @@ from evmsem.fixtures import load_corpus
 from evmsem.semantics import (BudgetExhausted, is_final, iterate_steps,
                               run_frame, run_to_depth, run_with_local_updates)
 from evmsem.state import Account, CallStack
-from evmsem.transaction import t_init
+from evmsem.transaction import execute_transaction, t_init
 from helpers import (OTHER, checking_block_mode, make_env, make_frame, make_state,
                      modes_in_lockstep, stack_of)
 from proputil import STEP_BUDGET, program_frame
@@ -115,6 +115,13 @@ def test_modes_agree_on_every_corpus_scenario(monkeypatch, name, tenv, stack):
     steps = _counting_steps(monkeypatch)
     assert run_frame(tenv, stack, 1_000_000) == (final, trace)
     assert len(steps) < len(per_op)        # block mode applied at least one run
+
+
+def test_one_op_at_a_time_execution_builds_no_run_table():
+    semantics._runs.cache_clear()
+    for f in load_corpus():
+        execute_transaction(f.tx, f.header, f.pre, ancestors=f.ancestors)
+    assert semantics._runs.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------

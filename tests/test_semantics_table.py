@@ -506,36 +506,38 @@ def test_rule_table_is_indexed_by_opcode_byte():
 
 
 # ---------------------------------------------------------------------------
-# the per-code decode cache
+# the byte table at every pc, and the run table built from it
 
 
 @settings(max_examples=200, deadline=None)
 @given(body=hst.binary(max_size=48), push=hst.integers(0x60, 0x7F),
        tail=hst.binary(max_size=31))
-def test_program_decodes_every_pc_as_the_byte_table_does(body, push, tail):
+def test_every_pc_steps_as_the_byte_table_does(body, push, tail):
     # random bytes, a PUSH2 whose data are JUMPDEST bytes, a PC, and a PUSH
     # cut short by the end of the code
     k = push - 0x5F
     code = body + bytes([0x61, 0x5B, 0x5B, 0x58, push]) + tail[:k - 1]
-    program = semantics._program(code)
-    assert len(program) == len(code)
-    starts = set(bytecode.instructions(code))
-    for pc, got in enumerate(program):
-        want = semantics._RULES[code[pc]]
+    for pc, byte in enumerate(code):
+        want = semantics._RULES[byte]
+        # a PUSH or PC at any pc, inside PUSH data too, pushes its word
         if want.name == "PC" or want.name.startswith("PUSH"):
             imm = bytes(code[pc + 1:pc + 1 + want.k]).ljust(want.k, b"\x00")
             word = pc if want.name == "PC" else int.from_bytes(imm, "big")
-            # decoded at an instruction start; inside PUSH data, by the step
-            if pc in starts:
-                assert got.kernel((7,), None, None, None) == (word, 7), pc
-                got = got._replace(kernel=want.kernel)
             out = step_one(make_frame(code, pc=pc))
             assert out.action.op == want.name, pc
             assert out.stack.top.state.mu.stack == (word,), pc
-        assert got == want, pc
     for pc in (len(code), len(code) + 1, 10**40):
         out = step_one(make_frame(code, pc=pc))
         assert (out.action.op, out.action.tag) == ("STOP", "halt")
+    # each run, applied in one call from its first pc, leaves the stack its
+    # steps leave one at a time
+    tenv = make_env()
+    for start, run in semantics._runs(code).items():
+        stack = stack_of(make_frame(code, pc=start, stack=range(max(20, run.need))))
+        after = semantics._run_block(tenv, stack, stack.top.state, run, None)
+        for _ in range(run.steps):
+            stack = step(tenv, stack).stack
+        assert after == stack, start
 
 
 # ---------------------------------------------------------------------------
