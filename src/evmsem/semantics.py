@@ -12,9 +12,11 @@ one call, from `_runs(code)`, the one table built per code. `iterate_steps`
 is the one loop over `step`; `run`, `run_to_depth`, `run_frame` and
 `run_with_local_updates` drain it to different depths, the last three in
 block mode, a run at a time. A local code update is a plain dict from
-address to code. All of them are pure with respect to their inputs: all
-mutation happens on freshly copied snapshots, so checkers can fork
-execution at any configuration by keeping a reference to it.
+address to code, which a drive hands only to the frame at its depth, the
+analyzed frame; its sub-executions run under the plain semantics. All of
+them are pure with respect to their inputs: all mutation happens on
+freshly copied snapshots, so checkers can fork execution at any
+configuration by keeping a reference to it.
 """
 
 from __future__ import annotations
@@ -72,11 +74,14 @@ def step(tenv: TransactionEnvironment, stack: CallStack,
 
 
 def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int,
-                  override=None, depth: int = 1, ops: bool = True) -> Iterator[tuple]:
+                  override: Optional[dict] = None, depth: int = 1,
+                  ops: bool = True) -> Iterator[tuple]:
     """Yield (index, stack_before, action, stack_after) for each step until
     the frame at `depth` has finished (is Halt/Exc, its return not yet
     processed) or the configuration is final, index counting every step
     from 1; raise BudgetExhausted when max_steps steps end before that.
+    The local code update `override` reaches the steps and runs of the frame
+    at `depth` only: its sub-executions run under the plain semantics.
 
     This is the only loop over `step`. Block mode (ops=False, the checkers')
     yields no step tagged "op" and applies each run of `_runs` that
@@ -85,24 +90,29 @@ def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int
     a run, and a run that outlasts the budget is applied whole and the drive
     raises, having yielded what it would one op at a time. After a run, the
     next is looked for only when one starts at its end; after a step, a
-    drive to depth 1 reads only the step's own `final`."""
+    drive to depth 1 with no update reads only the step's own `final`."""
     if is_final(stack) or stack.depth == depth and stack.top.state.__class__ is not Regular:
         return
-    index, look, deep = 0, not ops, depth > 1
+    index, look, watch = 0, not ops, depth > 1 or override is not None
+    ov = override if stack.depth == depth else None
     while index < max_steps:
         if look:
             st = stack.top.state
             if (st.__class__ is Regular and (run := _runs(st.iota.code).get(st.mu.pc)) is not None
-                    and (ran := _run_block(tenv, stack, st, run, override)) is not None):
+                    and (ran := _run_block(tenv, stack, st, run, ov)) is not None):
                 stack, index, look = ran, index + run.steps, run.chain
                 continue
-        after, action, final = step(tenv, stack, override)
+        after, action, final = step(tenv, stack, ov)
         index += 1
         if ops or action.tag != "op":
             yield index, stack, action, after
         stack, look = after, not ops
-        if final or deep and stack.depth == depth and stack.top.state.__class__ is not Regular:
+        if final:
             return
+        if watch:
+            if stack.depth == depth and stack.top.state.__class__ is not Regular:
+                return
+            ov = override if stack.depth == depth else None
     raise BudgetExhausted(f"no final configuration within {max_steps} steps")
 
 
@@ -134,45 +144,28 @@ def run_frame(tenv: TransactionEnvironment, stack: CallStack, max_steps: int):
     return run_to_depth(tenv, stack, stack.depth, max_steps)
 
 
-class _FrameOverride:
-    """A local code update that only the analyzed frame sees: its driver
-    switches it off while a sub-execution runs."""
-
-    def __init__(self, f: dict):
-        self.f = f
-        self.active = True
-
-    def get(self, addr: int) -> Optional[bytes]:
-        return self.f.get(addr) if self.active else None
-
-
 def run_with_local_updates(tenv: TransactionEnvironment, stack: CallStack,
                            f: dict, max_steps: int):
     """Run the top frame, in block mode, to a final state under a local code
     update f, a partial map address -> code.
 
-    The override feeds EXTCODESIZE/EXTCODECOPY of the analyzed frame only;
-    sub-executions run under the plain semantics, and after each one returns
-    the override is extended with the accounts it created, its own entries
-    winning.
+    The update feeds EXTCODESIZE/EXTCODECOPY of the analyzed frame, the one
+    on top, only; its sub-executions run under the plain semantics. After
+    each one returns, a copy of the update is extended with the accounts it
+    created, the update's own entries winning; f itself is not changed.
 
-    Returns (stack, trace, extended override).
+    Returns (stack, trace, extended update).
     """
-    base = stack.depth
-    view = _FrameOverride(f)
+    base, f = stack.depth, dict(f)
     trace = []
-    sigma_at_call = None
-    for _index, before, action, stack in iterate_steps(tenv, stack, max_steps, view, base, False):
+    for _index, before, action, stack in iterate_steps(tenv, stack, max_steps, f, base, False):
         trace.append(action)
-        if before.depth == base:
-            sigma_at_call = before.top.state.sigma
-        elif stack.depth == base and isinstance(stack.top.state, Regular):
-            created = [(a, acct.code) for a, acct in stack.top.state.sigma.items()
-                       if sigma_at_call.get(a) is None]
-            if created:
-                view.f = {**dict(created), **view.f}
-        view.active = stack.depth == base
-    return stack, tuple(trace), view.f
+        if before.depth > base and stack.depth == base and stack.top.state.__class__ is Regular:
+            at_call = before.below.top.state.sigma       # the frame as it called
+            for a, acct in stack.top.state.sigma.items():
+                if at_call.get(a) is None:
+                    f.setdefault(a, acct.code)
+    return stack, tuple(trace), f
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +197,15 @@ def _immediate(code: bytes, pc: int, k: int) -> int:
     return int.from_bytes(data, "big") << 8 * (k - len(data))
 
 
-@lru_cache(maxsize=256)      # a run table holds about 33 bytes per code byte
+@lru_cache(maxsize=256)      # a run table holds about 23 bytes per code byte
 def _runs(code: bytes) -> dict:
     """The runs of code's rules, by first pc; built the first time block
     mode asks, so one-op-at-a-time stepping never pays for them. A run goes
     from pc 0, a JUMPDEST or the pc after any other rule to the next of
     these, over instructions, and holds their kernels in order. Each stretch
-    of PUSH and PC is fused into one kernel that pushes its words, read here
-    once; a GAS gets a kernel that pushes the gas left at its own position:
-    the entry gas less the cost before it."""
+    of PUSH and PC is kept as the tuple of its words, top first, read here
+    once, which the run puts on the stack; a GAS gets a kernel that pushes
+    the gas left at its own position: the entry gas less the cost before it."""
     runs, pc = {}, 0
     while pc < len(code):
         start, ops, steps, cost, height, need, growth = pc, [], 0, 0, 0, 0, 0
@@ -232,16 +225,10 @@ def _runs(code: bytes) -> dict:
             pc += r.size
         if ops:
             chain = pc < len(code) and code[pc] == bc.JUMPDEST
-            ops = tuple(_words(op) if op.__class__ is tuple else op for op in ops)
-            runs[start] = _Run(ops, steps, cost, need, growth, pc, chain)
+            runs[start] = _Run(tuple(ops), steps, cost, need, growth, pc, chain)
         else:
             pc += 1
     return runs
-
-
-def _words(words: tuple) -> Callable:
-    """The kernel of a stretch of PUSH and PC: push its words, top first."""
-    return lambda s, st, tenv, ov: words + s
 
 
 def _gas(spent: int) -> Callable:
@@ -252,7 +239,8 @@ def _gas(spent: int) -> Callable:
 class _Run(NamedTuple):
     """Straight-line plain rules, none of which faults when the frame has
     `cost` gas, `need` words and room for `growth` more."""
-    ops: tuple                # the rules' kernels in order, PUSH and PC fused
+    ops: tuple                # the rules' kernels in order, each stretch of PUSH and
+                              # PC fused into the tuple of its words, top first
     steps: int                # rules applied
     cost: int                 # summed constant gas
     need: int                 # machine-stack words the run reads
@@ -268,8 +256,8 @@ def _run_block(tenv, stack: CallStack, st: Regular, run: _Run, override):
     s = mu.stack
     if mu.gas < run.cost or len(s) < run.need or len(s) + run.growth >= STACK_LIMIT:
         return None
-    for kernel in run.ops:
-        s = kernel(s, st, tenv, override)
+    for op in run.ops:
+        s = op + s if op.__class__ is tuple else op(s, st, tenv, override)
     mu2 = _new(MachineState, (mu.gas - run.cost, run.end, mu.memory, mu.active_words, s))
     top = _new(Frame, (_new(Regular, (mu2, st.iota, st.sigma, st.eta)), stack.top.contract))
     return _new(CallStack, (top, stack.below, stack.depth))

@@ -118,8 +118,8 @@ def modes_in_lockstep(iterate_steps, tenv, stack, max_steps, override=None, dept
     stack, one op at a time; yield the block-mode steps, each checked to be
     the per-op drive's next non-op step (index, action and both stacks), and
     end or raise BudgetExhausted as the per-op drive does. The two drives
-    advance together, so a driver that changes `override` between steps
-    changes it for both."""
+    advance together and share `override`, so a driver that extends the
+    update between steps extends it for both."""
     per_op = iterate_steps(tenv, stack, max_steps, override, depth, True)
     block = iterate_steps(tenv, stack, max_steps, override, depth, False)
     known = {}

@@ -8,7 +8,8 @@ index, between the same call stacks, the same final stack and step count,
 and BudgetExhausted for exactly the same budgets. Checked here over the
 criterion-5 programs and every corpus scenario, and at the edges of a run:
 gas, stack underflow and overflow, GAS and PC inside a run, a local code
-update read by EXTCODESIZE, and a budget that ends inside a run.
+update read by EXTCODESIZE in the analyzed frame and not in the frame it
+calls, and a budget that ends inside a run.
 """
 
 import pytest
@@ -256,6 +257,26 @@ def test_extcodesize_in_a_run_under_a_local_code_update(monkeypatch):
     final, trace, ext = run_with_local_updates(tenv, stack, update, 100)
     assert [a.op for a in trace] == ["STOP"]      # a trace without plain ops
     assert final.top.state.sigma.get(frame.contract[0]).storage_get(0) == 3
+    assert ext == update
+
+
+@pytest.mark.parametrize("below", [0, 1], ids=["alone", "above-a-frame"])
+def test_a_local_code_update_does_not_reach_a_sub_execution(monkeypatch, below):
+    # the analyzed frame calls 0xCA11, then records EXTCODESIZE of OTHER in
+    # its slot 0; the callee records it in its own slot 0 the same way. The
+    # update gives OTHER 3 bytes; its real code, STOP, is 1 byte
+    record = f"PUSH2 {hex(OTHER)}\nEXTCODESIZE\nPUSH1 0x00\nSSTORE\nSTOP"
+    callee = 0xCA11
+    code = "PUSH1 0x00\n" * 5 + f"PUSH2 {hex(callee)}\nGAS\nCALL\nPOP\n" + record
+    sigma = make_state(code=assemble(code), accounts={callee: Account(0, 0, {}, assemble(record))})
+    frame = make_frame(code, sigma=sigma)
+    tenv, stack = make_env(), stack_of(frame, *[make_frame("STOP")] * below)
+    update = {OTHER: b"\x00\x00\x00"}
+    monkeypatch.setattr(semantics, "iterate_steps", checking_block_mode(iterate_steps))
+    final, trace, ext = run_with_local_updates(tenv, stack, update, 100)
+    assert [a.op for a in trace] == ["CALL", "STOP", "CALLRET", "STOP"]
+    slot0 = [final.top.state.sigma.get(a).storage_get(0) for a in (frame.contract[0], callee)]
+    assert slot0 == [3, 1]
     assert ext == update
 
 
