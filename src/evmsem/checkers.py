@@ -24,7 +24,7 @@ values, component values, variant indices, sample ids) that reproduce it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from typing import Optional, Sequence
@@ -83,8 +83,9 @@ class ScenarioSpace:
             raise ValueError("finpot_samples must be at least 2")
 
 
-def _initial_config(space: ScenarioSpace):
-    init = t_init(space.tx, space.header, space.pre, space.ancestors)
+def _initial_config(space: ScenarioSpace, pre: GlobalState):
+    """The scenario's transaction started from pre (space.pre, or a variant of it)."""
+    init = t_init(space.tx, space.header, pre, space.ancestors)
     if init is None:
         raise ValueError("scenario transaction is invalid under the given state")
     tenv, frame, _created = init
@@ -110,7 +111,7 @@ def _scan(space: ScenarioSpace, pick, first: bool = False):
     is not None; with `first`, stop at the first. index counts every step
     from 1, plain ops included, but pick sees no plain-op step (action tag
     "op"). Returns (tenv, initial stack, picks, complete)."""
-    tenv, stack = _initial_config(space)
+    tenv, stack = _initial_config(space, space.pre)
     picks = []
     complete = True
     try:
@@ -303,7 +304,7 @@ def check_env_independence(space: ScenarioSpace, c: Contract,
                            components: Sequence[str]) -> Verdict:
     """Projected call traces of c must agree across paired whole-scenario
     runs whose transaction environments differ in one component."""
-    tenv, stack = _initial_config(space)
+    tenv, stack = _initial_config(space, space.pre)
     forks = []    # built before any run, so that every component is checked first
     for comp in components:
         values = space.component_values.get(comp)
@@ -489,7 +490,7 @@ def check_call_integrity(space: ScenarioSpace, c: Contract, untrusted,
         sigma = space.pre
         for addr, code in mapping.items():
             sigma = sigma.put(addr, account(sigma, addr).with_code(code))
-        tenv, stack = _initial_config(replace(space, pre=sigma))
+        tenv, stack = _initial_config(space, sigma)
         return run_frame(tenv, stack, space.max_steps)[1]
 
     forks = [(lambda i1, i2: {"mode": "direct", "assignments": [i1, i2]},

@@ -230,8 +230,8 @@ _EXPECT_KEYS = {
 
 # the fixture's sections, read as Fixture's fields
 _SECTIONS = _record(dict, {
-    "pre": (_map(_ADDRESS, _record(_pre_account, _ACCOUNT_KEYS), make=GlobalState, sort=True),
-            {}),
+    "pre": (_map(_ADDRESS, _record(_pre_account, _ACCOUNT_KEYS, parts=Account._asdict),
+                 make=GlobalState, sort=True), {}),
     "tx": (_TX, _REQUIRED),
     "header": (_record(BlockHeader, _HEADER_KEYS), {}),
     "ancestors": (((lambda v, what: dict(_ANCESTOR_LIST[0](v, what))),

@@ -560,7 +560,7 @@ def _create(r, st, tenv, stack, override):
 def open_account(sigma: GlobalState, rho: int, value: int) -> GlobalState:
     """sigma with the account a create opens at its fresh address rho: nonce
     0, no storage, no code, and the balance rho already held plus value."""
-    return sigma.put(rho, Account(0, account(sigma, rho).balance + value, {}, b""))
+    return sigma.put(rho, tuple.__new__(Account, (0, account(sigma, rho).balance + value, {}, b"")))
 
 
 def deposit_code(halt: Halt, rho: int) -> Optional[tuple]:

@@ -4,10 +4,14 @@ annotated call stacks.
 
 Everything here is treated as an immutable snapshot: mutators return new
 objects and share unchanged substructure, which is what makes forking a
-configuration (and exception rollback) cheap. The records built on every
-step (`MachineState`, `Regular`, `Halt`, `Frame`) are NamedTuples, which
-are cheaper to build than frozen dataclasses; change a field with
-`._replace`.
+configuration (and exception rollback) cheap. The records a step builds
+(`MachineState`, `Regular`, `Halt`, `Frame`, `Account`,
+`TransactionEffects`) are NamedTuples, which are cheaper to build and
+smaller than frozen dataclasses; the core builds them with tuple.__new__,
+and other code changes a field with `._replace`. `ExecutionEnvironment`
+stays a frozen dataclass, because the frozen oracle rebuilds callee
+environments with `dataclasses.replace`; so do the records built once per
+transaction (`BlockHeader`, `TransactionEnvironment`).
 """
 
 from __future__ import annotations
@@ -84,13 +88,13 @@ class _PMap:
         return repr(self._whole())
 
 
-@dataclass(frozen=True)
-class Account:
+class Account(NamedTuple):
     nonce: int = 0
     balance: int = 0
     # Word256 -> Word256 with no zero entries: a dict, or the _PMap that the
-    # first storage_set wraps around it without copying
-    storage: dict = field(default_factory=dict)
+    # first storage_set wraps around it without copying. Never written in
+    # place: accounts built without storage share the default dict.
+    storage: dict = {}
     code: bytes = b""
 
     def storage_get(self, key: Word256) -> Word256:
@@ -98,16 +102,21 @@ class Account:
 
     def storage_set(self, key: Word256, value: Word256) -> "Account":
         stor = self.storage if isinstance(self.storage, _PMap) else _PMap(self.storage)
-        return Account(self.nonce, self.balance, stor._set(key, value or None), self.code)
+        return tuple.__new__(Account, (self.nonce, self.balance, stor._set(key, value or None),
+                                       self.code))
 
     def with_balance(self, balance: int) -> "Account":
-        return Account(self.nonce, balance, self.storage, self.code)
+        return tuple.__new__(Account, (self.nonce, balance, self.storage, self.code))
 
     def with_nonce(self, nonce: int) -> "Account":
-        return Account(nonce, self.balance, self.storage, self.code)
+        return tuple.__new__(Account, (nonce, self.balance, self.storage, self.code))
 
     def with_code(self, code: bytes) -> "Account":
-        return Account(self.nonce, self.balance, self.storage, code)
+        return tuple.__new__(Account, (self.nonce, self.balance, self.storage, code))
+
+
+# what an absent address reads as
+EMPTY_ACCOUNT = Account()
 
 
 class GlobalState(_PMap):
@@ -131,8 +140,7 @@ class GlobalState(_PMap):
 
 def account(sigma: GlobalState, addr: Address) -> Account:
     """The account at addr; an absent one reads as empty."""
-    acct = sigma.get(addr)
-    return acct if acct is not None else Account()
+    return sigma.get(addr, EMPTY_ACCOUNT)
 
 
 def credit(sigma: GlobalState, addr: Address, amount: int) -> GlobalState:
@@ -145,7 +153,8 @@ def charge(sigma: GlobalState, addr: Address, amount: int) -> GlobalState:
     """sigma with addr's nonce bumped and amount taken from its balance: what a
     transaction does to its sender and a create to its creator."""
     acct = account(sigma, addr)
-    return sigma.put(addr, Account(acct.nonce + 1, acct.balance - amount, acct.storage, acct.code))
+    return sigma.put(addr, tuple.__new__(Account, (acct.nonce + 1, acct.balance - amount,
+                                                   acct.storage, acct.code)))
 
 
 class LogEvent(NamedTuple):
@@ -154,8 +163,7 @@ class LogEvent(NamedTuple):
     data: bytes
 
 
-@dataclass(frozen=True)
-class TransactionEffects:
+class TransactionEffects(NamedTuple):
     refund: int = 0
     logs: tuple = ()
     suicides: frozenset = frozenset()
@@ -163,13 +171,13 @@ class TransactionEffects:
     def add_refund(self, amount: int) -> "TransactionEffects":
         if amount == 0:
             return self
-        return TransactionEffects(self.refund + amount, self.logs, self.suicides)
+        return tuple.__new__(TransactionEffects, (self.refund + amount, self.logs, self.suicides))
 
     def append_log(self, event: LogEvent) -> "TransactionEffects":
-        return TransactionEffects(self.refund, self.logs + (event,), self.suicides)
+        return tuple.__new__(TransactionEffects, (self.refund, self.logs + (event,), self.suicides))
 
     def register_suicide(self, addr: Address) -> "TransactionEffects":
-        return TransactionEffects(self.refund, self.logs, self.suicides | {addr})
+        return tuple.__new__(TransactionEffects, (self.refund, self.logs, self.suicides | {addr}))
 
 
 EMPTY_EFFECTS = TransactionEffects()

@@ -3,12 +3,16 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from evmsem.checkers import CHECKERS
+from evmsem.fixtures import load_corpus
 from evmsem.semantics import StepOutcome, step
-from evmsem.state import (EXC, Account, Frame, GlobalState, Halt, MachineState, Regular,
-                          frames, memory_read, memory_write, validate_stack, with_top_state)
+from evmsem.state import (EXC, Account, Frame, GlobalState, Halt, LogEvent, MachineState,
+                          Regular, TransactionEffects, account, frames, memory_read,
+                          memory_write, validate_stack, with_top_state)
 from evmsem.traces import Action
-from helpers import (make_env, make_frame, stack_diff, stack_of, state_eq_up_to, step_one,
-                     substack)
+from evmsem.transaction import execute_transaction
+from helpers import (SELF, make_env, make_frame, stack_diff, stack_of, state_eq_up_to,
+                     step_one, substack)
 
 
 def _frames(n, tag=""):
@@ -349,7 +353,8 @@ def _records():
     action = Action("ADD", frame.contract, (1, 2))
     return [(st.mu, "gas", 9), (st, "mu", MachineState(9, 1, b"", 0, ())), (halt, "gas", 6),
             (frame, "state", halt), (action, "tag", "exc"),
-            (step_one(frame), "final", True)]
+            (step_one(frame), "final", True), (_acct(), "balance", 11),
+            (TransactionEffects(1, (), frozenset({7})), "refund", 3)]
 
 
 @pytest.mark.parametrize("record, name, value", _records(),
@@ -375,6 +380,31 @@ def test_step_returns_state_records():
     assert type(out.action) is Action
     halted = step_one(out.stack[0])
     assert type(halted.stack[0]) is Frame and type(halted.stack[0].state) is Halt
+    # an SSTORE that clears a slot changes an account and refunds
+    cleared = step_one(make_frame("SSTORE", stack=(0, 0), storage={0: 5})).stack[0].state
+    assert type(cleared.sigma.get(SELF)) is Account and cleared.sigma.get(SELF).storage_get(0) == 0
+    assert type(cleared.eta) is TransactionEffects and cleared.eta.refund == 15000
+    logged = step_one(make_frame("LOG1", stack=(0, 0, 9))).stack[0].state
+    assert type(logged.eta) is TransactionEffects
+    assert logged.eta.logs == (LogEvent(SELF, (9,), b""),) and type(logged.eta.logs[0]) is LogEvent
+
+
+def test_an_absent_address_reads_as_one_shared_empty_account():
+    """account() gives the same empty account for every absent address, and
+    it is still empty after every corpus transaction and declared verdict
+    has run: no code writes an account's storage in place."""
+    sigma = GlobalState({1: _acct()})
+    empty = account(sigma, 2)
+    assert empty == Account() and account(sigma, 3) is empty
+    assert account(sigma.delete(1), 1) is empty
+    declared = 0
+    for f in load_corpus():
+        execute_transaction(f.tx, f.header, f.pre, ancestors=f.ancestors)
+        for prop, want in f.expect.get("verdicts", {}).items():
+            assert CHECKERS[prop](f.space(), f.contract(), f.checker_params).result == want
+            declared += 1
+    assert declared == 19
+    assert account(sigma, 2) is empty and empty == Account(0, 0, {}, b"")
 
 
 def test_records_keep_keyword_construction_and_repr():
