@@ -24,7 +24,7 @@ values, component values, variant indices, sample ids) that reproduce it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
 from typing import Optional, Sequence
@@ -73,7 +73,7 @@ class ScenarioSpace:
     component_values: dict = field(default_factory=dict)   # name -> [values]
     code_variants: dict = field(default_factory=dict)      # addr -> [codes]
     account_perturbations: dict = field(default_factory=dict)
-    finpot_samples: int = 8
+    finpot_samples: int = 8      # caps _finpot_samples, not the code variants' outcomes
     relaxed_gas: bool = False
 
     def __post_init__(self):
@@ -260,11 +260,12 @@ def check_stack_limit_compliance(space: ScenarioSpace, c: Contract) -> Verdict:
 
 
 def _entry_configs(space: ScenarioSpace, c: Contract):
-    """Configurations whose top frame is a freshly entered frame of c,
-    reached by driving the scenario once."""
+    """Freshly entered frames of c, each detached at its depth from the
+    frames below it, reached by driving the scenario once."""
 
     def entry(_index, before, _action, after):
-        return after if _entered(before, after) and after.top.contract == c else None
+        entered = _entered(before, after) and after.top.contract == c
+        return CallStack(after.top, None, after.depth) if entered else None
 
     tenv, stack, configs, complete = _scan(space, entry)
     if stack.top.contract == c:
@@ -400,8 +401,9 @@ def check_code_independence(space: ScenarioSpace, c: Contract, untrusted) -> Ver
 def _finpot_samples(c: Contract, callee_frame: Frame, space: ScenarioSpace):
     """Potential final states of an untrusted callee: exception, plus halting
     states with perturbed balances/nonces/storage of accounts other than c,
-    arbitrary return data and gas within the callee budget. c's own nonce,
-    storage and code stay fixed; existing code is never changed."""
+    arbitrary return data and gas within the callee budget, the first
+    space.finpot_samples of them. c's own nonce, storage and code stay
+    fixed; existing code is never changed."""
     st = callee_frame.state
     sigma, eta, budget = st.sigma, st.eta, st.mu.gas
     u_addr = callee_frame.contract[0] if callee_frame.contract else None
@@ -440,7 +442,10 @@ def _finpot_samples(c: Contract, callee_frame: Frame, space: ScenarioSpace):
 def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> Verdict:
     """At every call of c into an untrusted address, replacing the callee's
     outcome with any potential final state must leave c's continuation calls
-    unchanged."""
+    unchanged. The samples are the generic outcomes of _finpot_samples and
+    the outcome the callee realizes, run detached at its depth, under each
+    of its code variants; a variant run that exhausts the budget makes the
+    verdict incomplete."""
     untrusted = frozenset(untrusted)
 
     def call_site(_index, before, action, after):
@@ -455,10 +460,21 @@ def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> V
         """The run until the callee's return has been processed."""
         return run_to_depth(tenv, forked, forked.depth - 1, space.max_steps)[1]
 
-    forks = (((lambda l1, l2, idx=idx: {"call_site": idx, "samples": [l1, l2]}),
-              [(label, with_top_state(after, st))
-               for label, st in _finpot_samples(c, after.top, space)])
-             for idx, after in enumerate(call_sites))
+    forks = []
+    for idx, after in enumerate(call_sites):
+        samples = _finpot_samples(c, after.top, space)
+        entry, (u_addr, _code) = after.top
+        for i, code in enumerate(space.code_variants.get(u_addr, ())):
+            callee = Frame(entry._replace(iota=replace(entry.iota, code=code)), (u_addr, code))
+            try:
+                final, _trace = run_frame(tenv, CallStack(callee, None, after.depth),
+                                          space.max_steps)
+            except BudgetExhausted:
+                complete = False
+                continue
+            samples.append((f"variant{i}", final.top.state))
+        forks.append(((lambda l1, l2, idx=idx: {"call_site": idx, "samples": [l1, l2]}),
+                      [(label, with_top_state(after, st)) for label, st in samples]))
     return _compare_calls("effect-independence", space, c, continuation, forks, complete)
 
 

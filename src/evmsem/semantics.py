@@ -9,19 +9,19 @@ plain rule (constant cost, machine stack only) is defined by its kernel, the
 machine stack after it: `step` applies one kernel through `_plain`, and
 block mode applies the kernels of a straight-line run of plain rules in
 one call, from `_runs(code)`, the one table built per code. `iterate_steps`
-is the one loop over `step`; `run`, `run_to_depth`, `run_frame` and
-`run_with_local_updates` drain it to different depths, the last three in
-block mode, a run at a time. A local code update is a plain dict from
-address to code, which a drive hands only to the frame at its depth, the
-analyzed frame; its sub-executions run under the plain semantics. All of
-them are pure with respect to their inputs: all mutation happens on
+is the one loop over `step`: each drive finishes the bottom frame of its
+stack. `run_to_depth`, `run_frame` and `run_with_local_updates` drive, in
+block mode, the frames down to one, detached from those below it, which no
+step reads. A local code update, a dict from address to code, reaches only
+a drive's bottom frame, the analyzed frame, not its sub-executions. All
+of them are pure with respect to their inputs: all mutation happens on
 freshly copied snapshots, so checkers can fork execution at any
 configuration by keeping a reference to it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import bytecode as bc
@@ -74,14 +74,12 @@ def step(tenv: TransactionEnvironment, stack: CallStack,
 
 
 def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int,
-                  override: Optional[dict] = None, depth: int = 1,
-                  ops: bool = True) -> Iterator[tuple]:
+                  override: Optional[dict] = None, ops: bool = True) -> Iterator[tuple]:
     """Yield (index, stack_before, action, stack_after) for each step until
-    the frame at `depth` has finished (is Halt/Exc, its return not yet
-    processed) or the configuration is final, index counting every step
-    from 1; raise BudgetExhausted when max_steps steps end before that.
-    The local code update `override` reaches the steps and runs of the frame
-    at `depth` only: its sub-executions run under the plain semantics.
+    the bottom frame of `stack` has finished (a step's `final`), index
+    counting every step from 1; raise BudgetExhausted if max_steps steps end
+    first. The local code update `override` reaches the steps and runs of
+    the bottom frame only, not its sub-executions.
 
     This is the only loop over `step`. Block mode (ops=False, the checkers')
     yields no step tagged "op" and applies each run of `_runs` that
@@ -89,12 +87,11 @@ def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int
     changes the depth or finishes a frame, so the drive does not look after
     a run, and a run that outlasts the budget is applied whole and the drive
     raises, having yielded what it would one op at a time. After a run, the
-    next is looked for only when one starts at its end; after a step, a
-    drive to depth 1 with no update reads only the step's own `final`."""
-    if is_final(stack) or stack.depth == depth and stack.top.state.__class__ is not Regular:
+    next is looked for only when one starts at its end."""
+    if is_final(stack):
         return
-    index, look, watch = 0, not ops, depth > 1 or override is not None
-    ov = override if stack.depth == depth else None
+    index, look, watch = 0, not ops, override is not None
+    ov = override if stack.below is None else None
     while index < max_steps:
         if look:
             st = stack.top.state
@@ -110,9 +107,7 @@ def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int
         if final:
             return
         if watch:
-            if stack.depth == depth and stack.top.state.__class__ is not Regular:
-                return
-            ov = override if stack.depth == depth else None
+            ov = override if stack.below is None else None
     raise BudgetExhausted(f"no final configuration within {max_steps} steps")
 
 
@@ -122,6 +117,15 @@ def _drain(steps, stack):
     for _index, _before, action, stack in steps:
         trace.append(action)
     return stack, tuple(trace)
+
+
+def _detach(stack: CallStack, depth: int):
+    """(stack's frames down to the one at depth, on None; the cells below)."""
+    cells = [stack]
+    while cells[-1].depth > depth:
+        cells.append(cells[-1].below)
+    detached = reduce(lambda d, cell: CallStack(cell.top, d, cell.depth), reversed(cells), None)
+    return detached, cells[-1].below
 
 
 def run(tenv: TransactionEnvironment, stack: CallStack, max_steps: int):
@@ -134,13 +138,15 @@ def run_to_depth(tenv: TransactionEnvironment, stack: CallStack, depth: int,
                  max_steps: int):
     """Run, in block mode, until the stack has depth frames with Halt/Exc on
     top (the frame at that depth finalized, its return not yet processed)."""
-    return _drain(iterate_steps(tenv, stack, max_steps, None, depth, False), stack)
+    if not 1 <= depth <= stack.depth:
+        raise ValueError(f"depth {depth} is outside the stack's 1..{stack.depth}")
+    detached, below = _detach(stack, depth)
+    final, trace = _drain(iterate_steps(tenv, detached, max_steps, None, False), detached)
+    return CallStack(final.top, below, depth), trace
 
 
 def run_frame(tenv: TransactionEnvironment, stack: CallStack, max_steps: int):
-    """Run, in block mode, until the frame currently on top has become
-    Halt/Exc at the same depth (without processing its return); returns
-    (stack, trace)."""
+    """Run, in block mode, the top frame until it is Halt/Exc: run_to_depth at its depth."""
     return run_to_depth(tenv, stack, stack.depth, max_steps)
 
 
@@ -157,15 +163,16 @@ def run_with_local_updates(tenv: TransactionEnvironment, stack: CallStack,
     Returns (stack, trace, extended update).
     """
     base, f = stack.depth, dict(f)
+    stack, below = _detach(stack, base)
     trace = []
-    for _index, before, action, stack in iterate_steps(tenv, stack, max_steps, f, base, False):
+    for _index, before, action, stack in iterate_steps(tenv, stack, max_steps, f, False):
         trace.append(action)
         if before.depth > base and stack.depth == base and stack.top.state.__class__ is Regular:
             at_call = before.below.top.state.sigma       # the frame as it called
             for a, acct in stack.top.state.sigma.items():
                 if at_call.get(a) is None:
                     f.setdefault(a, acct.code)
-    return stack, tuple(trace), f
+    return CallStack(stack.top, below, base), tuple(trace), f
 
 
 # ---------------------------------------------------------------------------

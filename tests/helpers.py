@@ -113,15 +113,15 @@ def _next_shown(steps):
     return None
 
 
-def modes_in_lockstep(iterate_steps, tenv, stack, max_steps, override=None, depth=1):
+def modes_in_lockstep(iterate_steps, tenv, stack, max_steps, override=None):
     """Drive iterate_steps in block mode and, alongside it from the same
     stack, one op at a time; yield the block-mode steps, each checked to be
     the per-op drive's next non-op step (index, action and both stacks), and
     end or raise BudgetExhausted as the per-op drive does. The two drives
     advance together and share `override`, so a driver that extends the
     update between steps extends it for both."""
-    per_op = iterate_steps(tenv, stack, max_steps, override, depth, True)
-    block = iterate_steps(tenv, stack, max_steps, override, depth, False)
+    per_op = iterate_steps(tenv, stack, max_steps, override, True)
+    block = iterate_steps(tenv, stack, max_steps, override, False)
     known = {}
     while True:
         want, got = _next_shown(per_op), _next_shown(block)
@@ -137,10 +137,10 @@ def modes_in_lockstep(iterate_steps, tenv, stack, max_steps, override=None, dept
 
 def checking_block_mode(iterate_steps):
     """iterate_steps, with each block-mode drive checked by modes_in_lockstep."""
-    def checked(tenv, stack, max_steps, override=None, depth=1, ops=True):
+    def checked(tenv, stack, max_steps, override=None, ops=True):
         if ops:
-            return iterate_steps(tenv, stack, max_steps, override, depth, True)
-        return modes_in_lockstep(iterate_steps, tenv, stack, max_steps, override, depth)
+            return iterate_steps(tenv, stack, max_steps, override, True)
+        return modes_in_lockstep(iterate_steps, tenv, stack, max_steps, override)
     return checked
 
 

@@ -48,18 +48,18 @@ def _kept(steps, out: list):
         yield item
 
 
-def assert_modes_agree(tenv, stack, budget, override=None, depth=1):
+def assert_modes_agree(tenv, stack, budget, override=None):
     """Block mode yields per-op stepping's non-op steps, between the same
     stacks, and ends as it does (helpers.modes_in_lockstep); returns the
     per-op steps, kept from the per-op drive of that lockstep, which it
     drains."""
     per_op = []
 
-    def keeping(tenv, stack, max_steps, override, depth, ops):
-        steps = iterate_steps(tenv, stack, max_steps, override, depth, ops)
+    def keeping(tenv, stack, max_steps, override, ops):
+        steps = iterate_steps(tenv, stack, max_steps, override, ops)
         return _kept(steps, per_op) if ops else steps
 
-    _drive(modes_in_lockstep(keeping, tenv, stack, budget, override, depth))
+    _drive(modes_in_lockstep(keeping, tenv, stack, budget, override))
     return per_op
 
 
@@ -76,9 +76,9 @@ def _counting_steps(monkeypatch):
     return calls
 
 
-def assert_cuts_agree(tenv, stack, budgets, override=None, depth=1):
+def assert_cuts_agree(tenv, stack, budgets, override=None):
     for budget in budgets:
-        assert_modes_agree(tenv, stack, budget, override, depth)
+        assert_modes_agree(tenv, stack, budget, override)
 
 
 def _cuts(steps: int):
@@ -251,7 +251,7 @@ def test_extcodesize_in_a_run_under_a_local_code_update(monkeypatch):
     tenv, stack = make_env(), stack_of(frame, make_frame("STOP"))
     update = {OTHER: b"\x00\x00\x00"}
     assert len(semantics._runs(assemble(code))[0].ops) == 3
-    assert_modes_agree(tenv, stack, 100, update, 2)
+    assert_modes_agree(tenv, CallStack(frame, None, 2), 100, update)
     # the driver's own override view, stepped alongside one op at a time
     monkeypatch.setattr(semantics, "iterate_steps", checking_block_mode(iterate_steps))
     final, trace, ext = run_with_local_updates(tenv, stack, update, 100)
@@ -320,17 +320,34 @@ JUMPDEST\nSTOP
 
 
 def test_drives_stop_at_each_depth_of_a_self_call_chain():
-    # input 2: frames at depths 1, 2 and 3; a drive to depth d stops when the
-    # frame at depth d halts, its return not yet processed
+    # input 2: frames entered at depths 1, 2 and 3; a drive of each entry,
+    # detached at its depth, stops when that frame halts, its return not yet
+    # processed, where run_frame and run_to_depth stop on the full stack
     code = assemble(SELF_CHAIN)
     assert valid_jump_dests(code) == {0x22}
     stack = _frame_stack(code, sigma=make_state(code=code), input=(2).to_bytes(32, "big"))
     tenv = make_env()
+    entries = [stack] + [after for _i, before, _a, after in iterate_steps(tenv, stack, 1000)
+                         if after.depth > before.depth]
+    assert [entry.depth for entry in entries] == [1, 2, 3]
     stops = []
-    for depth in (1, 2, 3):
-        per_op = assert_modes_agree(tenv, stack, 1000, depth=depth)
+    for entry in entries:
+        detached = CallStack(entry.top, None, entry.depth)
+        per_op = assert_modes_agree(tenv, detached, 1000)
         index, _before, action, last = per_op[-1]
-        assert (last.depth, action.tag) == (depth, "halt")
-        assert_cuts_agree(tenv, stack, (index - 1, index, index + 1), depth=depth)
+        assert (last.depth, last.below, action.tag) == (entry.depth, None, "halt")
+        assert_cuts_agree(tenv, detached, (index - 1, index, index + 1))
+        trace = tuple(a for _i, _b, a, _s in per_op if a.tag != "op")
+        assert run_frame(tenv, entry, 1000) == (CallStack(last.top, entry.below, entry.depth),
+                                                trace)
+        # from the deepest entry's full stack, to this entry's depth
+        final, _trace = run_to_depth(tenv, entries[-1], entry.depth, 1000)
+        assert final == CallStack(last.top, entry.below, entry.depth)
         stops.append(index)
     assert stops[0] > stops[1] > stops[2]
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_run_to_depth_rejects_a_depth_outside_the_stack(depth):
+    with pytest.raises(ValueError, match="outside the stack"):
+        run_to_depth(make_env(), _frame_stack("STOP"), depth, 100)

@@ -420,6 +420,71 @@ def test_effect_independence_state_readback_violated():
     assert v.violated
 
 
+def _return_word(k):
+    return assemble(f"PUSH1 {hex(k)}\nPUSH1 0x00\nMSTORE\nPUSH1 0x20\nPUSH1 0x00\nRETURN")
+
+
+def _call_into_word0(gas):
+    # CALL U with gas, its output written to memory word 0, the flag popped
+    return ["PUSH1 0x20", "PUSH1 0x00", "PUSH1 0x00", "PUSH1 0x00", "PUSH1 0x00",
+            f"PUSH2 {hex(U)}", gas, "CALL", "POP"]
+
+
+def _word0_gate(k):
+    # CALL W only if memory word 0 holds k
+    return ["PUSH1 0x00", "MLOAD", f"PUSH1 {hex(k)}", "EQ", "PUSH1 @w", "JUMPI", "STOP",
+            "LABEL w", "JUMPDEST", *_const_call(W), "STOP"]
+
+
+def test_effect_independence_samples_a_storage_key_of_the_callee():
+    # U returns its slot 5; c calls it twice and calls W only if the second
+    # call returns 7. Only the sample that clears U's slot 5 at the first
+    # call changes what the second returns
+    code = asm([*_call_into_word0("PUSH2 0x2710"), *_call_into_word0("PUSH2 0x2710"),
+                *_word0_gate(7)])
+    callee = assemble("PUSH1 0x05\nSLOAD\nPUSH1 0x00\nMSTORE\nPUSH1 0x20\nPUSH1 0x00\nRETURN")
+    accounts = {C: Account(0, 0, {}, code), U: Account(0, 0, {5: 7}, callee),
+                W: Account(0, 0, {}, b"")}
+    v = check_effect_independence(space_for(accounts, C, relaxed_gas=True), (C, code), [U])
+    assert v.violated
+    assert (v.witness["call_site"], v.witness["samples"]) == (0, ["exc", "halt_flip[5]"])
+
+
+def _returned_word_gate():
+    # c calls U with all its gas and calls W only if U returned the word 2;
+    # U's code variants return the words 0 and 2
+    code = asm([*_call_into_word0("GAS"), *_word0_gate(2)])
+    accounts = {C: Account(0, 0, {}, code), U: Account(0, 0, {}, _return_word(0)),
+                W: Account(0, 0, {}, b"")}
+    return code, accounts, {U: [_return_word(0), _return_word(2)]}
+
+
+def test_theorem1_never_weaker_than_direct_on_a_returned_word():
+    # no generic sample returns the word 2; the outcome U realizes under its
+    # second code variant does
+    code, accounts, variants = _returned_word_gate()
+    space = space_for(accounts, C, code_variants=variants)
+    assert check_call_integrity(space, (C, code), [U], "direct").violated
+    t1 = check_call_integrity(space, (C, code), [U], "theorem1")
+    assert t1.violated and t1.explored_complete
+    assert t1.witness["failing_conjuncts"] == ["effect-independence"]
+    assert t1.witness["conjunct_witnesses"]["effect-independence"]["samples"] == [
+        "exc", "variant1"]
+    # the cap on the generic samples does not cut the variants'
+    capped = replace(space, finpot_samples=2)
+    assert check_effect_independence(capped, (C, code), [U]).violated
+
+
+def test_effect_independence_variant_run_out_of_budget_is_incomplete():
+    # U's second variant loops until its gas runs out, past the step budget:
+    # its sample is left out, and the verdict says the space is incomplete
+    code, accounts, _variants = _returned_word_gate()
+    variants = {U: [_return_word(0), assemble("JUMPDEST\nPUSH1 0x00\nJUMP")]}
+    space = space_for(accounts, C, code_variants=variants, max_steps=500)
+    v = check_effect_independence(space, (C, code), [U])
+    assert v.result == "holds" and not v.explored_complete
+
+
 def test_finpot_samples_below_two_rejected():
     # an exception and one halt are the fewest outcomes that compare anything
     stop = assemble("STOP")

@@ -68,10 +68,29 @@ def _cut(old_depth: int, new_depth: int):
     return cut if 0 <= cut <= 2 else None
 
 
-def _frames_like(new: CallStack, old: CallStack, old_frames: tuple) -> tuple:
-    """The frames of new, the successor of old whose frames are old_frames.
-    When new's cells below its top are old's (shown by `is`), their frames
-    are a suffix of old_frames; otherwise every cell is walked."""
+def _padded(stack: CallStack):
+    """(the frames of stack, top first, padded to its depth with its bottom
+    frame; the pad's length). The frozen core reads a stack's depth as its
+    length, so a detached stack needs frames below its bottom one; no step
+    reads them."""
+    fs = tuple(frames(stack))
+    pad = stack.depth - len(fs)
+    return fs + fs[-1:] * pad, pad
+
+
+def _unpadded(padded: tuple, pad: int) -> CallStack:
+    """The inverse of _padded: the detached stack of padded less its pad."""
+    stack = None
+    for depth, frame in enumerate(reversed(padded[:len(padded) - pad]), start=pad + 1):
+        stack = CallStack(frame, stack, depth)
+    return stack
+
+
+def _frames_like(new: CallStack, old: CallStack, old_frames: tuple, pad: int) -> tuple:
+    """The frames of new, the successor of old whose frames are old_frames,
+    padded as old's are by their last `pad`. When new's cells below its top
+    are old's (shown by `is`), their frames are a suffix of old_frames;
+    otherwise every cell is walked."""
     cut = _cut(old.depth, new.depth)
     if cut is not None:
         rest = old
@@ -79,7 +98,7 @@ def _frames_like(new: CallStack, old: CallStack, old_frames: tuple) -> tuple:
             rest = rest.below
         if new.below is rest:
             return (new.top,) + old_frames[cut:]
-    return tuple(frames(new))
+    return tuple(frames(new)) + old_frames[len(old_frames) - pad:]
 
 
 def _stack_like(new_frames: tuple, old: CallStack, old_frames: tuple) -> CallStack:
@@ -96,32 +115,36 @@ def _stack_like(new_frames: tuple, old: CallStack, old_frames: tuple) -> CallSta
 
 class Lockstep:
     """Counts the steps compared and the deepest call stack reached, and
-    keeps the frames of the last successor, from which a run goes on."""
+    keeps the padded frames of the last successor, from which a run goes on."""
 
     def __init__(self):
         self.steps = 0
         self.deepest = 0
-        self.last = None, ()
+        self.last = None, (), 0
 
     def frames_of(self, stack: CallStack) -> tuple:
-        last, last_frames = self.last
-        return last_frames if stack is last else tuple(frames(stack))
+        """_padded(stack)."""
+        last, last_frames, pad = self.last
+        return (last_frames, pad) if stack is last else _padded(stack)
 
 
 @pytest.fixture
 def lockstep(monkeypatch):
-    """Route every step evmsem takes through both cores and compare them."""
+    """Route every step evmsem takes through both cores and compare them. A
+    detached stack goes to the frozen core padded to its depth; a step that
+    finishes its bottom frame is final, where the frozen core's is not."""
     new_step = semantics.step
     seen = Lockstep()
 
     def both(tenv, stack, override=None):
         out = new_step(tenv, stack, override)
-        before = seen.frames_of(stack)
+        before, pad = seen.frames_of(stack)
         ref = frozen.step(tenv, before, override)
-        after = _frames_like(out.stack, stack, before)
+        after = _frames_like(out.stack, stack, before, pad)
+        final = len(ref.stack) == pad + 1 and not isinstance(ref.stack[0].state, Regular)
         # the records are tuples, and tuple equality ignores the class: a
         # Halt with the same field values would equal a Regular
-        if ((after, out.action, out.final) != (ref.stack, ref.action, ref.final)
+        if ((after, out.action, out.final) != (ref.stack, ref.action, final)
                 or out.stack.depth != len(ref.stack)
                 or [type(f.state) for f in after[:2]]
                 != [type(f.state) for f in ref.stack[:2]]):
@@ -129,7 +152,7 @@ def lockstep(monkeypatch):
                                  f" {out.action} != {ref.action}")
         seen.steps += 1
         seen.deepest = max(seen.deepest, out.stack.depth)
-        seen.last = out.stack, after
+        seen.last = out.stack, after, pad
         return out
 
     monkeypatch.setattr(semantics, "step", both)
@@ -307,14 +330,15 @@ def _verdicts(fixture):
 
 def _frozen_driver(name: str):
     """The frozen driver `name` as the checkers call it: with a CallStack,
-    returning one. It steps the frozen core one op at a time; the checkers
-    read its trace only through `project`, which drops the plain ops that
-    block mode leaves out. A local code update, a dict in evmsem, goes to
-    the frozen core in its CodeOverride."""
+    padded to its depth, returning one. It steps the frozen core one op at
+    a time; the checkers read its trace only through `project`, which drops
+    the plain ops that block mode leaves out. A local code update, a dict in
+    evmsem, goes to the frozen core in its CodeOverride."""
     def driver(tenv, stack, *args):
         args = [frozen.CodeOverride(a) if isinstance(a, dict) else a for a in args]
-        final, *rest = getattr(frozen, name)(tenv, tuple(frames(stack)), *args)
-        return (stack_of(*final), *rest)
+        padded, pad = _padded(stack)
+        final, *rest = getattr(frozen, name)(tenv, padded, *args)
+        return (_unpadded(final, pad), *rest)
     return driver
 
 
@@ -347,3 +371,35 @@ def test_corpus_checkers_step_alike_and_agree(lockstep, monkeypatch):
         monkeypatch.setattr(checkers, name, _frozen_driver(name))
     monkeypatch.setattr(checkers, "iterate_steps", _frozen_iterate_steps)
     assert {f.name: _verdicts(f) for f in corpus} == new
+
+
+# deep_recursion's entries compared with the frozen core: the first two, the
+# middle one and the last two of its 1,024 (a frozen run of every one takes
+# minutes, each an O(depth) tuple copy per step)
+DEEP_ENTRIES = (0, 1, 511, 1022, 1023)
+
+
+def test_entry_frames_run_detached_as_on_the_full_stack():
+    # every entry configuration of c the checkers run, detached from the
+    # frames below it, gives the frozen run_frame's non-op trace, final top
+    # frame and depth on the full tuple stack
+    checked = Counter()
+    for f in load_corpus():
+        space, c = f.space(), f.contract()
+
+        def entry(_index, before, _action, after):
+            return after if checkers._entered(before, after) and after.top.contract == c else None
+
+        tenv, stack, full, complete = checkers._scan(space, entry)
+        full = [stack] * (stack.top.contract == c) + full
+        _tenv, detached, _complete = checkers._entry_configs(space, c)
+        assert complete and [(d.top, d.below, d.depth) for d in detached] == [
+            (e.top, None, e.depth) for e in full]
+        for i in DEEP_ENTRIES if f.name in SLOW_FIXTURES else range(len(full)):
+            final, trace = semantics.run_frame(tenv, detached[i], space.max_steps)
+            want, want_trace = frozen.run_frame(tenv, tuple(frames(full[i])), space.max_steps)
+            assert trace == tuple(a for a in want_trace if a.tag != "op"), (f.name, i)
+            assert (final.top, type(final.top.state), final.depth) == (
+                want[0], type(want[0].state), len(want)), (f.name, i)
+            checked[f.name in SLOW_FIXTURES] += 1
+    assert checked == {False: 46, True: 5}
