@@ -24,10 +24,10 @@ values, component values, variant indices, sample ids) that reproduce it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .semantics import (BudgetExhausted, iterate_steps, run_frame, run_to_depth,
                         run_with_local_updates)
@@ -38,8 +38,7 @@ from .transaction import Transaction, t_init
 from .words import address_to_hex
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     property_name: str
     result: str                  # "holds" | "violated"
     witness: Optional[dict] = None
@@ -398,6 +397,10 @@ def check_code_independence(space: ScenarioSpace, c: Contract, untrusted) -> Ver
     return _compare_calls("code-independence", space, c, drive, forks, complete)
 
 
+def _with_code(sigma: GlobalState, addr: int, code: bytes) -> GlobalState:
+    return sigma.put(addr, account(sigma, addr).with_code(code))
+
+
 def _finpot_samples(c: Contract, callee_frame: Frame, space: ScenarioSpace):
     """Potential final states of an untrusted callee: exception, plus halting
     states with perturbed balances/nonces/storage of accounts other than c,
@@ -444,8 +447,9 @@ def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> V
     outcome with any potential final state must leave c's continuation calls
     unchanged. The samples are the generic outcomes of _finpot_samples and
     the outcome the callee realizes, run detached at its depth, under each
-    of its code variants; a variant run that exhausts the budget makes the
-    verdict incomplete."""
+    of its code variants, with the variant at its address in the global
+    state too and its real code put back in a halting outcome's; a variant
+    run that exhausts the budget makes the verdict incomplete."""
     untrusted = frozenset(untrusted)
 
     def call_site(_index, before, action, after):
@@ -463,16 +467,21 @@ def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> V
     forks = []
     for idx, after in enumerate(call_sites):
         samples = _finpot_samples(c, after.top, space)
-        entry, (u_addr, _code) = after.top
+        entry, (u_addr, real) = after.top
         for i, code in enumerate(space.code_variants.get(u_addr, ())):
-            callee = Frame(entry._replace(iota=replace(entry.iota, code=code)), (u_addr, code))
+            callee = Frame(entry._replace(iota=entry.iota._replace(code=code),
+                                          sigma=_with_code(entry.sigma, u_addr, code)),
+                           (u_addr, code))
             try:
                 final, _trace = run_frame(tenv, CallStack(callee, None, after.depth),
                                           space.max_steps)
             except BudgetExhausted:
                 complete = False
                 continue
-            samples.append((f"variant{i}", final.top.state))
+            st = final.top.state
+            if isinstance(st, Halt):
+                st = st._replace(sigma=_with_code(st.sigma, u_addr, real))
+            samples.append((f"variant{i}", st))
         forks.append(((lambda l1, l2, idx=idx: {"call_site": idx, "samples": [l1, l2]}),
                       [(label, with_top_state(after, st)) for label, st in samples]))
     return _compare_calls("effect-independence", space, c, continuation, forks, complete)
@@ -505,7 +514,7 @@ def check_call_integrity(space: ScenarioSpace, c: Contract, untrusted,
     def drive(mapping):
         sigma = space.pre
         for addr, code in mapping.items():
-            sigma = sigma.put(addr, account(sigma, addr).with_code(code))
+            sigma = _with_code(sigma, addr, code)
         tenv, stack = _initial_config(space, sigma)
         return run_frame(tenv, stack, space.max_steps)[1]
 

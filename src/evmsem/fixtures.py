@@ -183,7 +183,7 @@ _HEADER_KEYS = {"parent": (_WORD, "0x0"), "beneficiary": (_ADDRESS, "0x0"),
 # an ancestor is a header and its hash, read as the pair (hash, header)
 _ANCESTOR_LIST = _list(_record(lambda hash, **h: (hash, BlockHeader(**h)),
                                {"hash": (_WORD, _REQUIRED), **_HEADER_KEYS},
-                               parts=lambda pair: {"hash": pair[0], **vars(pair[1])}))
+                               parts=lambda pair: {"hash": pair[0], **pair[1]._asdict()}))
 
 # `pre` reads an absent account key as its default; `expect.post` checks
 # only the keys it gives
@@ -233,7 +233,7 @@ _SECTIONS = _record(dict, {
     "pre": (_map(_ADDRESS, _record(_pre_account, _ACCOUNT_KEYS, parts=Account._asdict),
                  make=GlobalState, sort=True), {}),
     "tx": (_TX, _REQUIRED),
-    "header": (_record(BlockHeader, _HEADER_KEYS), {}),
+    "header": (_record(BlockHeader, _HEADER_KEYS, parts=BlockHeader._asdict), {}),
     "ancestors": (((lambda v, what: dict(_ANCESTOR_LIST[0](v, what))),
                    lambda v: _ANCESTOR_LIST[1](sorted(v.items()))), []),
     "expect": (_fields(_EXPECT_KEYS), {}),

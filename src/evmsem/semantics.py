@@ -135,13 +135,14 @@ def run(tenv: TransactionEnvironment, stack: CallStack, max_steps: int):
 
 
 def run_to_depth(tenv: TransactionEnvironment, stack: CallStack, depth: int,
-                 max_steps: int):
+                 max_steps: int, override: Optional[dict] = None):
     """Run, in block mode, until the stack has depth frames with Halt/Exc on
-    top (the frame at that depth finalized, its return not yet processed)."""
+    top (the frame at that depth finalized, its return not yet processed),
+    the local code update `override` reaching that frame only."""
     if not 1 <= depth <= stack.depth:
         raise ValueError(f"depth {depth} is outside the stack's 1..{stack.depth}")
     detached, below = _detach(stack, depth)
-    final, trace = _drain(iterate_steps(tenv, detached, max_steps, None, False), detached)
+    final, trace = _drain(iterate_steps(tenv, detached, max_steps, override, False), detached)
     return CallStack(final.top, below, depth), trace
 
 
@@ -152,27 +153,10 @@ def run_frame(tenv: TransactionEnvironment, stack: CallStack, max_steps: int):
 
 def run_with_local_updates(tenv: TransactionEnvironment, stack: CallStack,
                            f: dict, max_steps: int):
-    """Run the top frame, in block mode, to a final state under a local code
-    update f, a partial map address -> code.
-
-    The update feeds EXTCODESIZE/EXTCODECOPY of the analyzed frame, the one
-    on top, only; its sub-executions run under the plain semantics. After
-    each one returns, a copy of the update is extended with the accounts it
-    created, the update's own entries winning; f itself is not changed.
-
-    Returns (stack, trace, extended update).
-    """
-    base, f = stack.depth, dict(f)
-    stack, below = _detach(stack, base)
-    trace = []
-    for _index, before, action, stack in iterate_steps(tenv, stack, max_steps, f, False):
-        trace.append(action)
-        if before.depth > base and stack.depth == base and stack.top.state.__class__ is Regular:
-            at_call = before.below.top.state.sigma       # the frame as it called
-            for a, acct in stack.top.state.sigma.items():
-                if at_call.get(a) is None:
-                    f.setdefault(a, acct.code)
-    return CallStack(stack.top, below, base), tuple(trace), f
+    """run_frame under a local code update f, a partial map address -> code,
+    which feeds EXTCODESIZE/EXTCODECOPY of the top frame only; its
+    sub-executions run under the plain semantics. Returns (stack, trace)."""
+    return run_to_depth(tenv, stack, stack.depth, max_steps, f)
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +516,9 @@ def _call(r, st, tenv, stack, override):
 
 def callee_frame(gas: int, env: tuple, sigma: GlobalState, eta, contract) -> Frame:
     """The frame a transaction, a call or a create starts: pc 0, empty memory
-    and stack, labelled with its contract (None for init code), and the fields
-    env, set without ExecutionEnvironment's frozen __init__ (slow setattrs)."""
-    iota = object.__new__(ExecutionEnvironment)
-    d = iota.__dict__
-    d["actor"], d["input"], d["sender"], d["value"], d["code"] = env
+    and stack, labelled with its contract (None for init code), and the
+    ExecutionEnvironment fields env."""
+    iota = _new(ExecutionEnvironment, env)
     mu = _new(MachineState, (gas, 0, b"", 0, ()))
     return _new(Frame, (_new(Regular, (mu, iota, sigma, eta)), contract))
 

@@ -4,19 +4,14 @@ annotated call stacks.
 
 Everything here is treated as an immutable snapshot: mutators return new
 objects and share unchanged substructure, which is what makes forking a
-configuration (and exception rollback) cheap. The records a step builds
-(`MachineState`, `Regular`, `Halt`, `Frame`, `Account`,
-`TransactionEffects`) are NamedTuples, which are cheaper to build and
-smaller than frozen dataclasses; the core builds them with tuple.__new__,
-and other code changes a field with `._replace`. `ExecutionEnvironment`
-stays a frozen dataclass, because the frozen oracle rebuilds callee
-environments with `dataclasses.replace`; so do the records built once per
-transaction (`BlockHeader`, `TransactionEnvironment`).
+configuration (and exception rollback) cheap. Every record here is a
+NamedTuple, which is cheaper to build and smaller than a frozen
+dataclass; the core builds them with tuple.__new__, and other code changes
+a field with `._replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .words import Address, Word256
@@ -183,8 +178,7 @@ class TransactionEffects(NamedTuple):
 EMPTY_EFFECTS = TransactionEffects()
 
 
-@dataclass(frozen=True)
-class BlockHeader:
+class BlockHeader(NamedTuple):
     parent: Word256 = 0
     beneficiary: Address = 0
     difficulty: Word256 = 0
@@ -193,33 +187,32 @@ class BlockHeader:
     timestamp: Word256 = 0
 
 
-@dataclass(frozen=True)
-class TransactionEnvironment:
+class TransactionEnvironment(NamedTuple):
     origin: Address
     gas_price: Word256
     header: BlockHeader
-    # hash -> header chain for BLOCKHASH; empty means no known ancestors
-    ancestors: dict = field(default_factory=dict, compare=False)
+    # hash -> header chain for BLOCKHASH; empty means no known ancestors.
+    # Never written in place: environments built without one share the default.
+    ancestors: dict = {}
 
 
 # the components a miner or sender controls, which env-independence varies
-ENV_COMPONENTS = ("origin", "gasprice") + tuple(f.name for f in fields(BlockHeader))
+ENV_COMPONENTS = ("origin", "gasprice") + BlockHeader._fields
 
 
 def env_with_component(tenv: TransactionEnvironment, name: str, value: int) -> TransactionEnvironment:
     """tenv with one of the ENV_COMPONENTS set to value."""
     if name == "origin":
-        return replace(tenv, origin=value)
+        return tenv._replace(origin=value)
     if name == "gasprice":
-        return replace(tenv, gas_price=value)
+        return tenv._replace(gas_price=value)
     if name not in ENV_COMPONENTS:
         raise ValueError(f"unknown environment component {name!r}; choose from "
                          f"{', '.join(sorted(ENV_COMPONENTS))}")
-    return replace(tenv, header=replace(tenv.header, **{name: value}))
+    return tenv._replace(header=tenv.header._replace(**{name: value}))
 
 
-@dataclass(frozen=True)
-class ExecutionEnvironment:
+class ExecutionEnvironment(NamedTuple):
     actor: Address
     input: bytes
     sender: Address

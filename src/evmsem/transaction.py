@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .gas import SCHEDULE
 from .rlp import fresh_address
@@ -35,8 +35,7 @@ class Transaction:
             raise ValueError("call transaction needs a recipient")
 
 
-@dataclass(frozen=True)
-class Receipt:
+class Receipt(NamedTuple):
     status: str                # "success" | "exception" | "invalid"
     gas_used: int
     logs: tuple

@@ -13,7 +13,7 @@ reference to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from evmsem import bytecode as bc
@@ -619,12 +619,12 @@ def _do_call(tenv, stack, name, op):
         else:
             code = b""
             sigma2 = debited.put(to_a, Account(0, va, {}, b""))
-        iota_new = replace(iota, sender=iota.actor, actor=to_a,
-                           value=va, input=data, code=code)
+        iota_new = iota._replace(sender=iota.actor, actor=to_a,
+                                 value=va, input=data, code=code)
     else:  # CALLCODE: run the code in the caller's context, no transfer
         code = callee.code if callee is not None else b""
         sigma2 = sigma
-        iota_new = replace(iota, sender=iota.actor, value=va, input=data, code=code)
+        iota_new = iota._replace(sender=iota.actor, value=va, input=data, code=code)
     callee_frame = Frame(Regular(mu_new, iota_new, sigma2, eta), (to_a, code))
     return ((callee_frame,) + stack, Action(name, c, args, "enter"))
 
@@ -649,7 +649,7 @@ def _do_delegatecall(tenv, stack):
     code = callee.code if callee is not None else b""
     data = memory_read(mu.memory, io, isz)
     mu_new = MachineState(cc, 0, b"", 0, ())
-    iota_new = replace(iota, input=data, code=code)
+    iota_new = iota._replace(input=data, code=code)
     callee_frame = Frame(Regular(mu_new, iota_new, sigma, eta), (to_a, code))
     return ((callee_frame,) + stack, Action("DELEGATECALL", c, args, "enter"))
 
@@ -682,8 +682,8 @@ def _do_create(tenv, stack):
                         Account(actor_acct.nonce + 1, actor_balance - va,
                                 actor_acct.storage, actor_acct.code)))
     init_code = memory_read(mu.memory, io, isz)
-    iota_new = replace(iota, sender=iota.actor, actor=rho,
-                       value=va, code=init_code, input=b"")
+    iota_new = iota._replace(sender=iota.actor, actor=rho,
+                             value=va, code=init_code, input=b"")
     mu_new = MachineState(l_all_but_one_64th(mu.gas - cost), 0, b"", 0, ())
     callee_frame = Frame(Regular(mu_new, iota_new, sigma2, eta), None)
     return ((callee_frame,) + stack, Action("CREATE", c, args, "enter"))

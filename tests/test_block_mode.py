@@ -254,10 +254,10 @@ def test_extcodesize_in_a_run_under_a_local_code_update(monkeypatch):
     assert_modes_agree(tenv, CallStack(frame, None, 2), 100, update)
     # the driver's own override view, stepped alongside one op at a time
     monkeypatch.setattr(semantics, "iterate_steps", checking_block_mode(iterate_steps))
-    final, trace, ext = run_with_local_updates(tenv, stack, update, 100)
+    final, trace = run_with_local_updates(tenv, stack, update, 100)
     assert [a.op for a in trace] == ["STOP"]      # a trace without plain ops
     assert final.top.state.sigma.get(frame.contract[0]).storage_get(0) == 3
-    assert ext == update
+    assert update == {OTHER: b"\x00\x00\x00"}     # the caller's update is not changed
 
 
 @pytest.mark.parametrize("below", [0, 1], ids=["alone", "above-a-frame"])
@@ -273,11 +273,11 @@ def test_a_local_code_update_does_not_reach_a_sub_execution(monkeypatch, below):
     tenv, stack = make_env(), stack_of(frame, *[make_frame("STOP")] * below)
     update = {OTHER: b"\x00\x00\x00"}
     monkeypatch.setattr(semantics, "iterate_steps", checking_block_mode(iterate_steps))
-    final, trace, ext = run_with_local_updates(tenv, stack, update, 100)
+    final, trace = run_with_local_updates(tenv, stack, update, 100)
     assert [a.op for a in trace] == ["CALL", "STOP", "CALLRET", "STOP"]
     slot0 = [final.top.state.sigma.get(a).storage_get(0) for a in (frame.contract[0], callee)]
     assert slot0 == [3, 1]
-    assert ext == update
+    assert update == {OTHER: b"\x00\x00\x00"}
 
 
 def test_a_budget_that_ends_partway_through_a_run():

@@ -1,8 +1,6 @@
 """CALL/CALLCODE/DELEGATECALL/CREATE rules: entry, every call-time exception,
 both return rules, rollback, and the printed differences between the flavors."""
 
-from dataclasses import FrozenInstanceError, replace
-
 import pytest
 
 from evmsem import rlp, semantics
@@ -116,10 +114,10 @@ def test_callee_environment_is_the_callers_with_the_call_fields_replaced(op):
     st = step_one(frame).stack[0].state
     iota, code = frame.state.iota, assemble("STOP")
     assert st.iota == {
-        "CALL": replace(iota, sender=SELF, actor=CALLEE, value=7, input=b"\xaa\x00",
-                        code=code),
-        "CALLCODE": replace(iota, sender=SELF, value=7, input=b"\xaa\x00", code=code),
-        "DELEGATECALL": replace(iota, input=b"\xaa\x00", code=code),
+        "CALL": iota._replace(sender=SELF, actor=CALLEE, value=7, input=b"\xaa\x00",
+                              code=code),
+        "CALLCODE": iota._replace(sender=SELF, value=7, input=b"\xaa\x00", code=code),
+        "DELEGATECALL": iota._replace(input=b"\xaa\x00", code=code),
     }[op]
     if op != "CALL":
         assert st.sigma is frame.state.sigma
@@ -127,8 +125,8 @@ def test_callee_environment_is_the_callers_with_the_call_fields_replaced(op):
 
 @pytest.mark.parametrize("op", ["CALL", "CALLCODE", "DELEGATECALL", "CREATE"])
 def test_the_callee_environment_is_the_one_its_constructor_builds(op):
-    # the step builds it without the generated __init__; the record must
-    # still be a frozen ExecutionEnvironment like any other
+    # the step builds it with tuple.__new__, skipping the constructor; the
+    # record must still be a read-only ExecutionEnvironment like any other
     if op == "CREATE":
         frame = create_frame(va=9, init="PUSH1 0x00\nPUSH1 0x00\nRETURN")
     else:
@@ -139,9 +137,9 @@ def test_the_callee_environment_is_the_one_its_constructor_builds(op):
     built = ExecutionEnvironment(iota.actor, iota.input, iota.sender, iota.value, iota.code)
     assert type(iota) is ExecutionEnvironment
     assert iota == built and hash(iota) == hash(built) and repr(iota) == repr(built)
-    assert list(vars(iota).items()) == list(vars(built).items())
-    assert replace(iota, value=5) == replace(built, value=5) != iota
-    with pytest.raises(FrozenInstanceError):
+    assert list(iota._asdict().items()) == list(built._asdict().items())
+    assert iota._replace(value=5) == built._replace(value=5) != iota
+    with pytest.raises(AttributeError):
         iota.value = 5
 
 
@@ -500,23 +498,27 @@ def test_override_does_not_change_called_code():
     assert callee.state.iota.code == assemble("STOP")   # from sigma, not f
 
 
-def _creating_frame(tail: str = "STOP"):
-    """SELF, at nonce 3, creates an account with empty code, then runs tail."""
-    init_code = assemble("PUSH1 0x00\nPUSH1 0x00\nRETURN")
+def _creating_frame(tail: str = "STOP", init: str = "PUSH1 0x00\nPUSH1 0x00\nRETURN"):
+    """SELF, at nonce 3, creates an account whose init code is init (by
+    default, one that deposits empty code), then runs tail."""
+    init_code = assemble(init)
     mem = {i: b for i, b in enumerate(init_code) if b}
     code = assemble(f"PUSH1 {hex(len(init_code))}\nPUSH1 0x00\nPUSH1 0x00\nCREATE\n{tail}")
     sigma = GlobalState({SELF: Account(3, 100, {}, code)})
     return make_frame(code, gas=200_000, sigma=sigma, memory=mem, active_words=1)
 
 
-def test_run_with_local_updates_extends_after_create():
-    # SELF creates an account, then the override gains its (empty) code
-    update = {}
-    stack, trace, f = run_with_local_updates(make_env(), stack_of(_creating_frame()), update,
-                                             1000)
+def test_a_local_code_update_reads_the_code_a_frame_created():
+    # SELF creates an account whose init code deposits 0xaabb; under an
+    # update that does not name it, EXTCODESIZE of it reads that code
+    deposit = "PUSH2 0xaabb\nPUSH1 0x00\nMSTORE\nPUSH1 0x02\nPUSH1 0x1e\nRETURN"
+    frame = _creating_frame("EXTCODESIZE\nPUSH1 0x00\nSSTORE\nSTOP", deposit)
+    update = {OTHER: b"\x01"}
+    stack, trace = run_with_local_updates(make_env(), stack_of(frame), update, 1000)
     assert isinstance(stack[0].state, Halt)
-    assert f == {fresh_address(SELF, 3): b""}
-    assert update == {}                       # the caller's update is not changed
+    assert stack[0].state.sigma.get(fresh_address(SELF, 3)).code == b"\xaa\xbb"
+    assert stack[0].state.sigma.get(SELF).storage_get(0) == 2
+    assert update == {OTHER: b"\x01"}          # the caller's update is not changed
 
 
 def test_an_override_entry_at_a_created_address_wins():
@@ -525,8 +527,8 @@ def test_an_override_entry_at_a_created_address_wins():
     rho = fresh_address(SELF, 3)
     update = {rho: b"\xaa\xbb", OTHER: b"\x01"}
     frame = _creating_frame("EXTCODESIZE\nPUSH1 0x00\nSSTORE\nSTOP")
-    stack, trace, f = run_with_local_updates(make_env(), stack_of(frame), update, 1000)
-    assert f == update
+    stack, trace = run_with_local_updates(make_env(), stack_of(frame), update, 1000)
+    assert update == {rho: b"\xaa\xbb", OTHER: b"\x01"}
     assert stack[0].state.sigma.get(SELF).storage_get(0) == 2
     assert stack[0].state.sigma.get(rho).code == b""
 

@@ -485,6 +485,39 @@ def test_effect_independence_variant_run_out_of_budget_is_incomplete():
     assert v.result == "holds" and not v.explored_complete
 
 
+# U returns EXTCODESIZE(ADDRESS): its code variants are this code and the
+# same code plus three STOPs, 10 and 13 bytes long
+_SELF_SIZE = "ADDRESS\nEXTCODESIZE\nPUSH1 0x00\nMSTORE\nPUSH1 0x20\nPUSH1 0x00\nRETURN"
+_SELF_SIZES = [assemble(_SELF_SIZE), assemble(_SELF_SIZE + "\nSTOP" * 3)]
+
+
+def test_effect_independence_runs_a_variant_that_reads_its_own_code():
+    # c calls W only if U returns 13, the longer variant's length, which
+    # only a U that reads the variant at its own address returns
+    code = asm([*_call_into_word0("GAS"), *_word0_gate(13)])
+    accounts = {C: Account(0, 0, {}, code), U: Account(0, 0, {}, _SELF_SIZES[0]),
+                W: Account(0, 0, {}, b"")}
+    space = space_for(accounts, C, code_variants={U: _SELF_SIZES})
+    for mode in ("direct", "theorem1"):
+        v = check_call_integrity(space, (C, code), [U], mode)
+        assert v.violated and v.explored_complete, mode
+    assert v.witness["failing_conjuncts"] == ["effect-independence"]
+    assert v.witness["conjunct_witnesses"]["effect-independence"]["samples"] == [
+        "exc", "variant1"]
+
+
+def test_effect_independence_puts_the_callees_real_code_back():
+    # after the call, c calls W only if U's code is 13 bytes long: no
+    # outcome of U changes its code, so the variant's code must not stay
+    code = asm([*_call_into_word0("GAS"), f"PUSH2 {hex(U)}", "EXTCODESIZE", "PUSH1 0x00",
+                "MSTORE", *_word0_gate(13)])
+    accounts = {C: Account(0, 0, {}, code), U: Account(0, 0, {}, _SELF_SIZES[0]),
+                W: Account(0, 0, {}, b"")}
+    space = space_for(accounts, C, code_variants={U: _SELF_SIZES})
+    v = check_effect_independence(space, (C, code), [U])
+    assert v.result == "holds" and v.explored_complete
+
+
 def test_finpot_samples_below_two_rejected():
     # an exception and one halt are the fewest outcomes that compare anything
     stop = assemble("STOP")

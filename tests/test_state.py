@@ -3,14 +3,15 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from evmsem.checkers import CHECKERS
+from evmsem.checkers import CHECKERS, Verdict
 from evmsem.fixtures import load_corpus
 from evmsem.semantics import StepOutcome, step
-from evmsem.state import (EXC, Account, Frame, GlobalState, Halt, LogEvent, MachineState,
-                          Regular, TransactionEffects, account, frames, memory_read,
-                          memory_write, validate_stack, with_top_state)
+from evmsem.state import (ENV_COMPONENTS, EXC, Account, BlockHeader, ExecutionEnvironment, Frame,
+                          GlobalState, Halt, LogEvent, MachineState, Regular, TransactionEffects,
+                          TransactionEnvironment, account, env_with_component, frames,
+                          memory_read, memory_write, validate_stack, with_top_state)
 from evmsem.traces import Action
-from evmsem.transaction import execute_transaction
+from evmsem.transaction import Receipt, execute_transaction
 from helpers import (SELF, make_env, make_frame, stack_diff, stack_of, state_eq_up_to,
                      step_one, substack)
 
@@ -354,7 +355,10 @@ def _records():
     return [(st.mu, "gas", 9), (st, "mu", MachineState(9, 1, b"", 0, ())), (halt, "gas", 6),
             (frame, "state", halt), (action, "tag", "exc"),
             (step_one(frame), "final", True), (_acct(), "balance", 11),
-            (TransactionEffects(1, (), frozenset({7})), "refund", 3)]
+            (TransactionEffects(1, (), frozenset({7})), "refund", 3), (st.iota, "value", 5),
+            (make_env(ancestors={0x77: BlockHeader()}), "gas_price", 9),
+            (BlockHeader(number=8), "timestamp", 7), (Receipt("success", 21000, ()), "gas_used", 1),
+            (Verdict("stack-limit", "holds"), "result", "violated")]
 
 
 @pytest.mark.parametrize("record, name, value", _records(),
@@ -413,3 +417,49 @@ def test_records_keep_keyword_construction_and_repr():
     assert repr(mu) == "MachineState(gas=1, pc=2, memory=b'', active_words=0, stack=(3,))"
     assert repr(Frame(EXC, None)) == "Frame(state=EXC, contract=None)"
     assert repr(Action("STOP", None)) == "Action(op='STOP', contract=None, args=(), tag='op')"
+    iota = ExecutionEnvironment(actor=1, input=b"", sender=2, value=3, code=b"\x00")
+    assert iota == ExecutionEnvironment(1, b"", 2, 3, b"\x00")
+    assert repr(iota) == ("ExecutionEnvironment(actor=1, input=b'', sender=2, value=3, "
+                          "code=b'\\x00')")
+    header = BlockHeader(number=8)
+    assert header == BlockHeader(0, 0, 0, 8, 0, 0)
+    assert repr(header) == ("BlockHeader(parent=0, beneficiary=0, difficulty=0, number=8, "
+                            "gaslimit=0, timestamp=0)")
+    tenv = TransactionEnvironment(origin=1, gas_price=2, header=header)
+    assert tenv == TransactionEnvironment(1, 2, header, {}) and tenv.ancestors == {}
+    assert repr(tenv) == (f"TransactionEnvironment(origin=1, gas_price=2, header={header!r}, "
+                          "ancestors={})")
+    receipt = Receipt(status="success", gas_used=21000, logs=())
+    assert receipt == Receipt("success", 21000, (), None, b"")
+    assert repr(receipt) == ("Receipt(status='success', gas_used=21000, logs=(), created=None, "
+                             "output=b'')")
+    verdict = Verdict(property_name="stack-limit", result="holds")
+    assert verdict == Verdict("stack-limit", "holds", None, True, "") and not verdict.violated
+    assert repr(verdict) == ("Verdict(property_name='stack-limit', result='holds', witness=None, "
+                             "explored_complete=True, notes='')")
+
+
+# ---------------------------------------------------------------------------
+# the transaction environment's components
+
+
+def _components(tenv) -> dict:
+    """Each of the ENV_COMPONENTS with its value in tenv."""
+    return {"origin": tenv.origin, "gasprice": tenv.gas_price, **tenv.header._asdict()}
+
+
+@pytest.mark.parametrize("name", ENV_COMPONENTS)
+def test_env_with_component_changes_that_component_only(name):
+    ancestors = {0x77: BlockHeader(parent=0x66, number=7)}
+    tenv = make_env(header=BlockHeader(1, 2, 3, 4, 5, 6), ancestors=ancestors)
+    changed = env_with_component(tenv, name, 99)
+    assert set(_components(tenv)) == set(ENV_COMPONENTS)
+    assert _components(changed) == {**_components(tenv), name: 99} != _components(tenv)
+    assert changed.ancestors is ancestors
+    assert type(changed) is TransactionEnvironment and type(changed.header) is BlockHeader
+
+
+def test_env_with_component_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown environment component 'weather'") as e:
+        env_with_component(make_env(), "weather", 1)
+    assert all(name in str(e.value) for name in ENV_COMPONENTS)
