@@ -24,15 +24,15 @@ values, component values, variant indices, sample ids) that reproduce it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 from .semantics import (BudgetExhausted, iterate_steps, run_frame, run_to_depth,
                         run_with_local_updates)
-from .state import (EXC, Account, BlockHeader, CallStack, Contract, Frame, GlobalState, Halt,
-                    Regular, account, env_with_component, frames, with_top_state)
+from .state import (CALL_DEPTH_LIMIT, EXC, Account, BlockHeader, CallStack, Contract, Frame,
+                    GlobalState, Halt, Regular, account, env_with_component, frames,
+                    with_top_state)
 from .traces import action_to_json, calls_of, first_divergence, project
 from .transaction import Transaction, t_init
 from .words import address_to_hex
@@ -59,27 +59,20 @@ class Verdict(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class ScenarioSpace:
+class ScenarioSpace(NamedTuple):
     """A concrete initial fixture plus the finite generator sets the
-    falsifiers draw their variants from."""
+    falsifiers draw their variants from; its {} defaults are shared, never
+    written."""
     pre: GlobalState
     tx: Transaction
     header: BlockHeader
-    ancestors: dict = field(default_factory=dict)
+    ancestors: dict = {}
     max_steps: int = 200_000
     gas_values: tuple = ()
-    component_values: dict = field(default_factory=dict)   # name -> [values]
-    code_variants: dict = field(default_factory=dict)      # addr -> [codes]
-    account_perturbations: dict = field(default_factory=dict)
-    finpot_samples: int = 8      # caps _finpot_samples, not the code variants' outcomes
+    component_values: dict = {}         # name -> [values]
+    code_variants: dict = {}            # addr -> [codes]
+    account_perturbations: dict = {}
     relaxed_gas: bool = False
-
-    def __post_init__(self):
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
-        if self.finpot_samples < 2:
-            raise ValueError("finpot_samples must be at least 2")
 
 
 def _initial_config(space: ScenarioSpace, pre: GlobalState):
@@ -243,11 +236,11 @@ def check_fuelled_calls(space: ScenarioSpace, c: Contract) -> Verdict:
 
 def check_stack_limit_compliance(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a call-time exception is pushed with the residual stack
-    at the 1024-frame limit while c is on it."""
+    at the call-depth limit while c is on it."""
 
     def watch(index, before, action, after):
         if (after.depth == before.depth + 1 and after.top.state is EXC
-                and before.depth == 1024 and _on_stack(c, before)):
+                and before.depth == CALL_DEPTH_LIMIT and _on_stack(c, before)):
             return index, action, {"residual_depth": before.depth}
         return None
 
@@ -401,11 +394,14 @@ def _with_code(sigma: GlobalState, addr: int, code: bytes) -> GlobalState:
     return sigma.put(addr, account(sigma, addr).with_code(code))
 
 
-def _finpot_samples(c: Contract, callee_frame: Frame, space: ScenarioSpace):
+FINPOT_SAMPLES = 8    # caps _finpot_samples, not the code variants' outcomes
+
+
+def _finpot_samples(c: Contract, callee_frame: Frame):
     """Potential final states of an untrusted callee: exception, plus halting
     states with perturbed balances/nonces/storage of accounts other than c,
     arbitrary return data and gas within the callee budget, the first
-    space.finpot_samples of them. c's own nonce, storage and code stay
+    FINPOT_SAMPLES of them. c's own nonce, storage and code stay
     fixed; existing code is never changed."""
     st = callee_frame.state
     sigma, eta, budget = st.sigma, st.eta, st.mu.gas
@@ -439,7 +435,7 @@ def _finpot_samples(c: Contract, callee_frame: Frame, space: ScenarioSpace):
         halts.append(("halt_new_acct",
                       Halt(sigma.put(probe, Account(0, 1, {}, b"")), budget, b"", eta)))
     samples.extend(halts)
-    return samples[:space.finpot_samples]
+    return samples[:FINPOT_SAMPLES]
 
 
 def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> Verdict:
@@ -466,7 +462,7 @@ def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> V
 
     forks = []
     for idx, after in enumerate(call_sites):
-        samples = _finpot_samples(c, after.top, space)
+        samples = _finpot_samples(c, after.top)
         entry, (u_addr, real) = after.top
         for i, code in enumerate(space.code_variants.get(u_addr, ())):
             callee = Frame(entry._replace(iota=entry.iota._replace(code=code),

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .bytecode import AsmError, assemble, disassemble_text
@@ -90,7 +89,7 @@ def cmd_check(args) -> int:
     if checker is None:
         raise ValueError(f"unknown property {args.property!r}; choose from "
                          f"{', '.join(sorted(CHECKERS))}")
-    fixture = replace(fixture, checker_params=params)
+    fixture = fixture._replace(checker_params=params)
     verdict = checker(fixture.space(args.relaxed_gas), fixture.contract(), params)
     print(json.dumps(verdict.to_json(), indent=1))
     if args.expect:

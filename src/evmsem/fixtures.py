@@ -8,14 +8,13 @@ string or {"asm": "<assembly text>"}.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bytecode import BYTE_TO_MNEMONIC, assemble, instructions
 from .checkers import CHECKERS, ScenarioSpace
 from .state import Account, BlockHeader, GlobalState, account
-from .transaction import TYPE_CALL, TYPE_CREATE, Transaction, Receipt
+from .transaction import Transaction, Receipt
 from .words import (address_to_hex, bytes_to_hex, hex_to_address, hex_to_bytes,
                     hex_to_word, word_to_hex)
 
@@ -24,15 +23,15 @@ class FixtureError(ValueError):
     pass
 
 
-@dataclass
-class Fixture:
+class Fixture(NamedTuple):
+    """A scenario and what it expects; its {} defaults are shared, never written."""
     name: str
     pre: GlobalState
     tx: Transaction
     header: BlockHeader
-    ancestors: dict = field(default_factory=dict)
-    expect: dict = field(default_factory=dict)
-    checker_params: dict = field(default_factory=dict)
+    ancestors: dict = {}
+    expect: dict = {}
+    checker_params: dict = {}
 
     def space(self, relaxed_gas: bool = False) -> ScenarioSpace:
         """The scenario with the generator sets checker_params names;
@@ -57,7 +56,7 @@ class Fixture:
 
 # checker_params key -> the ScenarioSpace field it sets
 _SPACE_FIELDS = {"components": "component_values", **{k: k for k in (
-    "max_steps", "gas_values", "code_variants", "account_perturbations", "finpot_samples")}}
+    "max_steps", "gas_values", "code_variants", "account_perturbations")}}
 
 _JSON_TYPES = {dict: "a JSON object", list: "a JSON array", int: "an integer"}
 
@@ -126,7 +125,7 @@ def _fields(table):
 _REQUIRED = object()    # the default of a key that must be given
 
 
-def _record(make, table, names=None, parts=vars):
+def _record(make, table, names=None, parts=lambda record: record._asdict()):
     """A JSON object read as make(**fields) and written from parts(record). table maps
     each JSON key to (codec, the JSON an absent key reads as, or _REQUIRED); names maps a
     key to its field where the two differ. Other keys are ignored; None is not written."""
@@ -158,13 +157,11 @@ def _one_of(*names):
     return decode, str
 
 
-def _at_least(low: int, must: str):
-    """An integer that must not be below `low`; `must` says so in the error."""
-    def decode(v, what):
-        if _typed(v, int, what) < low:
-            raise ValueError(f"{what} must be {must}")
-        return v
-    return decode, int
+def _max_steps(v, what):
+    """A step budget, which must be a positive integer."""
+    if _typed(v, int, what) < 1:
+        raise ValueError(f"{what} must be positive")
+    return v
 
 
 _NAME = _leaf(str, str)
@@ -196,11 +193,21 @@ def _pre_account(storage, **rest) -> Account:
     return Account(storage={k: v for k, v in storage.items() if v}, **rest)
 
 
-_TX = _record(Transaction, {
-    "type": (_one_of(TYPE_CALL, TYPE_CREATE), TYPE_CALL), "nonce": (_WORD, "0x0"),
+def _transaction(type, **fields) -> Transaction:
+    """A transaction is a create exactly when it names no recipient; "type" must agree."""
+    if type == "create" and fields["to"] is not None:
+        raise ValueError("create transaction must not name a recipient")
+    if type == "call" and fields["to"] is None:
+        raise ValueError("call transaction needs a recipient")
+    return Transaction(**fields)
+
+
+_TX = _record(_transaction, {
+    "type": (_one_of("call", "create"), "call"), "nonce": (_WORD, "0x0"),
     "gasprice": (_WORD, "0x0"), "gaslimit": (_WORD, _REQUIRED), "value": (_WORD, "0x0"),
     "sender": (_ADDRESS, _REQUIRED), "input": (_BYTES, "0x"), "to": (_OPTIONAL_ADDRESS, None),
-}, names={"gasprice": "gas_price", "gaslimit": "gas_limit"})
+}, names={"gasprice": "gas_price", "gaslimit": "gas_limit"},
+    parts=lambda tx: {**tx._asdict(), "type": "create" if tx.to is None else "call"})
 
 _CHECKER_PARAMS = _fields({
     "contract": _ADDRESS,
@@ -213,8 +220,7 @@ _CHECKER_PARAMS = _fields({
     "account_perturbations": _fields({"balance_deltas": _list(_INT),
                                       "nonce_bumps": _list(_INT),
                                       "storage_set": _map(_WORD, _WORD)}),
-    "max_steps": _at_least(1, "positive"),
-    "finpot_samples": _at_least(2, "at least 2"),
+    "max_steps": (_max_steps, int),
     "mode": _one_of("direct", "theorem1"),
 })
 
@@ -230,10 +236,10 @@ _EXPECT_KEYS = {
 
 # the fixture's sections, read as Fixture's fields
 _SECTIONS = _record(dict, {
-    "pre": (_map(_ADDRESS, _record(_pre_account, _ACCOUNT_KEYS, parts=Account._asdict),
+    "pre": (_map(_ADDRESS, _record(_pre_account, _ACCOUNT_KEYS),
                  make=GlobalState, sort=True), {}),
     "tx": (_TX, _REQUIRED),
-    "header": (_record(BlockHeader, _HEADER_KEYS, parts=BlockHeader._asdict), {}),
+    "header": (_record(BlockHeader, _HEADER_KEYS), {}),
     "ancestors": (((lambda v, what: dict(_ANCESTOR_LIST[0](v, what))),
                    lambda v: _ANCESTOR_LIST[1](sorted(v.items()))), []),
     "expect": (_fields(_EXPECT_KEYS), {}),

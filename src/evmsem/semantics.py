@@ -78,8 +78,9 @@ def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int
     """Yield (index, stack_before, action, stack_after) for each step until
     the bottom frame of `stack` has finished (a step's `final`), index
     counting every step from 1; raise BudgetExhausted if max_steps steps end
-    first. The local code update `override` reaches the steps and runs of
-    the bottom frame only, not its sub-executions.
+    first, and ValueError, before any step, if max_steps is not positive.
+    The local code update `override` reaches the steps and runs of the
+    bottom frame only, not its sub-executions.
 
     This is the only loop over `step`. Block mode (ops=False, the checkers')
     yields no step tagged "op" and applies each run of `_runs` that
@@ -88,6 +89,8 @@ def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int
     a run, and a run that outlasts the budget is applied whole and the drive
     raises, having yielded what it would one op at a time. After a run, the
     next is looked for only when one starts at its end."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
     if is_final(stack):
         return
     index, look, watch = 0, not ops, override is not None

@@ -4,10 +4,10 @@ annotated call stacks.
 
 Everything here is treated as an immutable snapshot: mutators return new
 objects and share unchanged substructure, which is what makes forking a
-configuration (and exception rollback) cheap. Every record here is a
-NamedTuple, which is cheaper to build and smaller than a frozen
-dataclass; the core builds them with tuple.__new__, and other code changes
-a field with `._replace`.
+configuration (and exception rollback) cheap. Every record of the package
+is a NamedTuple, which is cheaper to build and smaller than a dataclass,
+and checks none of its input; the core builds them with tuple.__new__,
+and other code changes a field with `._replace`.
 """
 
 from __future__ import annotations

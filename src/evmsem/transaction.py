@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .gas import SCHEDULE
@@ -11,28 +10,15 @@ from .semantics import callee_frame, deposit_code, open_account, run
 from .state import (EMPTY_EFFECTS, BlockHeader, CallStack, ExcState, GlobalState, Halt,
                     TransactionEnvironment, charge, credit)
 
-TYPE_CALL = "call"
-TYPE_CREATE = "create"
 
-
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     nonce: int
     gas_price: int
     gas_limit: int
-    to: Optional[int]          # absent for create transactions
+    to: Optional[int]          # None exactly for a create transaction
     value: int
     sender: int
     input: bytes
-    type: str = TYPE_CALL
-
-    def __post_init__(self):
-        if self.type not in (TYPE_CALL, TYPE_CREATE):
-            raise ValueError(f"unknown transaction type {self.type!r}")
-        if self.type == TYPE_CREATE and self.to is not None:
-            raise ValueError("create transaction must not name a recipient")
-        if self.type == TYPE_CALL and self.to is None:
-            raise ValueError("call transaction needs a recipient")
 
 
 class Receipt(NamedTuple):
@@ -59,7 +45,7 @@ class Receipt(NamedTuple):
 
 
 def intrinsic_gas(tx: Transaction) -> int:
-    if tx.type == TYPE_CREATE:
+    if tx.to is None:
         return SCHEDULE["tx_intrinsic_create"]
     return SCHEDULE["tx_intrinsic_call"]
 
@@ -84,7 +70,7 @@ def t_init(tx: Transaction, header: BlockHeader, sigma: GlobalState,
 
     tenv = TransactionEnvironment(tx.sender, tx.gas_price, header, ancestors or {})
     sigma0 = charge(sigma, tx.sender, upfront)
-    if tx.type == TYPE_CALL:
+    if tx.to is not None:
         sigma0 = credit(sigma0, tx.to, tx.value)
         code = sigma0.get(tx.to).code
         env, contract, created = (tx.to, tx.input, tx.sender, tx.value, code), (tx.to, code), None
@@ -106,7 +92,7 @@ def t_final(final_state, tx: Transaction, sigma_pre: GlobalState,
 
     assert isinstance(final_state, Halt)
     sigma, gas_rem, data, eta = final_state
-    if tx.type == TYPE_CREATE:
+    if tx.to is None:
         deposit = deposit_code(final_state, created)
         if deposit is None:
             return _finalize_exception(tx, sigma_pre, beneficiary)

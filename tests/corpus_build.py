@@ -386,10 +386,9 @@ def _base_header(timestamp=0x3E8):
                        number=1, gaslimit=10_000_000, timestamp=timestamp)
 
 
-def _tx(to, gas_limit, value=0, input_=b"", sender=EOA, nonce=0, type_="call"):
-    return Transaction(nonce=nonce, gas_price=1, gas_limit=gas_limit,
-                       to=to if type_ == "call" else None, value=value,
-                       sender=sender, input=input_, type=type_)
+def _tx(to, gas_limit, value=0, input_=b"", sender=EOA, nonce=0):
+    return Transaction(nonce=nonce, gas_price=1, gas_limit=gas_limit, to=to, value=value,
+                       sender=sender, input=input_)
 
 
 def _fixture(name, accounts, tx, expect=None, checker_params=None,

@@ -3,7 +3,6 @@ monitors-don't-alter-execution invariant."""
 
 import json
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -65,8 +64,7 @@ def test_single_entrancy_guarded_holds_across_gas_range():
     f = corpus_fixture("reentrant_fp")
     base = f.space()
     for gas_limit in range(21_000, 121_000, 4_000):
-        tx = type(f.tx)(**{**f.tx.__dict__, "gas_limit": gas_limit})
-        space = type(base)(**{**base.__dict__, "tx": tx})
+        space = base._replace(tx=f.tx._replace(gas_limit=gas_limit))
         v = check_single_entrancy(space, f.contract())
         assert v.result == "holds", gas_limit
 
@@ -262,8 +260,8 @@ def test_account_state_guard_flag_is_dependence():
     # restrict the perturbation set to the flag flip alone
     f = corpus_fixture("reentrant_fp")
     space = f.space()
-    space = type(space)(**{**space.__dict__, "account_perturbations": {
-        "balance_deltas": [], "nonce_bumps": [], "storage_set": {0: 1}}})
+    space = space._replace(account_perturbations={
+        "balance_deltas": [], "nonce_bumps": [], "storage_set": {0: 1}})
     v = check_account_state_independence(space, f.contract())
     assert v.violated
     assert "storage" in v.witness["perturbation"]
@@ -459,7 +457,7 @@ def _returned_word_gate():
     return code, accounts, {U: [_return_word(0), _return_word(2)]}
 
 
-def test_theorem1_never_weaker_than_direct_on_a_returned_word():
+def test_theorem1_never_weaker_than_direct_on_a_returned_word(monkeypatch):
     # no generic sample returns the word 2; the outcome U realizes under its
     # second code variant does
     code, accounts, variants = _returned_word_gate()
@@ -471,8 +469,8 @@ def test_theorem1_never_weaker_than_direct_on_a_returned_word():
     assert t1.witness["conjunct_witnesses"]["effect-independence"]["samples"] == [
         "exc", "variant1"]
     # the cap on the generic samples does not cut the variants'
-    capped = replace(space, finpot_samples=2)
-    assert check_effect_independence(capped, (C, code), [U]).violated
+    monkeypatch.setattr(checkers, "FINPOT_SAMPLES", 2)
+    assert check_effect_independence(space, (C, code), [U]).violated
 
 
 def test_effect_independence_variant_run_out_of_budget_is_incomplete():
@@ -516,15 +514,6 @@ def test_effect_independence_puts_the_callees_real_code_back():
     space = space_for(accounts, C, code_variants={U: _SELF_SIZES})
     v = check_effect_independence(space, (C, code), [U])
     assert v.result == "holds" and v.explored_complete
-
-
-def test_finpot_samples_below_two_rejected():
-    # an exception and one halt are the fewest outcomes that compare anything
-    stop = assemble("STOP")
-    for n in (-1, 0, 1):
-        with pytest.raises(ValueError, match="finpot_samples must be at least 2"):
-            space_for({C: Account(0, 0, {}, stop)}, C, finpot_samples=n)
-    assert space_for({C: Account(0, 0, {}, stop)}, C, finpot_samples=2).finpot_samples == 2
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +574,7 @@ def test_paired_witness_replays():
     comp = v.witness["component"]
     pair = [int(x, 16) for x in v.witness["values"]]
     space = f.space()
-    narrowed = type(space)(**{**space.__dict__, "component_values": {comp: pair}})
+    narrowed = space._replace(component_values={comp: pair})
     again = check_env_independence(narrowed, f.contract(), [comp])
     assert again.violated
     assert again.witness["first_divergence"] == v.witness["first_divergence"]
@@ -593,8 +582,7 @@ def test_paired_witness_replays():
     g = corpus_fixture("bank_atomicity")
     va = check_atomicity(g.space(), g.contract())
     assert va.violated
-    narrowed = type(space)(**{**g.space().__dict__,
-                              "gas_values": tuple(va.witness["gas_pair"])})
+    narrowed = g.space()._replace(gas_values=tuple(va.witness["gas_pair"]))
     assert check_atomicity(narrowed, g.contract()).violated
 
 
@@ -608,9 +596,10 @@ def _reversed(space: ScenarioSpace):
     """space with gas_values, each component's values and each code-variant
     list reversed, or None when that changes nothing. Every corpus list
     has at most two entries, so reversing is the only other order."""
-    moved = replace(space, gas_values=space.gas_values[::-1],
-                    component_values={k: v[::-1] for k, v in space.component_values.items()},
-                    code_variants={a: v[::-1] for a, v in space.code_variants.items()})
+    moved = space._replace(
+        gas_values=space.gas_values[::-1],
+        component_values={k: v[::-1] for k, v in space.component_values.items()},
+        code_variants={a: v[::-1] for a, v in space.code_variants.items()})
     return None if moved == space else moved
 
 
@@ -650,7 +639,7 @@ def test_complete_verdicts_are_monotone_in_the_budget():
         if not json.loads(verdict_json)["explored_complete"]:
             continue
         space = f.space()
-        got = checkers.CHECKERS[prop](replace(space, max_steps=2 * space.max_steps),
+        got = checkers.CHECKERS[prop](space._replace(max_steps=2 * space.max_steps),
                                       f.contract(), f.checker_params)
         assert json.dumps(got.to_json()) == verdict_json, (f.name, prop)
         compared += 1
@@ -667,8 +656,9 @@ def _widened(space: ScenarioSpace):
     def widen(values):
         return type(values)((max(values) + 1, *values)) if values else values
 
-    return replace(space, gas_values=widen(space.gas_values),
-                   component_values={k: widen(v) for k, v in space.component_values.items()})
+    return space._replace(gas_values=widen(space.gas_values),
+                          component_values={k: widen(v)
+                                            for k, v in space.component_values.items()})
 
 
 def test_violations_are_monotone_in_the_generator_sets():

@@ -41,7 +41,7 @@ EVERY_PARAM = {
     "code_variants": {"0xbb": ["0x00", {"asm": "STOP"}]},
     "account_perturbations": {"balance_deltas": [1, -2], "nonce_bumps": [3],
                               "storage_set": {"0x0": "0x1", "0x5": "0x0"}},
-    "max_steps": 5000, "finpot_samples": 3, "mode": "theorem1",
+    "max_steps": 5000, "mode": "theorem1",
 }
 
 
@@ -58,15 +58,26 @@ def test_every_checker_param_round_trips():
     assert p["code_variants"] == {0xBB: [b"\x00", b"\x00"]}
     assert p["account_perturbations"] == {"balance_deltas": [1, -2], "nonce_bumps": [3],
                                           "storage_set": {0: 1, 5: 0}}
-    assert (p["max_steps"], p["finpot_samples"], p["mode"]) == (5000, 3, "theorem1")
+    assert (p["max_steps"], p["mode"]) == (5000, "theorem1")
     space = f.space()
-    assert (space.max_steps, space.finpot_samples) == (5000, 3)
+    assert space.max_steps == 5000
     assert space.component_values == p["components"]
     j1 = fixture_to_json(f)
     j2 = fixture_to_json(parse_fixture(copy.deepcopy(j1), "params"))
     assert j2 == j1
     assert j1["checker_params"]["account_perturbations"]["storage_set"] == {"0x0": "0x1",
                                                                           "0x5": "0x0"}
+
+
+def test_finpot_samples_is_passed_through_unread():
+    # the cap on effect independence's generic samples is checkers.FINPOT_SAMPLES
+    obj = json.loads((corpus_dir() / "bob_mallory.json").read_text())
+    plain = parse_fixture(copy.deepcopy(obj), "bob")
+    obj["checker_params"]["finpot_samples"] = 1
+    named = parse_fixture(copy.deepcopy(obj), "bob")
+    assert named.checker_params["finpot_samples"] == 1
+    assert named.space() == plain.space()
+    assert fixture_to_json(named)["checker_params"]["finpot_samples"] == 1
 
 
 def _addr(short):
@@ -96,7 +107,7 @@ def test_every_scenario_key_round_trips():
     assert f.pre.get(0xAA) == Account()
     assert f.expect["post"] == {0xC0: {"storage": {1: 0}}}
     assert f.tx == Transaction(nonce=2, gas_price=3, gas_limit=0x186A0, to=None, value=4,
-                               sender=0xAA, input=b"\x60\x01", type="create")
+                               sender=0xAA, input=b"\x60\x01")
     assert f.header == BlockHeader(parent=0x11, beneficiary=0xBE, difficulty=0x22, number=8,
                                    gaslimit=0x989680, timestamp=0x3E8)
     assert f.ancestors == {0x77: BlockHeader(0x66, 0xBE, 1, 7, 5, 9), 0x66: BlockHeader()}
@@ -123,7 +134,7 @@ def test_absent_scenario_keys_read_as_their_defaults():
     f = parse_fixture({"tx": {"gaslimit": "0x5", "sender": "0xaa", "to": "0xc0"}}, "defaults")
     assert f.pre == {} and f.ancestors == {} and f.expect == {} and f.checker_params == {}
     assert f.tx == Transaction(nonce=0, gas_price=0, gas_limit=5, to=0xC0, value=0,
-                               sender=0xAA, input=b"", type="call")
+                               sender=0xAA, input=b"")
     assert f.header == BlockHeader()
     assert fixture_to_json(f) == {
         "name": "defaults",
@@ -155,6 +166,9 @@ def test_fixture_parse_errors():
     with pytest.raises(FixtureError, match="must not name a recipient"):
         parse_fixture({"pre": {}, "tx": {"gaslimit": "0x0", "sender": "0x0",
                                          "to": "0xbb", "type": "create"}}, "createto")
+    for tx in ({"type": "call"}, {}):
+        with pytest.raises(FixtureError, match="call transaction needs a recipient"):
+            parse_fixture({"tx": {"gaslimit": "0x0", "sender": "0x0", **tx}}, "callnoto")
 
 
 def test_expectations_checker():
@@ -284,7 +298,7 @@ def test_create_type_fixture_runs(tmp_path, capsys):
     path = tmp_path / "create.json"
     path.write_text(json.dumps(obj))
     f = parse_fixture(path)
-    assert f.tx.type == "create" and f.tx.to is None
+    assert f.tx.to is None
     assert main(["run", str(path), "--expect"]) == 0
     assert "expectations match" in capsys.readouterr().out
     # a created of none is JSON null, in the fixture and in the mismatch
@@ -566,7 +580,7 @@ def _replaced(value, path, new):
 WELL_FORMED = json.loads((corpus_dir() / "bob_mallory.json").read_text())
 WELL_FORMED["ancestors"] = [{"hash": "0x77", "parent": "0x66", "number": "0x8"}]
 WELL_FORMED["checker_params"].update({
-    "gas_values": ["0x5000", "0x9000"], "max_steps": 5000, "finpot_samples": 3,
+    "gas_values": ["0x5000", "0x9000"], "max_steps": 5000,
     "components": {"timestamp": ["0x1", "0x2"]},
     "account_perturbations": {"balance_deltas": [1], "nonce_bumps": [2],
                               "storage_set": {"0x0": "0x1"}}})
@@ -622,18 +636,6 @@ def test_cli_check_unknown_fixture_component_exit_2(tmp_path, capsys, values):
                                         {"foo": values})))
     assert main(["check", "env-independence", str(bad)]) == 2
     assert "unknown environment component" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("samples", [-1, 0, 1])
-def test_cli_check_finpot_samples_below_two_exit_2(tmp_path, capsys, samples):
-    # effect independence needs an exception and at least one halt to compare
-    fixture = json.loads((corpus_dir() / "bob_mallory.json").read_text())
-    fixture["checker_params"]["finpot_samples"] = samples
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(fixture))
-    assert main(["check", "effect-independence", str(bad)]) == 2
-    assert capsys.readouterr().err == (
-        "error: bad: checker_params.finpot_samples must be at least 2\n")
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

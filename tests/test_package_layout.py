@@ -1,6 +1,7 @@
 """The installed package holds only what runs: every module under
 `src/evmsem` is reached, through its imports, from the package itself or
-from the command-line front end. Code that only tests call lives in tests/."""
+from the command-line front end. Code that only tests call lives in tests/.
+And it has one record kind, the NamedTuple: no module imports dataclasses."""
 
 import ast
 from importlib.util import resolve_name
@@ -40,3 +41,10 @@ def test_every_package_module_is_reached_from_an_entry_point():
             reached.add(name)
             todo.extend(_imported_names(modules[name], name))
     assert sorted(set(modules) - reached) == []
+
+
+def test_no_package_module_imports_dataclasses():
+    importers = [name for name, path in ((_module_name(p), p) for p in PACKAGE.rglob("*.py"))
+                 if any(n.partition(".")[0] == "dataclasses"
+                        for n in _imported_names(path, name))]
+    assert importers == []

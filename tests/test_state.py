@@ -3,15 +3,15 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from evmsem.checkers import CHECKERS, Verdict
-from evmsem.fixtures import load_corpus
+from evmsem.checkers import CHECKERS, ScenarioSpace, Verdict
+from evmsem.fixtures import Fixture, load_corpus
 from evmsem.semantics import StepOutcome, step
 from evmsem.state import (ENV_COMPONENTS, EXC, Account, BlockHeader, ExecutionEnvironment, Frame,
                           GlobalState, Halt, LogEvent, MachineState, Regular, TransactionEffects,
                           TransactionEnvironment, account, env_with_component, frames,
                           memory_read, memory_write, validate_stack, with_top_state)
 from evmsem.traces import Action
-from evmsem.transaction import Receipt, execute_transaction
+from evmsem.transaction import Receipt, Transaction, execute_transaction
 from helpers import (SELF, make_env, make_frame, stack_diff, stack_of, state_eq_up_to,
                      step_one, substack)
 
@@ -347,18 +347,27 @@ def test_global_state_copy_on_write():
 # the records built on every step
 
 
+def _transaction(**kw):
+    return Transaction(**{"nonce": 0, "gas_price": 1, "gas_limit": 21000, "to": SELF,
+                          "value": 0, "sender": 2, "input": b"", **kw})
+
+
 def _records():
     frame = make_frame("PUSH1 0x01\nSTOP", stack=(7,))
     st = frame.state
     halt = Halt(st.sigma, 5, b"\x01", st.eta)
     action = Action("ADD", frame.contract, (1, 2))
+    space = ScenarioSpace(pre=st.sigma, tx=_transaction(), header=BlockHeader())
     return [(st.mu, "gas", 9), (st, "mu", MachineState(9, 1, b"", 0, ())), (halt, "gas", 6),
             (frame, "state", halt), (action, "tag", "exc"),
             (step_one(frame), "final", True), (_acct(), "balance", 11),
             (TransactionEffects(1, (), frozenset({7})), "refund", 3), (st.iota, "value", 5),
             (make_env(ancestors={0x77: BlockHeader()}), "gas_price", 9),
             (BlockHeader(number=8), "timestamp", 7), (Receipt("success", 21000, ()), "gas_used", 1),
-            (Verdict("stack-limit", "holds"), "result", "violated")]
+            (Verdict("stack-limit", "holds"), "result", "violated"),
+            (_transaction(), "to", None), (space, "max_steps", 9),
+            (Fixture(name="f", pre=st.sigma, tx=space.tx, header=space.header), "expect",
+             {"status": "success"})]
 
 
 @pytest.mark.parametrize("record, name, value", _records(),
@@ -401,14 +410,32 @@ def test_an_absent_address_reads_as_one_shared_empty_account():
     empty = account(sigma, 2)
     assert empty == Account() and account(sigma, 3) is empty
     assert account(sigma.delete(1), 1) is empty
+    assert _run_the_corpus() == 19
+    assert account(sigma, 2) is empty and empty == Account(0, 0, {}, b"")
+
+
+def _run_the_corpus() -> int:
+    """Run every corpus transaction and declared verdict; the number of verdicts."""
     declared = 0
     for f in load_corpus():
         execute_transaction(f.tx, f.header, f.pre, ancestors=f.ancestors)
         for prop, want in f.expect.get("verdicts", {}).items():
             assert CHECKERS[prop](f.space(), f.contract(), f.checker_params).result == want
             declared += 1
-    assert declared == 19
-    assert account(sigma, 2) is empty and empty == Account(0, 0, {}, b"")
+    return declared
+
+
+def test_the_shared_empty_defaults_of_spaces_and_fixtures_stay_empty():
+    """A ScenarioSpace or Fixture built without a dict field shares its {}
+    default, which is still empty after every corpus transaction and
+    declared verdict has run."""
+    defaults = [v for record in (ScenarioSpace, Fixture)
+                for v in record._field_defaults.values() if isinstance(v, dict)]
+    assert len(defaults) == 7 and all(d == {} for d in defaults)
+    space = ScenarioSpace(pre=GlobalState(), tx=_transaction(), header=BlockHeader())
+    assert space.component_values is ScenarioSpace._field_defaults["component_values"]
+    assert _run_the_corpus() == 19
+    assert all(d == {} for d in defaults)
 
 
 def test_records_keep_keyword_construction_and_repr():
@@ -433,6 +460,18 @@ def test_records_keep_keyword_construction_and_repr():
     assert receipt == Receipt("success", 21000, (), None, b"")
     assert repr(receipt) == ("Receipt(status='success', gas_used=21000, logs=(), created=None, "
                              "output=b'')")
+    tx = Transaction(nonce=1, gas_price=2, gas_limit=21000, to=None, value=3, sender=4,
+                     input=b"")
+    assert tx == Transaction(1, 2, 21000, None, 3, 4, b"")
+    assert repr(tx) == ("Transaction(nonce=1, gas_price=2, gas_limit=21000, to=None, value=3, "
+                        "sender=4, input=b'')")
+    pre = GlobalState()
+    space = ScenarioSpace(pre=pre, tx=tx, header=header)
+    assert space == ScenarioSpace(pre, tx, header, {}, 200_000, (), {}, {}, {}, False)
+    assert space._replace(max_steps=5).max_steps == 5 and space.max_steps == 200_000
+    fixture = Fixture(name="f", pre=pre, tx=tx, header=header)
+    assert fixture == Fixture("f", pre, tx, header, {}, {}, {})
+    assert fixture.space(relaxed_gas=True) == space._replace(relaxed_gas=True)
     verdict = Verdict(property_name="stack-limit", result="holds")
     assert verdict == Verdict("stack-limit", "holds", None, True, "") and not verdict.violated
     assert repr(verdict) == ("Verdict(property_name='stack-limit', result='holds', witness=None, "

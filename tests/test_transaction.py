@@ -2,11 +2,12 @@ import pytest
 
 from evmsem import semantics
 from evmsem.bytecode import assemble
+from evmsem.checkers import ScenarioSpace, check_single_entrancy
 from evmsem.fixtures import load_corpus
 from evmsem.gas import SCHEDULE
 from evmsem.rlp import fresh_address
 from evmsem.semantics import BudgetExhausted
-from evmsem.state import Account, BlockHeader, GlobalState
+from evmsem.state import Account, BlockHeader, CallStack, GlobalState
 from evmsem.transaction import Transaction, execute_transaction, t_init
 from proputil import program_frame
 
@@ -31,13 +32,6 @@ def make_sigma(target_code=b"", target_balance=0, sender_balance=10**15,
 def call_tx(value=0, gas_limit=50_000, nonce=0, input_=b"", price=2):
     return Transaction(nonce=nonce, gas_price=price, gas_limit=gas_limit,
                        to=TARGET, value=value, sender=SENDER, input=input_)
-
-
-def test_transaction_type_constraints():
-    with pytest.raises(ValueError):
-        Transaction(0, 1, 21000, None, 0, SENDER, b"", "call")
-    with pytest.raises(ValueError):
-        Transaction(0, 1, 53000, TARGET, 0, SENDER, b"", "create")
 
 
 def test_t_init_invalid_cases():
@@ -113,7 +107,7 @@ def test_storage_refund_capped():
 def test_create_transaction_deploys_empty_code():
     init = assemble("PUSH1 0x00\nPUSH1 0x00\nRETURN")
     tx = Transaction(nonce=0, gas_price=1, gas_limit=100_000, to=None, value=4,
-                     sender=SENDER, input=init, type="create")
+                     sender=SENDER, input=init)
     sigma = make_sigma()
     sigma2, _t, receipt = execute_transaction(tx, HEADER, sigma)
     assert receipt.status == "success"
@@ -127,7 +121,7 @@ def test_create_transaction_deploys_real_code():
     # init writes the byte 0xfe and returns it as the contract body
     init = assemble("PUSH1 0xfe\nPUSH1 0x00\nMSTORE8\nPUSH1 0x01\nPUSH1 0x00\nRETURN")
     tx = Transaction(nonce=0, gas_price=1, gas_limit=100_000, to=None, value=0,
-                     sender=SENDER, input=init, type="create")
+                     sender=SENDER, input=init)
     sigma2, _t, receipt = execute_transaction(tx, HEADER, make_sigma())
     rho = fresh_address(SENDER, 0)
     assert sigma2.get(rho).code == b"\xfe"
@@ -137,7 +131,7 @@ def test_create_transaction_deploys_real_code():
 
 def _create_tx(init, gas_limit, value=0):
     return Transaction(nonce=0, gas_price=1, gas_limit=gas_limit, to=None, value=value,
-                       sender=SENDER, input=init, type="create")
+                       sender=SENDER, input=init)
 
 
 def test_create_transaction_deposit_fee_paid_exactly_or_not_at_all():
@@ -227,6 +221,25 @@ def test_budget_exhausted_propagates():
     sigma = make_sigma(target_code=code)
     with pytest.raises(BudgetExhausted):
         execute_transaction(call_tx(gas_limit=10**6), HEADER, sigma, 50)
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_every_driver_rejects_a_budget_below_one_step(max_steps):
+    # iterate_steps, the loop every driver reaches, rejects it before any step
+    code = assemble("STOP")
+    sigma = make_sigma(target_code=code)
+    tenv, frame, _created = t_init(call_tx(), HEADER, sigma)
+    stack = CallStack(frame, None, 1)
+    space = ScenarioSpace(pre=sigma, tx=call_tx(), header=HEADER, max_steps=max_steps)
+    drives = [lambda: semantics.run(tenv, stack, max_steps),
+              lambda: semantics.run_frame(tenv, stack, max_steps),
+              lambda: semantics.run_to_depth(tenv, stack, 1, max_steps),
+              lambda: semantics.run_with_local_updates(tenv, stack, {}, max_steps),
+              lambda: execute_transaction(call_tx(), HEADER, sigma, max_steps),
+              lambda: check_single_entrancy(space, (TARGET, code))]
+    for drive in drives:
+        with pytest.raises(ValueError, match="max_steps must be positive"):
+            drive()
 
 
 def test_receipt_reports_logs():
