@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import product
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .semantics import (BudgetExhausted, iterate_steps, run_frame, run_to_depth,
                         run_with_local_updates)
@@ -71,7 +71,6 @@ class ScenarioSpace(NamedTuple):
     gas_values: tuple = ()
     component_values: dict = {}         # name -> [values]
     code_variants: dict = {}            # addr -> [codes]
-    account_perturbations: dict = {}
     relaxed_gas: bool = False
 
 
@@ -293,14 +292,13 @@ def check_atomicity(space: ScenarioSpace, c: Contract) -> Verdict:
                     lambda s1, s2: None if s1 == s2 else {}, complete)
 
 
-def check_env_independence(space: ScenarioSpace, c: Contract,
-                           components: Sequence[str]) -> Verdict:
+def check_env_independence(space: ScenarioSpace, c: Contract) -> Verdict:
     """Projected call traces of c must agree across paired whole-scenario
-    runs whose transaction environments differ in one component."""
+    runs whose transaction environments differ in one component, for each
+    component the space gives values."""
     tenv, stack = _initial_config(space, space.pre)
     forks = []    # built before any run, so that every component is checked first
-    for comp in components:
-        values = space.component_values.get(comp)
+    for comp, values in space.component_values.items():
         if not values:
             raise ValueError(f"no value set for component {comp!r}")
         forks.append(((lambda v1, v2, comp=comp: {"component": comp,
@@ -310,25 +308,19 @@ def check_env_independence(space: ScenarioSpace, c: Contract,
                           lambda env: run_frame(env, stack, space.max_steps)[1], forks, True)
 
 
-def _account_variants(acct: Account, perturbations: dict):
-    """Mutable-state variants of one account (nonce, balance, storage only)."""
-    deltas = perturbations.get("balance_deltas")
-    if deltas is None:
-        deltas = [1, -1, -acct.balance, acct.balance]
-    nonce_bumps = perturbations.get("nonce_bumps", [1])
-    storage_sets = dict(perturbations.get("storage_set", {0: 1}))
-
-    variants = []
-    for d in deltas:
-        if acct.balance + d >= 0 and d != 0:
-            variants.append(("balance%+d" % d, acct.with_balance(acct.balance + d)))
-    for b in nonce_bumps:
-        variants.append(("nonce%+d" % b, acct.with_nonce(acct.nonce + b)))
+def _account_variants(acct: Account):
+    """Mutable-state variants of one account: its balance moved by +1, -1,
+    -balance and +balance where that gives a new non-negative balance, its
+    nonce bumped by one, each stored key cleared, and storage[0] set to 1
+    unless it already is."""
+    variants = [("balance%+d" % d, acct.with_balance(acct.balance + d))
+                for d in (1, -1, -acct.balance, acct.balance)
+                if d != 0 and acct.balance + d >= 0]
+    variants.append(("nonce+1", acct.with_nonce(acct.nonce + 1)))
     for key in list(acct.storage):
         variants.append((f"storage[{key}]=0", acct.storage_set(key, 0)))
-    for key, value in storage_sets.items():
-        if acct.storage_get(key) != value:
-            variants.append((f"storage[{key}]={value}", acct.storage_set(key, value)))
+    if acct.storage_get(0) != 1:
+        variants.append(("storage[0]=1", acct.storage_set(0, 1)))
     return variants
 
 
@@ -355,7 +347,7 @@ def check_account_state_independence(space: ScenarioSpace, c: Contract) -> Verdi
             yield partial(witness, idx), [(None, config)] + [
                 (label, with_top_state(config,
                                        entry._replace(sigma=entry.sigma.put(c[0], variant))))
-                for label, variant in _account_variants(acct, space.account_perturbations)]
+                for label, variant in _account_variants(acct)]
 
     return _compare_calls("account-state-independence", space, c,
                           lambda config: run_frame(tenv, config, space.max_steps)[1],
@@ -457,7 +449,8 @@ def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> V
     tenv, _stack, call_sites, complete = _scan(space, call_site)
 
     def continuation(forked):
-        """The run until the callee's return has been processed."""
+        """The rest of c's frame: the callee's return processed into it,
+        then c run until it halts or throws."""
         return run_to_depth(tenv, forked, forked.depth - 1, space.max_steps)[1]
 
     forks = []
@@ -526,8 +519,7 @@ CHECKERS = {
     "fuelled-calls": lambda space, c, params: check_fuelled_calls(space, c),
     "stack-limit": lambda space, c, params: check_stack_limit_compliance(space, c),
     "atomicity": lambda space, c, params: check_atomicity(space, c),
-    "env-independence": lambda space, c, params: check_env_independence(
-        space, c, list(space.component_values)),
+    "env-independence": lambda space, c, params: check_env_independence(space, c),
     "account-state-independence": lambda space, c, params:
         check_account_state_independence(space, c),
     "code-independence": lambda space, c, params: check_code_independence(

@@ -55,8 +55,8 @@ class Fixture(NamedTuple):
 
 
 # checker_params key -> the ScenarioSpace field it sets
-_SPACE_FIELDS = {"components": "component_values", **{k: k for k in (
-    "max_steps", "gas_values", "code_variants", "account_perturbations")}}
+_SPACE_FIELDS = {"components": "component_values",
+                 **{k: k for k in ("max_steps", "gas_values", "code_variants")}}
 
 _JSON_TYPES = {dict: "a JSON object", list: "a JSON array", int: "an integer"}
 
@@ -217,9 +217,6 @@ _CHECKER_PARAMS = _fields({
     "gas_values": _list(_WORD),
     "components": _map(_NAME, _list(_WORD)),
     "code_variants": _map(_ADDRESS, _list(_CODE)),
-    "account_perturbations": _fields({"balance_deltas": _list(_INT),
-                                      "nonce_bumps": _list(_INT),
-                                      "storage_set": _map(_WORD, _WORD)}),
     "max_steps": (_max_steps, int),
     "mode": _one_of("direct", "theorem1"),
 })

@@ -7,8 +7,9 @@ from typing import NamedTuple, Optional
 from .gas import SCHEDULE
 from .rlp import fresh_address
 from .semantics import callee_frame, deposit_code, open_account, run
-from .state import (EMPTY_EFFECTS, BlockHeader, CallStack, ExcState, GlobalState, Halt,
+from .state import (EMPTY_EFFECTS, EXC, BlockHeader, CallStack, GlobalState, Halt,
                     TransactionEnvironment, charge, credit)
+from .words import address_to_hex, bytes_to_hex
 
 
 class Transaction(NamedTuple):
@@ -29,7 +30,6 @@ class Receipt(NamedTuple):
     output: bytes = b""
 
     def to_json(self) -> dict:
-        from .words import address_to_hex, bytes_to_hex
         return {
             "status": self.status,
             "gas_used": hex(self.gas_used),
@@ -87,7 +87,7 @@ def t_final(final_state, tx: Transaction, sigma_pre: GlobalState,
     """Finalization: code deployment for creates (at created, the address
     t_init returned), gas refund, fee payout and suicide-set deletion.
     Returns (sigma', receipt)."""
-    if isinstance(final_state, ExcState):
+    if final_state is EXC:
         return _finalize_exception(tx, sigma_pre, beneficiary)
 
     assert isinstance(final_state, Halt)

@@ -136,7 +136,7 @@ def test_criterion_4_discrimination(name, prop, expected):
     f = corpus()[name]
     contract = f.contract()
     if prop == "env-independence":
-        v = check_env_independence(f.space(), contract, ["timestamp"])
+        v = check_env_independence(f.space(), contract)
     elif prop == "single-entrancy":
         v = check_single_entrancy(f.space(), contract)
     else:

@@ -16,7 +16,8 @@ from evmsem.checkers import (ScenarioSpace, check_account_state_independence,
                              check_effect_independence, check_env_independence,
                              check_fuelled_calls, check_single_entrancy,
                              check_stack_limit_compliance)
-from evmsem.fixtures import load_corpus
+from evmsem.cli import main
+from evmsem.fixtures import Fixture, fixture_to_json, load_corpus
 from evmsem.state import Account, BlockHeader, GlobalState
 from evmsem.transaction import Transaction, execute_transaction
 
@@ -170,7 +171,7 @@ def test_env_independence_corpus():
     for name, want in [("timestamp_lottery", "violated"), ("time_fn", "violated"),
                        ("time_fp", "holds")]:
         f = corpus_fixture(name)
-        v = check_env_independence(f.space(), f.contract(), ["timestamp"])
+        v = check_env_independence(f.space(), f.contract())
         assert v.result == want, name
 
 
@@ -178,7 +179,7 @@ def test_env_independence_ignoring_contract_holds():
     code = assemble("PUSH1 0x01\nPUSH1 0x02\nADD\nSTOP")
     space = space_for({C: Account(0, 0, {}, code)}, C,
                       component_values={"timestamp": [1, 2]})
-    v = check_env_independence(space, (C, code), ["timestamp"])
+    v = check_env_independence(space, (C, code))
     assert v.result == "holds"
 
 
@@ -189,7 +190,7 @@ def test_env_independence_log_only_read_holds():
                     f"PUSH1 0x00\nPUSH2 {hex(U)}\nPUSH2 0x0fff\nCALL\nSTOP")
     space = space_for({C: Account(0, 0, {}, code), U: Account(0, 0, {}, b"")}, C,
                       component_values={"timestamp": [1, 2]})
-    v = check_env_independence(space, (C, code), ["timestamp"])
+    v = check_env_independence(space, (C, code))
     assert v.result == "holds"
 
 
@@ -214,7 +215,7 @@ def test_env_independence_stops_at_the_first_difference(monkeypatch):
     space = space_for({C: Account(0, 0, {}, code)}, C,
                       component_values={"timestamp": [1, 2, 3]})
     runs = counting(monkeypatch, "run_frame")
-    v = check_env_independence(space, (C, code), ["timestamp"])
+    v = check_env_independence(space, (C, code))
     assert v.violated and v.witness["values"] == ["0x1", "0x2"]
     assert len(runs) == 2
 
@@ -224,7 +225,7 @@ def test_env_independence_varies_origin_and_gasprice(component, op):
     # c calls the address that its ORIGIN or GASPRICE gives
     code = assemble("PUSH1 0x00\n" * 5 + f"{op}\nPUSH2 0x0fff\nCALL\nSTOP")
     space = space_for({C: Account(0, 0, {}, code)}, C, component_values={component: [1, 2]})
-    v = check_env_independence(space, (C, code), [component])
+    v = check_env_independence(space, (C, code))
     assert v.violated and v.witness["component"] == component
     assert v.witness["values"] == ["0x1", "0x2"]
 
@@ -234,14 +235,14 @@ def test_env_independence_unknown_component_rejected():
     for values in ([1], [1, 2]):
         space = space_for({C: Account(0, 0, {}, stop)}, C, component_values={"foo": values})
         with pytest.raises(ValueError, match="unknown environment component"):
-            check_env_independence(space, (C, stop), ["foo"])
+            check_env_independence(space, (C, stop))
 
 
 def test_env_independence_missing_values_rejected():
     stop = assemble("STOP")
-    space = space_for({C: Account(0, 0, {}, stop)}, C)
-    with pytest.raises(ValueError):
-        check_env_independence(space, (C, stop), ["timestamp"])
+    space = space_for({C: Account(0, 0, {}, stop)}, C, component_values={"timestamp": []})
+    with pytest.raises(ValueError, match="no value set for component 'timestamp'"):
+        check_env_independence(space, (C, stop))
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +257,19 @@ def test_account_state_balance_gate():
 
 
 def test_account_state_guard_flag_is_dependence():
-    # the one-shot guard flag is mutable state that changes the calls;
-    # restrict the perturbation set to the flag flip alone
-    f = corpus_fixture("reentrant_fp")
-    space = f.space()
-    space = space._replace(account_perturbations={
-        "balance_deltas": [], "nonce_bumps": [], "storage_set": {0: 1}})
-    v = check_account_state_independence(space, f.contract())
+    # a one-shot guard flag is mutable state that changes the calls: c sets
+    # storage[0] and calls U, sending no value, only while storage[0] is
+    # clear, so of the fixed perturbations only storage[0]=1 changes them
+    code = asm([
+        "PUSH1 0x00", "SLOAD", "PUSH1 @done", "JUMPI",
+        "PUSH1 0x01", "PUSH1 0x00", "SSTORE",
+        *_const_call(U), "POP",
+        "LABEL done", "JUMPDEST", "STOP",
+    ])
+    space = space_for({C: Account(0, 10, {}, code), U: Account(0, 0, {}, b"")}, C)
+    v = check_account_state_independence(space, (C, code))
     assert v.violated
-    assert "storage" in v.witness["perturbation"]
+    assert v.witness["perturbation"] == "storage[0]=1"
 
 
 def test_account_state_stateless_forwarder_holds():
@@ -276,25 +281,24 @@ def test_account_state_stateless_forwarder_holds():
 
 
 def test_account_state_exhausted_base_compares_perturbations():
-    # c spins until the step budget runs out unless storage[0] or
-    # storage[1] is set, and then calls address storage[0] + 2*storage[1]:
-    # the unperturbed run never completes, so the two perturbed runs are
-    # compared with each other, and the witness names the reference
+    # c, at balance 0, spins until the step budget runs out unless
+    # storage[0] or its own balance is nonzero, and then calls address
+    # storage[0] + 2*balance: the unperturbed run never completes, so the
+    # perturbed runs are compared with the first that completes
+    # (balance+1), and the witness names that reference
     code = asm([
-        "PUSH1 0x00", "SLOAD", "PUSH1 0x01", "SLOAD", "OR", "PUSH1 @go", "JUMPI",
+        "PUSH1 0x00", "SLOAD", "ADDRESS", "BALANCE", "OR", "PUSH1 @go", "JUMPI",
         "LABEL spin", "JUMPDEST", "PUSH1 @spin", "JUMP",
         "LABEL go", "JUMPDEST",
         "PUSH1 0x00", "PUSH1 0x00", "PUSH1 0x00", "PUSH1 0x00", "PUSH1 0x00",
-        "PUSH1 0x00", "SLOAD", "PUSH1 0x01", "SLOAD", "PUSH1 0x02", "MUL", "ADD",
+        "PUSH1 0x00", "SLOAD", "ADDRESS", "BALANCE", "PUSH1 0x02", "MUL", "ADD",
         "PUSH2 0x0fff", "CALL", "STOP",
     ])
-    space = space_for({C: Account(0, 0, {}, code)}, C, max_steps=500,
-                      account_perturbations={"balance_deltas": [], "nonce_bumps": [],
-                                             "storage_set": {0: 1, 1: 1}})
+    space = space_for({C: Account(0, 0, {}, code)}, C, max_steps=500)
     v = check_account_state_independence(space, (C, code))
     assert v.violated
-    assert (v.witness["reference"], v.witness["perturbation"]) == ("storage[0]=1",
-                                                                   "storage[1]=1")
+    assert (v.witness["reference"], v.witness["perturbation"]) == ("balance+1",
+                                                                   "storage[0]=1")
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +386,40 @@ def test_effect_independence_ignoring_result_holds():
     assert v.result == "holds"
 
 
-def test_relaxed_gas_mode_masks_forwarded_gas():
-    # c ignores the callee result but forwards its remaining gas to a second
-    # call: strictly the g argument depends on the callee's consumption,
-    # relaxed comparison masks exactly that
+def _gas_forwarder():
+    """c ignores U's result but forwards its remaining gas to W: strictly
+    the g argument of the second call depends on U's consumption, relaxed
+    comparison masks exactly that."""
     code = asm([
         *_const_call(U), "POP",
         "PUSH1 0x00", "PUSH1 0x00", "PUSH1 0x00", "PUSH1 0x00",
         "PUSH1 0x00", f"PUSH2 {hex(W)}", "GAS", "CALL",
         "STOP",
     ])
-    accounts = {C: Account(0, 0, {}, code), U: Account(0, 0, {}, b""),
-                W: Account(0, 0, {}, b"")}
+    return code, {C: Account(0, 0, {}, code), U: Account(0, 0, {}, b""),
+                  W: Account(0, 0, {}, b"")}
+
+
+def test_relaxed_gas_mode_masks_forwarded_gas():
+    code, accounts = _gas_forwarder()
     strict = check_effect_independence(space_for(accounts, C), (C, code), [U])
     assert strict.violated
     relaxed = check_effect_independence(
         space_for(accounts, C, relaxed_gas=True), (C, code), [U])
     assert relaxed.result == "holds"
+
+
+def test_cli_relaxed_gas_flag_masks_forwarded_gas(tmp_path, capsys):
+    _code, accounts = _gas_forwarder()
+    space = space_for(accounts, C)
+    fixture = Fixture("forwarder", space.pre, space.tx, space.header,
+                      checker_params={"contract": C, "untrusted": [U]})
+    path = tmp_path / "forwarder.json"
+    path.write_text(json.dumps(fixture_to_json(fixture)))
+    assert main(["check", "effect-independence", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["result"] == "violated"
+    assert main(["check", "effect-independence", str(path), "--relaxed-gas"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "holds"
 
 
 def test_effect_independence_state_readback_violated():
@@ -569,13 +590,13 @@ def test_verdict_json_shape():
 def test_paired_witness_replays():
     # narrowing the space to the witnessed pair reproduces the violation
     f = corpus_fixture("timestamp_lottery")
-    v = check_env_independence(f.space(), f.contract(), ["timestamp"])
+    v = check_env_independence(f.space(), f.contract())
     assert v.violated
     comp = v.witness["component"]
     pair = [int(x, 16) for x in v.witness["values"]]
     space = f.space()
     narrowed = space._replace(component_values={comp: pair})
-    again = check_env_independence(narrowed, f.contract(), [comp])
+    again = check_env_independence(narrowed, f.contract())
     assert again.violated
     assert again.witness["first_divergence"] == v.witness["first_divergence"]
 

@@ -39,8 +39,6 @@ EVERY_PARAM = {
     "gas_values": ["0x5000", "0x9000"],
     "components": {"timestamp": ["0x2", "0x1"], "number": ["0x7"]},
     "code_variants": {"0xbb": ["0x00", {"asm": "STOP"}]},
-    "account_perturbations": {"balance_deltas": [1, -2], "nonce_bumps": [3],
-                              "storage_set": {"0x0": "0x1", "0x5": "0x0"}},
     "max_steps": 5000, "mode": "theorem1",
 }
 
@@ -56,17 +54,17 @@ def test_every_checker_param_round_trips():
     assert p["components"] == {"timestamp": [2, 1], "number": [7]}
     assert list(p["components"]) == ["timestamp", "number"]
     assert p["code_variants"] == {0xBB: [b"\x00", b"\x00"]}
-    assert p["account_perturbations"] == {"balance_deltas": [1, -2], "nonce_bumps": [3],
-                                          "storage_set": {0: 1, 5: 0}}
     assert (p["max_steps"], p["mode"]) == (5000, "theorem1")
     space = f.space()
     assert space.max_steps == 5000
+    assert space.gas_values == p["gas_values"]
     assert space.component_values == p["components"]
+    assert space.code_variants == p["code_variants"]
     j1 = fixture_to_json(f)
     j2 = fixture_to_json(parse_fixture(copy.deepcopy(j1), "params"))
     assert j2 == j1
-    assert j1["checker_params"]["account_perturbations"]["storage_set"] == {"0x0": "0x1",
-                                                                          "0x5": "0x0"}
+    assert j1["checker_params"]["code_variants"] == {"0x00000000000000000000000000000000000000bb":
+                                                     ["0x00", "0x00"]}
 
 
 def test_finpot_samples_is_passed_through_unread():
@@ -78,6 +76,18 @@ def test_finpot_samples_is_passed_through_unread():
     assert named.checker_params["finpot_samples"] == 1
     assert named.space() == plain.space()
     assert fixture_to_json(named)["checker_params"]["finpot_samples"] == 1
+
+
+def test_account_perturbations_is_passed_through_unread():
+    # account-state independence perturbs one fixed set (checkers._account_variants)
+    obj = json.loads((corpus_dir() / "balance_gate.json").read_text())
+    plain = parse_fixture(copy.deepcopy(obj), "gate")
+    knob = {"balance_deltas": [1, True], "storage_set": {"0x0": "0x1"}}
+    obj["checker_params"]["account_perturbations"] = knob
+    named = parse_fixture(copy.deepcopy(obj), "gate")
+    assert named.checker_params["account_perturbations"] == knob
+    assert named.space() == plain.space()
+    assert fixture_to_json(named)["checker_params"]["account_perturbations"] == knob
 
 
 def _addr(short):
@@ -581,9 +591,7 @@ WELL_FORMED = json.loads((corpus_dir() / "bob_mallory.json").read_text())
 WELL_FORMED["ancestors"] = [{"hash": "0x77", "parent": "0x66", "number": "0x8"}]
 WELL_FORMED["checker_params"].update({
     "gas_values": ["0x5000", "0x9000"], "max_steps": 5000,
-    "components": {"timestamp": ["0x1", "0x2"]},
-    "account_perturbations": {"balance_deltas": [1], "nonce_bumps": [2],
-                              "storage_set": {"0x0": "0x1"}}})
+    "components": {"timestamp": ["0x1", "0x2"]}})
 
 
 @pytest.mark.parametrize("path,value", [
@@ -601,7 +609,7 @@ WELL_FORMED["checker_params"].update({
     (("pre", "0x0000000000000000000000000000000000001001", "nonce"), "1"),
     (("ancestors", 0), {"parent": "0x66", "number": "0x8"}),
     (("checker_params", "max_steps"), True),
-    (("checker_params", "account_perturbations", "balance_deltas"), [1, True]),
+    (("checker_params", "gas_values"), ["0x5000", True]),
     (("checker_params", "mode"), 7),
     (("pre", "0x0000000000000000000000000000000000001001", "balance"), "0x1" + "0" * 64),
     (("tx", "to"), "0x1" + "0" * 40),

@@ -431,7 +431,7 @@ def test_the_shared_empty_defaults_of_spaces_and_fixtures_stay_empty():
     declared verdict has run."""
     defaults = [v for record in (ScenarioSpace, Fixture)
                 for v in record._field_defaults.values() if isinstance(v, dict)]
-    assert len(defaults) == 7 and all(d == {} for d in defaults)
+    assert len(defaults) == 6 and all(d == {} for d in defaults)
     space = ScenarioSpace(pre=GlobalState(), tx=_transaction(), header=BlockHeader())
     assert space.component_values is ScenarioSpace._field_defaults["component_values"]
     assert _run_the_corpus() == 19
@@ -467,7 +467,7 @@ def test_records_keep_keyword_construction_and_repr():
                         "sender=4, input=b'')")
     pre = GlobalState()
     space = ScenarioSpace(pre=pre, tx=tx, header=header)
-    assert space == ScenarioSpace(pre, tx, header, {}, 200_000, (), {}, {}, {}, False)
+    assert space == ScenarioSpace(pre, tx, header, {}, 200_000, (), {}, {}, False)
     assert space._replace(max_steps=5).max_steps == 5 and space.max_steps == 200_000
     fixture = Fixture(name="f", pre=pre, tx=tx, header=header)
     assert fixture == Fixture("f", pre, tx, header, {}, {}, {})
