@@ -9,9 +9,10 @@ independence family, call integrity) are falsifiers: each only names its
 forks, from configurations the drive reaches (entries into the analyzed
 contract, its calls into untrusted code) or from the scenario's start, and
 each fork's variants. `_explore` is the only place that runs variants:
-each is compared with the first completed run of its fork, the first
-difference is a violation and stops further runs, and a fork with fewer
-than two variants runs nothing, as there is nothing to compare.
+each distinct one runs once and is compared with the first completed run
+of its fork, the first difference is a violation and stops further runs,
+and a fork with fewer than two distinct variants runs nothing, as there
+is nothing to compare.
 `_compare_calls` is the one place that projects the analyzed contract's
 calls and compares them; every falsifier but atomicity goes through it.
 A "holds" verdict therefore always means "holds within the explored space";
@@ -31,8 +32,7 @@ from typing import NamedTuple, Optional
 from .semantics import (BudgetExhausted, iterate_steps, run_frame, run_to_depth,
                         run_with_local_updates)
 from .state import (CALL_DEPTH_LIMIT, EXC, Account, BlockHeader, CallStack, Contract, Frame,
-                    GlobalState, Halt, Regular, account, env_with_component, frames,
-                    with_top_state)
+                    GlobalState, Halt, account, env_with_component, frames, with_top_state)
 from .traces import action_to_json, calls_of, first_divergence, project
 from .transaction import Transaction, t_init
 from .words import address_to_hex
@@ -133,18 +133,21 @@ def _explore(name: str, observe, forks, differ, complete: bool) -> Verdict:
     """Run the variants of each fork and compare their observations.
 
     `forks` yields (witness, variants), `variants` being (label, input)
-    pairs; observe(input) runs one variant and returns what it shows, None
-    if there is nothing to compare. differ(first, other) is None when two
-    observations agree, else the witness entries of their difference, to
-    which witness(first_label, label) adds the knobs that reproduce it.
-    A "holds" says so in its notes when no fork had two variants."""
+    pairs, of which each distinct label runs once; observe(input) runs one
+    variant and returns what it shows, None if there is nothing to compare.
+    differ(first, other) is None when two observations agree, else the
+    witness entries of their difference, to which witness(first_label,
+    label) adds the knobs that reproduce it. A "holds" says so in its notes
+    when no fork had two distinct variants."""
     compared = False
     for witness, variants in forks:
+        # a label names one input, so a repeated label would only repeat a run
+        variants = dict(variants)
         if len(variants) < 2:
             continue
         compared = True
         first = None
-        for label, variant in variants:
+        for label, variant in variants.items():
             try:
                 seen = observe(variant)
             except BudgetExhausted:
@@ -184,11 +187,6 @@ def _compare_calls(name: str, space: ScenarioSpace, c: Contract, drive, forks,
 # monitors over one scenario run
 
 
-def _entered(before, after) -> bool:
-    """The step pushed a running frame: a call or create was entered."""
-    return after.depth > before.depth and isinstance(after.top.state, Regular)
-
-
 def _on_stack(c: Contract, stack) -> bool:
     return any(f.contract == c for f in frames(stack))
 
@@ -197,7 +195,8 @@ def check_single_entrancy(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a reentered frame of c makes the call stack grow again."""
 
     def watch(index, before, action, after):
-        if after.depth > before.depth and before.top.contract == c and _on_stack(c, before.below):
+        if (action.tag in ("enter", "fail") and before.top.contract == c
+                and _on_stack(c, before.below)):
             return index, action, {"reentry_depth": before.depth,
                                    "contract": address_to_hex(c[0])}
         return None
@@ -212,7 +211,7 @@ def check_call_restriction(space: ScenarioSpace, c: Contract, allowed) -> Verdic
 
     def watch(index, before, action, after):
         ann = after.top.contract
-        if (_entered(before, after) and _on_stack(c, before)
+        if (action.tag == "enter" and _on_stack(c, before)
                 and (ann is None or ann[0] not in allowed)):
             return index, action, {"entered": address_to_hex(ann[0]) if ann else None,
                                    "allowed": sorted(address_to_hex(a) for a in allowed)}
@@ -225,7 +224,7 @@ def check_fuelled_calls(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a callee below c starts with zero gas."""
 
     def watch(index, before, action, after):
-        if _entered(before, after) and _on_stack(c, before) and after.top.state.mu.gas == 0:
+        if action.tag == "enter" and _on_stack(c, before) and after.top.state.mu.gas == 0:
             ann = after.top.contract
             return index, action, {"callee": address_to_hex(ann[0]) if ann else None}
         return None
@@ -238,8 +237,7 @@ def check_stack_limit_compliance(space: ScenarioSpace, c: Contract) -> Verdict:
     at the call-depth limit while c is on it."""
 
     def watch(index, before, action, after):
-        if (after.depth == before.depth + 1 and after.top.state is EXC
-                and before.depth == CALL_DEPTH_LIMIT and _on_stack(c, before)):
+        if action.tag == "fail" and before.depth == CALL_DEPTH_LIMIT and _on_stack(c, before):
             return index, action, {"residual_depth": before.depth}
         return None
 
@@ -254,8 +252,8 @@ def _entry_configs(space: ScenarioSpace, c: Contract):
     """Freshly entered frames of c, each detached at its depth from the
     frames below it, reached by driving the scenario once."""
 
-    def entry(_index, before, _action, after):
-        entered = _entered(before, after) and after.top.contract == c
+    def entry(_index, _before, action, after):
+        entered = action.tag == "enter" and after.top.contract == c
         return CallStack(after.top, None, after.depth) if entered else None
 
     tenv, stack, configs, complete = _scan(space, entry)
@@ -303,7 +301,7 @@ def check_env_independence(space: ScenarioSpace, c: Contract) -> Verdict:
             raise ValueError(f"no value set for component {comp!r}")
         forks.append(((lambda v1, v2, comp=comp: {"component": comp,
                                                    "values": [hex(v1), hex(v2)]}),
-                      [(v, env_with_component(tenv, comp, v)) for v in dict.fromkeys(values)]))
+                      [(v, env_with_component(tenv, comp, v)) for v in values]))
     return _compare_calls("env-independence", space, c,
                           lambda env: run_frame(env, stack, space.max_steps)[1], forks, True)
 
@@ -386,22 +384,19 @@ def _with_code(sigma: GlobalState, addr: int, code: bytes) -> GlobalState:
     return sigma.put(addr, account(sigma, addr).with_code(code))
 
 
-FINPOT_SAMPLES = 8    # caps _finpot_samples, not the code variants' outcomes
-
-
 def _finpot_samples(c: Contract, callee_frame: Frame):
     """Potential final states of an untrusted callee: exception, plus halting
     states with perturbed balances/nonces/storage of accounts other than c,
-    arbitrary return data and gas within the callee budget, the first
-    FINPOT_SAMPLES of them. c's own nonce, storage and code stay
-    fixed; existing code is never changed."""
+    arbitrary return data and gas within the callee budget, at most nine
+    in all. c's own nonce, storage and code stay fixed; existing code is
+    never changed."""
     st = callee_frame.state
     sigma, eta, budget = st.sigma, st.eta, st.mu.gas
     u_addr = callee_frame.contract[0] if callee_frame.contract else None
     c_addr = c[0]
 
-    samples = [("exc", EXC)]
-    halts = [
+    samples = [
+        ("exc", EXC),
         ("halt_spent", Halt(sigma, 0, b"", eta)),
         ("halt_free", Halt(sigma, budget, b"", eta)),
         ("halt_data", Halt(sigma, budget, (1).to_bytes(32, "big"), eta)),
@@ -410,24 +405,23 @@ def _finpot_samples(c: Contract, callee_frame: Frame):
         acct = sigma.get(u_addr)
         if acct is not None:
             for key in sorted(acct.storage)[:1]:
-                halts.append((f"halt_flip[{key}]",
-                              Halt(sigma.put(u_addr, acct.storage_set(key, 0)),
-                                   budget, b"", eta)))
+                samples.append((f"halt_flip[{key}]",
+                                Halt(sigma.put(u_addr, acct.storage_set(key, 0)),
+                                     budget, b"", eta)))
             flipped = acct.storage_set(0, acct.storage_get(0) ^ 1)
-            halts.append(("halt_flip0", Halt(sigma.put(u_addr, flipped), budget, b"", eta)))
-            halts.append(("halt_ubal",
-                          Halt(sigma.put(u_addr, acct.with_balance(acct.balance + 1)),
-                               budget, b"", eta)))
+            samples.append(("halt_flip0", Halt(sigma.put(u_addr, flipped), budget, b"", eta)))
+            samples.append(("halt_ubal",
+                            Halt(sigma.put(u_addr, acct.with_balance(acct.balance + 1)),
+                                 budget, b"", eta)))
     acct_c = sigma.get(c_addr)
     if acct_c is not None and acct_c.balance > 0:
-        halts.append(("halt_cbal0",
-                      Halt(sigma.put(c_addr, acct_c.with_balance(0)), budget, b"", eta)))
+        samples.append(("halt_cbal0",
+                        Halt(sigma.put(c_addr, acct_c.with_balance(0)), budget, b"", eta)))
     probe = 0xF1A9  # weak update: an account that did not exist before
     if sigma.get(probe) is None:
-        halts.append(("halt_new_acct",
-                      Halt(sigma.put(probe, Account(0, 1, {}, b"")), budget, b"", eta)))
-    samples.extend(halts)
-    return samples[:FINPOT_SAMPLES]
+        samples.append(("halt_new_acct",
+                        Halt(sigma.put(probe, Account(0, 1, {}, b"")), budget, b"", eta)))
+    return samples
 
 
 def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> Verdict:

@@ -90,7 +90,8 @@ def cmd_check(args) -> int:
         raise ValueError(f"unknown property {args.property!r}; choose from "
                          f"{', '.join(sorted(CHECKERS))}")
     fixture = fixture._replace(checker_params=params)
-    verdict = checker(fixture.space(args.relaxed_gas), fixture.contract(), params)
+    verdict = checker(fixture.space()._replace(relaxed_gas=args.relaxed_gas),
+                      fixture.contract(), params)
     print(json.dumps(verdict.to_json(), indent=1))
     if args.expect:
         want = fixture.expect.get("verdicts", {}).get(args.property)

@@ -15,8 +15,7 @@ from .bytecode import BYTE_TO_MNEMONIC, assemble, instructions
 from .checkers import CHECKERS, ScenarioSpace
 from .state import Account, BlockHeader, GlobalState, account
 from .transaction import Transaction, Receipt
-from .words import (address_to_hex, bytes_to_hex, hex_to_address, hex_to_bytes,
-                    hex_to_word, word_to_hex)
+from .words import address_to_hex, bytes_to_hex, hex_to_address, hex_to_bytes, hex_to_word
 
 
 class FixtureError(ValueError):
@@ -33,13 +32,13 @@ class Fixture(NamedTuple):
     expect: dict = {}
     checker_params: dict = {}
 
-    def space(self, relaxed_gas: bool = False) -> ScenarioSpace:
+    def space(self) -> ScenarioSpace:
         """The scenario with the generator sets checker_params names;
         ScenarioSpace's defaults fill the rest."""
         p = self.checker_params
         sets = {name: p[key] for key, name in _SPACE_FIELDS.items() if key in p}
         return ScenarioSpace(pre=self.pre, tx=self.tx, header=self.header,
-                             ancestors=self.ancestors, relaxed_gas=relaxed_gas, **sets)
+                             ancestors=self.ancestors, **sets)
 
     def contract(self):
         """The contract under analysis: (address, code). The code defaults to
@@ -166,7 +165,7 @@ def _max_steps(v, what):
 
 _NAME = _leaf(str, str)
 _INT = (lambda v, what: _typed(v, int, what)), int
-_WORD = _leaf(hex_to_word, word_to_hex)
+_WORD = _leaf(hex_to_word, hex)
 _ADDRESS = _leaf(hex_to_address, address_to_hex)
 _OPTIONAL_ADDRESS = _leaf(lambda v: None if v is None else hex_to_address(v),
                           lambda v: None if v is None else address_to_hex(v))

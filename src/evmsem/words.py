@@ -110,10 +110,6 @@ def address_to_bytes(a: Address) -> bytes:
 # hex codecs (0x-prefixed, lowercase) used by the fixture format
 
 
-def word_to_hex(x: int) -> str:
-    return hex(x)
-
-
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 

@@ -9,7 +9,9 @@ and BudgetExhausted for exactly the same budgets. Checked here over the
 criterion-5 programs and every corpus scenario, and at the edges of a run:
 gas, stack underflow and overflow, GAS and PC inside a run, a local code
 update read by EXTCODESIZE in the analyzed frame and not in the frame it
-calls, and a budget that ends inside a run.
+calls, and a budget that ends inside a run. Over the corpus, a step also
+deepens the stack exactly when its action tag is "enter" or "fail", the
+rule the checkers read steps by.
 """
 
 import pytest
@@ -19,7 +21,7 @@ from evmsem.bytecode import assemble, valid_jump_dests
 from evmsem.fixtures import load_corpus
 from evmsem.semantics import (BudgetExhausted, is_final, iterate_steps,
                               run_frame, run_to_depth, run_with_local_updates)
-from evmsem.state import Account, CallStack
+from evmsem.state import CALL_DEPTH_LIMIT, EXC, Account, CallStack, Regular
 from evmsem.transaction import execute_transaction, t_init
 from helpers import (OTHER, checking_block_mode, make_env, make_frame, make_state,
                      modes_in_lockstep, stack_of)
@@ -105,11 +107,33 @@ def _corpus_stacks():
         yield f.name, tenv, CallStack(frame, None, 1)
 
 
+def assert_tags_mark_deepening(steps):
+    """A step deepens the stack exactly when its action tag is "enter",
+    which pushes a running frame, or "fail", which pushes EXC: the rule the
+    checkers' monitors read steps by. Returns the depths the "fail" steps
+    start from."""
+    fails = []
+    for _index, before, action, after in steps:
+        deeper = after.depth > before.depth
+        assert deeper == (action.tag in ("enter", "fail")), action
+        if action.tag == "enter":
+            assert isinstance(after.top.state, Regular)
+        elif action.tag == "fail":
+            assert after.top.state is EXC
+            fails.append(before.depth)
+    return fails
+
+
 @pytest.mark.parametrize("name,tenv,stack", list(_corpus_stacks()),
                          ids=[name for name, *_ in _corpus_stacks()])
 def test_modes_agree_on_every_corpus_scenario(monkeypatch, name, tenv, stack):
     per_op = assert_modes_agree(tenv, stack, 1_000_000)
     assert is_final(per_op[-1][3])
+    # block mode, as the checkers drive it, yields these very steps but the
+    # plain ops (modes_in_lockstep checks it), so the rule holds there too
+    fails = assert_tags_mark_deepening(per_op)
+    if name == "deep_recursion":
+        assert fails == [CALL_DEPTH_LIMIT]
     assert_cuts_agree(tenv, stack, _cuts(len(per_op)))
     # the drivers the checkers call keep just the non-op actions in their traces
     final, trace = per_op[-1][3], tuple(a for _i, _b, a, _s in per_op if a.tag != "op")

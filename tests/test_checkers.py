@@ -163,6 +163,17 @@ def test_atomicity_requires_two_gas_values():
         check_atomicity(space, (C, stop))
 
 
+def test_atomicity_equal_gas_values_compare_nothing(monkeypatch):
+    # a label names one input, so a gas value given twice is one variant
+    stop = assemble("STOP")
+    space = space_for({C: Account(0, 0, {}, stop)}, C, gas_values=(50_000, 50_000))
+    runs = counting(monkeypatch, "run_frame")
+    v = check_atomicity(space, (C, stop))
+    assert v.result == "holds" and v.explored_complete
+    assert v.notes == "nothing compared: fewer than two variants"
+    assert runs == []
+
+
 # ---------------------------------------------------------------------------
 # environment independence
 
@@ -278,6 +289,19 @@ def test_account_state_stateless_forwarder_holds():
     space = space_for({C: Account(0, 500, {}, code), U: Account(0, 0, {}, b"")}, C)
     v = check_account_state_independence(space, (C, code))
     assert v.result == "holds"
+
+
+def test_account_state_runs_each_distinct_perturbation_once(monkeypatch):
+    # at balance 1, the -balance and +balance deltas repeat balance-1 and
+    # balance+1: the runs are the unperturbed one, balance+1, balance-1,
+    # nonce+1 and storage[0]=1
+    code = asm([*_const_call(U), "STOP"])
+    space = space_for({C: Account(0, 1, {}, code), U: Account(0, 0, {}, b"")}, C)
+    runs = counting(monkeypatch, "run_frame")
+    v = check_account_state_independence(space, (C, code))
+    assert v.to_json() == {"property": "account-state-independence", "result": "holds",
+                           "explored_complete": True, "witness": None, "notes": ""}
+    assert len(runs) == 5
 
 
 def test_account_state_exhausted_base_compares_perturbations():
@@ -469,6 +493,19 @@ def test_effect_independence_samples_a_storage_key_of_the_callee():
     assert (v.witness["call_site"], v.witness["samples"]) == (0, ["exc", "halt_flip[5]"])
 
 
+def test_effect_independence_tries_the_ninth_generic_sample():
+    # all nine generic samples exist: U has a stored key, c a balance, and
+    # no account is at the probe address 0xf1a9. c calls W only if that
+    # address has a balance, which only the last sample, halt_new_acct, gives
+    code = asm([*_const_call(U), "POP", "PUSH2 0xf1a9", "BALANCE", "PUSH1 @w", "JUMPI", "STOP",
+                "LABEL w", "JUMPDEST", *_const_call(W), "STOP"])
+    accounts = {C: Account(0, 10, {}, code), U: Account(0, 0, {5: 7}, assemble("STOP")),
+                W: Account(0, 0, {}, b"")}
+    v = check_effect_independence(space_for(accounts, C), (C, code), [U])
+    assert v.violated
+    assert (v.witness["call_site"], v.witness["samples"]) == (0, ["exc", "halt_new_acct"])
+
+
 def _returned_word_gate():
     # c calls U with all its gas and calls W only if U returned the word 2;
     # U's code variants return the words 0 and 2
@@ -478,7 +515,7 @@ def _returned_word_gate():
     return code, accounts, {U: [_return_word(0), _return_word(2)]}
 
 
-def test_theorem1_never_weaker_than_direct_on_a_returned_word(monkeypatch):
+def test_theorem1_never_weaker_than_direct_on_a_returned_word():
     # no generic sample returns the word 2; the outcome U realizes under its
     # second code variant does
     code, accounts, variants = _returned_word_gate()
@@ -489,8 +526,6 @@ def test_theorem1_never_weaker_than_direct_on_a_returned_word(monkeypatch):
     assert t1.witness["failing_conjuncts"] == ["effect-independence"]
     assert t1.witness["conjunct_witnesses"]["effect-independence"]["samples"] == [
         "exc", "variant1"]
-    # the cap on the generic samples does not cut the variants'
-    monkeypatch.setattr(checkers, "FINPOT_SAMPLES", 2)
     assert check_effect_independence(space, (C, code), [U]).violated
 
 

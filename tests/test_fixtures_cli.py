@@ -68,7 +68,7 @@ def test_every_checker_param_round_trips():
 
 
 def test_finpot_samples_is_passed_through_unread():
-    # the cap on effect independence's generic samples is checkers.FINPOT_SAMPLES
+    # effect independence tries every generic sample (checkers._finpot_samples); no knob caps them
     obj = json.loads((corpus_dir() / "bob_mallory.json").read_text())
     plain = parse_fixture(copy.deepcopy(obj), "bob")
     obj["checker_params"]["finpot_samples"] = 1

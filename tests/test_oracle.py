@@ -387,8 +387,8 @@ def test_entry_frames_run_detached_as_on_the_full_stack():
     for f in load_corpus():
         space, c = f.space(), f.contract()
 
-        def entry(_index, before, _action, after):
-            return after if checkers._entered(before, after) and after.top.contract == c else None
+        def entry(_index, _before, action, after):
+            return after if action.tag == "enter" and after.top.contract == c else None
 
         tenv, stack, full, complete = checkers._scan(space, entry)
         full = [stack] * (stack.top.contract == c) + full

@@ -471,7 +471,6 @@ def test_records_keep_keyword_construction_and_repr():
     assert space._replace(max_steps=5).max_steps == 5 and space.max_steps == 200_000
     fixture = Fixture(name="f", pre=pre, tx=tx, header=header)
     assert fixture == Fixture("f", pre, tx, header, {}, {}, {})
-    assert fixture.space(relaxed_gas=True) == space._replace(relaxed_gas=True)
     verdict = Verdict(property_name="stack-limit", result="holds")
     assert verdict == Verdict("stack-limit", "holds", None, True, "") and not verdict.violated
     assert repr(verdict) == ("Verdict(property_name='stack-limit', result='holds', witness=None, "

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from evmsem.words import (ADDR_MASK, TWO_255, TWO_256, U256_MAX, binop, byte_op,
                           hex_to_address, hex_to_bytes, hex_to_word, bytes_to_hex, signed,
-                          signextend, to_address, unsigned, word_from_bytes, word_to_hex)
+                          signextend, to_address, unsigned, word_from_bytes)
 
 words = st.integers(min_value=0, max_value=U256_MAX)
 
@@ -149,7 +149,6 @@ def test_to_address_masks(a):
 
 
 def test_hex_codecs():
-    assert word_to_hex(255) == "0xff"
     assert hex_to_word("0xff") == 255
     assert bytes_to_hex(b"\x01\x02") == "0x0102"
     assert hex_to_bytes("0x0102") == b"\x01\x02"
