@@ -46,9 +46,9 @@ class BudgetExhausted(Exception):
 
 
 class StepOutcome(NamedTuple):
+    """A step's successor stack and trace action; `is_final(stack)` says if it ends a drive."""
     stack: CallStack
     action: Action
-    final: bool               # the step ended the run: its bottom frame finished
 
 
 def step(tenv: TransactionEnvironment, stack: CallStack,
@@ -76,7 +76,7 @@ def step(tenv: TransactionEnvironment, stack: CallStack,
 def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int,
                   override: Optional[dict] = None, ops: bool = True) -> Iterator[tuple]:
     """Yield (index, stack_before, action, stack_after) for each step until
-    the bottom frame of `stack` has finished (a step's `final`), index
+    the stack is final (`is_final`: its bottom frame has finished), index
     counting every step from 1; raise BudgetExhausted if max_steps steps end
     first, and ValueError, before any step, if max_steps is not positive.
     The local code update `override` reaches the steps and runs of the
@@ -85,10 +85,11 @@ def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int
     This is the only loop over `step`. Block mode (ops=False, the checkers')
     yields no step tagged "op" and applies each run of `_runs` that
     cannot fault in one call, with no per-op records. No step of a run
-    changes the depth or finishes a frame, so the drive does not look after
-    a run, and a run that outlasts the budget is applied whole and the drive
-    raises, having yielded what it would one op at a time. After a run, the
-    next is looked for only when one starts at its end."""
+    changes the depth or finishes a frame, so the drive tests `is_final`
+    before the first step and after each step, never after a run, and a run
+    that outlasts the budget is applied whole and the drive raises, having
+    yielded what it would one op at a time. After a run, the next is looked
+    for only when one starts at its end."""
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     if is_final(stack):
@@ -102,12 +103,12 @@ def iterate_steps(tenv: TransactionEnvironment, stack: CallStack, max_steps: int
                     and (ran := _run_block(tenv, stack, st, run, ov)) is not None):
                 stack, index, look = ran, index + run.steps, run.chain
                 continue
-        after, action, final = step(tenv, stack, ov)
+        after, action = step(tenv, stack, ov)
         index += 1
         if ops or action.tag != "op":
             yield index, stack, action, after
         stack, look = after, not ops
-        if final:
+        if is_final(stack):
             return
         if watch:
             ov = override if stack.below is None else None
@@ -262,9 +263,9 @@ def _valid(gas: int, cost: int, new_stack_size: int) -> bool:
 
 
 def _exc(r: _Rule, stack, args=()) -> StepOutcome:
-    """The top frame ends in an exception, which ends the run on the bottom frame."""
+    """The top frame ends in an exception."""
     action = _new(Action, (r.name, stack.top.contract, args, "exc"))
-    return _new(StepOutcome, (with_top_state(stack, EXC), action, stack.below is None))
+    return _new(StepOutcome, (with_top_state(stack, EXC), action))
 
 
 def _next(r: _Rule, stack, mu: tuple, args=(), sigma=None, eta=None) -> StepOutcome:
@@ -274,30 +275,27 @@ def _next(r: _Rule, stack, mu: tuple, args=(), sigma=None, eta=None) -> StepOutc
                            st.eta if eta is None else eta))
     top = _new(Frame, (state, c))
     return _new(StepOutcome, (_new(CallStack, (top, stack.below, stack.depth)),
-                              _new(Action, (r.name, c, args, "op")), False))
+                              _new(Action, (r.name, c, args, "op"))))
 
 
 def _halt(r: _Rule, stack, sigma, gas: int, data: bytes, eta, args=()) -> StepOutcome:
-    """The top frame halts, which ends the run on the bottom frame."""
+    """The top frame halts."""
     action = _new(Action, (r.name, stack.top.contract, args, "halt"))
-    return _new(StepOutcome, (with_top_state(stack, _new(Halt, (sigma, gas, data, eta))), action,
-                              stack.below is None))
+    return _new(StepOutcome, (with_top_state(stack, _new(Halt, (sigma, gas, data, eta))), action))
 
 
 def _enter(r: _Rule, stack, callee: Frame, args, tag="enter") -> StepOutcome:
     """Push the callee, or EXC for a call-time failure; args are the rule's n
     popped words, as many as CALL_ACTION_ARITY gives an enter action."""
     pushed = _new(CallStack, (callee, stack, stack.depth + 1))
-    return _new(StepOutcome, (pushed, _new(Action, (r.name, stack.top.contract, args, tag)), False))
+    return _new(StepOutcome, (pushed, _new(Action, (r.name, stack.top.contract, args, tag))))
 
 
 def _resume(r: _Rule, stack, state, tag) -> StepOutcome:
-    """The caller below the finished top frame goes on in `state`; EXC there
-    ends the run on the bottom frame."""
+    """The caller below the finished top frame goes on in `state`."""
     caller = stack.below
     action = _new(Action, (r.name + "RET", caller.top.contract, (), tag))
-    return _new(StepOutcome, (with_top_state(caller, state), action,
-                              state is EXC and caller.below is None))
+    return _new(StepOutcome, (with_top_state(caller, state), action))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +539,7 @@ def _create(r, st, tenv, stack, override):
     if not _valid(mu.gas, cost, len(mu.stack) - 2):
         return _exc(r, stack)
     actor_acct = account(sigma, iota.actor)
-    if va > actor_acct.balance or stack.depth + 1 > CALL_DEPTH_LIMIT:
+    if stack.depth >= CALL_DEPTH_LIMIT or va > actor_acct.balance:
         return _enter(r, stack, _FAILED, args, "fail")
     rho = fresh_address(iota.actor, actor_acct.nonce)
     sigma = charge(open_account(sigma, rho, va), iota.actor, va)
@@ -573,7 +571,7 @@ def _process_return(stack):
     r = _RULES[code[pc]] if pc < len(code) else _STOP
     if (ret := _RETURNS.get(r.fire)) is None or len(caller.mu.stack) < r.n:
         raise MalformedConfiguration(f"halting state above a frame not executing a call "
-                                     f"(op {bc.current_opcode(caller.mu, caller.iota):#x})")
+                                     f"({r.name})")
     return ret(r, stack)
 
 

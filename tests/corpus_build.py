@@ -22,6 +22,8 @@ from evmsem.state import Account, BlockHeader, GlobalState
 from evmsem.transaction import Transaction, execute_transaction
 from evmsem.words import address_to_hex
 
+# every builder reads these when it is called, never at import, so a test
+# can rebuild the corpus with its addresses renamed
 EOA = 0xAAAA
 MINER = 0x5001
 PAYEE = 0x4001
@@ -194,13 +196,14 @@ def bank_exc_fp_code() -> bytes:
     ])
 
 
-_PAY_CONST_GAS = [
-    "PUSH1 0x00", "PUSH1 0x00", "PUSH1 0x00", "PUSH1 0x00",
-    "PUSH1 0x01",                    # va = 1 wei
-    f"PUSH2 {hex(PAYEE)}",
-    "PUSH2 0x0fff",                  # constant g keeps traces comparable
-    "CALL", "POP",
-]
+def _pay_const_gas() -> list:
+    return [
+        "PUSH1 0x00", "PUSH1 0x00", "PUSH1 0x00", "PUSH1 0x00",
+        "PUSH1 0x01",                    # va = 1 wei
+        f"PUSH2 {hex(PAYEE)}",
+        "PUSH2 0x0fff",                  # constant g keeps traces comparable
+        "CALL", "POP",
+    ]
 
 
 def lottery_direct_code() -> bytes:
@@ -212,7 +215,7 @@ def lottery_direct_code() -> bytes:
         "STOP",
         "LABEL pay",
         "JUMPDEST",
-        *_PAY_CONST_GAS,
+        *_pay_const_gas(),
         "STOP",
     ])
 
@@ -224,7 +227,7 @@ def lottery_runtime_fn() -> bytes:
         "STOP",
         "LABEL pay",
         "JUMPDEST",
-        *_PAY_CONST_GAS,
+        *_pay_const_gas(),
         "STOP",
     ])
 
@@ -234,11 +237,11 @@ def lottery_runtime_fp() -> bytes:
     return asm([
         "PUSH1 0x00", "SLOAD",
         "PUSH1 @gated", "JUMPI",
-        *_PAY_CONST_GAS,
+        *_pay_const_gas(),
         "STOP",
         "LABEL gated",
         "JUMPDEST",
-        *_PAY_CONST_GAS,
+        *_pay_const_gas(),
         "STOP",
     ])
 
@@ -368,7 +371,7 @@ def balance_gate_code() -> bytes:
         "STOP",
         "LABEL pay",
         "JUMPDEST",
-        *_PAY_CONST_GAS,
+        *_pay_const_gas(),
         "STOP",
     ])
 
@@ -386,9 +389,9 @@ def _base_header(timestamp=0x3E8):
                        number=1, gaslimit=10_000_000, timestamp=timestamp)
 
 
-def _tx(to, gas_limit, value=0, input_=b"", sender=EOA, nonce=0):
-    return Transaction(nonce=nonce, gas_price=1, gas_limit=gas_limit, to=to, value=value,
-                       sender=sender, input=input_)
+def _tx(to, gas_limit, input_=b""):
+    return Transaction(nonce=0, gas_price=1, gas_limit=gas_limit, to=to, value=0,
+                       sender=EOA, input=input_)
 
 
 def _fixture(name, accounts, tx, expect=None, checker_params=None,

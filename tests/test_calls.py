@@ -11,7 +11,7 @@ from evmsem.rlp import fresh_address
 from evmsem.semantics import (MalformedConfiguration, run, run_frame, run_with_local_updates,
                               step)
 from evmsem.state import (EXC, Account, ExecutionEnvironment, Frame, GlobalState, Halt, Regular,
-                          memory_read)
+                          is_final, memory_read)
 from helpers import OTHER, SELF, make_env, make_frame, make_state, stack_of, step_one
 
 CALLEE = 0xC0DE
@@ -420,14 +420,14 @@ def test_create_final_fee_unpayable_replaces_caller():
 
 
 def test_an_unpayable_create_fee_ends_the_run_only_on_the_bottom_frame():
-    # the one return that leaves its caller in EXC: the rule sets the
-    # outcome's final flag when that caller is the bottom frame
+    # the one return that leaves its caller in EXC: a drive reads finality
+    # from the stack alone, which is final when that caller is the bottom frame
     frame = create_frame(init="PUSH1 0x20\nPUSH1 0x00\nRETURN", gas=38_500)
     tenv = make_env()
     for below in ((), (make_frame("STOP"),)):
         stack, _ = run_frame(tenv, step_one(frame, tenv, below).stack, 100)
         out = step(tenv, stack)
-        assert out.stack[0].state is EXC and out.final == (not below)
+        assert out.stack[0].state is EXC and is_final(out.stack) == (not below)
 
 
 def test_create_exception_return():

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import corpus_build
 from corpus_build import ALLY, MALLORY, OUTSIDER, PAYEE, asm
 from evmsem import checkers
-from evmsem.bytecode import assemble
+from evmsem.bytecode import assemble, instructions, push_size
 from evmsem.checkers import (ScenarioSpace, check_account_state_independence,
                              check_atomicity, check_call_integrity,
                              check_call_restriction, check_code_independence,
@@ -17,9 +18,11 @@ from evmsem.checkers import (ScenarioSpace, check_account_state_independence,
                              check_fuelled_calls, check_single_entrancy,
                              check_stack_limit_compliance)
 from evmsem.cli import main
-from evmsem.fixtures import Fixture, fixture_to_json, load_corpus
+from evmsem.fixtures import Fixture, fixture_to_json, load_corpus, parse_fixture
+from evmsem.rlp import fresh_address
 from evmsem.state import Account, BlockHeader, GlobalState
 from evmsem.transaction import Transaction, execute_transaction
+from evmsem.words import address_to_hex
 
 SENDER = 0xAAAA
 C = 0x7001
@@ -675,6 +678,59 @@ def test_verdicts_are_blind_to_the_order_of_their_value_sets():
                 want["result"], want["explored_complete"]), (f.name, prop)
             compared += 1
     assert compared > 90
+
+
+def _renamed(value, names: dict, key=None):
+    """A verdict's JSON with every address that `names` maps renamed: in
+    address and word strings and in the PUSH immediates of code."""
+    if isinstance(value, dict):
+        return {k: _renamed(v, names, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_renamed(v, names) for v in value]
+    if not isinstance(value, str) or not value.startswith("0x"):
+        return value
+    if key == "code":
+        code = bytearray(bytes.fromhex(value[2:]))
+        for pc in instructions(bytes(code)):
+            k = push_size(code[pc])
+            word = int.from_bytes(code[pc + 1:pc + 1 + k], "big")
+            if k and word in names:
+                code[pc + 1:pc + 1 + k] = names[word].to_bytes(k, "big")
+        return "0x" + code.hex()
+    word = int(value, 16)
+    if word not in names:
+        return value
+    return address_to_hex(names[word]) if len(value) == 42 else hex(names[word])
+
+
+def test_verdicts_are_blind_to_the_names_of_addresses(monkeypatch):
+    # the corpus rebuilt with every address constant renamed by an
+    # order-preserving bijection onto other 2-byte addresses, clear of the
+    # checkers' 0xf1a9 probe, gives every frozen verdict once the names,
+    # those of accounts a CREATE derives from a renamed creator included,
+    # are mapped back
+    constants = {n: v for n, v in vars(corpus_build).items()
+                 if n.isupper() and isinstance(v, int)}
+    new = {a: a + 0x101 for a in constants.values()}
+    assert max(new.values()) < 0x10000 and 0xF1A9 not in new.values()
+    assert not set(new.values()) & set(new)
+    for name, a in constants.items():
+        monkeypatch.setattr(corpus_build, name, new[a])
+    back = {b: a for a, b in new.items()}
+    back.update({fresh_address(b, nonce): fresh_address(a, nonce)
+                 for a, b in new.items() for nonce in range(3)})
+    frozen = json.loads(CORPUS_VERDICTS.read_text())
+    compared = moved = 0
+    for build in corpus_build.BUILDERS:
+        built = build()
+        f = parse_fixture(fixture_to_json(built), built.name)
+        for prop, verdict_json in frozen[f.name].items():
+            got = checkers.CHECKERS[prop](f.space(), f.contract(), f.checker_params).to_json()
+            want = json.loads(verdict_json)
+            assert _renamed(got, back) == want, (f.name, prop)
+            compared += 1
+            moved += got != want
+    assert (compared, moved) == (131, 36)     # every violated witness names an address
 
 
 def _frozen_corpus():

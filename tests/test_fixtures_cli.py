@@ -432,29 +432,40 @@ def test_cli_check_bad_budget_or_component_exit_2(capsys, args):
     assert "max_steps must be positive" in err or "unknown environment component" in err
 
 
+# each case's id is its own (the first thirteen keep the positional ids
+# they were first collected under), so dropping a case renames no other
 @pytest.mark.parametrize("argv,says", [
-    (["check", "env-independence", "timestamp_lottery", "--component", "timestamp",
-      "--values", f"5,{2**256 + 1}"], "a word must be below 2**256"),
-    (["check", "env-independence", "timestamp_lottery", "--component", "timestamp",
-      "--values", "5,0x1" + "0" * 64], "a word must be below 2**256"),
-    (["check", "atomicity", "bank_atomicity", "--gas-values=-1,5"], "must be a 0x-prefixed"),
-    (["check", "atomicity", "bank_atomicity", f"--gas-values=5,{2**300}"],
-     "a word must be below 2**256"),
-    (["check", "call-restriction", "call_restriction", "--allowed", "0x1" + "0" * 40],
-     "an address must be below 2**160"),
-    (["check", "env-independence", "timestamp_lottery", "--component", "timestamp",
-      "--values", ""], "must be a 0x-prefixed"),
-    (["check", "single-entrancy", "bob_mallory", "--untrusted", ""], "must be a 0x-prefixed"),
-    (["check", "single-entrancy", "bob_mallory", "--untrusted", "0x1,,0x2"],
-     "must be a 0x-prefixed"),
-    (["check", "call-integrity", "bob_mallory", "--mode", "theorem2"],
-     "mode must be one of direct, theorem1"),
-    (["check", "code-independence", "timestamp_lottery", "--variants", "DIR"],
-     "--variants needs an untrusted address"),
-    (["run", "bob_mallory", "--max-steps", "0"], "max_steps must be positive"),
-    (["run", "bob_mallory", "--max-steps", "-5"], "max_steps must be positive"),
-    (["check", "env-independence", "timestamp_lottery", "--component", "timestamp",
-      "--values", "5,0x1_0"], "must be 0x followed by hex digits only"),
+    pytest.param(["check", "env-independence", "timestamp_lottery", "--component", "timestamp",
+                  "--values", f"5,{2**256 + 1}"], "a word must be below 2**256",
+                 id="argv0-a word must be below 2**256"),
+    pytest.param(["check", "env-independence", "timestamp_lottery", "--component", "timestamp",
+                  "--values", "5,0x1" + "0" * 64], "a word must be below 2**256",
+                 id="argv1-a word must be below 2**256"),
+    pytest.param(["check", "atomicity", "bank_atomicity", "--gas-values=-1,5"],
+                 "must be a 0x-prefixed", id="argv2-must be a 0x-prefixed"),
+    pytest.param(["check", "atomicity", "bank_atomicity", f"--gas-values=5,{2**300}"],
+                 "a word must be below 2**256", id="argv3-a word must be below 2**256"),
+    pytest.param(["check", "call-restriction", "call_restriction", "--allowed", "0x1" + "0" * 40],
+                 "an address must be below 2**160", id="argv4-an address must be below 2**160"),
+    pytest.param(["check", "env-independence", "timestamp_lottery", "--component", "timestamp",
+                  "--values", ""], "must be a 0x-prefixed", id="argv5-must be a 0x-prefixed"),
+    pytest.param(["check", "single-entrancy", "bob_mallory", "--untrusted", ""],
+                 "must be a 0x-prefixed", id="argv6-must be a 0x-prefixed"),
+    pytest.param(["check", "single-entrancy", "bob_mallory", "--untrusted", "0x1,,0x2"],
+                 "must be a 0x-prefixed", id="argv7-must be a 0x-prefixed"),
+    pytest.param(["check", "call-integrity", "bob_mallory", "--mode", "theorem2"],
+                 "mode must be one of direct, theorem1",
+                 id="argv8-mode must be one of direct, theorem1"),
+    pytest.param(["check", "code-independence", "timestamp_lottery", "--variants", "DIR"],
+                 "--variants needs an untrusted address",
+                 id="argv9---variants needs an untrusted address"),
+    pytest.param(["run", "bob_mallory", "--max-steps", "0"], "max_steps must be positive",
+                 id="argv10-max_steps must be positive"),
+    pytest.param(["run", "bob_mallory", "--max-steps", "-5"], "max_steps must be positive",
+                 id="argv11-max_steps must be positive"),
+    pytest.param(["check", "env-independence", "timestamp_lottery", "--component", "timestamp",
+                  "--values", "5,0x1_0"], "must be 0x followed by hex digits only",
+                 id="argv12-must be 0x followed by hex digits only"),
 ])
 def test_cli_flag_decoded_like_its_key_exit_2(tmp_path, capsys, argv, says):
     """A flag that sets a fixture key is decoded by that key's codec."""
@@ -594,29 +605,35 @@ WELL_FORMED["checker_params"].update({
     "components": {"timestamp": ["0x1", "0x2"]}})
 
 
+# each case's id is its own (the first twenty-two keep the positional ids
+# they were first collected under), so dropping a case renames no other
+BOB_ACCOUNT = ("pre", "0x0000000000000000000000000000000000001001")
+
+
 @pytest.mark.parametrize("path,value", [
-    (("pre", "0x0000000000000000000000000000000000001001", "balance"), 5),
-    (("pre",), []),
-    (("tx",), None),
-    (("pre", "0x0000000000000000000000000000000000001001", "storage"), []),
-    (("checker_params", "max_steps"), -1),
-    (("checker_params", "max_steps"), 0),
-    (("checker_params", "contract_code"), "0x1"),
-    (("checker_params", "contract_code"), {"asm": 5}),
-    (("tx",), {k: v for k, v in WELL_FORMED["tx"].items() if k != "gaslimit"}),
-    (("tx", "to"), 5),
-    (("tx", "input"), {"asm": "STOP"}),
-    (("pre", "0x0000000000000000000000000000000000001001", "nonce"), "1"),
-    (("ancestors", 0), {"parent": "0x66", "number": "0x8"}),
-    (("checker_params", "max_steps"), True),
-    (("checker_params", "gas_values"), ["0x5000", True]),
-    (("checker_params", "mode"), 7),
-    (("pre", "0x0000000000000000000000000000000000001001", "balance"), "0x1" + "0" * 64),
-    (("tx", "to"), "0x1" + "0" * 40),
-    (("pre", "0x0000000000000000000000000000000000001001", "balance"), "0x1_0000"),
-    (("pre", "0x0000000000000000000000000000000000001001", "balance"), "0x5 "),
-    (("pre", "0x0000000000000000000000000000000000001001", "balance"), "0x_5"),
-    (("tx", "input"), "0x0a  0b"),
+    pytest.param((*BOB_ACCOUNT, "balance"), 5, id="path0-5"),
+    pytest.param(("pre",), [], id="path1-value1"),
+    pytest.param(("tx",), None, id="path2-None"),
+    pytest.param((*BOB_ACCOUNT, "storage"), [], id="path3-value3"),
+    pytest.param(("checker_params", "max_steps"), -1, id="path4--1"),
+    pytest.param(("checker_params", "max_steps"), 0, id="path5-0"),
+    pytest.param(("checker_params", "contract_code"), "0x1", id="path6-0x1"),
+    pytest.param(("checker_params", "contract_code"), {"asm": 5}, id="path7-value7"),
+    pytest.param(("tx",), {k: v for k, v in WELL_FORMED["tx"].items() if k != "gaslimit"},
+                 id="path8-value8"),
+    pytest.param(("tx", "to"), 5, id="path9-5"),
+    pytest.param(("tx", "input"), {"asm": "STOP"}, id="path10-value10"),
+    pytest.param((*BOB_ACCOUNT, "nonce"), "1", id="path11-1"),
+    pytest.param(("ancestors", 0), {"parent": "0x66", "number": "0x8"}, id="path12-value12"),
+    pytest.param(("checker_params", "max_steps"), True, id="path13-True"),
+    pytest.param(("checker_params", "gas_values"), ["0x5000", True], id="path14-value14"),
+    pytest.param(("checker_params", "mode"), 7, id="path15-7"),
+    pytest.param((*BOB_ACCOUNT, "balance"), "0x1" + "0" * 64, id="path16-0x1" + "0" * 64),
+    pytest.param(("tx", "to"), "0x1" + "0" * 40, id="path17-0x1" + "0" * 40),
+    pytest.param((*BOB_ACCOUNT, "balance"), "0x1_0000", id="path18-0x1_0000"),
+    pytest.param((*BOB_ACCOUNT, "balance"), "0x5 ", id="path19-0x5 "),
+    pytest.param((*BOB_ACCOUNT, "balance"), "0x_5", id="path20-0x_5"),
+    pytest.param(("tx", "input"), "0x0a  0b", id="path21-0x0a  0b"),
 ])
 def test_cli_wrongly_typed_field_exit_2(tmp_path, capsys, path, value):
     bad = tmp_path / "bad.json"

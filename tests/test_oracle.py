@@ -132,7 +132,8 @@ class Lockstep:
 def lockstep(monkeypatch):
     """Route every step evmsem takes through both cores and compare them. A
     detached stack goes to the frozen core padded to its depth; a step that
-    finishes its bottom frame is final, where the frozen core's is not."""
+    finishes its bottom frame leaves a stack that `is_final` reads as final,
+    where the frozen core's is not."""
     new_step = semantics.step
     seen = Lockstep()
 
@@ -144,7 +145,7 @@ def lockstep(monkeypatch):
         final = len(ref.stack) == pad + 1 and not isinstance(ref.stack[0].state, Regular)
         # the records are tuples, and tuple equality ignores the class: a
         # Halt with the same field values would equal a Regular
-        if ((after, out.action, out.final) != (ref.stack, ref.action, final)
+        if ((after, out.action, semantics.is_final(out.stack)) != (ref.stack, ref.action, final)
                 or out.stack.depth != len(ref.stack)
                 or [type(f.state) for f in after[:2]]
                 != [type(f.state) for f in ref.stack[:2]]):

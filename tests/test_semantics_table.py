@@ -12,7 +12,7 @@ from evmsem.gas import c_mem, sha3_cost
 from evmsem.keccak import keccak256
 from evmsem.semantics import StepOutcome, step
 from evmsem.state import (EXC, BlockHeader, CallStack, Frame, Halt, LogEvent, MachineState,
-                          Regular, memory_read)
+                          Regular, is_final, memory_read)
 from evmsem.traces import CALL_ACTION_ARITY, Action
 from evmsem.words import TWO_255, TWO_256, U256_MAX
 from helpers import (DEFAULT_HEADER, MINER, ORIGIN, SELF, make_env, make_frame, stack_of,
@@ -559,7 +559,7 @@ def test_step_records_have_exactly_their_classes():
             assert type(state) in (Regular, Halt) or state is EXC
             if type(state) is Regular:
                 assert type(state.mu) is MachineState
-            if out.final:
+            if is_final(out.stack):
                 break
             stack = out.stack
 

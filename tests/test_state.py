@@ -360,7 +360,7 @@ def _records():
     space = ScenarioSpace(pre=st.sigma, tx=_transaction(), header=BlockHeader())
     return [(st.mu, "gas", 9), (st, "mu", MachineState(9, 1, b"", 0, ())), (halt, "gas", 6),
             (frame, "state", halt), (action, "tag", "exc"),
-            (step_one(frame), "final", True), (_acct(), "balance", 11),
+            (step_one(frame), "action", action), (_acct(), "balance", 11),
             (TransactionEffects(1, (), frozenset({7})), "refund", 3), (st.iota, "value", 5),
             (make_env(ancestors={0x77: BlockHeader()}), "gas_price", 9),
             (BlockHeader(number=8), "timestamp", 7), (Receipt("success", 21000, ()), "gas_used", 1),
