@@ -4,15 +4,17 @@
 it at most once (call integrity's theorem1 mode, a conjunction of three
 checks, drives it three times). `_monitor` watches that drive for a
 violating step (single-entrancy, call restriction, fuelled calls,
-stack-limit compliance). The hyperproperty checkers (atomicity, the
-independence family, call integrity) are falsifiers: each only names its
-forks, from configurations the drive reaches (entries into the analyzed
-contract, its calls into untrusted code) or from the scenario's start, and
-each fork's variants. `_explore` is the only place that runs variants:
-each distinct one runs once and is compared with the first completed run
-of its fork, the first difference is a violation and stops further runs,
-and a fork with fewer than two distinct variants runs nothing, as there
-is nothing to compare.
+stack-limit compliance); a monitor returns only its witness entries. The
+hyperproperty checkers (atomicity, the independence family, call
+integrity) are falsifiers: each only names its forks, from configurations
+the drive reaches (entries into the analyzed contract, its calls into
+untrusted code) or from the scenario's start, and each fork's variants, as
+inputs. `_explore` is the only place that runs a variant, a callee outcome
+realized by a code variant included, and only to compare it: each distinct
+one runs once and is compared with the first completed run of its fork,
+the first difference is a violation and stops further runs, and a fork
+with fewer than two distinct variants runs nothing, as there is nothing to
+compare.
 `_compare_calls` is the one place that projects the analyzed contract's
 calls and compares them; every falsifier but atomicity goes through it.
 A "holds" verdict therefore always means "holds within the explored space";
@@ -119,14 +121,16 @@ def _scan(space: ScenarioSpace, pick, first: bool = False):
 
 
 def _monitor(name: str, space: ScenarioSpace, watch) -> Verdict:
-    """Violated at the first step where watch(index, before, action, after)
-    returns (index, action, entries), witnessed by step, action and entries."""
-    _tenv, _stack, found, complete = _scan(space, watch, first=True)
-    if found:
-        index, action, entries = found[0]
-        return Verdict(name, "violated",
-                       {"step": index, "action": action_to_json(action), **entries}, True)
-    return _holds(name, complete)
+    """Violated at the first step where watch(before, action, after) returns
+    witness entries, which follow that step's index and action."""
+
+    def pick(index, before, action, after):
+        entries = watch(before, action, after)
+        return None if entries is None else {"step": index, "action": action_to_json(action),
+                                             **entries}
+
+    _tenv, _stack, found, complete = _scan(space, pick, first=True)
+    return Verdict(name, "violated", found[0], True) if found else _holds(name, complete)
 
 
 def _explore(name: str, observe, forks, differ, complete: bool) -> Verdict:
@@ -194,11 +198,10 @@ def _on_stack(c: Contract, stack) -> bool:
 def check_single_entrancy(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a reentered frame of c makes the call stack grow again."""
 
-    def watch(index, before, action, after):
+    def watch(before, action, after):
         if (action.tag in ("enter", "fail") and before.top.contract == c
                 and _on_stack(c, before.below)):
-            return index, action, {"reentry_depth": before.depth,
-                                   "contract": address_to_hex(c[0])}
+            return {"reentry_depth": before.depth, "contract": address_to_hex(c[0])}
         return None
 
     return _monitor("single-entrancy", space, watch)
@@ -209,12 +212,12 @@ def check_call_restriction(space: ScenarioSpace, c: Contract, allowed) -> Verdic
     is on the stack (directly or transitively below c)."""
     allowed = frozenset(allowed)
 
-    def watch(index, before, action, after):
+    def watch(before, action, after):
         ann = after.top.contract
         if (action.tag == "enter" and _on_stack(c, before)
                 and (ann is None or ann[0] not in allowed)):
-            return index, action, {"entered": address_to_hex(ann[0]) if ann else None,
-                                   "allowed": sorted(address_to_hex(a) for a in allowed)}
+            return {"entered": address_to_hex(ann[0]) if ann else None,
+                    "allowed": sorted(address_to_hex(a) for a in allowed)}
         return None
 
     return _monitor("call-restriction", space, watch)
@@ -223,10 +226,10 @@ def check_call_restriction(space: ScenarioSpace, c: Contract, allowed) -> Verdic
 def check_fuelled_calls(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a callee below c starts with zero gas."""
 
-    def watch(index, before, action, after):
+    def watch(before, action, after):
         if action.tag == "enter" and _on_stack(c, before) and after.top.state.mu.gas == 0:
             ann = after.top.contract
-            return index, action, {"callee": address_to_hex(ann[0]) if ann else None}
+            return {"callee": address_to_hex(ann[0]) if ann else None}
         return None
 
     return _monitor("fuelled-calls", space, watch)
@@ -236,9 +239,9 @@ def check_stack_limit_compliance(space: ScenarioSpace, c: Contract) -> Verdict:
     """Violated iff a call-time exception is pushed with the residual stack
     at the call-depth limit while c is on it."""
 
-    def watch(index, before, action, after):
+    def watch(before, action, after):
         if action.tag == "fail" and before.depth == CALL_DEPTH_LIMIT and _on_stack(c, before):
-            return index, action, {"residual_depth": before.depth}
+            return {"residual_depth": before.depth}
         return None
 
     return _monitor("stack-limit", space, watch)
@@ -427,11 +430,9 @@ def _finpot_samples(c: Contract, callee_frame: Frame):
 def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> Verdict:
     """At every call of c into an untrusted address, replacing the callee's
     outcome with any potential final state must leave c's continuation calls
-    unchanged. The samples are the generic outcomes of _finpot_samples and
-    the outcome the callee realizes, run detached at its depth, under each
-    of its code variants, with the variant at its address in the global
-    state too and its real code put back in a halting outcome's; a variant
-    run that exhausts the budget makes the verdict incomplete."""
+    unchanged. The samples are the generic outcomes of _finpot_samples, then
+    each code variant of the callee, which realizes its outcome only when
+    it is compared."""
     untrusted = frozenset(untrusted)
 
     def call_site(_index, before, action, after):
@@ -442,32 +443,34 @@ def check_effect_independence(space: ScenarioSpace, c: Contract, untrusted) -> V
 
     tenv, _stack, call_sites, complete = _scan(space, call_site)
 
-    def continuation(forked):
-        """The rest of c's frame: the callee's return processed into it,
-        then c run until it halts or throws."""
+    def continuation(sample):
+        """The rest of c's frame once the callee it entered at `after` ends
+        in `outcome`: the callee's return processed into c, then c run until
+        it halts or throws. A code variant's outcome is its callee frame with
+        that code, run detached at its depth with the code at its address in
+        the global state too, and the real code put back in a halt's."""
+        after, outcome = sample
+        if isinstance(outcome, bytes):
+            entry, (u_addr, real) = after.top
+            callee = Frame(entry._replace(iota=entry.iota._replace(code=outcome),
+                                          sigma=_with_code(entry.sigma, u_addr, outcome)),
+                           (u_addr, outcome))
+            final, _trace = run_frame(tenv, CallStack(callee, None, after.depth),
+                                      space.max_steps)
+            outcome = final.top.state
+            if isinstance(outcome, Halt):
+                outcome = outcome._replace(sigma=_with_code(outcome.sigma, u_addr, real))
+        forked = with_top_state(after, outcome)
         return run_to_depth(tenv, forked, forked.depth - 1, space.max_steps)[1]
 
-    forks = []
-    for idx, after in enumerate(call_sites):
-        samples = _finpot_samples(c, after.top)
-        entry, (u_addr, real) = after.top
-        for i, code in enumerate(space.code_variants.get(u_addr, ())):
-            callee = Frame(entry._replace(iota=entry.iota._replace(code=code),
-                                          sigma=_with_code(entry.sigma, u_addr, code)),
-                           (u_addr, code))
-            try:
-                final, _trace = run_frame(tenv, CallStack(callee, None, after.depth),
-                                          space.max_steps)
-            except BudgetExhausted:
-                complete = False
-                continue
-            st = final.top.state
-            if isinstance(st, Halt):
-                st = st._replace(sigma=_with_code(st.sigma, u_addr, real))
-            samples.append((f"variant{i}", st))
-        forks.append(((lambda l1, l2, idx=idx: {"call_site": idx, "samples": [l1, l2]}),
-                      [(label, with_top_state(after, st)) for label, st in samples]))
-    return _compare_calls("effect-independence", space, c, continuation, forks, complete)
+    def forks():
+        for idx, after in enumerate(call_sites):
+            variants = space.code_variants.get(after.top.contract[0], ())
+            yield ((lambda l1, l2, idx=idx: {"call_site": idx, "samples": [l1, l2]}),
+                   [(label, (after, st)) for label, st in _finpot_samples(c, after.top)]
+                   + [(f"variant{i}", (after, code)) for i, code in enumerate(variants)])
+
+    return _compare_calls("effect-independence", space, c, continuation, forks(), complete)
 
 
 def check_call_integrity(space: ScenarioSpace, c: Contract, untrusted,

@@ -251,6 +251,10 @@ def parse_fixture(obj, name: str = "<fixture>") -> Fixture:
             obj = json.loads(path.read_text())
         except json.JSONDecodeError as e:
             raise FixtureError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}")
+        except OSError as e:
+            raise FixtureError(f"{path}: {e.strerror or e}") from None
+        except UnicodeDecodeError as e:
+            raise FixtureError(f"{path}: {e}") from None
         except RecursionError:
             raise FixtureError(f"{path}: JSON nested too deeply") from None
     try:
@@ -332,7 +336,7 @@ def ingest_official_tests(directory) -> tuple:
     for path in sorted(directory.glob("*.json")):
         try:
             doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError, RecursionError) as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             skipped.append((str(path), f"unreadable: {e}"))
             continue
         if not isinstance(doc, dict):

@@ -286,7 +286,7 @@ def _halt(r: _Rule, stack, sigma, gas: int, data: bytes, eta, args=()) -> StepOu
 
 def _enter(r: _Rule, stack, callee: Frame, args, tag="enter") -> StepOutcome:
     """Push the callee, or EXC for a call-time failure; args are the rule's n
-    popped words, as many as CALL_ACTION_ARITY gives an enter action."""
+    popped words, so the rule table states each call and create arity."""
     pushed = _new(CallStack, (callee, stack, stack.depth + 1))
     return _new(StepOutcome, (pushed, _new(Action, (r.name, stack.top.contract, args, tag))))
 

@@ -7,11 +7,13 @@ from typing import Callable, NamedTuple, Optional
 from .state import Contract
 from .words import address_to_hex, bytes_to_hex
 
-# argument arity of the call/create action tuples
-CALL_ACTION_ARITY = {"CALL": 7, "CALLCODE": 7, "DELEGATECALL": 6, "CREATE": 3}
+# the ops whose enter action is a call or create; each one's args are its
+# rule's n popped words
+CALL_OPS = ("CALL", "CALLCODE", "DELEGATECALL", "CREATE")
 
 
-class _ActionFields(NamedTuple):
+class Action(NamedTuple):
+    """A trace action, built on every step."""
     op: str
     contract: Optional[Contract]
     args: tuple = ()
@@ -19,18 +21,6 @@ class _ActionFields(NamedTuple):
     # "fail" for call-time failures, "exc"/"halt" for frame-ending steps,
     # "ret"/"exc_ret" for return processing
     tag: str = "op"
-
-
-class Action(_ActionFields):
-    """A trace action, built on every step; an enter action of a call or
-    create carries exactly its CALL_ACTION_ARITY args."""
-
-    __slots__ = ()
-
-    def __new__(cls, op: str, contract: Optional[Contract], args: tuple = (), tag: str = "op"):
-        if tag == "enter" and op in CALL_ACTION_ARITY and len(args) != CALL_ACTION_ARITY[op]:
-            raise ValueError(f"{op} action needs {CALL_ACTION_ARITY[op]} args")
-        return tuple.__new__(cls, (op, contract, args, tag))
 
 
 Trace = tuple
@@ -47,7 +37,7 @@ def calls_of(contract: Contract) -> ActionPredicate:
 
     def pred(action: Action) -> bool:
         return (action.tag == "enter"
-                and action.op in CALL_ACTION_ARITY
+                and action.op in CALL_OPS
                 and action.contract == contract)
 
     return pred

@@ -542,6 +542,26 @@ def test_effect_independence_variant_run_out_of_budget_is_incomplete():
     assert v.result == "holds" and not v.explored_complete
 
 
+def test_effect_independence_runs_a_variant_only_when_it_is_compared(monkeypatch):
+    # c calls U, and again only if the first call succeeded: the generic
+    # outcomes at call site 0 already differ, before U's one variant, which
+    # would spin past the step budget at either site, is compared
+    code = asm([*_const_call(U), "PUSH1 @again", "JUMPI", "STOP",
+                "LABEL again", "JUMPDEST", *_const_call(U), "POP", "STOP"])
+    accounts = {C: Account(0, 0, {}, code), U: Account(0, 0, {}, b"")}
+    space = space_for(accounts, C, max_steps=200,
+                      code_variants={U: [assemble("JUMPDEST\nPUSH1 0x00\nJUMP")]})
+    runs = counting(monkeypatch, "run_frame")
+    v = check_effect_independence(space, (C, code), [U])
+    assert v.violated and v.explored_complete
+    assert v.witness == {
+        "call_site": 0, "samples": ["exc", "halt_spent"], "first_divergence": 0,
+        "trace_left": [], "trace_right": [{
+            "op": "CALL", "contract": {"address": address_to_hex(C), "code": "0x" + code.hex()},
+            "args": ["0xfff", hex(U), "0x0", "0x0", "0x0", "0x0", "0x0"], "tag": "enter"}]}
+    assert runs == []
+
+
 # U returns EXTCODESIZE(ADDRESS): its code variants are this code and the
 # same code plus three STOPs, 10 and 13 bytes long
 _SELF_SIZE = "ADDRESS\nEXTCODESIZE\nPUSH1 0x00\nMSTORE\nPUSH1 0x20\nPUSH1 0x00\nRETURN"

@@ -1,5 +1,6 @@
 import copy
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -756,6 +757,33 @@ def test_ingest_empty_dir(tmp_path):
 def test_cli_ingest(capsys):
     assert main(["ingest", str(corpus_dir() / "state_tests")]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+_NOT_UTF8 = b'\xff\xfe{"a": 1}'
+_CODEC_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+def test_cli_ingest_skips_a_file_that_is_not_utf8(tmp_path, capsys):
+    shutil.copy(corpus_dir() / "state_tests" / "simple_sstore.json", tmp_path)
+    (tmp_path / "bad.json").write_bytes(_NOT_UTF8)
+    assert main(["ingest", str(tmp_path)]) == 0
+    skipped = f"skipped {tmp_path / 'bad.json'}: unreadable: {_CODEC_ERROR}"
+    assert capsys.readouterr() == (f"ok      simpleStorageFill\n{skipped}\n", "")
+
+
+def test_cli_run_a_file_that_is_not_utf8_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_NOT_UTF8)
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: {_CODEC_ERROR}\n")
+
+
+def test_a_fixture_path_that_cannot_be_read_is_a_fixture_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(FixtureError, match="Is a directory"):
+        parse_fixture(str(tmp_path))
+    assert main(["run", str(missing)]) == 2
+    assert capsys.readouterr() == ("", f"error: {missing}: No such file or directory\n")
 
 
 @pytest.mark.parametrize("name", ["missing", "file.json"])

@@ -13,7 +13,7 @@ from evmsem.keccak import keccak256
 from evmsem.semantics import StepOutcome, step
 from evmsem.state import (EXC, BlockHeader, CallStack, Frame, Halt, LogEvent, MachineState,
                           Regular, is_final, memory_read)
-from evmsem.traces import CALL_ACTION_ARITY, Action
+from evmsem.traces import Action
 from evmsem.words import TWO_255, TWO_256, U256_MAX
 from helpers import (DEFAULT_HEADER, MINER, ORIGIN, SELF, make_env, make_frame, stack_of,
                      step_one)
@@ -565,13 +565,11 @@ def test_step_records_have_exactly_their_classes():
 
 
 def test_call_rules_pop_their_action_arity():
-    # an enter or fail action carries the rule's n popped words, which is
-    # as many as an action of its op must carry
-    for name in ("CALL", "CALLCODE", "DELEGATECALL", "CREATE"):
+    # an enter or fail action carries the rule's n popped words, and each
+    # call and create rule's n is its Yellow Paper arity
+    for name, arity in (("CALL", 7), ("CALLCODE", 7), ("DELEGATECALL", 6), ("CREATE", 3)):
         r = semantics._RULES[bytecode.MNEMONIC_TO_BYTE[name]]
-        assert r.n == CALL_ACTION_ARITY[name], name
+        assert r.n == arity, name
     stack = stack_of(make_frame("CALL", stack=(1000, 0xC0DE, 0, 0, 0, 0, 0)))
     out = step(make_env(), stack)
     assert out.action.tag == "enter" and out.action.args == (1000, 0xC0DE, 0, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        Action("CALL", None, (1, 2), "enter")
