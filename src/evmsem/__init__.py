@@ -9,8 +9,8 @@ from .checkers import (ScenarioSpace, Verdict, check_account_state_independence,
                        check_single_entrancy, check_stack_limit_compliance)
 from .keccak import keccak256, keccak256_bytes
 from .rlp import fresh_address, rlp_encode_pair
-from .semantics import (BudgetExhausted, MalformedConfiguration, StepOutcome, run,
-                        run_with_local_updates, step)
+from .semantics import (BudgetExhausted, MalformedConfiguration, run, run_with_local_updates,
+                        step)
 from .state import (Account, BlockHeader, ExecutionEnvironment, Frame, GlobalState,
                     Halt, MachineState, Regular, TransactionEffects,
                     TransactionEnvironment, EXC)

@@ -45,16 +45,11 @@ class BudgetExhausted(Exception):
     """The step budget ran out (distinct from in-model out-of-gas)."""
 
 
-class StepOutcome(NamedTuple):
-    """A step's successor stack and trace action; `is_final(stack)` says if it ends a drive."""
-    stack: CallStack
-    action: Action
-
-
 def step(tenv: TransactionEnvironment, stack: CallStack,
-         override: Optional[dict] = None) -> StepOutcome:
+         override: Optional[dict] = None) -> tuple:
     """Apply exactly one small-step rule to a non-final configuration; the
-    rule builds the outcome."""
+    rule builds the outcome, the pair (successor stack, trace action), and
+    `is_final(stack)` says if that stack ends a drive."""
     if stack is None:
         raise MalformedConfiguration("empty call stack")
     st = stack.top.state
@@ -169,7 +164,7 @@ def run_with_local_updates(tenv: TransactionEnvironment, stack: CallStack,
 
 class _Rule(NamedTuple):
     name: str                 # mnemonic, from the bytecode opcode table
-    fire: Callable            # fire(rule, state, tenv, stack, override) -> StepOutcome
+    fire: Callable            # fire(rule, state, tenv, stack, override) -> (stack, action)
     cost: int = 0             # constant cost, from SCHEDULE
     n: int = 0                # stack words read (and popped, except by DUP and SWAP)
     k: int = 0                # PUSH immediate size, DUP/SWAP index, LOG topics, MSTORE width
@@ -186,10 +181,18 @@ _new = tuple.__new__
 _FAILED = Frame(EXC, None)        # what a call-time failure pushes
 
 
-def _immediate(code: bytes, pc: int, k: int) -> int:
-    """The k-byte immediate word of the PUSH at pc, zero-padded past the end."""
-    data = code[pc + 1:pc + 1 + k]
-    return int.from_bytes(data, "big") << 8 * (k - len(data))
+@lru_cache(maxsize=256)      # about 15 bytes per code byte
+def _pushes(code: bytes) -> dict:
+    """The immediate word, zero-padded past the end, of every pc of code
+    whose byte is a PUSH, whether or not it starts an instruction: each
+    decoded once per code, for a PUSH stepped alone and for `_runs`."""
+    words = {}
+    for pc, byte in enumerate(code):
+        if bc.PUSH1 <= byte <= bc.PUSH32:
+            k = byte - bc.PUSH1 + 1
+            data = code[pc + 1:pc + 1 + k]
+            words[pc] = int.from_bytes(data, "big") << 8 * (k - len(data))
+    return words
 
 
 @lru_cache(maxsize=256)      # a run table holds about 23 bytes per code byte
@@ -199,16 +202,17 @@ def _runs(code: bytes) -> dict:
     from pc 0, a JUMPDEST or the pc after any other rule to the next of
     these, over instructions, and holds their kernels in order. Each stretch
     of PUSH and PC is kept as the tuple of its words, top first, read here
-    once, which the run puts on the stack; a GAS gets a kernel that pushes
-    the gas left at its own position: the entry gas less the cost before it."""
-    runs, pc = {}, 0
+    once (a PUSH's from `_pushes`), which the run puts on the stack; a GAS
+    gets a kernel that pushes the gas left at its own position: the entry
+    gas less the cost before it."""
+    runs, pc, pushes = {}, 0, _pushes(code)
     while pc < len(code):
         start, ops, steps, cost, height, need, growth = pc, [], 0, 0, 0, 0, 0
         while (pc < len(code) and (r := _RULES[code[pc]]).fire is _plain
                and (pc == start or r.name != "JUMPDEST")):
             need = max(need, r.n - height)
             if r.name == "PC" or r.size > 1:      # a word, on top of the stretch's words
-                word = pc if r.name == "PC" else _immediate(code, pc, r.k)
+                word = pc if r.name == "PC" else pushes[pc]
                 if ops and ops[-1].__class__ is tuple:
                     ops[-1] = (word,) + ops[-1]
                 else:
@@ -262,44 +266,43 @@ def _valid(gas: int, cost: int, new_stack_size: int) -> bool:
     return gas >= cost and new_stack_size < STACK_LIMIT
 
 
-def _exc(r: _Rule, stack, args=()) -> StepOutcome:
+def _exc(r: _Rule, stack, args=()) -> tuple:
     """The top frame ends in an exception."""
     action = _new(Action, (r.name, stack.top.contract, args, "exc"))
-    return _new(StepOutcome, (with_top_state(stack, EXC), action))
+    return with_top_state(stack, EXC), action
 
 
-def _next(r: _Rule, stack, mu: tuple, args=(), sigma=None, eta=None) -> StepOutcome:
+def _next(r: _Rule, stack, mu: tuple, args=(), sigma=None, eta=None) -> tuple:
     """The top frame goes on with machine state fields mu (and sigma/eta if given)."""
     st, c = stack.top
     state = _new(Regular, (_new(MachineState, mu), st.iota, st.sigma if sigma is None else sigma,
                            st.eta if eta is None else eta))
     top = _new(Frame, (state, c))
-    return _new(StepOutcome, (_new(CallStack, (top, stack.below, stack.depth)),
-                              _new(Action, (r.name, c, args, "op"))))
+    return _new(CallStack, (top, stack.below, stack.depth)), _new(Action, (r.name, c, args, "op"))
 
 
-def _halt(r: _Rule, stack, sigma, gas: int, data: bytes, eta, args=()) -> StepOutcome:
+def _halt(r: _Rule, stack, sigma, gas: int, data: bytes, eta, args=()) -> tuple:
     """The top frame halts."""
     action = _new(Action, (r.name, stack.top.contract, args, "halt"))
-    return _new(StepOutcome, (with_top_state(stack, _new(Halt, (sigma, gas, data, eta))), action))
+    return with_top_state(stack, _new(Halt, (sigma, gas, data, eta))), action
 
 
-def _enter(r: _Rule, stack, callee: Frame, args, tag="enter") -> StepOutcome:
+def _enter(r: _Rule, stack, callee: Frame, args, tag="enter") -> tuple:
     """Push the callee, or EXC for a call-time failure; args are the rule's n
     popped words, so the rule table states each call and create arity."""
     pushed = _new(CallStack, (callee, stack, stack.depth + 1))
-    return _new(StepOutcome, (pushed, _new(Action, (r.name, stack.top.contract, args, tag))))
+    return pushed, _new(Action, (r.name, stack.top.contract, args, tag))
 
 
-def _resume(r: _Rule, stack, state, tag) -> StepOutcome:
+def _resume(r: _Rule, stack, state, tag) -> tuple:
     """The caller below the finished top frame goes on in `state`."""
     caller = stack.below
     action = _new(Action, (r.name + "RET", caller.top.contract, (), tag))
-    return _new(StepOutcome, (with_top_state(caller, state), action))
+    return with_top_state(caller, state), action
 
 
 # ---------------------------------------------------------------------------
-# regular rules: fire(rule, state, tenv, stack, override) -> StepOutcome,
+# regular rules: fire(rule, state, tenv, stack, override) -> (stack, action),
 # where state is the top frame's Regular state and its machine stack holds
 # at least the rule's n words
 
@@ -633,6 +636,10 @@ def _calldataload(s, st, tenv, ov):
     return (word_from_bytes(memory_read(st.iota.input, s[0], 32)),) + s[1:]
 
 
+def _push(s, st, tenv, ov):
+    return (_pushes(st.iota.code)[st.mu.pc],) + s
+
+
 def _blockhash(tenv, n: int) -> int:
     """Walk parent headers for the hash of block n; 0 past 256 hops, past an
     unknown ancestor, or when n lies beyond the visited header."""
@@ -708,9 +715,8 @@ def _rule_table() -> tuple:
         for name in names.split():
             plain[name] = (key, 2, -1, lambda s, st, tenv, ov, name=name:
                            (binop(name, s[0], s[1]),) + s[2:])
-    for k in range(1, 33):      # a PUSH stepped alone decodes its immediate, as in PUSH data
-        plain[f"PUSH{k}"] = ("verylow", 0, 1, lambda s, st, tenv, ov, k=k:
-                             (_immediate(st.iota.code, st.mu.pc, k),) + s, k, k + 1)
+    for k in range(1, 33):      # a PUSH stepped alone, in PUSH data too, reads its word
+        plain[f"PUSH{k}"] = ("verylow", 0, 1, _push, k, k + 1)
     for k in range(1, 17):
         plain[f"DUP{k}"] = ("verylow", k, 1, lambda s, st, tenv, ov, i=k - 1: (s[i],) + s, k)
         plain[f"SWAP{k}"] = ("verylow", k + 1, 0, lambda s, st, tenv, ov, k=k:

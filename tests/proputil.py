@@ -128,9 +128,8 @@ def monitored_run(tenv, stack, budget=STEP_BUDGET):
         if is_final(stack):
             return stack, tuple(trace)
         before = stack
-        out = step(tenv, before)
-        trace.append(out.action)
-        after = out.stack
+        after, action = step(tenv, before)
+        trace.append(action)
 
         top = after.top.state
         if isinstance(top, Regular):
@@ -138,12 +137,12 @@ def monitored_run(tenv, stack, budget=STEP_BUDGET):
                 raise PropertyViolation(f"machine stack grew to {len(top.mu.stack)}")
             if len(top.mu.memory) > 32 * top.mu.active_words:
                 raise PropertyViolation(
-                    f"{out.action.op} left {len(top.mu.memory)} bytes of memory in"
+                    f"{action.op} left {len(top.mu.memory)} bytes of memory in"
                     f" {top.mu.active_words} active words")
         if (top is not EXC and before.top.state is not EXC
                 and top.sigma.total_balance() != before.top.state.sigma.total_balance()
-                and not _burns(before.top.state, out.action)):
-            raise PropertyViolation(f"{out.action.op} changed the total wei")
+                and not _burns(before.top.state, action)):
+            raise PropertyViolation(f"{action.op} changed the total wei")
 
         if after.depth == before.depth:
             prev, cur = before.top.state, after.top.state
@@ -151,14 +150,14 @@ def monitored_run(tenv, stack, budget=STEP_BUDGET):
                 if cur.mu.gas >= prev.mu.gas:
                     raise PropertyViolation(
                         f"gas did not strictly decrease: {prev.mu.gas} -> {cur.mu.gas}"
-                        f" after {out.action.op}")
+                        f" after {action.op}")
                 last_gas[-1] = cur.mu.gas
             elif isinstance(prev, Regular) and isinstance(cur, Halt):
                 if cur.gas > prev.mu.gas:
                     raise PropertyViolation("halting increased gas")
         elif after.depth > before.depth:
             caller = before.top.state
-            if (out.action.op == "CREATE" and isinstance(top, Regular)
+            if (action.op == "CREATE" and isinstance(top, Regular)
                     and top.iota.actor in caller.sigma):
                 raise PropertyViolation(f"CREATE entered the existing account"
                                         f" {hex(top.iota.actor)}")
@@ -273,7 +272,7 @@ def run_frame_monitorless(tenv, stack, budget=STEP_BUDGET):
     for _ in range(budget):
         if stack.depth == depth and not isinstance(stack.top.state, Regular):
             return stack, tuple(trace)
-        out = step(tenv, stack)
-        trace.append(out.action)
-        stack = out.stack
+        after, action = step(tenv, stack)
+        trace.append(action)
+        stack = after
     raise BudgetExhausted("frame did not finalize")

@@ -19,8 +19,8 @@ import pytest
 from evmsem import semantics
 from evmsem.bytecode import assemble, valid_jump_dests
 from evmsem.fixtures import load_corpus
-from evmsem.semantics import (BudgetExhausted, is_final, iterate_steps,
-                              run_frame, run_to_depth, run_with_local_updates)
+from evmsem.semantics import (BudgetExhausted, is_final, iterate_steps, run_frame,
+                              run_to_depth, run_with_local_updates, step)
 from evmsem.state import CALL_DEPTH_LIMIT, EXC, Account, CallStack, Regular
 from evmsem.transaction import execute_transaction, t_init
 from helpers import (OTHER, checking_block_mode, make_env, make_frame, make_state,
@@ -147,6 +147,48 @@ def test_one_op_at_a_time_execution_builds_no_run_table():
     for f in load_corpus():
         execute_transaction(f.tx, f.header, f.pre, ancestors=f.ancestors)
     assert semantics._runs.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# PUSH words, each decoded once per code in `_pushes`
+
+
+def _pushed_word(code: bytes, pc: int = 0) -> int:
+    """The word the PUSH at pc pushes when stepped alone. `_pushes` holds
+    the same word, and block mode, driven from the same configuration, ends
+    in the STOP after it on the same stack as one-op stepping does."""
+    tenv, stack = make_env(), stack_of(make_frame(code, pc=pc))
+    after, action = step(tenv, stack)
+    assert (action.op, action.tag) == (f"PUSH{code[pc] - 0x5F}", "op")
+    (word,) = after.top.state.mu.stack
+    assert semantics._pushes(code)[pc] == word
+    shown = list(modes_in_lockstep(iterate_steps, tenv, stack, 10))
+    assert [(a.op, before.top.state.mu.stack) for _i, before, a, _s in shown] == [
+        ("STOP", (word,))]
+    return word
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_each_push_steps_alone_to_its_table_word_in_both_modes(k):
+    immediate = bytes(range(0x81, 0x81 + k))
+    code = bytes([0x5F + k]) + immediate + b"\x00"
+    assert _pushed_word(code) == int.from_bytes(immediate, "big")
+    assert semantics._runs(code)[0].steps == 1      # block mode applies it as a run
+
+
+def test_a_push_truncated_by_the_end_of_the_code_reads_zeros_past_it():
+    assert _pushed_word(bytes([0x61, 0xAA])) == 0xAA00
+    assert _pushed_word(bytes([0x7F, 0x11])) == 0x11 << 248
+
+
+def test_a_push_byte_inside_an_immediate_pushes_its_own_immediate():
+    # PUSH3 0x61bbcc STOP: the PUSH2 byte at pc 1 is PUSH3's data, yet a
+    # configuration at pc 1 steps it as a PUSH2 of the two bytes after it
+    code = bytes([0x62, 0x61, 0xBB, 0xCC, 0x00])
+    assert sorted(semantics._pushes(code)) == [0, 1]
+    assert _pushed_word(code) == 0x61BBCC
+    assert _pushed_word(code, pc=1) == 0xBBCC
+    assert 1 not in semantics._runs(code)           # no run starts inside an immediate
 
 
 # ---------------------------------------------------------------------------

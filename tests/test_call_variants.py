@@ -104,6 +104,6 @@ def test_extcodecopy_reads_real_external_bytes():
     sigma = make_state(code=code, accounts={TARGET: Account(0, 0, {}, external)})
     stack = stack_of(make_frame(code, sigma=sigma))
     for _ in range(5):   # four pushes plus the copy
-        stack = step(make_env(), stack).stack
+        stack, _action = step(make_env(), stack)
     got = memory_read(stack[0].state.mu.memory, 0, 4)
     assert got == external[:4]

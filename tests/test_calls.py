@@ -34,9 +34,9 @@ def make_call_frame(op="CALL", gas=100_000, stack=None, callee_code="STOP",
 def test_call_pushes_fresh_frame_and_moves_value():
     frame = make_call_frame(stack=call_stack_args(va=7, io=0, isz=4),
                             memory={0: 0xAA, 2: 0xBB}, active_words=1)
-    out = step_one(frame)
-    assert len(out.stack) == 2
-    callee = out.stack[0]
+    after, action = step_one(frame)
+    assert len(after) == 2
+    callee = after[0]
     st = callee.state
     assert isinstance(st, Regular)
     # fresh machine state: budget, pc 0, zero memory, empty stack
@@ -50,16 +50,16 @@ def test_call_pushes_fresh_frame_and_moves_value():
     # value moved in the callee's sigma; caller frame untouched
     assert st.sigma.get(CALLEE).balance == 5 + 7
     assert st.sigma.get(SELF).balance == 1000 - 7
-    assert out.stack.below.top == frame
+    assert after.below.top == frame
     assert callee.contract == (CALLEE, assemble("STOP"))
-    assert out.action.tag == "enter" and out.action.op == "CALL"
-    assert out.action.args == call_stack_args(va=7, io=0, isz=4)
+    assert action.tag == "enter" and action.op == "CALL"
+    assert action.args == call_stack_args(va=7, io=0, isz=4)
 
 
 def test_call_to_absent_account_creates_it():
     frame = make_call_frame(stack=call_stack_args(to=ABSENT, va=3))
-    out = step_one(frame)
-    st = out.stack[0].state
+    after, _action = step_one(frame)
+    st = after[0].state
     created = st.sigma.get(ABSENT)
     assert created == Account(0, 3, {}, b"")
     assert st.iota.code == b""
@@ -87,7 +87,8 @@ def test_call_sigma_is_what_the_debit_and_credit_give(to, va, actor_exists, skip
     frame = make_call_frame(stack=call_stack_args(to=to, va=va))
     sigma = frame.state.sigma if actor_exists else frame.state.sigma.delete(SELF)
     frame = frame._replace(state=frame.state._replace(sigma=sigma))
-    st = step_one(frame).stack[0].state
+    after, _action = step_one(frame)
+    st = after[0].state
     assert st.sigma == _two_puts(sigma, SELF, to, va)
     # without value between two existing accounts no put is made
     assert (st.sigma is sigma) == skipped
@@ -96,10 +97,11 @@ def test_call_sigma_is_what_the_debit_and_credit_give(to, va, actor_exists, skip
 def test_zero_value_call_to_absent_account_pays_for_creating_it():
     frame = make_call_frame(stack=call_stack_args(to=ABSENT))
     tenv = make_env()
-    out = step(tenv, stack_of(frame))
-    assert out.stack[0].state.sigma.get(ABSENT) == Account()
-    stack, _trace = run_frame(tenv, out.stack, 10)
-    caller = step(tenv, stack).stack[0].state
+    after, _action = step(tenv, stack_of(frame))
+    assert after[0].state.sigma.get(ABSENT) == Account()
+    stack, _trace = run_frame(tenv, after, 10)
+    resumed, _action = step(tenv, stack)
+    caller = resumed[0].state
     assert caller.mu.stack == (1,)
     assert caller.mu.gas == 100_000 - SCHEDULE["call_base"] - SCHEDULE["call_new_account"]
 
@@ -111,7 +113,8 @@ def test_callee_environment_is_the_callers_with_the_call_fields_replaced(op):
         words = words[:2] + words[3:]
     frame = make_call_frame(op=op, stack=words, memory={0: 0xAA}, active_words=1,
                             value=3, sender=0x5E4D)
-    st = step_one(frame).stack[0].state
+    after, _action = step_one(frame)
+    st = after[0].state
     iota, code = frame.state.iota, assemble("STOP")
     assert st.iota == {
         "CALL": iota._replace(sender=SELF, actor=CALLEE, value=7, input=b"\xaa\x00",
@@ -133,7 +136,8 @@ def test_the_callee_environment_is_the_one_its_constructor_builds(op):
         words = call_stack_args(va=7, isz=2)
         frame = make_call_frame(op=op, stack=words[:2] + words[3:] if op == "DELEGATECALL"
                                 else words, memory={0: 0xAA}, active_words=1, value=3)
-    iota = step_one(frame).stack[0].state.iota
+    after, _action = step_one(frame)
+    iota = after[0].state.iota
     built = ExecutionEnvironment(iota.actor, iota.input, iota.sender, iota.value, iota.code)
     assert type(iota) is ExecutionEnvironment
     assert iota == built and hash(iota) == hash(built) and repr(iota) == repr(built)
@@ -145,36 +149,36 @@ def test_the_callee_environment_is_the_one_its_constructor_builds(op):
 
 def test_call_balance_failure_pushes_exc():
     frame = make_call_frame(stack=call_stack_args(va=10_000), balance=100)
-    out = step_one(frame)
-    assert len(out.stack) == 2
-    assert out.stack[0].state is EXC
-    assert out.stack[0].contract is None
-    assert out.stack.below.top == frame
-    assert out.action.tag == "fail"
+    after, action = step_one(frame)
+    assert len(after) == 2
+    assert after[0].state is EXC
+    assert after[0].contract is None
+    assert after.below.top == frame
+    assert action.tag == "fail"
 
 
 def test_call_depth_failure_pushes_exc():
     frame = make_call_frame()
     below = tuple(make_frame("CALL", stack=call_stack_args()) for _ in range(1023))
-    out = step(make_env(), stack_of(frame, *below))
-    assert len(out.stack) == 1025
-    assert out.stack[0].state is EXC
+    after, _action = step(make_env(), stack_of(frame, *below))
+    assert len(after) == 1025
+    assert after[0].state is EXC
     # at 1023 frames below (1024 total) the call is still allowed
-    out = step(make_env(), stack_of(frame, *below[:1022]))
-    assert isinstance(out.stack[0].state, Regular)
-    assert len(out.stack) == 1024
+    after, _action = step(make_env(), stack_of(frame, *below[:1022]))
+    assert isinstance(after[0].state, Regular)
+    assert len(after) == 1024
 
 
 def test_call_out_of_gas_replaces_frame():
     # va=1, g=0: charge is Cbase(1,1) + stipend = 7200 + 2300 = 9500;
     # one unit short means EXC replaces the caller itself
     frame = make_call_frame(gas=9499, stack=call_stack_args(g=0, va=1))
-    out = step_one(frame)
-    assert len(out.stack) == 1
-    assert out.stack[0].state is EXC
+    after, _action = step_one(frame)
+    assert len(after) == 1
+    assert after[0].state is EXC
     frame = make_call_frame(gas=9500, stack=call_stack_args(g=0, va=1))
-    out = step_one(frame)
-    assert len(out.stack) == 2 and isinstance(out.stack[0].state, Regular)
+    after, _action = step_one(frame)
+    assert len(after) == 2 and isinstance(after[0].state, Regular)
 
 
 def test_call_success_return_exact_gas():
@@ -183,13 +187,13 @@ def test_call_success_return_exact_gas():
                             callee_code="PUSH1 0x2a\nPUSH1 0x00\nMSTORE\n"
                                         "PUSH1 0x20\nPUSH1 0x00\nRETURN")
     # oops: RETURN pops io then is; program pushes is=0x20 then io=0x00
-    out = step_one(frame)
+    after, _action = step_one(frame)
     tenv = make_env()
-    stack, trace = run_frame(tenv, out.stack, 100)
+    stack, trace = run_frame(tenv, after, 100)
     assert isinstance(stack[0].state, Halt)
-    ret_out = step(tenv, stack)
-    caller = ret_out.stack[0]
-    assert len(ret_out.stack) == 1
+    returned, _action = step(tenv, stack)
+    caller = returned[0]
+    assert len(returned) == 1
     st = caller.state
     assert st.mu.stack == (1,)
     assert st.mu.pc == 1
@@ -208,9 +212,10 @@ def test_call_return_data_written_to_caller_memory():
         stack=call_stack_args(g=5000, oo=10, os_=2),
         callee_code="PUSH1 0x2a\nPUSH1 0x00\nMSTORE\nPUSH1 0x20\nPUSH1 0x00\nRETURN")
     tenv = make_env()
-    stack, _ = run_frame(tenv, step_one(frame).stack, 100)
-    out = step(tenv, stack)
-    mu = out.stack[0].state.mu
+    entered, _action = step_one(frame)
+    stack, _ = run_frame(tenv, entered, 100)
+    after, _action = step(tenv, stack)
+    mu = after[0].state.mu
     # only min(os, |d|) = 2 bytes land at oo=10; word value 42 sits in byte 31
     assert memory_read(mu.memory, 10, 2) == bytes(2)
     assert mu.stack == (1,)
@@ -222,11 +227,11 @@ def test_call_exception_return_rolls_back():
     frame = make_call_frame(stack=call_stack_args(g=30_000, va=2),
                             callee_code="PUSH1 0x01\nPUSH1 0x00\nSSTORE\nINVALID")
     tenv = make_env()
-    out = step_one(frame)
-    stack, _ = run_frame(tenv, out.stack, 100)
+    after, _action = step_one(frame)
+    stack, _ = run_frame(tenv, after, 100)
     assert stack[0].state is EXC
-    ret = step(tenv, stack)
-    caller = ret.stack[0].state
+    returned, _action = step(tenv, stack)
+    caller = returned[0].state
     # caller's sigma and eta are bit-identical to call time
     assert caller.sigma == frame.state.sigma
     assert caller.eta == frame.state.eta
@@ -239,8 +244,8 @@ def test_call_exception_return_rolls_back():
 def test_callcode_keeps_actor_no_transfer():
     frame = make_call_frame(op="CALLCODE", stack=call_stack_args(va=7),
                             callee_code="STOP")
-    out = step_one(frame)
-    st = out.stack[0].state
+    after, _action = step_one(frame)
+    st = after[0].state
     assert st.iota.actor == SELF            # context stays with the caller
     assert st.iota.sender == SELF
     assert st.iota.value == 7
@@ -249,17 +254,17 @@ def test_callcode_keeps_actor_no_transfer():
     assert st.sigma.get(SELF).balance == 1000
     assert st.sigma.get(CALLEE).balance == 5
     # still annotated with the code-owning contract
-    assert out.stack[0].contract == (CALLEE, assemble("STOP"))
+    assert after[0].contract == (CALLEE, assemble("STOP"))
     # balance guard still applies
     poor = make_call_frame(op="CALLCODE", stack=call_stack_args(va=10**9))
-    out = step_one(poor)
-    assert out.stack[0].state is EXC and len(out.stack) == 2
+    after, _action = step_one(poor)
+    assert after[0].state is EXC and len(after) == 2
 
 
 def test_callcode_to_absent_runs_empty_code_without_creating():
     frame = make_call_frame(op="CALLCODE", stack=call_stack_args(to=ABSENT, va=1))
-    out = step_one(frame)
-    st = out.stack[0].state
+    after, _action = step_one(frame)
+    st = after[0].state
     assert st.sigma.get(ABSENT) is None
     assert st.iota.code == b""
     # CALLCODE always charges with flag = 1
@@ -272,19 +277,20 @@ def test_delegatecall_pops_six_and_inherits_context():
     sigma = make_state(code=code, accounts=accounts)
     frame = make_frame(code, stack=(40_000, CALLEE, 0, 0, 0, 0, 0xDEAD),
                        sigma=sigma, value=99, sender=0x5E4D)
-    out = step_one(frame)
-    st = out.stack[0].state
+    after, action = step_one(frame)
+    st = after[0].state
     assert st.iota.actor == SELF
     assert st.iota.sender == 0x5E4D        # preserved, not rewritten
     assert st.iota.value == 99             # preserved
     assert st.iota.code == assemble("STOP")
     # six arguments popped: 0xDEAD is still on the caller's stack
-    assert out.stack.below.top.state.mu.stack[-1] == 0xDEAD
-    assert out.action.args == (40_000, CALLEE, 0, 0, 0, 0)
+    assert after.below.top.state.mu.stack[-1] == 0xDEAD
+    assert action.args == (40_000, CALLEE, 0, 0, 0, 0)
     assert st.mu.gas == c_gascap(0, 1, 40_000, 1_000_000)
     # absent code account: runs empty code, nothing created
     frame = make_frame(code, stack=(40_000, ABSENT, 0, 0, 0, 0), sigma=sigma)
-    st = step_one(frame).stack[0].state
+    after, _action = step_one(frame)
+    st = after[0].state
     assert st.sigma.get(ABSENT) is None and st.iota.code == b""
 
 
@@ -293,8 +299,8 @@ def test_delegatecall_depth_guard_only():
     frame = make_frame(code, stack=(40_000, CALLEE, 0, 0, 0, 0),
                        sigma=make_state(code=code, balance=0))
     below = tuple(make_frame("STOP") for _ in range(1023))
-    out = step(make_env(), stack_of(frame, *below))
-    assert out.stack[0].state is EXC and len(out.stack) == 1025
+    after, _action = step(make_env(), stack_of(frame, *below))
+    assert after[0].state is EXC and len(after) == 1025
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +321,10 @@ def create_frame(gas=200_000, va=0, init="STOP", balance=1000, nonce=3,
 
 def test_create_entry():
     frame = create_frame(va=9, init="PUSH1 0x00\nPUSH1 0x00\nRETURN")
-    out = step_one(frame)
-    st = out.stack[0].state
+    after, action = step_one(frame)
+    st = after[0].state
     rho = fresh_address(SELF, 3)
-    assert out.stack[0].contract is None   # initialization code: bottom
+    assert after[0].contract is None   # initialization code: bottom
     assert st.iota.actor == rho and st.iota.sender == SELF
     assert st.iota.input == b"" and st.iota.value == 9
     assert st.iota.code == assemble("PUSH1 0x00\nPUSH1 0x00\nRETURN")
@@ -328,15 +334,15 @@ def test_create_entry():
     # budget: all but one 64th of (gas - Cmem - 32000)
     aw_cost = 0  # memory already active
     assert st.mu.gas == l_all_but_one_64th(200_000 - 32_000 - aw_cost)
-    assert out.action.op == "CREATE" and out.action.args == (9, 0, 5)
+    assert action.op == "CREATE" and action.args == (9, 0, 5)
 
 
 def test_create_collision_merges_balance():
     rho = fresh_address(SELF, 3)
     existing = {rho: Account(7, 50, {3: 4}, b"\x00")}
     frame = create_frame(va=9, collision=existing)
-    out = step_one(frame)
-    st = out.stack[0].state
+    after, _action = step_one(frame)
+    st = after[0].state
     assert st.sigma.get(rho) == Account(0, 59, {}, b"")
 
 
@@ -356,19 +362,19 @@ def test_two_creates_at_nonce_0_make_two_accounts():
 
 def test_create_balance_and_depth_failures():
     frame = create_frame(va=10**9)
-    out = step_one(frame)
-    assert out.stack[0].state is EXC and len(out.stack) == 2
+    after, _action = step_one(frame)
+    assert after[0].state is EXC and len(after) == 2
 
     frame = create_frame()
     below = tuple(make_frame("STOP") for _ in range(1023))
-    out = step(make_env(), stack_of(frame, *below))
-    assert out.stack[0].state is EXC and len(out.stack) == 1025
+    after, _action = step(make_env(), stack_of(frame, *below))
+    assert after[0].state is EXC and len(after) == 1025
 
 
 def test_create_oog_and_underflow():
     frame = create_frame(gas=31_000)
-    out = step_one(frame)
-    assert out.stack[0].state is EXC and len(out.stack) == 1
+    after, _action = step_one(frame)
+    assert after[0].state is EXC and len(after) == 1
 
 
 def test_create_success_return_deploys_code():
@@ -378,11 +384,12 @@ def test_create_success_return_deploys_code():
             "PUSH1 0x02\nPUSH1 0x00\nRETURN")
     frame = create_frame(init=init, gas=200_000, va=1)
     tenv = make_env()
-    stack, _ = run_frame(tenv, step_one(frame).stack, 100)
+    entered, _action = step_one(frame)
+    stack, _ = run_frame(tenv, entered, 100)
     assert isinstance(stack[0].state, Halt)
     callee_gas = stack[0].state.gas
-    out = step(tenv, stack)
-    st = out.stack[0].state
+    after, _action = step(tenv, stack)
+    st = after[0].state
     rho = fresh_address(SELF, 3)
     assert st.mu.stack == (rho,)
     assert st.sigma.get(rho).code == b"\x5b\x00"
@@ -400,10 +407,11 @@ def test_a_successful_create_hashes_its_address_once(monkeypatch):
     monkeypatch.setattr(rlp, "keccak256", lambda data: hashed.append(data) or keccak256(data))
     rlp.fresh_address.cache_clear()
     tenv = make_env()
-    stack, _ = run_frame(tenv, step_one(create_frame(init="STOP")).stack, 100)
-    out = step(tenv, stack)
+    entered, _action = step_one(create_frame(init="STOP"))
+    stack, _ = run_frame(tenv, entered, 100)
+    after, action = step(tenv, stack)
     assert hashed == [rlp.rlp_encode_pair(SELF, 3)]
-    assert out.action.tag == "ret" and out.stack[0].state.mu.stack == (fresh_address(SELF, 3),)
+    assert action.tag == "ret" and after[0].state.mu.stack == (fresh_address(SELF, 3),)
 
 
 def test_create_final_fee_unpayable_replaces_caller():
@@ -411,12 +419,13 @@ def test_create_final_fee_unpayable_replaces_caller():
     # its 200*32 = 6400 deployment fee
     frame = create_frame(init="PUSH1 0x20\nPUSH1 0x00\nRETURN", gas=38_500)
     tenv = make_env()
-    stack, _ = run_frame(tenv, step_one(frame).stack, 100)
+    entered, _action = step_one(frame)
+    stack, _ = run_frame(tenv, entered, 100)
     halt = stack[0].state
     assert isinstance(halt, Halt) and halt.gas < 200 * 32
-    out = step(tenv, stack)
-    assert len(out.stack) == 1
-    assert out.stack[0].state is EXC
+    after, _action = step(tenv, stack)
+    assert len(after) == 1
+    assert after[0].state is EXC
 
 
 def test_an_unpayable_create_fee_ends_the_run_only_on_the_bottom_frame():
@@ -425,18 +434,20 @@ def test_an_unpayable_create_fee_ends_the_run_only_on_the_bottom_frame():
     frame = create_frame(init="PUSH1 0x20\nPUSH1 0x00\nRETURN", gas=38_500)
     tenv = make_env()
     for below in ((), (make_frame("STOP"),)):
-        stack, _ = run_frame(tenv, step_one(frame, tenv, below).stack, 100)
-        out = step(tenv, stack)
-        assert out.stack[0].state is EXC and is_final(out.stack) == (not below)
+        entered, _action = step_one(frame, tenv, below)
+        stack, _ = run_frame(tenv, entered, 100)
+        after, _action = step(tenv, stack)
+        assert after[0].state is EXC and is_final(after) == (not below)
 
 
 def test_create_exception_return():
     frame = create_frame(init="INVALID", gas=100_000)
     tenv = make_env()
-    stack, _ = run_frame(tenv, step_one(frame).stack, 100)
+    entered, _action = step_one(frame)
+    stack, _ = run_frame(tenv, entered, 100)
     assert stack[0].state is EXC
-    out = step(tenv, stack)
-    st = out.stack[0].state
+    after, _action = step(tenv, stack)
+    st = after[0].state
     assert st.mu.stack == (0,)
     assert st.sigma == frame.state.sigma    # rollback
     allocation = 32_000 + l_all_but_one_64th(100_000 - 32_000)
@@ -468,19 +479,19 @@ def test_extcodesize_consults_override():
     code = assemble("EXTCODESIZE")
     frame = make_frame(code, stack=(OTHER,))
     override = {OTHER: b"\x01\x02\x03"}
-    out = step_one(frame, override=override)
-    assert out.stack[0].state.mu.stack == (3,)
+    after, _action = step_one(frame, override=override)
+    assert after[0].state.mu.stack == (3,)
     # without the override: OTHER's real code (1 byte STOP)
-    out = step_one(frame)
-    assert out.stack[0].state.mu.stack == (1,)
+    after, _action = step_one(frame)
+    assert after[0].state.mu.stack == (1,)
 
 
 def test_extcodecopy_consults_override():
     code = assemble("EXTCODECOPY")
     frame = make_frame(code, stack=(OTHER, 0, 0, 2))
     override = {OTHER: b"\xaa\xbb"}
-    out = step_one(frame, override=override)
-    mem = out.stack[0].state.mu.memory
+    after, _action = step_one(frame, override=override)
+    mem = after[0].state.mu.memory
     assert list(memory_read(mem, 0, 2)) == [0xAA, 0xBB]
 
 
@@ -493,7 +504,7 @@ def test_override_does_not_change_called_code():
     tenv = make_env()
     stack = stack_of(frame)
     for _ in range(8):
-        stack = step(tenv, stack, override).stack
+        stack, _action = step(tenv, stack, override)
     callee = stack[0]
     assert callee.state.iota.code == assemble("STOP")   # from sigma, not f
 
@@ -554,10 +565,10 @@ def test_a_call_reads_its_callee_once_and_costs_once(monkeypatch, op):
     n = 6 if op == "DELEGATECALL" else 7
     frame = make_call_frame(op, stack=call_stack_args()[:n])
     tenv = make_env()
-    out = step(tenv, stack_of(frame))
-    assert out.action.tag == "enter"
+    after, action = step(tenv, stack_of(frame))
+    assert action.tag == "enter"
     assert lookups.count(CALLEE) == 1
-    stack, _trace = run_frame(tenv, out.stack, 10)
-    resumed = step(tenv, stack)
-    assert resumed.action.tag == "ret" and resumed.stack.top.state.mu.stack == (1,)
+    stack, _trace = run_frame(tenv, after, 10)
+    resumed, resumed_action = step(tenv, stack)
+    assert resumed_action.tag == "ret" and resumed.top.state.mu.stack == (1,)
     assert len(caps) == 2 and caps[0] == caps[1]

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as hst
 from evmsem import bytecode, semantics
 from evmsem.gas import c_mem, sha3_cost
 from evmsem.keccak import keccak256
-from evmsem.semantics import StepOutcome, step
+from evmsem.semantics import step
 from evmsem.state import (EXC, BlockHeader, CallStack, Frame, Halt, LogEvent, MachineState,
                           Regular, is_final, memory_read)
 from evmsem.traces import Action
@@ -25,9 +25,9 @@ W = TWO_256
 def run_op(code, stack=(), gas=1_000_000, **kw):
     """One step; returns (state-or-EXC, gas_delta or None)."""
     frame = make_frame(code, stack=stack, gas=gas, **kw)
-    out = step_one(frame)
-    assert len(out.stack) == 1
-    state = out.stack[0].state
+    after, _action = step_one(frame)
+    assert len(after) == 1
+    state = after[0].state
     if isinstance(state, Regular):
         return state, gas - state.mu.gas
     if isinstance(state, Halt):
@@ -102,9 +102,9 @@ UNDERFLOW_CASES = [
                          ids=[c[0] for c in UNDERFLOW_CASES])
 def test_stack_underflow(code, pre):
     frame = make_frame(code, stack=pre)
-    out = step_one(frame)
-    assert out.stack[0].state is EXC
-    assert len(out.stack) == 1
+    after, _action = step_one(frame)
+    assert after[0].state is EXC
+    assert len(after) == 1
 
 
 OOG_CASES = [
@@ -131,12 +131,12 @@ OOG_CASES = [
 def test_out_of_gas(code, pre, gas):
     # one unit short of the exact cost
     frame = make_frame(code, stack=pre, gas=gas)
-    out = step_one(frame)
-    assert out.stack[0].state is EXC
+    after, _action = step_one(frame)
+    assert after[0].state is EXC
     # and the exact cost succeeds
     frame = make_frame(code, stack=pre, gas=gas + 1)
-    out = step_one(frame)
-    assert out.stack[0].state is not EXC
+    after, _action = step_one(frame)
+    assert after[0].state is not EXC
 
 
 def test_jump_family():
@@ -146,7 +146,8 @@ def test_jump_family():
 
     # bad destination
     frame = make_frame(code, stack=(1,), pc=2)
-    assert step_one(frame).stack[0].state is EXC
+    after, _action = step_one(frame)
+    assert after[0].state is EXC
 
     # JUMPI taken / not taken
     code = "JUMPI\nSTOP\nJUMPDEST"
@@ -156,7 +157,8 @@ def test_jump_family():
     assert state.mu.pc == 1 and delta == 10
     # invalid destination faults even when the condition is zero (as printed)
     frame = make_frame(code, stack=(1, 0))
-    assert step_one(frame).stack[0].state is EXC
+    after, _action = step_one(frame)
+    assert after[0].state is EXC
 
     state, delta = run_op("JUMPDEST", ())
     assert delta == 1 and state.mu.pc == 1
@@ -286,8 +288,8 @@ def test_blockhash_chain_walk():
 
     def bh(n):
         frame = make_frame("BLOCKHASH", stack=(n,))
-        out = step_one(frame, tenv=tenv)
-        return out.stack[0].state.mu.stack[0]
+        after, _action = step_one(frame, tenv=tenv)
+        return after[0].state.mu.stack[0]
 
     assert bh(8) == 0x88
     assert bh(7) == 0x77
@@ -295,8 +297,8 @@ def test_blockhash_chain_walk():
     assert bh(9) == 0      # n beyond the first visited header
     assert bh(100) == 0
     frame = make_frame("BLOCKHASH", stack=(8,))
-    out = step_one(frame, tenv=tenv)
-    assert 1_000_000 - out.stack[0].state.mu.gas == 20
+    after, _action = step_one(frame, tenv=tenv)
+    assert 1_000_000 - after[0].state.mu.gas == 20
 
 
 def test_blockhash_walks_at_most_256_parents():
@@ -306,7 +308,8 @@ def test_blockhash_walks_at_most_256_parents():
     tenv = make_env(header=BlockHeader(parent=0x1000 + 299, number=300), ancestors=chain)
 
     def bh(n):
-        return step_one(make_frame("BLOCKHASH", stack=(n,)), tenv=tenv).stack[0].state.mu.stack[0]
+        after, _action = step_one(make_frame("BLOCKHASH", stack=(n,)), tenv=tenv)
+        return after[0].state.mu.stack[0]
 
     assert bh(299) == 0x1000 + 299
     assert bh(44) == 0x1000 + 44           # the 256th parent hop
@@ -341,9 +344,11 @@ def test_push_dup_swap_pop():
 def test_machine_stack_overflow():
     # the printed validity check rejects a new stack size reaching 1024
     frame = make_frame("PUSH1 0x01", stack=tuple(range(1023)))
-    assert step_one(frame).stack[0].state is EXC
+    after, _action = step_one(frame)
+    assert after[0].state is EXC
     frame = make_frame("PUSH1 0x01", stack=tuple(range(1022)))
-    assert step_one(frame).stack[0].state is not EXC
+    after, _action = step_one(frame)
+    assert after[0].state is not EXC
 
 
 def test_memory_ops():
@@ -435,15 +440,15 @@ def test_selfdestruct_no_double_refund():
     from evmsem.state import TransactionEffects
     eta = TransactionEffects(suicides=frozenset({SELF}))
     frame = make_frame("SELFDESTRUCT", stack=(0xBBBB,), gas=6000, eta=eta)
-    out = step_one(frame)
-    assert out.stack[0].state.eta.refund == 0
+    after, _action = step_one(frame)
+    assert after[0].state.eta.refund == 0
 
 
 def test_invalid_and_unknown_bytes():
     for raw in (b"\xfe", b"\x21", b"\xf5"):
         frame = make_frame(raw, gas=10**6)
-        out = step_one(frame)
-        assert out.stack[0].state is EXC
+        after, _action = step_one(frame)
+        assert after[0].state is EXC
 
 
 def test_empty_code_halts_via_stop_fallback():
@@ -490,9 +495,9 @@ def test_call_to_itself_keeps_the_value():
     # the caller is debited before the callee is credited, so a CALL with
     # value to the caller's own address leaves its balance where it was
     frame = make_frame("CALL", stack=(10_000, SELF, 5, 0, 0, 0, 0), balance=1000)
-    out = step_one(frame)
-    assert len(out.stack) == 2 and out.action.tag == "enter"
-    callee = out.stack[0].state
+    after, action = step_one(frame)
+    assert len(after) == 2 and action.tag == "enter"
+    callee = after[0].state
     assert isinstance(callee, Regular) and callee.iota.value == 5
     assert callee.sigma.get(SELF).balance == 1000
     assert callee.sigma.total_balance() == frame.state.sigma.total_balance()
@@ -523,12 +528,12 @@ def test_every_pc_steps_as_the_byte_table_does(body, push, tail):
         if want.name == "PC" or want.name.startswith("PUSH"):
             imm = bytes(code[pc + 1:pc + 1 + want.k]).ljust(want.k, b"\x00")
             word = pc if want.name == "PC" else int.from_bytes(imm, "big")
-            out = step_one(make_frame(code, pc=pc))
-            assert out.action.op == want.name, pc
-            assert out.stack.top.state.mu.stack == (word,), pc
+            after, action = step_one(make_frame(code, pc=pc))
+            assert action.op == want.name, pc
+            assert after.top.state.mu.stack == (word,), pc
     for pc in (len(code), len(code) + 1, 10**40):
-        out = step_one(make_frame(code, pc=pc))
-        assert (out.action.op, out.action.tag) == ("STOP", "halt")
+        after, action = step_one(make_frame(code, pc=pc))
+        assert (action.op, action.tag) == ("STOP", "halt")
     # each run, applied in one call from its first pc, leaves the stack its
     # steps leave one at a time
     tenv = make_env()
@@ -536,7 +541,7 @@ def test_every_pc_steps_as_the_byte_table_does(body, push, tail):
         stack = stack_of(make_frame(code, pc=start, stack=range(max(20, run.need))))
         after = semantics._run_block(tenv, stack, stack.top.state, run, None)
         for _ in range(run.steps):
-            stack = step(tenv, stack).stack
+            stack, _action = step(tenv, stack)
         assert after == stack, start
 
 
@@ -552,16 +557,17 @@ def test_step_records_have_exactly_their_classes():
     for stack in stacks:
         while True:
             out = step(tenv, stack)
-            assert type(out) is StepOutcome
-            assert type(out.action) is Action
-            assert type(out.stack) is CallStack and type(out.stack.top) is Frame
-            state = out.stack.top.state
+            assert type(out) is tuple and len(out) == 2
+            after, action = out
+            assert type(action) is Action
+            assert type(after) is CallStack and type(after.top) is Frame
+            state = after.top.state
             assert type(state) in (Regular, Halt) or state is EXC
             if type(state) is Regular:
                 assert type(state.mu) is MachineState
-            if is_final(out.stack):
+            if is_final(after):
                 break
-            stack = out.stack
+            stack = after
 
 
 def test_call_rules_pop_their_action_arity():
@@ -571,5 +577,5 @@ def test_call_rules_pop_their_action_arity():
         r = semantics._RULES[bytecode.MNEMONIC_TO_BYTE[name]]
         assert r.n == arity, name
     stack = stack_of(make_frame("CALL", stack=(1000, 0xC0DE, 0, 0, 0, 0, 0)))
-    out = step(make_env(), stack)
-    assert out.action.tag == "enter" and out.action.args == (1000, 0xC0DE, 0, 0, 0, 0, 0)
+    after, action = step(make_env(), stack)
+    assert action.tag == "enter" and action.args == (1000, 0xC0DE, 0, 0, 0, 0, 0)

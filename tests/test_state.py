@@ -5,11 +5,12 @@ from hypothesis import given, strategies as st
 
 from evmsem.checkers import CHECKERS, ScenarioSpace, Verdict
 from evmsem.fixtures import Fixture, load_corpus
-from evmsem.semantics import StepOutcome, step
-from evmsem.state import (ENV_COMPONENTS, EXC, Account, BlockHeader, ExecutionEnvironment, Frame,
-                          GlobalState, Halt, LogEvent, MachineState, Regular, TransactionEffects,
-                          TransactionEnvironment, account, env_with_component, frames,
-                          memory_read, memory_write, validate_stack, with_top_state)
+from evmsem.semantics import step
+from evmsem.state import (ENV_COMPONENTS, EXC, Account, BlockHeader, CallStack,
+                          ExecutionEnvironment, Frame, GlobalState, Halt, LogEvent, MachineState,
+                          Regular, TransactionEffects, TransactionEnvironment, account,
+                          env_with_component, frames, memory_read, memory_write, validate_stack,
+                          with_top_state)
 from evmsem.traces import Action
 from evmsem.transaction import Receipt, Transaction, execute_transaction
 from helpers import (SELF, make_env, make_frame, stack_diff, stack_of, state_eq_up_to,
@@ -107,24 +108,24 @@ def _deep(top, depth=1024):
 
 def test_a_step_at_depth_1024_shares_the_frames_below():
     stack = _deep(make_frame("PUSH1 0x01\nSTOP"))
-    out = step(make_env(), stack)
-    assert out.action.tag == "op"
-    assert out.stack.depth == 1024 and out.stack.below is stack.below
+    after, action = step(make_env(), stack)
+    assert action.tag == "op"
+    assert after.depth == 1024 and after.below is stack.below
 
 
 def test_a_call_and_its_return_at_depth_1024_share_the_frames_below():
     call = make_frame("CALL", stack=(0x1000, 0xBBBB, 0, 0, 0, 0, 0))
     below_limit = _deep(call, 1023)
-    entered = step(make_env(), below_limit)
-    assert entered.action.tag == "enter" and isinstance(entered.stack.top.state, Regular)
-    assert entered.stack.depth == 1024 and entered.stack.below is below_limit
+    entered, entered_action = step(make_env(), below_limit)
+    assert entered_action.tag == "enter" and isinstance(entered.top.state, Regular)
+    assert entered.depth == 1024 and entered.below is below_limit
     stack = _deep(call)
-    entered = step(make_env(), stack)
-    assert entered.action.tag == "fail" and entered.stack.top.state is EXC
-    assert entered.stack.depth == 1025 and entered.stack.below is stack
-    returned = step(make_env(), entered.stack)
-    assert returned.action.tag == "exc_ret"
-    assert returned.stack.depth == 1024 and returned.stack.below is stack.below
+    entered, entered_action = step(make_env(), stack)
+    assert entered_action.tag == "fail" and entered.top.state is EXC
+    assert entered.depth == 1025 and entered.below is stack
+    returned, returned_action = step(make_env(), entered)
+    assert returned_action.tag == "exc_ret"
+    assert returned.depth == 1024 and returned.below is stack.below
 
 
 def test_deep_stacks_compare_frame_by_frame():
@@ -359,8 +360,7 @@ def _records():
     action = Action("ADD", frame.contract, (1, 2))
     space = ScenarioSpace(pre=st.sigma, tx=_transaction(), header=BlockHeader())
     return [(st.mu, "gas", 9), (st, "mu", MachineState(9, 1, b"", 0, ())), (halt, "gas", 6),
-            (frame, "state", halt), (action, "tag", "exc"),
-            (step_one(frame), "action", action), (_acct(), "balance", 11),
+            (frame, "state", halt), (action, "tag", "exc"), (_acct(), "balance", 11),
             (TransactionEffects(1, (), frozenset({7})), "refund", 3), (st.iota, "value", 5),
             (make_env(ancestors={0x77: BlockHeader()}), "gas_price", 9),
             (BlockHeader(number=8), "timestamp", 7), (Receipt("success", 21000, ()), "gas_used", 1),
@@ -386,18 +386,22 @@ def test_record_fields_are_read_only_and_replace_one(record, name, value):
 
 def test_step_returns_state_records():
     out = step_one(make_frame("PUSH1 0x01\nSTOP"))
-    assert type(out) is StepOutcome
-    assert type(out.stack[0]) is Frame
-    assert type(out.stack[0].state) is Regular
-    assert type(out.stack[0].state.mu) is MachineState
-    assert type(out.action) is Action
-    halted = step_one(out.stack[0])
-    assert type(halted.stack[0]) is Frame and type(halted.stack[0].state) is Halt
+    assert type(out) is tuple and len(out) == 2
+    after, action = out
+    assert type(after) is CallStack
+    assert type(after[0]) is Frame
+    assert type(after[0].state) is Regular
+    assert type(after[0].state.mu) is MachineState
+    assert type(action) is Action
+    halted, _action = step_one(after[0])
+    assert type(halted[0]) is Frame and type(halted[0].state) is Halt
     # an SSTORE that clears a slot changes an account and refunds
-    cleared = step_one(make_frame("SSTORE", stack=(0, 0), storage={0: 5})).stack[0].state
+    after, _action = step_one(make_frame("SSTORE", stack=(0, 0), storage={0: 5}))
+    cleared = after[0].state
     assert type(cleared.sigma.get(SELF)) is Account and cleared.sigma.get(SELF).storage_get(0) == 0
     assert type(cleared.eta) is TransactionEffects and cleared.eta.refund == 15000
-    logged = step_one(make_frame("LOG1", stack=(0, 0, 9))).stack[0].state
+    after, _action = step_one(make_frame("LOG1", stack=(0, 0, 9)))
+    logged = after[0].state
     assert type(logged.eta) is TransactionEffects
     assert logged.eta.logs == (LogEvent(SELF, (9,), b""),) and type(logged.eta.logs[0]) is LogEvent
 
